@@ -65,8 +65,11 @@ class WrongRegimeError(TreeStatsError):
     """A limit-law procedure was called outside its regime."""
 
 
-class UnsupportedGraphError(TreeStatsError):
-    """Raised for graphs with cycles; only tree-like spaces are supported."""
+class InvalidWeightsError(TreeStatsError, ValueError):
+    """Sample or law weights are not finite, nonnegative and summing to 1.
+
+    Also a :class:`ValueError`, which weight checks raised before.
+    """
 
 
 # --- four-leaf tree space --------------------------------------------------

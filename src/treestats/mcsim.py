@@ -6,7 +6,8 @@ gaps then predict one of three regimes for the sample mean:
 
 * ``i``   some gap positive: the mean lives on a leg, scaled fluctuations
   are asymptotically normal;
-* ``ii``  the largest gap is exactly zero: after folding the other legs
+* ``ii``  the largest gap is zero (to within a few ulps of the summed
+  leg moments, see ``_regime_of``): after folding the other legs
   onto the negative half-line, the scaled folded mean is half-normal in
   magnitude;
 * ``iii`` all gaps negative: the sample mean equals the center exactly
@@ -22,12 +23,12 @@ replicate index) and can therefore run in any order.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import openbook as ob
 from . import spider as sp
@@ -153,14 +154,10 @@ class SpiderLaw:
     legs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", sp.validate_weights(self.weights))
         object.__setattr__(self, "legs", tuple(self.legs))
         if len(self.weights) != len(self.legs) or not self.legs:
             raise ValueError("need one distribution per leg")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
         if any(_atom_at_zero(d) for d in self.legs):
             raise ValueError("leg distributions may not put mass at the center")
 
@@ -191,14 +188,10 @@ class OpenBookLaw:
     leaves: tuple  # three (x1 distribution, x2 distribution) pairs
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", sp.validate_weights(self.weights))
         object.__setattr__(self, "leaves", tuple(tuple(l) for l in self.leaves))
         if len(self.weights) != 3 or len(self.leaves) != 3:
             raise ValueError("an open-book law has exactly three leaves")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
         if any(_atom_at_zero(x2) for _, x2 in self.leaves):
             raise ValueError("x2 distributions may not put mass on the spine")
 
@@ -229,29 +222,36 @@ def law_from_dict(obj: dict):
     raise ValueError(f"unknown law space {space!r}")
 
 
-def _regime_of(thetas: tuple[float, ...]) -> Regime:
-    t_max = max(thetas)
-    if t_max > 0:
-        return Regime.NONSTICKY
-    if t_max == 0:
-        return Regime.BOUNDARY
-    return Regime.STICKY
+# Moment gaps of a law are computed in floating point, so a law that is
+# exactly on the boundary can come out a few ulps of sum(v) off zero (at
+# most 0.75 * epsilon * sum(v) over 4000 laws with weights (0.5, x, 0.5 - x)).
+# A largest gap within this relative tolerance is the boundary regime.
+_BOUNDARY_RTOL = 8 * sys.float_info.epsilon
+
+
+def _regime_of(v: tuple[float, ...]) -> tuple[Regime, tuple[float, ...]]:
+    """Regime and moment gaps ``v_a - sum(v_b, b != a)`` of leg moments ``v``."""
+    total = sum(v)
+    th = tuple(va - (total - va) for va in v)
+    t_max = max(th)
+    tol = _BOUNDARY_RTOL * total
+    if t_max > tol:
+        return Regime.NONSTICKY, th
+    if t_max >= -tol:
+        return Regime.BOUNDARY, th
+    return Regime.STICKY, th
 
 
 def classify_law(law: SpiderLaw) -> tuple[Regime, tuple[float, ...]]:
     """Population regime and moment gaps, in closed form from the law."""
-    v = tuple(w * d.mean() for w, d in zip(law.weights, law.legs))
-    total = sum(v)
-    th = tuple(va - (total - va) for va in v)
-    return _regime_of(th), th
+    return _regime_of(tuple(w * d.mean() for w, d in zip(law.weights, law.legs)))
 
 
 def classify_openbook_law(law: OpenBookLaw) -> tuple[Regime, tuple[float, ...]]:
     """Population regime of the transverse coordinate on the open book."""
-    v2 = tuple(w * x2.mean() for w, (_, x2) in zip(law.weights, law.leaves))
-    total = sum(v2)
-    th = tuple(va - (total - va) for va in v2)
-    return _regime_of(th), th
+    return _regime_of(
+        tuple(w * x2.mean() for w, (_, x2) in zip(law.weights, law.leaves))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +298,13 @@ class SimReport:
         if include_runtime:
             out["runtime_seconds"] = self.runtime_seconds
         return out
+
+
+def kstest(sample, law: str):
+    """``scipy.stats.kstest``; scipy is imported on first use, not at start-up."""
+    from scipy import stats
+
+    return stats.kstest(sample, law)
 
 
 def _replicate_rng(seed: int, rep: int) -> np.random.Generator:

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import EmptySampleError, InsufficientDataError, WrongRegimeError
-from .spider import Verdict
+from .spider import Verdict, validate_weights
 
 __all__ = [
     "OpenBookPoint",
@@ -91,13 +90,7 @@ class OpenBookSample:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(self.points):
-                raise ValueError("weights length must match point count")
-            if any(x < 0 for x in w):
-                raise ValueError("weights must be nonnegative")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
+            w = validate_weights(self.weights, len(self.points))
             object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -268,6 +261,8 @@ def spine_clt(
     :class:`WrongRegimeError` on a non-sticky sample, whose mean leaves
     the spine.  Requires uniform weights.
     """
+    from scipy.stats import norm  # deferred: a slow import few commands need
+
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     if len(sample) < 2:

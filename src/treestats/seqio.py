@@ -184,10 +184,14 @@ class DistanceMatrix:
         return cls(taxa, np.array(rows))
 
 
-def _encode(row: str) -> np.ndarray:
-    arr = np.frombuffer(row.encode("ascii"), dtype=np.uint8).copy()
-    arr[arr == ord("U")] = ord("T")  # U and T are identified
-    return arr
+# Columns per indicator block.  Counts are accumulated block by block, so
+# extra memory is O(N^2 + N * _BLOCK_COLUMNS) however long the alignment;
+# per-block counts stay far below 2**24, so float32 products are exact.
+_BLOCK_COLUMNS = 512
+
+# byte -> one-hot over A, C, G, T, with U folded into T
+_ONE_HOT = np.zeros((256, 4), dtype=np.float32)
+_ONE_HOT[np.frombuffer(b"ACGTU", dtype=np.uint8), [0, 1, 2, 3, 3]] = 1.0
 
 
 def mismatch_distance(
@@ -201,40 +205,51 @@ def mismatch_distance(
     where both rows are gapped are excluded from both numerator and
     denominator in either mode.
 
-    Raises :class:`NoComparableSitesError` when a pair has no usable column.
+    Raises :class:`NoComparableSitesError` when a pair has no usable column;
+    the first such pair in row-major order (``i < j``) is reported.
     """
-    enc = [_encode(r) for r in block.rows]
-    n = block.n_taxa
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = enc[i], enc[j]
-            gap_a = a == _GAP
-            gap_b = b == _GAP
-            both_gapped = gap_a & gap_b
-            comparable = ~gap_a & ~gap_b
-            if strict_n:
-                match = (a == b) & (a != _N) & (b != _N)
-            else:
-                match = (a == b) | (a == _N) | (b == _N)
-            if mode is GapMode.IGNORE:
-                denom = int(comparable.sum())
-                if denom == 0:
-                    raise NoComparableSitesError(
-                        f"no gap-free columns shared by {block.taxa[i]!r} "
-                        f"and {block.taxa[j]!r}"
-                    )
-                num = int((comparable & ~match).sum())
-            else:
-                denom = int((~both_gapped).sum())
-                if denom == 0:
-                    raise NoComparableSitesError(
-                        f"all columns gapped for {block.taxa[i]!r} "
-                        f"and {block.taxa[j]!r}"
-                    )
-                one_gapped = gap_a ^ gap_b
-                num = int((one_gapped | (comparable & ~match)).sum())
-            d[i, j] = d[j, i] = num / denom
+    n, length = block.n_taxa, block.n_columns
+    enc = np.frombuffer("".join(block.rows).encode("ascii"), dtype=np.uint8)
+    enc = enc.reshape(n, length)
+    # byte -> 1 for the symbols that can mismatch: bases, and N if strict_n
+    can_mismatch = _ONE_HOT.sum(axis=1)
+    if strict_n:
+        can_mismatch[_N] = 1.0
+    # Per pair, over the columns: same_base counts equal bases, gap_gap
+    # columns gapped in both rows, and both_counted columns where both rows
+    # hold a symbol that can mismatch.  A column mismatches when both of
+    # its symbols can and they differ.
+    same_base = np.zeros((n, n))
+    gap_gap = np.zeros((n, n))
+    both_counted = np.zeros((n, n))
+    for lo in range(0, length, _BLOCK_COLUMNS):
+        cols = enc[:, lo : lo + _BLOCK_COLUMNS]
+        one_hot = _ONE_HOT[cols].reshape(n, -1)
+        gap = (cols == _GAP).astype(np.float32)
+        counted = can_mismatch[cols]
+        same_base += one_hot @ one_hot.T
+        gap_gap += gap @ gap.T
+        both_counted += counted @ counted.T
+    mismatched = both_counted - same_base
+    gaps = np.diag(gap_gap)  # each row's own gap count
+    gap_sum = gaps[:, None] + gaps[None, :]
+    if mode is GapMode.IGNORE:
+        denom = length - gap_sum + gap_gap
+        num = mismatched
+        reason = "no gap-free columns shared by"
+    else:
+        denom = length - gap_gap
+        num = gap_sum - 2.0 * gap_gap + mismatched  # gap-versus-symbol columns too
+        reason = "all columns gapped for"
+    empty = np.argwhere(np.triu(denom == 0, k=1))
+    if empty.size:
+        i, j = empty[0]
+        raise NoComparableSitesError(
+            f"{reason} {block.taxa[i]!r} and {block.taxa[j]!r}"
+        )
+    np.fill_diagonal(denom, 1.0)
+    d = num / denom
+    np.fill_diagonal(d, 0.0)
     return DistanceMatrix(block.taxa, d)
 
 
@@ -271,9 +286,6 @@ class TreeNode:
 
     def leaf_labels(self) -> list[str]:
         return [n.label for n in self.leaves()]
-
-    def copy(self) -> "TreeNode":
-        return TreeNode(self.label, self.length, [c.copy() for c in self.children])
 
     def __repr__(self):
         return f"TreeNode({serialize_newick(self)!r})"

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
 
-from .errors import EmptySampleError, InsufficientDataError
+from .errors import EmptySampleError, InsufficientDataError, InvalidWeightsError
 
 __all__ = [
     "SpiderPoint",
@@ -47,6 +46,25 @@ __all__ = [
     "clt_interval",
     "net_moment",
 ]
+
+
+def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
+    """Weights as floats, checked to be finite, nonnegative and sum to 1.
+
+    ``count``, when given, is the number of points the weights belong to.
+    Shared by the spider, open-book and tree-space samples and the
+    simulation laws; raises :class:`InvalidWeightsError`.
+    """
+    w = tuple(float(x) for x in weights)
+    if count is not None and len(w) != count:
+        raise InvalidWeightsError("weights length must match point count")
+    if not all(math.isfinite(x) for x in w):
+        raise InvalidWeightsError("weights must be finite")
+    if any(x < 0 for x in w):
+        raise InvalidWeightsError("weights must be nonnegative")
+    if abs(sum(w) - 1.0) > 1e-9:
+        raise InvalidWeightsError("weights must sum to 1")
+    return w
 
 
 @dataclass(frozen=True)
@@ -108,13 +126,7 @@ class SpiderSample:
             if pt.leg is not None and pt.leg > self.p:
                 raise ValueError(f"point on leg {pt.leg} exceeds p={self.p}")
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(self.points):
-                raise ValueError("weights length must match point count")
-            if any(x < 0 for x in w):
-                raise ValueError("weights must be nonnegative")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
+            w = validate_weights(self.weights, len(self.points))
             object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -407,6 +419,8 @@ def clt_interval(
     interval at the center, where the sample mean sits almost surely for
     large n.  Requires uniform weights.
     """
+    from scipy.stats import norm  # deferred: a slow import few commands need
+
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     if len(sample) < 2:

@@ -30,10 +30,10 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import EmptySampleError, NotInBookError, UndefinedProjectionError
 from .openbook import OpenBookPoint, OpenBookSample, SpineStickinessReport, openbook_mean
+from .spider import validate_weights
 
 __all__ = [
     "Quadrant",
@@ -249,13 +249,7 @@ class T4Sample:
             if pt.labels != self.labels:
                 raise ValueError("all points must share the sample's labels")
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(self.points):
-                raise ValueError("weights length must match point count")
-            if any(x < 0 for x in w):
-                raise ValueError("weights must be nonnegative")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
+            w = validate_weights(self.weights, len(self.points))
             object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -505,6 +499,8 @@ def t4_mean(
     best_value = frechet_function(current, sample)
     method = "inductive"
     if polish:
+        from scipy.optimize import minimize  # deferred: a slow import few commands need
+
         geom = _geometry(labels)
         candidates = [(frechet_function(origin(labels), sample), origin(labels))]
         for i, e in enumerate(geom.splits):

@@ -15,8 +15,60 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.stats import binom
 
-from treestats.seqio import TreeNode
+from treestats.errors import NoComparableSitesError
+from treestats.seqio import DistanceMatrix, GapMode, TreeNode
 from treestats.t4space import all_splits, compatible
+
+
+# --------------------------------------------------------------------------
+# sequences: mismatch distances one pair at a time
+# --------------------------------------------------------------------------
+
+def mismatch_distance_loop(block, mode, strict_n=False):
+    """Mismatch fractions from per-pair column masks, pairs in row-major order.
+
+    The direct restatement of the comparison rules that
+    ``seqio.mismatch_distance`` computes with indicator-matrix products.
+    """
+    def encode(row):
+        arr = np.frombuffer(row.encode("ascii"), dtype=np.uint8).copy()
+        arr[arr == ord("U")] = ord("T")
+        return arr
+
+    gap_code, n_code = ord("-"), ord("N")
+    enc = [encode(r) for r in block.rows]
+    n = block.n_taxa
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = enc[i], enc[j]
+            gap_a = a == gap_code
+            gap_b = b == gap_code
+            both_gapped = gap_a & gap_b
+            comparable = ~gap_a & ~gap_b
+            if strict_n:
+                match = (a == b) & (a != n_code) & (b != n_code)
+            else:
+                match = (a == b) | (a == n_code) | (b == n_code)
+            if mode is GapMode.IGNORE:
+                denom = int(comparable.sum())
+                if denom == 0:
+                    raise NoComparableSitesError(
+                        f"no gap-free columns shared by {block.taxa[i]!r} "
+                        f"and {block.taxa[j]!r}"
+                    )
+                num = int((comparable & ~match).sum())
+            else:
+                denom = int((~both_gapped).sum())
+                if denom == 0:
+                    raise NoComparableSitesError(
+                        f"all columns gapped for {block.taxa[i]!r} "
+                        f"and {block.taxa[j]!r}"
+                    )
+                one_gapped = gap_a ^ gap_b
+                num = int((one_gapped | (comparable & ~match)).sum())
+            d[i, j] = d[j, i] = num / denom
+    return DistanceMatrix(block.taxa, d)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import treestats
 from treestats import pipeline
 from treestats.cli import main
 from treestats.errors import ConfigError
@@ -47,6 +51,31 @@ class TestDist:
         mismatch_csv = capsys.readouterr().out
         assert ignore_csv.splitlines()[1].split(",")[1] == "0.0"
         assert mismatch_csv.splitlines()[1].split(",")[1] == "0.25"
+
+
+class TestImports:
+    def test_sequence_chain_never_imports_scipy(self, toy, tmp_path):
+        # a fresh interpreter, since this one has scipy loaded by other tests
+        fasta, groups3, _ = toy
+        d, tree, sample, mean = (tmp_path / n for n in ("d.csv", "t.nwk", "s.json", "m.json"))
+        script = f"""
+import sys
+from treestats.cli import main
+assert main(["dist", {str(fasta)!r}, "-o", {str(d)!r}]) == 0
+assert main(["nj", {str(d)!r}, "-o", {str(tree)!r}]) == 0
+assert main(["sample-trees", {str(fasta)!r}, "--groups", {str(groups3)!r},
+             "--k", "3", "-o", {str(sample)!r}]) == 0
+assert main(["mean", {str(sample)!r}, "-o", {str(mean)!r}]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+        src = str(Path(treestats.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path},
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(mean.read_text())["space"] == "t3"
 
 
 class TestNj:
@@ -145,6 +174,13 @@ class TestMeanAndSticky:
         rep = json.loads(out.read_text())
         assert rep["space"] == "t4"
         assert svg.read_text().startswith("<svg")
+
+    def test_nan_weights_exit_2(self, tmp_path, capsys):
+        sample = tmp_path / "nan.json"
+        sample.write_text('{"p": 3, "points": [{"leg": 1, "u": 1.0}, '
+                          '{"leg": 2, "u": 2.0}], "weights": [NaN, NaN]}')
+        assert main(["mean", str(sample)]) == 2
+        assert "weights must be finite" in capsys.readouterr().err
 
     def test_space_mismatch_exit_2(self, toy, tmp_path):
         fasta, groups3, _ = toy

@@ -45,6 +45,18 @@ class TestClassifyLaw:
         assert regime is Regime.BOUNDARY
         assert th[0] == 0.0
 
+    @pytest.mark.parametrize("dist", [Uniform(0.1, 0.7), Exponential(3.0)])
+    def test_rounded_boundary_laws(self, dist):
+        # weights (0.5, x, 0.5 - x) with one distribution on every leg put
+        # the first gap exactly at 0; rounding must not move the regime
+        rng = np.random.default_rng(0)
+        for x in rng.uniform(0.0, 0.5, 2000):
+            weights = (0.5, x, 0.5 - x)
+            law = SpiderLaw(weights, (dist,) * 3)
+            assert classify_law(law)[0] is Regime.BOUNDARY
+            book = OpenBookLaw(weights, ((dist, dist),) * 3)
+            assert classify_openbook_law(book)[0] is Regime.BOUNDARY
+
     def test_rejects_center_atom(self):
         with pytest.raises(ValueError):
             SpiderLaw((1.0,), (PointMass(0.0),))

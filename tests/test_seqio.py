@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oracles import mismatch_distance_loop
+from treestats import seqio
 from treestats.errors import (
     AlignmentLengthError,
     AlphabetError,
@@ -119,6 +123,59 @@ class TestMismatchDistance:
                 assert np.all(np.diag(dm.d) == 0)
                 assert np.all(dm.d >= 0)
                 assert np.all(dm.d <= 1.0)
+
+
+SYMBOLS = np.array(list("ACGTUN-"))
+BLOCK = seqio._BLOCK_COLUMNS
+
+
+@st.composite
+def alignments(draw):
+    """Blocks mixing all symbols, with all-gap rows and rows gapped on one
+    side of a cut (pairs of those can share no gap-free column); lengths
+    run past two column blocks."""
+    n = draw(st.integers(1, 6))
+    length = draw(st.one_of(st.integers(1, 40), st.integers(BLOCK - 3, 2 * BLOCK + 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n):
+        mix = draw(st.lists(st.integers(0, 4), min_size=7, max_size=7).filter(any))
+        row = rng.choice(SYMBOLS, length, p=np.array(mix) / sum(mix))
+        shape = draw(st.sampled_from(["mixed", "all_gap", "gap_left", "gap_right"]))
+        cut = draw(st.integers(0, length))
+        if shape == "all_gap":
+            row[:] = "-"
+        elif shape == "gap_left":
+            row[:cut] = "-"
+        elif shape == "gap_right":
+            row[cut:] = "-"
+        rows.append("".join(row))
+    return block(*rows)
+
+
+def distance_csv_or_error(fn, b, mode, strict_n):
+    try:
+        return fn(b, mode, strict_n).to_csv()
+    except NoComparableSitesError as exc:
+        return f"NoComparableSitesError: {exc}"
+
+
+class TestDistanceMatchesLoop:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(alignments())
+    def test_blocked_products_equal_pair_loop(self, b):
+        for mode in GapMode:
+            for strict_n in (False, True):
+                assert distance_csv_or_error(
+                    mismatch_distance, b, mode, strict_n
+                ) == distance_csv_or_error(mismatch_distance_loop, b, mode, strict_n)
+
+    def test_first_empty_pair_reported_in_row_major_order(self):
+        # pairs (0, 2) and (1, 2) share no gap-free column; (0, 2) comes first
+        b = block("AC" * BLOCK + "--", "A" * (2 * BLOCK) + "--", "-" * (2 * BLOCK) + "GT")
+        with pytest.raises(NoComparableSitesError, match="'t0' and 't2'"):
+            mismatch_distance(b, GapMode.IGNORE)
 
 
 class TestDistanceMatrixCSV:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import spider_grid_minimum
-from treestats.errors import EmptySampleError, InsufficientDataError
+from treestats.errors import EmptySampleError, InsufficientDataError, InvalidWeightsError
+from treestats.mcsim import OpenBookLaw, PointMass, SpiderLaw, Uniform
+from treestats.openbook import OpenBookPoint, OpenBookSample
+from treestats.t4space import T4Point, T4Sample
 from treestats.spider import (
     CENTER,
     SpiderMeasureSummary,
@@ -290,3 +293,37 @@ class TestThetasInvariant:
             nu = rng.uniform(0, 3, size=p)
             summ = SpiderMeasureSummary(p, 0.0, tuple(w), tuple(nu))
             assert sum(1 for t in thetas(summ) if t > 0) <= 1
+
+
+# every weighted container, as a function of a weight tuple of its own size
+WEIGHTED = {
+    "SpiderSample": (2, lambda w: SpiderSample(
+        3, (SpiderPoint(1, 1.0), SpiderPoint(2, 2.0)), w)),
+    "OpenBookSample": (2, lambda w: OpenBookSample(
+        (OpenBookPoint(1, 1.0, 1.0), OpenBookPoint(2, 1.0, 2.0)), w)),
+    "T4Sample": (2, lambda w: T4Sample(
+        (1, 2, 3, 4), (T4Point((1, 2, 3, 4)), T4Point((1, 2, 3, 4))), w)),
+    "SpiderLaw": (2, lambda w: SpiderLaw(w, (PointMass(1.0),) * 2)),
+    "OpenBookLaw": (3, lambda w: OpenBookLaw(
+        w, ((Uniform(0.0, 1.0), PointMass(1.0)),) * 3)),
+}
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("name", WEIGHTED)
+    @pytest.mark.parametrize("head, message", [
+        ((math.nan, math.nan), "weights must be finite"),
+        ((math.inf, 0.0), "weights must be finite"),
+        ((2.0, -1.0), "weights must be nonnegative"),
+        ((0.9, 0.0), "weights must sum to 1"),
+    ])
+    def test_rejected_everywhere(self, name, head, message):
+        k, make = WEIGHTED[name]
+        make((1.0,) + (0.0,) * (k - 1))  # valid weights pass
+        with pytest.raises(InvalidWeightsError, match=message) as caught:
+            make(head + (0.0,) * (k - 2))
+        assert isinstance(caught.value, ValueError)
+
+    def test_sample_length_mismatch(self):
+        with pytest.raises(InvalidWeightsError, match="length must match"):
+            SpiderSample(3, (SpiderPoint(1, 1.0),), (0.5, 0.5))
