@@ -58,7 +58,7 @@ print("20 tree-space points; first five:")
 for pt in t4_sample.points[:5]:
     print("  ", pt)
 
-estimate = t4_mean(t4_sample, seed=42)
+estimate = t4_mean(t4_sample)
 print("mean point:", estimate.mean)
 print("mean tree type:", tree_type_newick(t4_sample.labels, estimate.mean))
 print("Frechet value:", round(estimate.frechet_value, 5))

@@ -82,9 +82,7 @@ def cmd_mean(args) -> int:
     if args.plot and space == "openbook":
         raise ConfigError("--plot supports t3 and t4 samples")
     sample = pipeline.load_sample(obj, space)
-    report = pipeline.mean_report(
-        sample, space, args.tolerance, args.epochs, args.seed
-    )
+    report = pipeline.mean_report(sample, space, args.tolerance)
     _write(pipeline.canonical_json(report), args.output)
     if args.plot:
         if space == "t3":
@@ -186,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample space (default: inferred)")
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="boundary tolerance for verdicts (default 0)")
-    p.add_argument("--epochs", type=int, default=50,
-                   help="inductive-mean passes for t4 (default 50)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="shuffle seed for the t4 inductive mean (default 0)")
     p.add_argument("--plot", help="also write an SVG plot to this path")
     add_output(p)
     p.set_defaults(func=cmd_mean)

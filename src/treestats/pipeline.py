@@ -38,8 +38,11 @@ LETTERS = ("a", "b", "c", "d")
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    NaN and infinities are refused (``ValueError``): they are not JSON.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def load_groups(text: str) -> dict[str, str]:
@@ -169,8 +172,7 @@ def load_sample(obj: dict, space: str):
     raise ConfigError(f"unknown space {space!r}")
 
 
-def mean_report(sample, space: str, tolerance: float = 0.0,
-                epochs: int = 50, seed: int = 0) -> dict:
+def mean_report(sample, space: str, tolerance: float = 0.0) -> dict:
     """Space-appropriate mean report as a JSON-ready dictionary."""
     if space == "t3":
         report = sp.intrinsic_mean(sample, tolerance)
@@ -183,7 +185,7 @@ def mean_report(sample, space: str, tolerance: float = 0.0,
         out.update(report.to_dict())
         return out
     if space == "t4":
-        estimate = t4.t4_mean(sample, epochs=epochs, seed=seed)
+        estimate = t4.t4_mean(sample)
         return {
             "space": "t4",
             "n": len(sample),

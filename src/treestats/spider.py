@@ -204,14 +204,18 @@ class SpiderMeasureSummary:
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(float(x) for x in self.w))
         object.__setattr__(self, "nu", tuple(float(x) for x in self.nu))
+        if self.m2 is not None:
+            object.__setattr__(self, "m2", tuple(float(x) for x in self.m2))
+        for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu),
+                             ("m2", self.m2 or ())):
+            if not all(map(math.isfinite, values)):
+                raise InvalidWeightsError(f"summary {name} must be finite")
         if len(self.w) != self.p or len(self.nu) != self.p:
             raise ValueError("w and nu must have one entry per leg")
         if self.w0 < 0 or any(x < 0 for x in self.w) or any(x < 0 for x in self.nu):
             raise ValueError("masses and conditional means must be nonnegative")
-        if self.m2 is not None:
-            object.__setattr__(self, "m2", tuple(float(x) for x in self.m2))
-            if len(self.m2) != self.p:
-                raise ValueError("m2 must have one entry per leg")
+        if self.m2 is not None and len(self.m2) != self.p:
+            raise ValueError("m2 must have one entry per leg")
 
     @property
     def v(self) -> tuple[float, ...]:
@@ -326,7 +330,8 @@ class StickinessReport:
             "theta": list(self.theta),
             "verdict": self.verdict.to_dict(),
             "mean": self.mean.to_dict(),
-            "intrinsic_sd": self.intrinsic_sd,
+            # NaN (no second moments) is not JSON: written as null
+            "intrinsic_sd": None if math.isnan(self.intrinsic_sd) else self.intrinsic_sd,
         }
 
 

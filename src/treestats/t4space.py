@@ -100,13 +100,7 @@ class Quadrant:
 
 def enumerate_quadrants(labels=(1, 2, 3, 4)) -> list[Quadrant]:
     """All 15 quadrants; every split is an axis of exactly 3 of them."""
-    splits = all_splits(labels)
-    out = []
-    for i, a in enumerate(splits):
-        for b in splits[i + 1 :]:
-            if compatible(a, b):
-                out.append(Quadrant((a, b)))
-    return out
+    return [Quadrant(q) for q in _geometry(tuple(sorted(labels))).quadrants]
 
 
 class _Geometry:
@@ -133,6 +127,42 @@ class _Geometry:
                             continue
                         paths.append((e0, e1, e2, e3))
                 self.paths_by_first[(e0, e1)] = paths
+        self.index = {s: i for i, s in enumerate(self.splits)}
+        self.quadrants = [
+            (e, f) for i, e in enumerate(self.splits) for f in self.splits[i + 1 :]
+            if compatible(e, f)
+        ]
+        # support classes of points: the origin, the 10 axes, the 15 quadrants
+        self.supports = [()] + [(s,) for s in self.splits] + self.quadrants
+        self.support_class = {s: c for c, s in enumerate(self.supports)}
+        self.image_tables = [self._image_table(e, f) for e, f in self.quadrants]
+
+    def _image_table(self, e, f) -> np.ndarray:
+        """Image slots (support class, slot, 4) in the frame of quadrant (e, f).
+
+        A point inside the closed quadrant is its own image; any other point
+        has one image per Petersen path that ``_route`` enumerates from the
+        first pair (e, f) or (f, e) and whose last edge holds its support.  A
+        slot holds the indices of the splits read as the image's local
+        coordinates, the quarter turns of the unfolding, and 1 for a
+        clockwise one (first pair (f, e)).  Padding slots turn four quarters,
+        past pi from any x, so they are never valid.
+        """
+        rows = [
+            [(e, f, 0, 0)] if set(support) <= {e, f} else [
+                (path[-2], path[-1], len(path) - 2, int(first == (f, e)))
+                for first in ((e, f), (f, e))
+                for path in self.paths_by_first[first]
+                if set(support) <= {path[-2], path[-1]}
+            ]
+            for support in self.supports
+        ]
+        width = max(map(len, rows))
+        return np.array([
+            [(self.index[x], self.index[y], turns, cw) for x, y, turns, cw in row]
+            + [(0, 0, 4, 0)] * (width - len(row))
+            for row in rows
+        ])
 
 
 @lru_cache(maxsize=None)
@@ -392,149 +422,203 @@ def frechet_function(x: T4Point, sample: T4Sample) -> float:
 
 @dataclass(frozen=True)
 class T4MeanEstimate:
-    """Mean point plus convergence diagnostics of the estimation run."""
+    """Mean point and Frechet value, and how the solver reached them.
+
+    ``quadrant`` holds the axes of the closed quadrant the mean was found in
+    (``()`` when the star tree wins; the sample's common support for
+    ``method="euclidean"``), ``iterations`` the Newton steps over all
+    quadrants, and ``projected_gradient_norm`` the first-order optimality
+    residual there (0 for the closed-form Euclidean mean and star tree).
+    """
 
     mean: T4Point
     frechet_value: float
-    last_epoch_movement: float
-    epochs_run: int
-    converged: bool
     method: str
-    polish_shift: float = 0.0
+    quadrant: tuple[frozenset, ...] = ()
+    iterations: int = 0
+    projected_gradient_norm: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.to_dict(),
-            "frechet_value": self.frechet_value,
-            "last_epoch_movement": self.last_epoch_movement,
-            "epochs_run": self.epochs_run,
-            "converged": self.converged,
-            "method": self.method,
-            "polish_shift": self.polish_shift,
-        }
+        return {**vars(self), "mean": self.mean.to_dict(),
+                "quadrant": [sorted(c) for c in self.quadrant]}
 
 
-def _fits_one_quadrant(splits: set) -> bool:
-    if len(splits) <= 1:
-        return True
-    if len(splits) > 2:
-        return False
-    return compatible(*splits)
+def _sample_arrays(sample: T4Sample, geom: _Geometry):
+    """Support classes (n,) and split coordinates (n, 10) of the points."""
+    cells = [(i, geom.index[c], l)
+             for i, pt in enumerate(sample.points) for c, l in pt._items]
+    rows, cols, lengths = np.array(cells, dtype=float).reshape(-1, 3).T
+    coords = np.zeros((len(sample.points), len(geom.splits)))
+    coords[rows.astype(int), cols.astype(int)] = lengths
+    classes = [geom.support_class[tuple(c for c, _ in pt._items)] for pt in sample.points]
+    return np.array(classes, dtype=np.int64), coords
 
 
-def _snap_point(labels, coords: dict, eps: float = 1e-9) -> T4Point:
-    return T4Point(labels, {e: v for e, v in coords.items() if v > eps})
+class _QuadrantImages:
+    """The sample unfolded into the frame of one quadrant (e at 0, f at pi/2).
+
+    Each point has the images of ``_Geometry._image_table``, at its own
+    radius.  An image is valid at ``x`` while its span from ``x``'s angle
+    stays below pi, ``_route``'s rule (an invalid one under-estimates).
+    The squared distance to a point is the least valid image distance,
+    else the cone term ``(|x| + |p|)**2``.
+    """
+
+    def __init__(self, table: np.ndarray, classes, coords, weights):
+        sx, sy, turns, clockwise = np.moveaxis(table[classes], -1, 0)
+        lx = np.take_along_axis(coords, sx, axis=1)
+        ly = np.take_along_axis(coords, sy, axis=1)
+        self.beta = turns * _HALF_PI + np.arctan2(ly, lx)  # as ``_route`` has it
+        self.clockwise = clockwise.astype(bool)
+        # a clockwise unfolding is the mirror image across the diagonal
+        phi = np.where(self.clockwise, _HALF_PI - self.beta, self.beta)
+        self.norms = np.sqrt((coords * coords).sum(axis=1))
+        self.qx = self.norms[:, None] * np.cos(phi)
+        self.qy = self.norms[:, None] * np.sin(phi)
+        self.weights, self.total = weights, float(weights.sum())
+        self.rows = np.arange(len(classes))
+
+    def _terms(self, x):
+        a, b = x
+        alpha = np.where(self.clockwise, math.atan2(a, b), math.atan2(b, a))
+        d2 = np.where(self.beta - alpha < math.pi,
+                      (a - self.qx) ** 2 + (b - self.qy) ** 2, np.inf)
+        slot = d2.argmin(axis=1)
+        image, cone = d2[self.rows, slot], (math.sqrt(a * a + b * b) + self.norms) ** 2
+        return np.minimum(image, cone), image <= cone, slot
+
+    def value(self, x) -> float:
+        """Frechet function at ``x = (a, b)``, the point ``a e + b f``."""
+        return float(self.weights @ self._terms(x)[0])
+
+    def derivatives(self, x):
+        """Value, gradient and Hessian at ``x``, which is not the origin.
+
+        An image term ``|x - q|**2`` has Hessian 2I; a cone term
+        ``(r + |p|)**2`` has ``2uu' + 2 (r + |p|) / r (I - uu')``.
+        """
+        d2, on_image, slot = self._terms(x)
+        w_image = np.where(on_image, self.weights, 0.0)
+        pick = (self.rows, slot)
+        pull = np.array([w_image @ self.qx[pick], w_image @ self.qy[pick]])
+        cone = (self.weights - w_image) @ self.norms  # sum of w |p| over cone terms
+        r = math.sqrt(x @ x)
+        u = x / r
+        grad = 2.0 * (self.total * x - pull + cone * u)
+        hess = 2.0 * (self.total * np.eye(2) + cone / r * (np.eye(2) - np.outer(u, u)))
+        return float(self.weights @ d2), grad, hess
 
 
-def t4_mean(
-    sample: T4Sample,
-    epochs: int = 50,
-    seed: int = 0,
-    movement_tol: float = 1e-8,
-    polish: bool = True,
-) -> T4MeanEstimate:
+def _start(images: _QuadrantImages, start, star: float):
+    """Best point of the ray out of the star tree through ``start``, or of
+    another ray when that one does not descend; None when none descends.
+
+    The space is a Euclidean cone: on a ray ``t u`` the Frechet function is
+    exactly ``star - 2 t G(u) + t**2``, best at ``t = G(u)``.  On the chord
+    ``v(s) = scale (1 - s, s)``, ``k(s) = star + |v|**2 - F(v)`` is
+    ``2 |v| G`` of the ray through ``v`` and ``-|v|`` times a directional
+    derivative of a convex function at the star tree, so it is concave in
+    ``s``: bisection on the sign of ``k'`` stops at the first ``k > 0``, or
+    once the tangents at the bracket ends bound ``k`` by 0.
+    """
+    scale = math.sqrt(star)
+
+    def probe(s):  # (s, v, k, dk/ds)
+        v = scale * np.array([1.0 - s, s])
+        value, grad, _ = images.derivatives(v)
+        return s, v, star + v @ v - value, scale * (grad - 2.0 * v) @ (1.0, -1.0)
+
+    found = probe(start[1] / start.sum())
+    if found[2] <= 0.0:
+        lo, hi = probe(0.0), probe(1.0)
+        lo, hi = (found, hi) if found[3] > 0.0 else (lo, found)
+        for _ in range(60):
+            found = max(lo, hi, key=lambda p: p[2])
+            (s0, _, k0, d0), (s1, _, k1, d1) = lo, hi
+            if found[2] > 0.0:
+                break
+            if d0 <= 0.0 or d1 >= 0.0:
+                return None  # k peaks at a bracket end, where it is <= 0
+            top = (k1 - k0 + d0 * s0 - d1 * s1) / (d0 - d1)  # the tangents meet
+            if k0 + d0 * (top - s0) <= 0.0:
+                return None
+            mid = probe(0.5 * (s0 + s1))
+            lo, hi = (mid, hi) if mid[3] > 0.0 else (lo, mid)
+        else:
+            return None
+    _, v, k, _ = found
+    return v * (k / (2.0 * (v @ v)))
+
+
+_NEWTON_STEPS = 100
+
+
+def _quadrant_minimum(images: _QuadrantImages, start, star: float):
+    """Projected Newton with Armijo backtracking on the closed quadrant.
+
+    It starts from ``_start``, so every iterate beats the star tree and
+    avoids the origin, where the function is not differentiable.  A
+    coordinate at 0 whose partial derivative points outward stays at 0.
+    Returns ``(x, value, projected-gradient norm, steps)``, or None when
+    the quadrant's minimum is the star tree.
+    """
+    x = _start(images, start, star)
+    if x is None:
+        return None
+    for steps in range(_NEWTON_STEPS + 1):
+        value, grad, hess = images.derivatives(x)
+        free = (x > 0.0) | (grad < 0.0)
+        pg = np.where(free, grad, 0.0)
+        if pg @ pg <= 1e-16 * value or steps == _NEWTON_STEPS:
+            break
+        d = -np.linalg.solve(hess, grad) if free.all() else -pg / np.diag(hess)
+        for lam in 0.5 ** np.arange(30):
+            trial = np.maximum(x + lam * d, 0.0)
+            if images.value(trial) <= value + 1e-4 * grad @ (trial - x):
+                break
+        else:  # no measurable decrease is left
+            break
+        x = trial
+    return x, value, math.sqrt(pg @ pg), steps
+
+
+def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     """Frechet mean of a tree-space sample (unique: the space is CAT(0)).
 
     When all points share one closed quadrant the mean is the coordinate
-    mean there, computed exactly.  Otherwise an inductive pass walks the
-    sample in seeded shuffled order, pulling the estimate along geodesics
-    with step ``1/(k+1)``, for up to ``epochs`` passes or until the
-    estimate moves less than ``movement_tol`` within a pass.  A convex
-    polish then minimizes the Frechet value over every closed quadrant
-    (the restriction is convex there), which makes the result effectively
-    seed-independent.
+    mean there, computed exactly (``method="euclidean"``).  Otherwise the
+    Frechet function, convex on each closed quadrant, is minimized on each
+    one by projected Newton from the weighted coordinate means, on the
+    sample's images unfolded into its frame; the best of these minima and
+    the star tree wins (``method="newton"``).
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
     if not sample.points:
         raise EmptySampleError("cannot average an empty sample")
-    labels = sample.labels
-    wts = sample.normalized_weights()
+    labels, wts = sample.labels, sample.normalized_weights()
+    geom = _geometry(labels)
+    classes, coords = _sample_arrays(sample, geom)
+    union = {e for c in set(classes.tolist()) for e in geom.supports[c]}
+    if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
+        mean = T4Point(labels, dict(zip(geom.splits, wts @ coords)))
+        axes = tuple(sorted(union, key=_split_key))
+        return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
 
-    union = set()
-    for pt in sample.points:
-        union |= set(pt.support)
-    if _fits_one_quadrant(union):
-        coords = {
-            e: float(sum(w * pt.get(e) for w, pt in zip(wts, sample.points)))
-            for e in union
-        }
-        mean = _snap_point(labels, coords, eps=0.0)
-        return T4MeanEstimate(
-            mean, frechet_function(mean, sample), 0.0, 0, True, "euclidean"
-        )
-
-    rng = np.random.default_rng(seed)
-    n = len(sample.points)
-    uniform = sample.weights is None
-    current: T4Point | None = None
-    count = 0
-    movement = math.inf
-    epochs_run = 0
-    converged = False
-    for _ in range(epochs):
-        order = (
-            rng.permutation(n)
-            if uniform
-            else rng.choice(n, size=n, p=wts, replace=True)
-        )
-        start = current
-        for idx in order:
-            pt = sample.points[int(idx)]
-            if current is None:
-                current = pt
-                count = 1
-            else:
-                current = geodesic_point(current, pt, 1.0 / (count + 1))
-                count += 1
-        epochs_run += 1
-        if start is not None:
-            movement = t4_distance(start, current)
-            if movement < movement_tol:
-                converged = True
-                break
-
-    current = _snap_point(labels, current.coords)
-    best_point = current
-    best_value = frechet_function(current, sample)
-    method = "inductive"
-    if polish:
-        from scipy.optimize import minimize  # deferred: a slow import few commands need
-
-        geom = _geometry(labels)
-        candidates = [(frechet_function(origin(labels), sample), origin(labels))]
-        for i, e in enumerate(geom.splits):
-            for f in geom.splits[i + 1 :]:
-                if not compatible(e, f):
-                    continue
-
-                def fun(v, e=e, f=f):
-                    coords = {}
-                    if v[0] > 0:
-                        coords[e] = v[0]
-                    if v[1] > 0:
-                        coords[f] = v[1]
-                    return frechet_function(T4Point(labels, coords), sample)
-
-                x0 = np.array([max(current.get(e), 0.0), max(current.get(f), 0.0)])
-                res = minimize(
-                    fun,
-                    x0,
-                    method="L-BFGS-B",
-                    bounds=[(0.0, None), (0.0, None)],
-                    options={"maxiter": 100},
-                )
-                pt = _snap_point(labels, {e: float(res.x[0]), f: float(res.x[1])})
-                candidates.append((frechet_function(pt, sample), pt))
-        val, pt = min(candidates, key=lambda c: c[0])
-        # prefer the deterministic polished point on ties
-        if val <= best_value:
-            best_value, best_point = val, pt
-            method = "inductive+polish"
-    shift = t4_distance(current, best_point)
-    return T4MeanEstimate(
-        best_point, best_value, movement, epochs_run, converged, method, shift
-    )
+    star = float(wts @ (coords * coords).sum(axis=1))
+    best, steps = (star, origin(labels), (), 0.0), 0
+    for (e, f), table in zip(geom.quadrants, geom.image_tables):
+        start = wts @ coords[:, [geom.index[e], geom.index[f]]]
+        if not start.any():
+            continue  # all images lie in x, y <= 0: the origin is best here
+        images = _QuadrantImages(table, classes, coords, wts)
+        found = _quadrant_minimum(images, start, star)
+        if found is None:
+            continue
+        x, value, pg_norm, used = found
+        steps += used
+        if value < best[0]:
+            best = (value, T4Point(labels, dict(zip((e, f), x))), (e, f), pg_norm)
+    value, mean, quadrant, pg_norm = best
+    return T4MeanEstimate(mean, value, "newton", quadrant, steps, pg_norm)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,16 @@ from scipy.stats import binom
 
 from treestats.errors import NoComparableSitesError
 from treestats.seqio import DistanceMatrix, GapMode, TreeNode
-from treestats.t4space import all_splits, compatible
+from treestats.t4space import (
+    T4Point,
+    _geometry,
+    all_splits,
+    compatible,
+    frechet_function,
+    geodesic_point,
+    origin,
+    t4_distance,
+)
 
 
 # --------------------------------------------------------------------------
@@ -245,8 +254,6 @@ def t4_grid_frechet_minimum(sample, step=0.05, radius=None):
     being checked here; the distance has its own shortest-path oracle).
     Returns (point, value).
     """
-    from treestats.t4space import T4Point, frechet_function
-
     labels = sample.labels
     splits = all_splits(labels)
     if radius is None:
@@ -266,6 +273,114 @@ def t4_grid_frechet_minimum(sample, step=0.05, radius=None):
                         best_val = val
                         best = pt
     return best, best_val
+
+
+def _snap_point(labels, coords: dict, eps: float = 1e-9) -> T4Point:
+    return T4Point(labels, {e: v for e, v in coords.items() if v > eps})
+
+
+def t4_mean_inductive_polish(sample, epochs=50, seed=0, movement_tol=1e-8):
+    """The original two-stage T4 mean; returns (point, Frechet value).
+
+    A seeded inductive pass pulls the estimate along geodesics with step
+    ``1/(k+1)``; then L-BFGS-B with finite differences minimizes the
+    Frechet value on every closed quadrant from that estimate, and the
+    best of those minima, the origin and the inductive estimate wins.
+    """
+    from scipy.optimize import minimize
+
+    labels = sample.labels
+    wts = sample.normalized_weights()
+
+    union = set()
+    for pt in sample.points:
+        union |= set(pt.support)
+    if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
+        coords = {
+            e: float(sum(w * pt.get(e) for w, pt in zip(wts, sample.points)))
+            for e in union
+        }
+        mean = _snap_point(labels, coords, eps=0.0)
+        return mean, frechet_function(mean, sample)
+
+    rng = np.random.default_rng(seed)
+    n = len(sample.points)
+    uniform = sample.weights is None
+    current = None
+    count = 0
+    for _ in range(epochs):
+        order = (
+            rng.permutation(n)
+            if uniform
+            else rng.choice(n, size=n, p=wts, replace=True)
+        )
+        start = current
+        for idx in order:
+            pt = sample.points[int(idx)]
+            if current is None:
+                current = pt
+                count = 1
+            else:
+                current = geodesic_point(current, pt, 1.0 / (count + 1))
+                count += 1
+        if start is not None and t4_distance(start, current) < movement_tol:
+            break
+
+    current = _snap_point(labels, current.coords)
+    best_point = current
+    best_value = frechet_function(current, sample)
+    geom = _geometry(labels)
+    candidates = [(frechet_function(origin(labels), sample), origin(labels))]
+    for i, e in enumerate(geom.splits):
+        for f in geom.splits[i + 1 :]:
+            if not compatible(e, f):
+                continue
+
+            def fun(v, e=e, f=f):
+                coords = {}
+                if v[0] > 0:
+                    coords[e] = v[0]
+                if v[1] > 0:
+                    coords[f] = v[1]
+                return frechet_function(T4Point(labels, coords), sample)
+
+            x0 = np.array([max(current.get(e), 0.0), max(current.get(f), 0.0)])
+            res = minimize(
+                fun,
+                x0,
+                method="L-BFGS-B",
+                bounds=[(0.0, None), (0.0, None)],
+                options={"maxiter": 100},
+            )
+            pt = _snap_point(labels, {e: float(res.x[0]), f: float(res.x[1])})
+            candidates.append((frechet_function(pt, sample), pt))
+    val, pt = min(candidates, key=lambda c: c[0])
+    if val <= best_value:
+        best_value, best_point = val, pt
+    return best_point, best_value
+
+
+def t4_descent(sample, mean, value, step=1e-3):
+    """Largest drop of the Frechet function over short steps from ``mean``.
+
+    Steps of ``step`` x sqrt(value) go along the 8 compass directions of
+    every closed quadrant that contains the mean's support.
+    """
+    h = step * math.sqrt(value)
+    support = set(mean.support)
+    worst = 0.0
+    for e, f in _geometry(sample.labels).quadrants:
+        if not support <= {e, f}:
+            continue
+        for de, df in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            scale = h / math.hypot(de, df)
+            moved = T4Point(sample.labels, {
+                e: max(mean.get(e) + scale * de, 0.0),
+                f: max(mean.get(f) + scale * df, 0.0),
+            })
+            worst = max(worst, value - frechet_function(moved, sample))
+    return worst
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,10 @@ from treestats.spider import SpiderSample, intrinsic_mean
 DATA = resources.files("treestats") / "data"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture()
 def toy(tmp_path):
     fasta = tmp_path / "toy.fasta"
@@ -56,8 +60,11 @@ class TestDist:
 class TestImports:
     def test_sequence_chain_never_imports_scipy(self, toy, tmp_path):
         # a fresh interpreter, since this one has scipy loaded by other tests
-        fasta, groups3, _ = toy
-        d, tree, sample, mean = (tmp_path / n for n in ("d.csv", "t.nwk", "s.json", "m.json"))
+        fasta, groups3, groups4 = toy
+        d, tree, sample, mean, sample4, mean4 = (
+            tmp_path / n
+            for n in ("d.csv", "t.nwk", "s.json", "m.json", "s4.json", "m4.json")
+        )
         script = f"""
 import sys
 from treestats.cli import main
@@ -66,6 +73,9 @@ assert main(["nj", {str(d)!r}, "-o", {str(tree)!r}]) == 0
 assert main(["sample-trees", {str(fasta)!r}, "--groups", {str(groups3)!r},
              "--k", "3", "-o", {str(sample)!r}]) == 0
 assert main(["mean", {str(sample)!r}, "-o", {str(mean)!r}]) == 0
+assert main(["sample-trees", {str(fasta)!r}, "--groups", {str(groups4)!r},
+             "--k", "4", "--reps", "30", "-o", {str(sample4)!r}]) == 0
+assert main(["mean", {str(sample4)!r}, "--space", "t4", "-o", {str(mean4)!r}]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
@@ -76,6 +86,7 @@ assert not loaded, loaded
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(mean.read_text())["space"] == "t3"
+        assert json.loads(mean4.read_text())["space"] == "t4"
 
 
 class TestNj:
@@ -199,6 +210,43 @@ class TestMeanAndSticky:
         assert main(["sticky", str(summary)]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["verdict"]["kind"] == "sticky"
+
+    def test_sticky_summary_without_moments_is_strict_json(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}')
+        assert main(["sticky", str(summary)]) == 0
+        rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert rep["intrinsic_sd"] is None
+
+    @pytest.mark.parametrize("field, doc", [
+        ("w", '"w": [NaN, 0.5, 0.5], "nu": [1, 1, 1]'),
+        ("nu", '"w": [0.2, 0.5, 0.3], "nu": [1, Infinity, 1]'),
+        ("w0", '"w0": -Infinity, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]'),
+    ])
+    def test_sticky_summary_non_finite_exit_2(self, tmp_path, capsys, field, doc):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"p": 3, ' + doc + '}')
+        assert main(["sticky", str(summary)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"summary {field} must be finite" in captured.err
+
+    def test_mean_t4_report_keys(self, toy, tmp_path):
+        fasta, _, groups4 = toy
+        sample = tmp_path / "s4.json"
+        main(["sample-trees", str(fasta), "--groups", str(groups4),
+              "--k", "4", "--reps", "20", "--seed", "42", "-o", str(sample)])
+        out = tmp_path / "m4.json"
+        assert main(["mean", str(sample), "-o", str(out)]) == 0
+        rep = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert set(rep) == {
+            "space", "n", "labels", "tree_type", "intrinsic_sd", "mean",
+            "frechet_value", "method", "quadrant", "iterations",
+            "projected_gradient_norm",
+        }
+        with pytest.raises(SystemExit) as exc:  # the option is gone
+            main(["mean", str(sample), "--epochs", "5"])
+        assert exc.value.code == 2
 
     def test_sticky_t4_requires_axis(self, toy, tmp_path, capsys):
         fasta, _, groups4 = toy

@@ -3,8 +3,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import t4_grid_frechet_minimum, t4_shortest_path
+from oracles import (
+    t4_descent,
+    t4_grid_frechet_minimum,
+    t4_mean_inductive_polish,
+    t4_shortest_path,
+)
 from treestats.errors import (
     EmptySampleError,
     NotInBookError,
@@ -15,10 +22,14 @@ from treestats.t4space import (
     Stratum,
     T4Point,
     T4Sample,
+    _QuadrantImages,
+    _geometry,
+    _sample_arrays,
     all_splits,
     book_partners,
     compatible,
     enumerate_quadrants,
+    frechet_function,
     geodesic_point,
     petersen_projection,
     spine_stickiness_t4,
@@ -246,7 +257,7 @@ class TestMean:
     def test_symmetric_incompatible_axes_origin(self):
         pts = (P({(1, 2): 1.0}), P({(1, 3): 1.0}), P({(2, 3): 1.0}))
         sample = T4Sample(L, pts)
-        est = t4_mean(sample, epochs=30, seed=1)
+        est = t4_mean(sample)
         assert est.mean.is_origin
         oracle_pt, oracle_val = t4_grid_frechet_minimum(sample, step=0.05)
         assert oracle_pt.is_origin
@@ -256,20 +267,134 @@ class TestMean:
         rng = np.random.default_rng(36)
         pts = tuple(random_point(rng, quadrants, scale=1.0) for _ in range(8))
         sample = T4Sample(L, pts)
-        est = t4_mean(sample, epochs=30, seed=3)
+        est = t4_mean(sample)
         _, oracle_val = t4_grid_frechet_minimum(sample, step=0.02)
         assert est.frechet_value <= oracle_val + 1e-9
 
-    def test_seed_invariance_of_frechet_value(self, quadrants):
+    def test_permutation_invariance_of_frechet_value(self, quadrants):
         rng = np.random.default_rng(37)
         pts = tuple(random_point(rng, quadrants, scale=1.5) for _ in range(12))
-        sample = T4Sample(L, pts)
-        values = [t4_mean(sample, epochs=20, seed=s).frechet_value for s in range(10)]
-        assert max(values) - min(values) < 1e-6
+        value = t4_mean(T4Sample(L, pts)).frechet_value
+        for _ in range(10):
+            order = rng.permutation(len(pts))
+            shuffled = T4Sample(L, tuple(pts[i] for i in order))
+            assert t4_mean(shuffled).frechet_value == pytest.approx(value, rel=1e-12)
+
+    def test_diagnostics_of_an_interior_mean(self):
+        # most mass in one quadrant, pulled by both of its neighbours
+        pts = (P({(1, 2): 1.0, (1, 2, 3): 1.0}), P({(1, 2): 2.0, (1, 2, 3): 1.0}),
+               P({(1, 2): 1.0, (1, 2, 3): 2.0}), P({(1, 2): 1.0, (1, 2, 4): 0.5}),
+               P({(1, 2, 3): 1.0, (1, 3): 0.5}))
+        est = t4_mean(T4Sample(L, pts))
+        assert est.method == "newton"
+        assert est.quadrant == (frozenset({1, 2}), frozenset({1, 2, 3}))
+        assert len(est.mean.support) == 2
+        assert est.projected_gradient_norm <= 1e-8 * math.sqrt(est.frechet_value)
+        assert set(est.to_dict()) == {
+            "mean", "frechet_value", "method", "quadrant", "iterations",
+            "projected_gradient_norm",
+        }
+
+    def test_star_tree_wins_with_empty_quadrant(self):
+        pts = (P({(1, 2): 1.0}), P({(1, 3): 1.0}), P({(2, 3): 1.0}))
+        est = t4_mean(T4Sample(L, pts))
+        assert est.mean.is_origin and est.quadrant == ()
+        assert est.frechet_value == pytest.approx(1.0)
 
     def test_empty(self):
         with pytest.raises(EmptySampleError):
             t4_mean(T4Sample(L, ()))
+
+
+QUADRANTS = enumerate_quadrants(L)
+lengths = st.floats(0.05, 2.0)
+
+
+@st.composite
+def t4_points(draw, home):
+    """A point of the home quadrant or of any quadrant: inside, on either
+    axis, or the origin."""
+    q = draw(st.one_of(st.just(home), st.integers(0, 14)))
+    e, f = QUADRANTS[q].axes
+    where = draw(st.sampled_from(["inside", "axis_e", "axis_f", "origin"]))
+    a, b = draw(lengths), draw(lengths)
+    coords = {"inside": {e: a, f: b}, "axis_e": {e: a}, "axis_f": {f: b},
+              "origin": {}}[where]
+    return T4Point(L, coords)
+
+
+@st.composite
+def t4_samples(draw, max_size=10):
+    """Mixed samples, optionally weighted, biased toward one home quadrant
+    so that means land inside quadrants, on axes and at the origin."""
+    home = draw(st.integers(0, 14))
+    pts = draw(st.lists(t4_points(home), min_size=1, max_size=max_size))
+    weights = None
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(pts),
+                                     max_size=len(pts))))
+        weights = tuple(raw / raw.sum())
+    return T4Sample(L, tuple(pts), weights)
+
+
+class TestMeanProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(t4_samples())
+    def test_no_worse_than_inductive_polish_and_no_descent(self, sample):
+        est = t4_mean(sample)
+        _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
+        assert est.frechet_value <= oracle_value * (1 + 1e-9)
+        assert est.frechet_value == pytest.approx(
+            frechet_function(est.mean, sample), rel=1e-12, abs=1e-300)
+        if est.frechet_value > 0:
+            drop = t4_descent(sample, est.mean, est.frechet_value, step=1e-3)
+            assert drop <= 1e-12 * est.frechet_value
+
+
+@st.composite
+def frames_and_points(draw):
+    """A quadrant, x in it (inside, on an axis or at the origin), and a
+    sample holding points whose unfolded span from x is within 1e-9 of pi
+    (on either side, for both unfolding directions) besides random ones."""
+    geom = _geometry(L)
+    qi = draw(st.integers(0, 14))
+    e, f = geom.quadrants[qi]
+    r = draw(st.one_of(st.just(0.0), lengths))
+    alpha = draw(st.one_of(st.sampled_from([0.0, math.pi / 2]),
+                           st.floats(0.0, math.pi / 2)))
+    a, b = r * math.cos(alpha), r * math.sin(alpha)
+    a, b = (a if a > 1e-12 else 0.0), (b if b > 1e-12 else 0.0)
+    pts = draw(st.lists(t4_points(qi), min_size=0, max_size=6))
+    for clockwise in draw(st.lists(st.booleans(), max_size=4)):
+        first = (f, e) if clockwise else (e, f)
+        paths = [p for p in geom.paths_by_first[first] if len(p) == 4]
+        path = draw(st.sampled_from(paths))
+        angle = math.atan2(a, b) if clockwise else math.atan2(b, a)
+        psi = min(max(angle + draw(st.sampled_from([-1e-9, 0.0, 1e-9])), 0.0),
+                  math.pi / 2)
+        rho = draw(lengths)
+        pts.append(T4Point(L, {path[-2]: rho * math.cos(psi),
+                               path[-1]: rho * math.sin(psi)}))
+    if not pts:
+        pts.append(T4Point(L, {}))
+    return qi, (a, b), T4Sample(L, tuple(pts))
+
+
+class TestQuadrantImages:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(frames_and_points())
+    def test_array_evaluation_equals_route(self, case):
+        qi, (a, b), sample = case
+        geom = _geometry(L)
+        e, f = geom.quadrants[qi]
+        classes, coords = _sample_arrays(sample, geom)
+        images = _QuadrantImages(
+            geom.image_tables[qi], classes, coords, sample.normalized_weights())
+        expected = frechet_function(T4Point(L, {e: a, f: b}), sample)
+        assert images.value(np.array([a, b])) == pytest.approx(
+            expected, rel=1e-12, abs=1e-300)
 
 
 class TestStratum:
