@@ -40,9 +40,12 @@ def _write(text: str, output: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read(path))
+        obj = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _gap_mode(args) -> GapMode:

@@ -65,6 +65,14 @@ class WrongRegimeError(TreeStatsError):
     """A limit-law procedure was called outside its regime."""
 
 
+class InvalidSampleError(TreeStatsError, ValueError):
+    """A sample, point or summary field is missing, malformed or out of range.
+
+    The message names the field, e.g. ``points[0].u``.  Also a
+    :class:`ValueError`, which these checks raised before.
+    """
+
+
 class InvalidWeightsError(TreeStatsError, ValueError):
     """Sample or law weights are not finite, nonnegative and summing to 1.
 

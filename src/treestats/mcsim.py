@@ -32,6 +32,7 @@ import numpy as np
 
 from . import openbook as ob
 from . import spider as sp
+from .errors import WrongRegimeError
 
 __all__ = [
     "PointMass",
@@ -165,6 +166,11 @@ class SpiderLaw:
     def p(self) -> int:
         return len(self.legs)
 
+    @property
+    def transverse(self) -> tuple:
+        """Per-leg distributions of the coordinate whose mean can stick."""
+        return self.legs
+
     def to_dict(self) -> dict:
         return {
             "space": "spider",
@@ -194,6 +200,16 @@ class OpenBookLaw:
             raise ValueError("an open-book law has exactly three leaves")
         if any(_atom_at_zero(x2) for _, x2 in self.leaves):
             raise ValueError("x2 distributions may not put mass on the spine")
+
+    @property
+    def transverse(self) -> tuple:
+        """Per-leaf ``x2`` distributions: the coordinate whose mean can stick."""
+        return tuple(x2 for _, x2 in self.leaves)
+
+    @property
+    def spine(self) -> tuple:
+        """Per-leaf ``x1`` distributions."""
+        return tuple(x1 for x1, _ in self.leaves)
 
     def to_dict(self) -> dict:
         return {
@@ -231,27 +247,21 @@ _BOUNDARY_RTOL = 8 * sys.float_info.epsilon
 
 def _regime_of(v: tuple[float, ...]) -> tuple[Regime, tuple[float, ...]]:
     """Regime and moment gaps ``v_a - sum(v_b, b != a)`` of leg moments ``v``."""
-    total = sum(v)
-    th = tuple(va - (total - va) for va in v)
-    t_max = max(th)
-    tol = _BOUNDARY_RTOL * total
-    if t_max > tol:
-        return Regime.NONSTICKY, th
-    if t_max >= -tol:
-        return Regime.BOUNDARY, th
-    return Regime.STICKY, th
+    th = sp.gaps(v)
+    kind = sp.verdict(th, _BOUNDARY_RTOL * sum(v)).kind  # e.g. "non_sticky" -> NONSTICKY
+    return Regime[kind.replace("_", "").upper()], th
 
 
-def classify_law(law: SpiderLaw) -> tuple[Regime, tuple[float, ...]]:
-    """Population regime and moment gaps, in closed form from the law."""
-    return _regime_of(tuple(w * d.mean() for w, d in zip(law.weights, law.legs)))
+def classify_law(law) -> tuple[Regime, tuple[float, ...]]:
+    """Population regime and moment gaps, in closed form from the law.
+
+    On an open book these are the regime and gaps of the transverse
+    coordinate ``x2``.
+    """
+    return _regime_of(tuple(w * d.mean() for w, d in zip(law.weights, law.transverse)))
 
 
-def classify_openbook_law(law: OpenBookLaw) -> tuple[Regime, tuple[float, ...]]:
-    """Population regime of the transverse coordinate on the open book."""
-    return _regime_of(
-        tuple(w * x2.mean() for w, (_, x2) in zip(law.weights, law.leaves))
-    )
+classify_openbook_law = classify_law
 
 
 # --------------------------------------------------------------------------
@@ -313,16 +323,109 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(rep)]))
 
 
-def draw_spider_sample(law: SpiderLaw, n: int, rng) -> sp.SpiderSample:
-    """One i.i.d. sample of size n from a spider law."""
-    legs = rng.choice(law.p, size=n, p=np.asarray(law.weights))
-    u = np.empty(n)
-    for a, dist in enumerate(law.legs):
+def _draw(weights, leg_dists, n: int, rng):
+    """Leg codes (1-based) of an i.i.d. sample and one coordinate array per
+    entry of each leg's tuple of distributions, drawn leg by leg."""
+    legs = rng.choice(len(weights), size=n, p=np.asarray(weights))
+    coords = [np.empty(n) for _ in leg_dists[0]]
+    for a, dists in enumerate(leg_dists):
         mask = legs == a
         k = int(mask.sum())
         if k:
-            u[mask] = dist.draw(rng, k)
-    return sp.SpiderSample.from_arrays(law.p, legs + 1, u)
+            for x, dist in zip(coords, dists):
+                x[mask] = dist.draw(rng, k)
+    return legs + 1, coords
+
+
+def draw_spider_sample(law: SpiderLaw, n: int, rng) -> sp.SpiderSample:
+    """One i.i.d. sample of size n from a spider law."""
+    codes, (u,) = _draw(law.weights, [(d,) for d in law.legs], n, rng)
+    return sp.SpiderSample.from_arrays(law.p, codes, u)
+
+
+def draw_openbook_sample(law: OpenBookLaw, n: int, rng) -> ob.OpenBookSample:
+    """One i.i.d. sample of size n from an open-book law."""
+    codes, (x1, x2) = _draw(law.weights, law.leaves, n, rng)
+    return ob.OpenBookSample.from_arrays(codes, x1, x2)
+
+
+def _replicate_samples(law, n: int, replications: int, seed: int):
+    """The replicate samples of a law, in replicate order: the one replicate
+    loop of ``simulate``, ``simulate_openbook`` and ``spine_coverage``.
+
+    Replicate ``rep`` is drawn from its own generator (see
+    ``_replicate_rng``).
+    """
+    if n < 1 or replications < 1:
+        raise ValueError("n and replications must be >= 1")
+    draw = draw_openbook_sample if isinstance(law, OpenBookLaw) else draw_spider_sample
+    return (draw(law, n, _replicate_rng(seed, rep)) for rep in range(replications))
+
+
+def _moment(weights, dists, moment: str) -> float:
+    """Population moment (``"mean"`` or ``"second_moment"``) of a mixture."""
+    return sum(w * getattr(d, moment)() for w, d in zip(weights, dists))
+
+
+def _ks(values, law: str, n: int, sigma: float):
+    """KS statistic and p-value of ``sqrt(n) * values / sigma`` against ``law``."""
+    stat, pvalue = kstest(math.sqrt(n) * values / sigma, law)
+    return float(stat), float(pvalue)
+
+
+def _simulate(law, n: int, replications: int, seed: int) -> SimReport:
+    """Replicate loop behind ``simulate`` and ``simulate_openbook``.
+
+    Per replicate, the intrinsic mean's verdict and moment gaps give the
+    folded transverse statistic; the open book also records its spine
+    coordinate ``x1_star``.
+    """
+    t0 = time.perf_counter()
+    samples = _replicate_samples(law, n, replications, seed)
+    book = isinstance(law, OpenBookLaw)
+    regime, th = classify_law(law)
+    a_star = int(np.argmax(th))
+    theta_star = th[a_star]
+    var = _moment(law.weights, law.transverse, "second_moment") - theta_star * theta_star
+    mean = ob.openbook_mean if book else sp.intrinsic_mean
+
+    stats = np.empty(replications)
+    spine = np.empty(replications)
+    stuck = 0
+    for rep, sample in enumerate(samples):
+        report = mean(sample)
+        gaps = report.theta2 if book else report.theta
+        leg = report.verdict.leg
+        off = report.verdict.kind == "non_sticky"
+        stuck += not off
+        if book:
+            spine[rep] = report.x1_star
+        if regime is Regime.NONSTICKY:
+            # signed coordinate of the mean on the line through leg a_star
+            folded = (gaps[leg - 1] if leg == a_star + 1 else -gaps[leg - 1]) if off else 0.0
+            stats[rep] = folded - theta_star
+        else:
+            # the folded sample mean equals the winning moment gap
+            stats[rep] = gaps[a_star]
+
+    ks = ks2 = (None, None)
+    if var > 1e-15 and regime is Regime.NONSTICKY:
+        ks = _ks(stats, "norm", n, math.sqrt(var))
+    elif var > 1e-15 and regime is Regime.BOUNDARY:
+        ks = _ks(np.abs(stats), "halfnorm", n, math.sqrt(var))
+    degenerate = var <= 1e-15
+    if book:
+        # the spine coordinate is a Euclidean mean: N(0,1) in every regime
+        mu1 = _moment(law.weights, law.spine, "mean")
+        var1 = _moment(law.weights, law.spine, "second_moment") - mu1 * mu1
+        degenerate = var1 <= 1e-15
+        spine_ks = (None, None) if degenerate else _ks(spine - mu1, "norm", n, math.sqrt(var1))
+        ks, ks2 = spine_ks, ks
+    return SimReport(
+        "openbook" if book else "spider", regime, n, replications,
+        stuck / replications, th, *ks, *ks2,
+        degenerate=degenerate, runtime_seconds=time.perf_counter() - t0,
+    )
 
 
 def simulate(law: SpiderLaw, n: int, replications: int, seed: int = 0) -> SimReport:
@@ -333,71 +436,7 @@ def simulate(law: SpiderLaw, n: int, replications: int, seed: int = 0) -> SimRep
     scaled magnitude of the folded sample mean against the half-normal.
     Regime ``iii``: stickiness frequency only.
     """
-    if n < 1 or replications < 1:
-        raise ValueError("n and replications must be >= 1")
-    t0 = time.perf_counter()
-    regime, th = classify_law(law)
-    a_star = int(np.argmax(th))
-    theta_star = th[a_star]
-    second = sum(w * d.second_moment() for w, d in zip(law.weights, law.legs))
-    sigma2 = second - theta_star * theta_star
-    degenerate = sigma2 <= 1e-15
-    sigma = math.sqrt(max(sigma2, 0.0))
-
-    stats = np.empty(replications)
-    stuck = 0
-    for rep in range(replications):
-        rng = _replicate_rng(seed, rep)
-        sample = draw_spider_sample(law, n, rng)
-        report = sp.intrinsic_mean(sample)
-        mean_pt = report.mean
-        if mean_pt.is_center:
-            stuck += 1
-        if regime is Regime.NONSTICKY:
-            if mean_pt.leg == a_star + 1:
-                folded = mean_pt.u
-            elif mean_pt.is_center:
-                folded = 0.0
-            else:
-                folded = -mean_pt.u
-            stats[rep] = folded - theta_star
-        else:
-            # folded sample mean equals the winning moment gap
-            stats[rep] = report.theta[a_star]
-
-    ks_stat = ks_p = None
-    if not degenerate and regime is Regime.NONSTICKY:
-        z = math.sqrt(n) * stats / sigma
-        ks_stat, ks_p = kstest(z, "norm")
-    elif not degenerate and regime is Regime.BOUNDARY:
-        t = math.sqrt(n) * np.abs(stats) / sigma
-        ks_stat, ks_p = kstest(t, "halfnorm")
-    return SimReport(
-        "spider",
-        regime,
-        n,
-        replications,
-        stuck / replications,
-        th,
-        float(ks_stat) if ks_stat is not None else None,
-        float(ks_p) if ks_p is not None else None,
-        degenerate=degenerate,
-        runtime_seconds=time.perf_counter() - t0,
-    )
-
-
-def draw_openbook_sample(law: OpenBookLaw, n: int, rng) -> ob.OpenBookSample:
-    """One i.i.d. sample of size n from an open-book law."""
-    leaves = rng.choice(3, size=n, p=np.asarray(law.weights))
-    x1 = np.empty(n)
-    x2 = np.empty(n)
-    for a, (d1, d2) in enumerate(law.leaves):
-        mask = leaves == a
-        k = int(mask.sum())
-        if k:
-            x1[mask] = d1.draw(rng, k)
-            x2[mask] = d2.draw(rng, k)
-    return ob.OpenBookSample.from_arrays(leaves + 1, x1, x2)
+    return _simulate(law, n, replications, seed)
 
 
 def simulate_openbook(
@@ -410,69 +449,9 @@ def simulate_openbook(
     The spine coordinate of the mean is an ordinary Euclidean mean, so
     its standardized fluctuations are tested against N(0,1) in every
     regime; the transverse coordinate is tested against N(0,1) in regime
-    ``i`` and the half-normal in regime ``ii``.
+    ``i`` and the half-normal in regime ``ii`` (the secondary KS fields).
     """
-    if n < 1 or replications < 1:
-        raise ValueError("n and replications must be >= 1")
-    t0 = time.perf_counter()
-    regime, th2 = classify_openbook_law(law)
-    a_star = int(np.argmax(th2))
-    theta_star = th2[a_star]
-    mu1 = sum(w * d1.mean() for w, (d1, _) in zip(law.weights, law.leaves))
-    second1 = sum(w * d1.second_moment() for w, (d1, _) in zip(law.weights, law.leaves))
-    sigma1 = math.sqrt(max(second1 - mu1 * mu1, 0.0))
-    second2 = sum(w * d2.second_moment() for w, (_, d2) in zip(law.weights, law.leaves))
-    sigma2 = math.sqrt(max(second2 - theta_star * theta_star, 0.0))
-    degenerate = sigma1 * sigma1 <= 1e-15
-
-    spine_stats = np.empty(replications)
-    leaf_stats = np.empty(replications)
-    stuck = 0
-    for rep in range(replications):
-        rng = _replicate_rng(seed, rep)
-        sample = draw_openbook_sample(law, n, rng)
-        report = ob.openbook_mean(sample)
-        if report.mean.on_spine:
-            stuck += 1
-        spine_stats[rep] = report.x1_star - mu1
-        if regime is Regime.NONSTICKY:
-            mean_pt = report.mean
-            if mean_pt.leaf == a_star + 1:
-                folded = mean_pt.x2
-            elif mean_pt.on_spine:
-                folded = 0.0
-            else:
-                folded = -mean_pt.x2
-            leaf_stats[rep] = folded - theta_star
-        else:
-            leaf_stats[rep] = report.theta2[a_star]
-
-    ks_stat = ks_p = None
-    if not degenerate:
-        z = math.sqrt(n) * spine_stats / sigma1
-        ks_stat, ks_p = kstest(z, "norm")
-    ks2_stat = ks2_p = None
-    if sigma2 * sigma2 > 1e-15:
-        if regime is Regime.NONSTICKY:
-            z2 = math.sqrt(n) * leaf_stats / sigma2
-            ks2_stat, ks2_p = kstest(z2, "norm")
-        elif regime is Regime.BOUNDARY:
-            t = math.sqrt(n) * np.abs(leaf_stats) / sigma2
-            ks2_stat, ks2_p = kstest(t, "halfnorm")
-    return SimReport(
-        "openbook",
-        regime,
-        n,
-        replications,
-        stuck / replications,
-        th2,
-        float(ks_stat) if ks_stat is not None else None,
-        float(ks_p) if ks_p is not None else None,
-        float(ks2_stat) if ks2_stat is not None else None,
-        float(ks2_p) if ks2_p is not None else None,
-        degenerate=degenerate,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _simulate(law, n, replications, seed)
 
 
 def spine_coverage(
@@ -488,17 +467,12 @@ def spine_coverage(
     mean escapes the spine count as misses) and checked against the
     population spine coordinate.
     """
-    from .errors import WrongRegimeError
-
-    mu1 = sum(w * d1.mean() for w, (d1, _) in zip(law.weights, law.leaves))
+    mu1 = _moment(law.weights, law.spine, "mean")
     hits = 0
-    for rep in range(replications):
-        rng = _replicate_rng(seed, rep)
-        sample = draw_openbook_sample(law, n, rng)
+    for sample in _replicate_samples(law, n, replications, seed):
         try:
             interval = ob.spine_clt(sample, confidence)
         except WrongRegimeError:
             continue
-        if interval.lo <= mu1 <= interval.hi:
-            hits += 1
+        hits += interval.lo <= mu1 <= interval.hi
     return hits / replications

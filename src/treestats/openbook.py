@@ -17,13 +17,18 @@ degree of freedom, where ordinary normal asymptotics hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptySampleError, InsufficientDataError, WrongRegimeError
-from .spider import Verdict, validate_weights
+from .errors import (
+    EmptySampleError,
+    InsufficientDataError,
+    InvalidSampleError,
+    WrongRegimeError,
+)
+from .spider import ArraySample, Verdict, _sum, gaps, verdict
 
 __all__ = [
     "OpenBookPoint",
@@ -51,15 +56,15 @@ class OpenBookPoint:
         object.__setattr__(self, "x1", float(self.x1))
         object.__setattr__(self, "x2", float(self.x2))
         if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ValueError("coordinates must be finite")
+            raise InvalidSampleError(f"x1, x2 must be finite, got {self.x1}, {self.x2}")
         if self.x1 < 0 or self.x2 < 0:
-            raise ValueError("open book coordinates are nonnegative")
+            raise InvalidSampleError(f"x1, x2 must be >= 0, got {self.x1}, {self.x2}")
         if self.x2 == 0.0:
             object.__setattr__(self, "leaf", None)
         elif self.leaf is None:
-            raise ValueError("spine points must have x2 == 0")
-        elif self.leaf not in (1, 2, 3):
-            raise ValueError(f"leaf must be 1, 2, or 3, got {self.leaf!r}")
+            raise InvalidSampleError("leaf: spine points must have x2 == 0")
+        elif not isinstance(self.leaf, int) or self.leaf not in (1, 2, 3):
+            raise InvalidSampleError(f"leaf must be 1, 2, or 3, got {self.leaf!r}")
 
     @property
     def on_spine(self) -> bool:
@@ -67,10 +72,6 @@ class OpenBookPoint:
 
     def to_dict(self) -> dict:
         return {"leaf": self.leaf, "x1": self.x1, "x2": self.x2}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "OpenBookPoint":
-        return cls(obj.get("leaf"), obj.get("x1", 0.0), obj.get("x2", 0.0))
 
 
 def openbook_distance(x: OpenBookPoint, y: OpenBookPoint) -> float:
@@ -80,80 +81,50 @@ def openbook_distance(x: OpenBookPoint, y: OpenBookPoint) -> float:
     return math.hypot(x.x1 - y.x1, x.x2 + y.x2)
 
 
-@dataclass(frozen=True)
-class OpenBookSample:
-    """Sample of O3 points with optional weights (default uniform)."""
+class OpenBookSample(ArraySample):
+    """Sample of O3 points with optional weights (default uniform).
 
-    points: tuple[OpenBookPoint, ...]
-    weights: tuple[float, ...] | None = None
+    Held as read-only arrays ``codes`` (leaf, 0 for the spine), ``x1`` and
+    ``x2``; see :class:`~treestats.spider.ArraySample`.
+    ``OpenBookSample(points, weights)`` takes point objects,
+    :meth:`from_arrays` the arrays.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.weights is not None:
-            w = validate_weights(self.weights, len(self.points))
-            object.__setattr__(self, "weights", w)
+    _code = "leaf"
+    _eq_fields = ("codes", "x1", "x2")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def _leaf_codes(self) -> np.ndarray:
-        return np.fromiter(
-            (0 if pt.leaf is None else pt.leaf for pt in self.points),
-            dtype=np.int64,
-            count=len(self.points),
-        )
-
-    @cached_property
-    def _x1(self) -> np.ndarray:
-        return np.fromiter((pt.x1 for pt in self.points), dtype=float,
-                           count=len(self.points))
-
-    @cached_property
-    def _x2(self) -> np.ndarray:
-        return np.fromiter((pt.x2 for pt in self.points), dtype=float,
-                           count=len(self.points))
-
-    @cached_property
-    def _w(self) -> np.ndarray:
-        if self.weights is None:
-            n = len(self.points)
-            return np.full(n, 1.0 / n) if n else np.empty(0)
-        return np.asarray(self.weights)
+    def __init__(self, points=(), weights=None):
+        points = tuple(points)
+        codes = [0 if pt.leaf is None else pt.leaf for pt in points]
+        self._store(N_LEAVES, codes, weights, x1=[pt.x1 for pt in points],
+                    x2=[pt.x2 for pt in points])
+        self.__dict__["points"] = points
 
     @classmethod
     def from_arrays(cls, leaf_codes, x1, x2, weights=None) -> "OpenBookSample":
-        leaf_codes = np.asarray(leaf_codes, dtype=np.int64)
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        pts = tuple(
-            OpenBookPoint(int(c) if b else None, a, b)
-            for c, a, b in zip(leaf_codes, x1, x2)
-        )
-        sample = cls(pts, tuple(weights) if weights is not None else None)
-        sample.__dict__["_leaf_codes"] = np.where(x2 == 0.0, 0, leaf_codes)
-        sample.__dict__["_x1"] = x1
-        sample.__dict__["_x2"] = x2
+        """Build a sample from arrays; leaf code 0 means the spine."""
+        sample = cls.__new__(cls)
+        sample._store(N_LEAVES, leaf_codes, weights, x1=x1, x2=x2)
         return sample
 
-    def to_dict(self) -> dict:
-        out = {"points": [pt.to_dict() for pt in self.points]}
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        return out
+    @cached_property
+    def points(self) -> tuple[OpenBookPoint, ...]:
+        return tuple(
+            OpenBookPoint(int(c) if c else None, float(a), float(b))
+            for c, a, b in zip(self.codes, self.x1, self.x2)
+        )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OpenBookSample":
-        pts = tuple(OpenBookPoint.from_dict(o) for o in obj["points"])
-        weights = obj.get("weights")
-        return cls(pts, tuple(weights) if weights else None)
+        codes, x1, x2 = cls._json_columns(obj, "x1", "x2")
+        return cls.from_arrays(codes, x1, x2, obj.get("weights") or None)
 
 
 def frechet_function(x: OpenBookPoint, sample: OpenBookSample) -> float:
     """Weighted mean squared distance from ``x`` to the sample."""
-    if not sample.points:
+    if not len(sample):
         raise EmptySampleError("empty sample")
-    codes, x1, x2, wts = sample._leaf_codes, sample._x1, sample._x2, sample._w
+    codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
     x_code = 0 if x.leaf is None else x.leaf
     same = (codes == x_code) | (codes == 0) | (x_code == 0)
     d2 = (x1 - x.x1) ** 2 + np.where(same, x2 - x.x2, x2 + x.x2) ** 2
@@ -198,34 +169,25 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
     gap exceeds ``tolerance``; otherwise the mean is on the spine
     (verdict ``StuckToSpine``, or ``Boundary`` within ``tolerance`` of 0).
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    if not sample.points:
+    if not len(sample):
         raise EmptySampleError("cannot average an empty sample")
-    codes, x1, x2, wts = sample._leaf_codes, sample._x1, sample._x2, sample._w
-    x1_star = float((wts * x1).sum())
-    w = []
-    v2 = []
+    codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
+    x1_star = float(_sum(wts * x1))
+    w, v2 = [], []
     for a in (1, 2, 3):
         mask = codes == a
-        w.append(float(wts[mask].sum()))
-        v2.append(float((wts[mask] * x2[mask]).sum()))
-    total = sum(v2)
-    th2 = tuple(va - (total - va) for va in v2)
-    best = max(range(N_LEAVES), key=lambda k: th2[k])
-    t_max = th2[best]
-    if t_max > tolerance:
-        verdict = Verdict("non_sticky", best + 1)
-        mean = OpenBookPoint(best + 1, x1_star, t_max)
-    elif t_max >= -tolerance:
-        verdict = Verdict("boundary", best + 1)
-        mean = OpenBookPoint(None, x1_star, 0.0)
-    else:
-        verdict = Verdict("stuck_to_spine")
-        mean = OpenBookPoint(None, x1_star, 0.0)
-    spine_var = float((wts * (x1 - x1_star) ** 2).sum())
+        wa_i = wts[mask]
+        w.append(float(_sum(wa_i)))
+        v2.append(float(_sum(wa_i * x2[mask])))
+    th2 = gaps(v2)
+    vd = verdict(th2, tolerance)
+    # off the spine only when non-sticky: x2 == 0 puts the mean on the spine
+    mean = OpenBookPoint(vd.leg, x1_star, th2[vd.leg - 1] if vd.kind == "non_sticky" else 0.0)
+    if vd.kind == "sticky":
+        vd = Verdict("stuck_to_spine")
+    spine_var = float(_sum(wts * (x1 - x1_star) ** 2))
     return SpineStickinessReport(
-        x1_star, th2, verdict, mean, math.sqrt(max(spine_var, 0.0)),
+        x1_star, th2, vd, mean, math.sqrt(max(spine_var, 0.0)),
         tuple(w), len(sample)
     )
 
@@ -242,14 +204,7 @@ class SpineInterval:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "x1_star": self.x1_star,
-            "se": self.se,
-            "confidence": self.confidence,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 def spine_clt(
@@ -275,7 +230,7 @@ def spine_clt(
             "sample mean is off the spine; the spine CLT does not apply"
         )
     n = len(sample)
-    se = float(sample._x1.std(ddof=1)) / math.sqrt(n)
+    se = float(sample.x1.std(ddof=1)) / math.sqrt(n)
     z = float(norm.ppf(0.5 + confidence / 2.0))
     lo = max(0.0, report.x1_star - z * se)
     hi = report.x1_star + z * se

@@ -22,12 +22,17 @@ At most one ``theta_a`` can be positive when all ``v_a`` are nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptySampleError, InsufficientDataError, InvalidWeightsError
+from .errors import (
+    EmptySampleError,
+    InsufficientDataError,
+    InvalidSampleError,
+    InvalidWeightsError,
+)
 
 __all__ = [
     "SpiderPoint",
@@ -42,6 +47,8 @@ __all__ = [
     "frechet_function",
     "theta",
     "thetas",
+    "gaps",
+    "verdict",
     "intrinsic_mean",
     "clt_interval",
     "net_moment",
@@ -55,7 +62,10 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     Shared by the spider, open-book and tree-space samples and the
     simulation laws; raises :class:`InvalidWeightsError`.
     """
-    w = tuple(float(x) for x in weights)
+    try:
+        w = tuple(float(x) for x in weights)
+    except (TypeError, ValueError):
+        raise InvalidWeightsError("weights must be a list of numbers") from None
     if count is not None and len(w) != count:
         raise InvalidWeightsError("weights length must match point count")
     if not all(math.isfinite(x) for x in w):
@@ -65,6 +75,110 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     if abs(sum(w) - 1.0) > 1e-9:
         raise InvalidWeightsError("weights must sum to 1")
     return w
+
+
+# What ndarray.sum/min/max call, minus their Python-level wrappers (the
+# same pairwise sum); the per-replicate paths of simulate use them.
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+
+
+def json_points(obj) -> list[dict]:
+    """The ``points`` list of a sample document, each entry an object."""
+    points = obj.get("points")
+    if not isinstance(points, list):
+        raise InvalidSampleError("points: a list of point objects is required")
+    for i, o in enumerate(points):
+        if not isinstance(o, dict):
+            raise InvalidSampleError(f"points[{i}] must be an object, got {o!r}")
+    return points
+
+
+class ArraySample:
+    """Base of the spider and open-book samples: read-only arrays plus weights.
+
+    A sample holds ``codes`` (the leg or leaf of each point, 0 for the
+    center or spine), one array per coordinate, ``weights`` (``None`` for
+    uniform) and ``_w``, the per-point weights with uniform ones filled
+    in.  ``points`` is built from the arrays on first access, and ``==``
+    compares ``weights`` and the attributes a subclass lists in ``_eq_fields``.
+    """
+
+    _code = "leg"  # field name of the codes in sample documents
+
+    def _store(self, n_codes: int, codes, weights, **coords):
+        """Check and store the arrays; the last coordinate is the distance
+        from the center or spine, and where it is 0 the code becomes 0.
+
+        Coordinates must be finite and nonnegative, and a point off the
+        center needs a code in ``1..n_codes``; the tests are vectorised and
+        :class:`InvalidSampleError` names the first bad field.
+        """
+        codes = np.asarray(codes)
+        if codes.size and codes.dtype.kind not in "iu":
+            raise InvalidSampleError(f"{self._code} codes must be integers")
+        codes = codes.astype(np.int64, copy=False)
+        coords = {name: np.array(c, dtype=float) for name, c in coords.items()}
+        if any(c.shape != (codes.size,) for c in (codes, *coords.values())):
+            raise InvalidSampleError("codes and coordinates must be 1-D arrays of one length")
+        for name, c in coords.items():
+            # min/max are NaN when a NaN is present, so NaN fails too
+            if c.size and not (_min(c) >= 0 and _max(c) < np.inf):
+                i = int(np.argmax(~(np.isfinite(c) & (c >= 0))))
+                raise InvalidSampleError(f"points[{i}].{name} must be finite and >= 0, got {c[i]}")
+        name, dist = next(reversed(coords.items()))
+        off = dist != 0.0
+        off_codes = np.where(off, codes, 1)  # codes of the points off the center
+        if codes.size and not (_min(off_codes) >= 1 and _max(off_codes) <= n_codes):
+            i = int(np.argmax((off_codes < 1) | (off_codes > n_codes)))
+            raise InvalidSampleError(
+                f"points[{i}].{self._code} must be in 1..{n_codes} where {name} > 0, got {codes[i]}"
+            )
+        codes = np.where(off, codes, 0)
+        for x in (codes, *coords.values()):
+            x.flags.writeable = False
+        n = codes.size
+        if weights is not None:
+            weights = validate_weights(weights, n)
+        w = np.full(n, 1.0 / max(n, 1)) if weights is None else np.asarray(weights)
+        self.__dict__.update(coords, codes=codes, weights=weights, _w=w)
+
+    @classmethod
+    def _json_columns(cls, obj, *coords: str) -> list[list]:
+        """Code and coordinate columns of a sample document's points.
+
+        A missing or null code is 0 and a missing coordinate 0.0.
+        """
+        points = json_points(obj)
+        columns = [[o.get(cls._code) or 0 for o in points]]
+        columns += [[o.get(name, 0.0) for o in points] for name in coords]
+        for name, column in zip((cls._code, *coords), columns):
+            kind = int if name == cls._code else (int, float)
+            for i, x in enumerate(column):
+                if isinstance(x, bool) or not isinstance(x, kind):
+                    raise InvalidSampleError(f"points[{i}].{name} must be a number, got {x!r}")
+        return columns
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.weights == other.weights and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in self._eq_fields
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={len(self)}, weights={self.weights})"
+
+    def to_dict(self) -> dict:
+        out = {"points": [pt.to_dict() for pt in self.points]}
+        if self.weights is not None:
+            out["weights"] = list(self.weights)
+        return out
 
 
 @dataclass(frozen=True)
@@ -80,13 +194,13 @@ class SpiderPoint:
     def __post_init__(self):
         object.__setattr__(self, "u", float(self.u))
         if not math.isfinite(self.u) or self.u < 0:
-            raise ValueError(f"leg coordinate must be finite and >= 0, got {self.u}")
+            raise InvalidSampleError(f"u must be finite and >= 0, got {self.u}")
         if self.u == 0.0:
             object.__setattr__(self, "leg", None)
         elif self.leg is None:
-            raise ValueError("center points must have u == 0")
+            raise InvalidSampleError("leg: center points must have u == 0")
         elif not isinstance(self.leg, int) or self.leg < 1:
-            raise ValueError(f"leg must be a 1-based integer, got {self.leg!r}")
+            raise InvalidSampleError(f"leg must be a 1-based integer, got {self.leg!r}")
 
     @property
     def is_center(self) -> bool:
@@ -94,10 +208,6 @@ class SpiderPoint:
 
     def to_dict(self) -> dict:
         return {"leg": self.leg, "u": self.u}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SpiderPoint":
-        return cls(obj.get("leg"), obj.get("u", 0.0))
 
 
 CENTER = SpiderPoint(None, 0.0)
@@ -110,76 +220,49 @@ def spider_distance(x: SpiderPoint, y: SpiderPoint) -> float:
     return x.u + y.u
 
 
-@dataclass(frozen=True)
-class SpiderSample:
-    """Sample of spider points with optional weights (default uniform)."""
+class SpiderSample(ArraySample):
+    """Sample of spider points with optional weights (default uniform).
 
-    p: int
-    points: tuple[SpiderPoint, ...]
-    weights: tuple[float, ...] | None = None
+    Held as read-only arrays ``codes`` (leg, 0 for the center) and ``u``
+    (distance to the center); see :class:`ArraySample`.
+    ``SpiderSample(p, points, weights)`` takes point objects,
+    :meth:`from_arrays` the arrays.
+    """
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("a spider needs at least one leg")
-        object.__setattr__(self, "points", tuple(self.points))
-        for pt in self.points:
-            if pt.leg is not None and pt.leg > self.p:
-                raise ValueError(f"point on leg {pt.leg} exceeds p={self.p}")
-        if self.weights is not None:
-            w = validate_weights(self.weights, len(self.points))
-            object.__setattr__(self, "weights", w)
+    _eq_fields = ("p", "codes", "u")
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def __init__(self, p: int, points=(), weights=None):
+        points = tuple(points)
+        codes = [0 if pt.leg is None else pt.leg for pt in points]
+        self._set(p, codes, [pt.u for pt in points], weights)
+        self.__dict__["points"] = points
 
-    @cached_property
-    def _leg_codes(self) -> np.ndarray:
-        # 0 encodes the center
-        return np.fromiter(
-            (0 if pt.leg is None else pt.leg for pt in self.points),
-            dtype=np.int64,
-            count=len(self.points),
-        )
-
-    @cached_property
-    def _u(self) -> np.ndarray:
-        return np.fromiter(
-            (pt.u for pt in self.points), dtype=float, count=len(self.points)
-        )
-
-    @cached_property
-    def _w(self) -> np.ndarray:
-        if self.weights is None:
-            n = len(self.points)
-            return np.full(n, 1.0 / n) if n else np.empty(0)
-        return np.asarray(self.weights)
+    def _set(self, p, codes, u, weights):
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+            raise InvalidSampleError(f"p must be an integer >= 1, got {p!r}")
+        self.__dict__["p"] = p
+        self._store(p, codes, weights, u=u)
 
     @classmethod
     def from_arrays(cls, p, leg_codes, u, weights=None) -> "SpiderSample":
         """Build a sample from arrays; leg code 0 means the center."""
-        leg_codes = np.asarray(leg_codes, dtype=np.int64)
-        u = np.asarray(u, dtype=float)
-        pts = tuple(
-            SpiderPoint(int(c) if c else None, float(x))
-            for c, x in zip(leg_codes, u)
-        )
-        sample = cls(p, pts, tuple(weights) if weights is not None else None)
-        # seed the cached arrays so hot paths skip reconversion
-        sample.__dict__["_leg_codes"] = np.where(u == 0.0, 0, leg_codes)
-        sample.__dict__["_u"] = u
+        sample = cls.__new__(cls)
+        sample._set(p, leg_codes, u, weights)
         return sample
 
+    @cached_property
+    def points(self) -> tuple[SpiderPoint, ...]:
+        return tuple(
+            SpiderPoint(int(c) if c else None, float(x)) for c, x in zip(self.codes, self.u)
+        )
+
     def to_dict(self) -> dict:
-        out = {"p": self.p, "points": [pt.to_dict() for pt in self.points]}
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        return out
+        return {"p": self.p, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderSample":
-        pts = tuple(SpiderPoint.from_dict(o) for o in obj["points"])
-        weights = obj.get("weights")
-        return cls(int(obj["p"]), pts, tuple(weights) if weights else None)
+        codes, u = cls._json_columns(obj, "u")
+        return cls.from_arrays(obj.get("p"), codes, u, obj.get("weights") or None)
 
 
 @dataclass(frozen=True)
@@ -210,12 +293,14 @@ class SpiderMeasureSummary:
                              ("m2", self.m2 or ())):
             if not all(map(math.isfinite, values)):
                 raise InvalidWeightsError(f"summary {name} must be finite")
-        if len(self.w) != self.p or len(self.nu) != self.p:
-            raise ValueError("w and nu must have one entry per leg")
-        if self.w0 < 0 or any(x < 0 for x in self.w) or any(x < 0 for x in self.nu):
-            raise ValueError("masses and conditional means must be nonnegative")
-        if self.m2 is not None and len(self.m2) != self.p:
-            raise ValueError("m2 must have one entry per leg")
+        if any(len(x) != self.p for x in (self.w, self.nu, self.m2 or self.w)):
+            raise InvalidSampleError(f"summary w, nu and m2 need one entry per leg (p={self.p})")
+        if self.w0 < 0:
+            raise InvalidSampleError(f"summary w0 must be nonnegative, got {self.w0}")
+        for name in ("w", "nu"):
+            for i, x in enumerate(getattr(self, name)):
+                if x < 0:
+                    raise InvalidSampleError(f"summary {name}[{i}] must be nonnegative, got {x}")
 
     @property
     def v(self) -> tuple[float, ...]:
@@ -225,33 +310,62 @@ class SpiderMeasureSummary:
         return {"p": self.p, "w0": self.w0, "w": list(self.w), "nu": list(self.nu)}
 
 
-def summarize(sample: SpiderSample) -> SpiderMeasureSummary:
-    """Decompose a sample into center mass plus per-leg masses and moments."""
-    if not sample.points:
+def _moments(sample: SpiderSample):
+    """Center mass, per-leg masses and conditional means of a sample, plus
+    the masked ``w_i * u_i`` and ``u_i`` of each leg for second moments."""
+    if not len(sample):
         raise EmptySampleError("cannot summarize an empty sample")
-    codes, u, wts = sample._leg_codes, sample._u, sample._w
-    w0 = float(wts[codes == 0].sum())
-    w, nu, m2 = [], [], []
+    codes, u, wts = sample.codes, sample.u, sample._w
+    w, nu, legs = [], [], []
     for a in range(1, sample.p + 1):
         mask = codes == a
-        wa = float(wts[mask].sum())
+        wa_i, ua = wts[mask], u[mask]
+        wa = float(_sum(wa_i))
+        wu = wa_i * ua
         w.append(wa)
-        if wa > 0:
-            ua = u[mask]
-            wa_i = wts[mask]
-            nu.append(float((wa_i * ua).sum()) / wa)
-            m2.append(float((wa_i * ua * ua).sum()) / wa)
-        else:
-            nu.append(0.0)
-            m2.append(0.0)
-    return SpiderMeasureSummary(sample.p, w0, tuple(w), tuple(nu), tuple(m2))
+        nu.append(float(_sum(wu)) / wa if wa > 0 else 0.0)
+        legs.append((wu, ua))
+    return float(_sum(wts[codes == 0])), tuple(w), tuple(nu), legs
+
+
+def summarize(sample: SpiderSample) -> SpiderMeasureSummary:
+    """Decompose a sample into center mass plus per-leg masses and moments."""
+    w0, w, nu, legs = _moments(sample)
+    m2 = (float(_sum(wu * ua)) / wa if wa > 0 else 0.0 for wa, (wu, ua) in zip(w, legs))
+    return SpiderMeasureSummary(sample.p, w0, w, nu, tuple(m2))
+
+
+def gaps(v) -> tuple[float, ...]:
+    """Moment gaps ``v_a - sum(v_b, b != a)`` of the leg moments ``v``.
+
+    The one place the gaps are computed: spider samples and summaries,
+    the open book's transverse coordinate and the simulation laws all
+    pass their leg moments here.
+    """
+    total = sum(v)
+    return tuple(va - (total - va) for va in v)
+
+
+def verdict(th, tolerance: float = 0.0) -> "Verdict":
+    """Stickiness verdict of the moment gaps ``th``.
+
+    The largest gap (the first one on ties) decides: above ``tolerance``
+    the mean is off the center on that leg, at or above ``-tolerance``
+    it is the boundary case, below it the mean sticks to the center.
+    """
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    best = max(range(len(th)), key=th.__getitem__)
+    if th[best] > tolerance:
+        return Verdict("non_sticky", best + 1)
+    if th[best] >= -tolerance:
+        return Verdict("boundary", best + 1)
+    return Verdict("sticky")
 
 
 def thetas(summary: SpiderMeasureSummary) -> tuple[float, ...]:
     """All per-leg moment gaps ``theta_a = v_a - sum(v_b, b != a)``."""
-    v = summary.v
-    total = sum(v)
-    return tuple(va - (total - va) for va in v)
+    return gaps(summary.v)
 
 
 def theta(summary: SpiderMeasureSummary, leg: int) -> float:
@@ -268,12 +382,12 @@ def frechet_function(x: SpiderPoint, data) -> float:
     :class:`SpiderMeasureSummary` carrying second moments.
     """
     if isinstance(data, SpiderSample):
-        if not data.points:
+        if not len(data):
             raise EmptySampleError("empty sample")
-        codes, u, wts = data._leg_codes, data._u, data._w
+        codes, u, wts = data.codes, data.u, data._w
         x_code = 0 if x.leg is None else x.leg
         dist = np.where(codes == x_code, np.abs(u - x.u), u + x.u)
-        return float((wts * dist * dist).sum())
+        return float(_sum(wts * dist * dist))
     summary = data
     if summary.m2 is None:
         raise ValueError("summary carries no second moments; use a sample")
@@ -294,12 +408,7 @@ class Verdict:
     leg: int | None = None
 
     def __str__(self):
-        name = {
-            "non_sticky": "NonSticky",
-            "boundary": "Boundary",
-            "sticky": "Sticky",
-            "stuck_to_spine": "StuckToSpine",
-        }[self.kind]
+        name = "".join(part.capitalize() for part in self.kind.split("_"))  # NonSticky
         return f"{name}(leg {self.leg})" if self.leg is not None else name
 
     def to_dict(self) -> dict:
@@ -345,41 +454,15 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     Frechet value, population convention; it is NaN for summaries
     without second moments.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    if isinstance(data, SpiderSample):
-        summary = summarize(data)
-        n = len(data)
-    else:
-        summary = data
-        n = None
-    th = thetas(summary)
-    best = max(range(summary.p), key=lambda k: th[k])
-    t_max = th[best]
-    if t_max > tolerance:
-        verdict = Verdict("non_sticky", best + 1)
-        mean = SpiderPoint(best + 1, t_max)
-    elif t_max >= -tolerance:
-        verdict = Verdict("boundary", best + 1)
-        mean = CENTER
-    else:
-        verdict = Verdict("sticky")
-        mean = CENTER
-    if isinstance(data, SpiderSample):
-        sd = math.sqrt(frechet_function(mean, data))
-    elif summary.m2 is not None:
-        sd = math.sqrt(frechet_function(mean, summary))
-    else:
-        sd = math.nan
-    return StickinessReport(
-        summary.p, summary.w0, summary.w, summary.nu, th, verdict, mean, sd, n
-    )
-
-
-def _folded(sample: SpiderSample, leg: int) -> np.ndarray:
-    """Coordinates after folding every other leg onto the negative half-line."""
-    codes, u = sample._leg_codes, sample._u
-    return np.where(codes == leg, u, -u)
+    is_sample = isinstance(data, SpiderSample)
+    # a sample skips the summary object and its second moments
+    w0, w, nu, _ = _moments(data) if is_sample else (data.w0, data.w, data.nu, None)
+    th = gaps(tuple(wa * na for wa, na in zip(w, nu)))
+    vd = verdict(th, tolerance)
+    mean = SpiderPoint(vd.leg, th[vd.leg - 1]) if vd.kind == "non_sticky" else CENTER
+    sd = math.sqrt(frechet_function(mean, data)) if is_sample or data.m2 is not None else math.nan
+    n = len(data) if is_sample else None
+    return StickinessReport(data.p, w0, w, nu, th, vd, mean, sd, n)
 
 
 @dataclass(frozen=True)
@@ -401,16 +484,7 @@ class SpiderInterval:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "leg": self.leg,
-            "lo": self.lo,
-            "hi": self.hi,
-            "folded_mean": self.folded_mean,
-            "folded_se": self.folded_se,
-            "confidence": self.confidence,
-            "verdict": self.verdict.to_dict(),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def clt_interval(
@@ -440,7 +514,7 @@ def clt_interval(
             note="sticky mean: the sample mean is the center a.s. for large n",
         )
     leg = report.verdict.leg
-    s = _folded(sample, leg)
+    s = np.where(sample.codes == leg, sample.u, -sample.u)  # other legs folded negative
     m = float(s.mean())
     se = float(s.std(ddof=1)) / math.sqrt(n)
     z = float(norm.ppf(0.5 + confidence / 2.0))
@@ -470,9 +544,4 @@ def net_moment(sample: SpiderSample, candidate: SpiderPoint, leg: int) -> float:
     """
     if not candidate.is_center:
         raise ValueError("net moments are evaluated at the spider's center")
-    summary = summarize(sample)
-    if not 1 <= leg <= sample.p:
-        raise ValueError(f"leg {leg} out of range 1..{sample.p}")
-    v = summary.v
-    total = sum(v)
-    return (total - v[leg - 1]) - v[leg - 1]
+    return -theta(summarize(sample), leg)

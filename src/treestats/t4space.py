@@ -31,9 +31,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptySampleError, NotInBookError, UndefinedProjectionError
+from .errors import (
+    EmptySampleError,
+    InvalidSampleError,
+    NotInBookError,
+    UndefinedProjectionError,
+)
 from .openbook import OpenBookPoint, OpenBookSample, SpineStickinessReport, openbook_mean
-from .spider import validate_weights
+from .spider import json_points, validate_weights
 
 __all__ = [
     "Quadrant",
@@ -182,7 +187,7 @@ class T4Point:
     def __init__(self, labels, coords=None):
         labels = tuple(sorted(labels))
         if len(labels) != 4 or len(set(labels)) != 4:
-            raise ValueError("exactly four distinct labels required")
+            raise InvalidSampleError("labels: exactly four distinct labels required")
         universe = set(labels)
         items = []
         pairs = coords.items() if hasattr(coords, "items") else (coords or ())
@@ -190,20 +195,20 @@ class T4Point:
             cluster = frozenset(cluster)
             length = float(length)
             if not math.isfinite(length) or length < 0:
-                raise ValueError(f"split length must be finite and >= 0: {length}")
+                raise InvalidSampleError(f"splits: length must be finite and >= 0, got {length}")
             if length == 0.0:
                 continue
             if not (2 <= len(cluster) <= 3) or not cluster <= universe:
-                raise ValueError(f"invalid cluster {set(cluster)}")
+                raise InvalidSampleError(f"splits: invalid cluster {set(cluster)}")
             items.append((cluster, length))
         items.sort(key=lambda cl: _split_key(cl[0]))
         if len(items) > 2:
-            raise ValueError("a four-leaf tree has at most two interior edges")
+            raise InvalidSampleError("splits: a four-leaf tree has at most two interior edges")
         if len(set(c for c, _ in items)) != len(items):
-            raise ValueError("repeated cluster")
+            raise InvalidSampleError("splits: repeated cluster")
         if len(items) == 2 and not compatible(items[0][0], items[1][0]):
-            raise ValueError(
-                f"incompatible splits {set(items[0][0])} and {set(items[1][0])}"
+            raise InvalidSampleError(
+                f"splits: incompatible splits {set(items[0][0])} and {set(items[1][0])}"
             )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_items", tuple(items))
@@ -256,8 +261,18 @@ class T4Point:
 
     @classmethod
     def from_dict(cls, obj: dict, labels) -> "T4Point":
-        coords = {frozenset(s["cluster"]): s["length"] for s in obj["splits"]}
-        return cls(labels, coords)
+        splits = obj.get("splits")
+        if not isinstance(splits, list) or not all(
+            isinstance(s, dict) and _is_labels(s.get("cluster"))
+            and isinstance(s.get("length"), (int, float)) for s in splits
+        ):
+            raise InvalidSampleError("splits must be a list of {cluster, length} objects")
+        return cls(labels, {frozenset(s["cluster"]): s["length"] for s in splits})
+
+
+def _is_labels(x) -> bool:
+    """A JSON list of leaf labels (strings)."""
+    return isinstance(x, list) and all(isinstance(label, str) for label in x)
 
 
 def origin(labels) -> T4Point:
@@ -302,10 +317,16 @@ class T4Sample:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "T4Sample":
-        labels = tuple(obj["labels"])
-        pts = tuple(T4Point.from_dict(o, labels) for o in obj["points"])
-        weights = obj.get("weights")
-        return cls(labels, pts, tuple(weights) if weights else None)
+        labels = obj.get("labels")
+        if not _is_labels(labels) or len(set(labels)) != 4 or len(labels) != 4:
+            raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
+        pts = []
+        for i, o in enumerate(json_points(obj)):
+            try:
+                pts.append(T4Point.from_dict(o, labels))
+            except InvalidSampleError as exc:
+                raise InvalidSampleError(f"points[{i}].{exc}") from None
+        return cls(tuple(labels), tuple(pts), obj.get("weights") or None)
 
 
 # --------------------------------------------------------------------------

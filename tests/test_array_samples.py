@@ -1,0 +1,144 @@
+"""Array-backed spider and open-book samples.
+
+``from_arrays`` and the point constructors must build the same sample,
+with the same checks, and the simulation hot path must not build one
+point object per drawn point.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treestats import mcsim
+from treestats.errors import InvalidSampleError
+from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
+from treestats.spider import SpiderPoint, SpiderSample, intrinsic_mean
+
+# 0 is listed on its own so that nonzero codes on the center or spine occur
+coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
+bad_coordinate = st.one_of(coordinate, st.sampled_from([-1.0, math.nan, math.inf]))
+
+
+def weights_for(n):
+    raw = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
+    return st.one_of(st.none(), raw.map(lambda x: tuple(v / sum(x) for v in x)))
+
+
+@st.composite
+def spider_data(draw, codes=None, coords=coordinate):
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 20))
+    code = codes(p) if codes else st.integers(1, p)
+    legs = draw(st.lists(code, min_size=n, max_size=n))
+    u = draw(st.lists(coords, min_size=n, max_size=n))
+    return p, legs, u, draw(weights_for(n))
+
+
+@st.composite
+def book_data(draw, codes=st.integers(1, 3), coords=coordinate):
+    n = draw(st.integers(1, 20))
+    leaves = draw(st.lists(codes, min_size=n, max_size=n))
+    x1 = draw(st.lists(coords, min_size=n, max_size=n))
+    x2 = draw(st.lists(coords, min_size=n, max_size=n))
+    return leaves, x1, x2, draw(weights_for(n))
+
+
+def spider_from_points(p, legs, u, weights):
+    pts = [SpiderPoint(leg or None, x) for leg, x in zip(legs, u)]
+    if any(pt.leg is not None and pt.leg > p for pt in pts):
+        raise InvalidSampleError("leg exceeds p")  # stated here, not taken from the sample
+    return SpiderSample(p, pts, weights)
+
+
+def book_from_points(leaves, x1, x2, weights):
+    pts = [OpenBookPoint(leaf or None, a, b) for leaf, a, b in zip(leaves, x1, x2)]
+    return OpenBookSample(pts, weights)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except InvalidSampleError:
+        return "rejected"
+
+
+class TestArraysEqualPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(spider_data())
+    def test_spider(self, data):
+        p, legs, u, weights = data
+        arrays = SpiderSample.from_arrays(p, legs, u, weights)
+        points = spider_from_points(p, legs, u, weights)
+        assert arrays == points
+        assert arrays.points == points.points
+        assert arrays.to_dict() == points.to_dict()
+        assert SpiderSample.from_dict(arrays.to_dict()) == arrays
+        assert intrinsic_mean(arrays) == intrinsic_mean(points)
+
+    @settings(max_examples=150, deadline=None)
+    @given(book_data())
+    def test_openbook(self, data):
+        arrays = OpenBookSample.from_arrays(*data)
+        points = book_from_points(*data)
+        assert arrays == points
+        assert arrays.points == points.points
+        assert arrays.to_dict() == points.to_dict()
+        assert OpenBookSample.from_dict(arrays.to_dict()) == arrays
+        assert openbook_mean(arrays) == openbook_mean(points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spider_data(codes=lambda p: st.integers(-1, p + 2), coords=bad_coordinate))
+    def test_spider_checks_agree(self, data):
+        by_arrays = outcome(SpiderSample.from_arrays, *data)
+        by_points = outcome(spider_from_points, *data)
+        assert (by_arrays == "rejected") == (by_points == "rejected")
+
+    @settings(max_examples=300, deadline=None)
+    @given(book_data(codes=st.integers(-1, 5), coords=bad_coordinate))
+    def test_openbook_checks_agree(self, data):
+        by_arrays = outcome(OpenBookSample.from_arrays, *data)
+        by_points = outcome(book_from_points, *data)
+        assert (by_arrays == "rejected") == (by_points == "rejected")
+
+    def test_arrays_are_read_only(self):
+        s = SpiderSample.from_arrays(3, [1, 2], [0.5, 1.0])
+        with pytest.raises(ValueError):
+            s.u[0] = 2.0
+        with pytest.raises(AttributeError):
+            s.p = 4
+
+    def test_weights_differ(self):
+        a = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0])
+        b = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0], (0.25, 0.75))
+        assert a != b
+
+
+class TestHotPath:
+    """``simulate`` builds point objects for the means, not for the samples."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        counts = {"spider": 0, "book": 0}
+        for key, cls in (("spider", SpiderPoint), ("book", OpenBookPoint)):
+            original = cls.__post_init__
+
+            def counting(self, key=key, original=original):
+                counts[key] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    def test_simulate(self, created):
+        law = mcsim.SpiderLaw((0.5, 0.3, 0.2), (mcsim.Exponential(1.0),) * 3)
+        mcsim.simulate(law, n=200, replications=50, seed=1)
+        assert created["spider"] <= 2 * 50
+
+    def test_simulate_openbook(self, created):
+        leaf = (mcsim.Uniform(0.0, 2.0), mcsim.Exponential(1.0))
+        law = mcsim.OpenBookLaw((0.5, 0.3, 0.2), (leaf,) * 3)
+        mcsim.simulate_openbook(law, n=200, replications=50, seed=1)
+        assert created["book"] <= 2 * 50
+        assert created["spider"] == 0

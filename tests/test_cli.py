@@ -392,6 +392,40 @@ class TestMoreCliEdges:
         assert main(["mean", str(bad)]) == 2
 
 
+class TestBadSampleExit2:
+    """Malformed samples and summaries are bad input: exit 2, field named."""
+
+    @pytest.mark.parametrize("command, doc, field", [
+        (["mean"], {"p": 3, "points": [{"leg": 1, "u": -1}]}, "points[0].u"),
+        (["mean"], {"p": 3, "points": [{"leg": 5, "u": 1}]}, "points[0].leg"),
+        (["mean"], {"p": 3}, "points"),
+        (["mean", "--space", "openbook"],
+         {"points": [{"leaf": 1, "x1": -1, "x2": 1}]}, "points[0].x1"),
+        (["sticky"], {"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, -1]}, "nu[2]"),
+    ])
+    def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert field in err
+
+    def test_t4_negative_length(self, toy, tmp_path, capsys):
+        fasta, _, groups4 = toy
+        sample = tmp_path / "s4.json"
+        main(["sample-trees", str(fasta), "--groups", str(groups4),
+              "--k", "4", "--reps", "5", "--seed", "1", "-o", str(sample)])
+        doc = json.loads(sample.read_text())
+        i = next(k for k, pt in enumerate(doc["points"]) if pt["splits"])
+        doc["points"][i]["splits"][0]["length"] = -1
+        sample.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["mean", "--space", "t4", str(sample)]) == 2
+        err = capsys.readouterr().err
+        assert f"points[{i}].splits" in err and "length" in err
+
+
 class TestGroupCanonicalization:
     def test_merged_split_canonical_in_group_space(self):
         # picks that straddle exactly two of the root's children with a
