@@ -491,11 +491,14 @@ class _QuadrantImages:
         ly = np.take_along_axis(coords, sy, axis=1)
         self.beta = turns * _HALF_PI + np.arctan2(ly, lx)  # as ``_route`` has it
         self.clockwise = clockwise.astype(bool)
+        # quarter turns by swap and sign, exact where cos/sin of beta round
+        k = turns % 4
+        cos_k, sin_k = np.choose(k, (1, 0, -1, 0)), np.choose(k, (0, 1, 0, -1))
+        ux, uy = cos_k * lx - sin_k * ly, sin_k * lx + cos_k * ly
         # a clockwise unfolding is the mirror image across the diagonal
-        phi = np.where(self.clockwise, _HALF_PI - self.beta, self.beta)
+        self.qx = np.where(self.clockwise, uy, ux)
+        self.qy = np.where(self.clockwise, ux, uy)
         self.norms = np.sqrt((coords * coords).sum(axis=1))
-        self.qx = self.norms[:, None] * np.cos(phi)
-        self.qy = self.norms[:, None] * np.sin(phi)
         self.weights, self.total = weights, float(weights.sum())
         self.rows = np.arange(len(classes))
 
@@ -620,7 +623,9 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     classes, coords = _sample_arrays(sample, geom)
     union = {e for c in set(classes.tolist()) for e in geom.supports[c]}
     if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
-        mean = T4Point(labels, dict(zip(geom.splits, wts @ coords)))
+        # a plain running sum per split, which a fused dot product is not:
+        # equal points then average to themselves exactly
+        mean = T4Point(labels, dict(zip(geom.splits, (wts[:, None] * coords).sum(axis=0))))
         axes = tuple(sorted(union, key=_split_key))
         return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
 

@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -341,6 +341,9 @@ class TestMeanProperties:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(t4_samples())
+    # equal points: the Euclidean path must return the point itself
+    @example(T4Sample(L, (P({(1, 3): 1.0, (1, 3, 4): 1.625}),) * 2,
+                      (0.5714285714285714, 0.42857142857142855)))
     def test_no_worse_than_inductive_polish_and_no_descent(self, sample):
         est = t4_mean(sample)
         _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
@@ -385,6 +388,8 @@ class TestQuadrantImages:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(frames_and_points())
+    # a point on the frame's own axis: its image there must be exact
+    @example((0, (0.0, 1.0), T4Sample(L, (P({(3, 4): 1.0}),))))
     def test_array_evaluation_equals_route(self, case):
         qi, (a, b), sample = case
         geom = _geometry(L)
