@@ -27,13 +27,13 @@ from .seqio import (
     write_fasta,
 )
 from .njtree import (
-    Quartet,
-    Triplet,
+    TreeIndex,
     induced_subtree,
     neighbor_joining,
     restrict_to_quartet,
     restrict_to_triplet,
     tree_distance_matrix,
+    tree_index,
 )
 from .spider import (
     CENTER,

@@ -80,6 +80,14 @@ class InvalidWeightsError(TreeStatsError, ValueError):
     """
 
 
+class InvalidParameterError(TreeStatsError, ValueError):
+    """A parameter of a statistic (a tolerance, a spine axis) is out of range.
+
+    The message names the parameter.  Also a :class:`ValueError`, which
+    these checks raised before.
+    """
+
+
 # --- four-leaf tree space --------------------------------------------------
 
 class NotInBookError(TreeStatsError):

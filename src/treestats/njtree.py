@@ -5,10 +5,17 @@ The output is rooted at the final three-way join; that rooting is an
 artifact of the algorithm's termination, not a biological statement, and
 restriction treats the root as a fifth (or fourth) terminal.
 
-Restrictions produce points of the small tree spaces: a :class:`Triplet`
-is a point of the 3-spider (topology + interior edge length) and a
-:class:`Quartet` is a point of the space of four-leaf trees (at most two
-compatible splits with positive lengths).
+Restriction reads one :class:`TreeIndex` per tree (a parent link and an
+edge length per node) and walks up from the k <= 4 picked leaves: a node
+is kept where the set of picks below it grows, and a suppressed node adds
+its length to the kept edge below it.  Each kept edge below the root
+splits off 2..k-1 picks.  When the root keeps exactly two children, each
+above two picks, the two edges are one unrooted split: they merge into
+the side holding the first pick, with the lengths summed.
+:func:`restrict_to_triplet` gives a 3-spider leg and coordinate and
+:func:`restrict_to_quartet` a :class:`~treestats.t4space.T4Point`.
+:func:`induced_subtree` prunes a copy of the tree instead, and is kept as
+the reference the walk is tested against.
 """
 
 from __future__ import annotations
@@ -19,77 +26,7 @@ import numpy as np
 
 from .errors import TooFewTaxaError, UnknownTaxonError
 from .seqio import DistanceMatrix, TreeNode
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """Restriction of a tree to three leaves.
-
-    ``cherry`` is the pair of labels grouped below the interior edge, or
-    ``None`` for the star topology.  ``interior_length == 0`` if and only
-    if the topology is the star; a zero-length cherry is canonicalized.
-    """
-
-    labels: tuple
-    cherry: frozenset | None
-    interior_length: float
-
-    def __post_init__(self):
-        if len(set(self.labels)) != 3:
-            raise ValueError("a triplet needs three distinct labels")
-        if self.interior_length < 0:
-            raise ValueError("interior length must be nonnegative")
-        if self.interior_length == 0 and self.cherry is not None:
-            object.__setattr__(self, "cherry", None)
-        if self.cherry is not None:
-            if len(self.cherry) != 2 or not self.cherry <= set(self.labels):
-                raise ValueError(f"cherry {set(self.cherry)} is not a label pair")
-        elif self.interior_length != 0:
-            raise ValueError("star topology requires interior_length == 0")
-
-    @property
-    def is_star(self) -> bool:
-        return self.cherry is None
-
-    def topology(self) -> str:
-        """Human-readable topology, e.g. ``'ab|c'`` or ``'star'``."""
-        if self.cherry is None:
-            return "star"
-        pair = sorted(self.cherry)
-        (outside,) = set(self.labels) - self.cherry
-        return f"{pair[0]}{pair[1]}|{outside}"
-
-
-@dataclass(frozen=True)
-class Quartet:
-    """Restriction of a tree to four leaves: compatible splits with lengths."""
-
-    labels: tuple
-    splits: tuple  # pairs (frozenset cluster, float length), canonical order
-
-    def __post_init__(self):
-        if len(set(self.labels)) != 4:
-            raise ValueError("a quartet needs four distinct labels")
-        norm = []
-        for cluster, length in dict(self.splits).items():
-            if length < 0:
-                raise ValueError("split lengths must be nonnegative")
-            if length == 0:
-                continue
-            if not (2 <= len(cluster) <= 3) or not cluster <= set(self.labels):
-                raise ValueError(f"invalid cluster {set(cluster)}")
-            norm.append((frozenset(cluster), float(length)))
-        norm.sort(key=lambda cl: (len(cl[0]), sorted(cl[0])))
-        if len(norm) > 2:
-            raise ValueError("a quartet has at most two splits")
-        if len(norm) == 2:
-            a, b = norm[0][0], norm[1][0]
-            if not (a <= b or b <= a or not (a & b)):
-                raise ValueError("quartet splits must be nested or disjoint")
-        object.__setattr__(self, "splits", tuple(norm))
-
-    def split_dict(self) -> dict:
-        return {c: l for c, l in self.splits}
+from .t4space import T4Point
 
 
 # --------------------------------------------------------------------------
@@ -207,48 +144,97 @@ def induced_subtree(tree: TreeNode, labels) -> TreeNode:
     return TreeNode(tree.label, 0.0, kept)
 
 
-def _clusters(root: TreeNode, size_range) -> list[tuple[frozenset, float]]:
-    """(leaf cluster below edge, edge length) for edges in a size window."""
-    out = []
+@dataclass(frozen=True)
+class TreeIndex:
+    """Parent links of a tree: nodes numbered in preorder, the root is 0.
 
-    def visit(node) -> frozenset:
-        if node.is_leaf():
-            cl = frozenset([node.label])
-        else:
-            cl = frozenset().union(*(visit(c) for c in node.children))
-        if node is not root and size_range[0] <= len(cl) <= size_range[1]:
-            out.append((cl, node.length))
-        return cl
-
-    visit(root)
-    return out
-
-
-def restrict_to_triplet(tree: TreeNode, labels) -> Triplet:
-    """Project a tree onto three of its leaves as a 3-spider point."""
-    a, b, c = labels
-    sub = induced_subtree(tree, (a, b, c))
-    interior = _clusters(sub, (2, 2))
-    if not interior:
-        return Triplet((a, b, c), None, 0.0)
-    cherry, length = interior[0]
-    return Triplet((a, b, c), cherry, length)
-
-
-def restrict_to_quartet(tree: TreeNode, labels) -> Quartet:
-    """Project a tree onto four of its leaves as a four-leaf tree-space point.
-
-    Clusters are read from the root side.  When the induced root sits with
-    degree 2 between two pair clusters (which then partition the four
-    leaves), the two edges describe the same unrooted split; they are
-    merged into one split, labeled by the side holding the smallest label.
+    ``parent[v]`` is the parent of node ``v`` (-1 at the root),
+    ``length[v]`` the length of the edge above it, and ``leaf`` maps each
+    leaf label to its node.
     """
-    a, b, c, d = labels
-    sub = induced_subtree(tree, (a, b, c, d))
-    found = _clusters(sub, (2, 3))
-    if len(found) == 2 and len(sub.children) == 2:
-        (c1, l1), (c2, l2) = found
-        if len(c1) == 2 and len(c2) == 2 and not (c1 & c2):
-            keep = c1 if min(c1 | c2) in c1 else c2
-            found = [(keep, l1 + l2)]
-    return Quartet((a, b, c, d), tuple(found))
+
+    parent: tuple
+    length: tuple
+    leaf: dict
+
+
+def tree_index(tree: TreeNode) -> TreeIndex:
+    """Index a tree once for :func:`restrict_to_triplet`/:func:`restrict_to_quartet`."""
+    parent, length, leaf = [], [], {}
+    stack = [(tree, -1)]
+    while stack:
+        node, up = stack.pop()
+        if node.is_leaf():
+            leaf[node.label] = len(parent)
+        stack.extend((child, len(parent)) for child in reversed(node.children))
+        parent.append(up)
+        length.append(node.length)
+    return TreeIndex(tuple(parent), tuple(length), leaf)
+
+
+def _splits(index: TreeIndex, picks, k: int) -> list[tuple[int, float]]:
+    """(bitmask of the picks below, length) of each split of the restriction.
+
+    Bit i stands for ``picks[i]``.  Lengths are summed upward from the
+    kept node, the order :func:`induced_subtree` sums them in, and may be 0.
+    """
+    if len(picks) != k:
+        raise ValueError(f"restriction needs {k} leaves, got {len(picks)}")
+    try:
+        nodes = [index.leaf[p] for p in picks]
+    except KeyError as exc:
+        raise UnknownTaxonError(f"{exc.args[0]!r} is not a leaf of the tree") from None
+    if len(set(nodes)) != k:
+        raise UnknownTaxonError(f"repeated labels in {list(picks)}")
+    parent, length = index.parent, index.length
+    below = {}
+    for bit, v in enumerate(nodes):
+        while v:
+            below[v] = below.get(v, 0) | 1 << bit
+            v = parent[v]
+    edges, at_root, todo, seen = [], [], list(nodes), set()
+    while todo:
+        v = todo.pop()
+        mask, total, up = below[v], length[v], parent[v]
+        while up and below[up] == mask:  # suppressed: one kept child
+            total += length[up]
+            up = parent[up]
+        if not up:
+            at_root.append((mask, total))
+        elif up not in seen:
+            seen.add(up)
+            todo.append(up)
+        edges.append((mask, total))
+    if len(at_root) == 2 and all(m.bit_count() == 2 for m, _ in at_root):
+        (m1, l1), (m2, l2) = at_root
+        return [(m1 if m1 & 1 else m2, l1 + l2)]
+    return [(m, l) for m, l in edges if 2 <= m.bit_count() < k]
+
+
+# leg of a 3-spider by the pick positions of its cherry (bit i = picks[i])
+_LEGS = {0b011: 1, 0b101: 2, 0b110: 3}
+
+
+def restrict_to_triplet(index: TreeIndex, picks) -> tuple[int, float]:
+    """Project an indexed tree onto three of its leaves as a 3-spider point.
+
+    Returns ``(leg, u)``: leg 1, 2 or 3 for the cherry of the first and
+    second, first and third, or second and third pick, and the interior
+    edge length; ``(0, 0.0)`` for the star.
+    """
+    for mask, length in _splits(index, picks, 3):
+        if length:
+            return _LEGS[mask], length
+    return 0, 0.0
+
+
+def restrict_to_quartet(index: TreeIndex, picks, labels) -> T4Point:
+    """Project an indexed tree onto four of its leaves as a four-leaf tree.
+
+    ``labels`` name the point's leaves, one per pick in the same order
+    (``picks`` itself to keep the leaf labels).
+    """
+    return T4Point(labels, [
+        (frozenset(lb for i, lb in enumerate(labels) if mask >> i & 1), length)
+        for mask, length in _splits(index, picks, 4)
+    ])

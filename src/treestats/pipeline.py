@@ -24,17 +24,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .njtree import (
-    induced_subtree,
+    induced_subtree,  # noqa: F401  not called; kept bound for the layer tracer, which wraps it by name
     neighbor_joining,
     restrict_to_quartet,
     restrict_to_triplet,
+    tree_index,
 )
 from .seqio import AlignedBlock, GapMode, mismatch_distance
 from . import openbook as ob
 from . import spider as sp
 from . import t4space as t4
-
-LETTERS = ("a", "b", "c", "d")
 
 
 def canonical_json(obj) -> str:
@@ -63,13 +62,6 @@ def load_groups(text: str) -> dict[str, str]:
     if not mapping:
         raise ConfigError("empty group file")
     return mapping
-
-
-def spider_leg_of_cherry(cherry: frozenset, group_names) -> int:
-    """Leg index of a two-group cherry under the sorted-group convention."""
-    g1, g2, g3 = sorted(group_names)
-    legs = {frozenset((g1, g2)): 1, frozenset((g1, g3)): 2, frozenset((g2, g3)): 3}
-    return legs[frozenset(cherry)]
 
 
 def spider_tree_type(leg: int | None) -> str:
@@ -113,34 +105,21 @@ def sample_trees(
             raise ConfigError(f"group {g!r} is empty")
         members[g].sort()
 
-    dm = mismatch_distance(block, gap_mode, strict_n)
-    tree = neighbor_joining(dm)
+    index = tree_index(neighbor_joining(mismatch_distance(block, gap_mode, strict_n)))
     rng = np.random.default_rng(seed)
-
-    spider_points = []
-    t4_points = []
+    legs, coords, t4_points = [], [], []
     for _ in range(reps):
-        picked = {g: str(rng.choice(members[g])) for g in group_names}
-        group_of = {taxon: g for g, taxon in picked.items()}
-        chosen = tuple(picked[g] for g in group_names)
-        # relabel the induced subtree by group before reading clusters off,
-        # so canonical choices (the merged complementary-pair rule) are
-        # made in group space and stay consistent across repetitions
-        sub = induced_subtree(tree, chosen)
-        for leaf in sub.leaves():
-            leaf.label = group_of[leaf.label]
+        # picks in sorted-group order, so the restriction's merge rule is
+        # the same in group space on every repetition
+        picks = [str(rng.choice(members[g])) for g in group_names]
         if k == 3:
-            trip = restrict_to_triplet(sub, group_names)
-            if trip.is_star:
-                spider_points.append(sp.CENTER)
-            else:
-                leg = spider_leg_of_cherry(trip.cherry, group_names)
-                spider_points.append(sp.SpiderPoint(leg, trip.interior_length))
+            leg, u = restrict_to_triplet(index, picks)
+            legs.append(leg)
+            coords.append(u)
         else:
-            quartet = restrict_to_quartet(sub, group_names)
-            t4_points.append(t4.T4Point(group_names, quartet.split_dict()))
+            t4_points.append(restrict_to_quartet(index, picks, group_names))
     if k == 3:
-        return sp.SpiderSample(3, tuple(spider_points))
+        return sp.SpiderSample.from_arrays(3, legs, coords)
     return t4.T4Sample(tuple(group_names), tuple(t4_points))
 
 

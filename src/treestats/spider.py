@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     EmptySampleError,
     InsufficientDataError,
+    InvalidParameterError,
     InvalidSampleError,
     InvalidWeightsError,
 )
@@ -353,8 +354,8 @@ def verdict(th, tolerance: float = 0.0) -> "Verdict":
     the mean is off the center on that leg, at or above ``-tolerance``
     it is the boundary case, below it the mean sticks to the center.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not 0 <= tolerance < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
     best = max(range(len(th)), key=th.__getitem__)
     if th[best] > tolerance:
         return Verdict("non_sticky", best + 1)

@@ -33,11 +33,12 @@ import numpy as np
 
 from .errors import (
     EmptySampleError,
+    InvalidParameterError,
     InvalidSampleError,
     NotInBookError,
     UndefinedProjectionError,
 )
-from .openbook import OpenBookPoint, OpenBookSample, SpineStickinessReport, openbook_mean
+from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
 from .spider import json_points, validate_weights
 
 __all__ = [
@@ -676,7 +677,9 @@ def book_partners(axis: frozenset, labels) -> tuple[frozenset, ...]:
     axis = frozenset(axis)
     geom = _geometry(tuple(sorted(labels)))
     if axis not in geom.adjacency:
-        raise ValueError(f"{set(axis)} is not a split over {labels}")
+        raise InvalidParameterError(
+            f"axis {sorted(axis, key=str)} is not a split over {sorted(labels, key=str)}"
+        )
     return tuple(sorted(geom.adjacency[axis], key=_split_key))
 
 
@@ -692,19 +695,17 @@ def spine_stickiness_t4(
     """
     axis = frozenset(axis)
     partners = book_partners(axis, sample.labels)
-    pts = []
+    leaves, x1, x2 = [], [], []
     for pt in sample.points:
         extra = [e for e in pt.support if e != axis]
-        if not extra:
-            pts.append(OpenBookPoint(None, pt.get(axis), 0.0))
-        elif len(extra) == 1 and extra[0] in partners:
-            leaf = partners.index(extra[0]) + 1
-            pts.append(OpenBookPoint(leaf, pt.get(axis), pt.get(extra[0])))
-        else:
+        if len(extra) > 1 or extra and extra[0] not in partners:
             raise NotInBookError(
                 f"{pt!r} lies outside the open book around {set(axis)}"
             )
-    book = OpenBookSample(tuple(pts), sample.weights)
+        leaves.append(partners.index(extra[0]) + 1 if extra else 0)
+        x1.append(pt.get(axis))
+        x2.append(pt.get(extra[0]) if extra else 0.0)
+    book = OpenBookSample.from_arrays(leaves, x1, x2, sample.weights)
     return openbook_mean(book, tolerance)
 
 

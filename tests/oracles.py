@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by brute force (grid scans,
 shortest paths on a discretized complex, exact tail probabilities,
-analytic four-point formulas) without touching the code paths under
-test, beyond the elementary point/sample containers.
+analytic four-point formulas, restriction by pruning a tree copy)
+without touching the code paths under test, beyond the elementary
+point/sample containers.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.stats import binom
 
 from treestats.errors import NoComparableSitesError
+from treestats.njtree import induced_subtree
 from treestats.seqio import DistanceMatrix, GapMode, TreeNode
 from treestats.t4space import (
     T4Point,
@@ -399,6 +401,36 @@ def random_binary_tree(labels, rng, lo=0.1, hi=1.0) -> TreeNode:
     root = nodes[0]
     root.length = 0.0
     return root
+
+
+def pruned_splits(tree: TreeNode, picks) -> list[tuple[frozenset, float]]:
+    """Splits of a tree restricted to k picked leaves, by pruning a copy.
+
+    The (cluster, length) of every edge of ``induced_subtree`` (the root
+    kept as an extra terminal) whose cluster holds 2..k-1 picks, in
+    depth-first order.  When the induced root has two children with two
+    picks each, the two edges are one unrooted split: they merge into the
+    side holding ``picks[0]``, with the lengths summed.  Zero lengths are
+    dropped.
+    """
+    sub = induced_subtree(tree, picks)
+    found = []
+
+    def visit(node) -> frozenset:
+        if node.is_leaf():
+            cl = frozenset([node.label])
+        else:
+            cl = frozenset().union(*(visit(c) for c in node.children))
+        if node is not sub and 2 <= len(cl) <= len(picks) - 1:
+            found.append((cl, node.length))
+        return cl
+
+    visit(sub)
+    if len(found) == 2 and len(sub.children) == 2:
+        (c1, l1), (c2, l2) = found
+        if len(c1) == 2 and len(c2) == 2 and not (c1 & c2):
+            found = [(c1 if picks[0] in c1 else c2, l1 + l2)]
+    return [(c, l) for c, l in found if l != 0]
 
 
 def unrooted_bipartitions(tree: TreeNode) -> set:

@@ -392,6 +392,11 @@ class TestMoreCliEdges:
         assert main(["mean", str(bad)]) == 2
 
 
+T3_DOC = {"p": 3, "points": [{"leg": 1, "u": 3}, {"leg": 2, "u": 1}, {"leg": 3, "u": 1}]}
+T4_DOC = {"labels": ["a", "b", "c", "d"],
+          "points": [{"splits": [{"cluster": ["a", "b"], "length": 1.0}]}]}
+
+
 class TestBadSampleExit2:
     """Malformed samples and summaries are bad input: exit 2, field named."""
 
@@ -402,6 +407,12 @@ class TestBadSampleExit2:
         (["mean", "--space", "openbook"],
          {"points": [{"leaf": 1, "x1": -1, "x2": 1}]}, "points[0].x1"),
         (["sticky"], {"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, -1]}, "nu[2]"),
+        (["mean", "--tolerance", "nan"], T3_DOC, "tolerance"),
+        (["mean", "--tolerance", "-1"], T3_DOC, "tolerance"),
+        (["mean", "--tolerance", "inf"], T3_DOC, "tolerance"),
+        (["sticky", "--tolerance", "nan"], T3_DOC, "tolerance"),
+        (["sticky", "--axis", "a,zz"], T4_DOC, "axis"),
+        (["sticky", "--axis", "a,b,c,d"], T4_DOC, "axis"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"

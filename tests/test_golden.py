@@ -1,9 +1,13 @@
-"""Seeded simulate output pinned byte for byte.
+"""Seeded simulate and sample-trees output pinned byte for byte.
 
-The fixtures under ``golden/`` were written by ``simulate`` /
+The simulate fixtures under ``golden/`` were written by ``simulate`` /
 ``simulate_openbook`` (n=60, 150 replicates) and ``spine_coverage`` before
 the samples became array-backed; a change to a seeded stream or to the
 float expressions of the moment gaps shows up here as a byte difference.
+The ``sample_trees_*`` fixtures were written by ``sample-trees`` on the toy
+data (40 repetitions) while restriction still pruned a tree copy per
+repetition; 5 and 8 of their k=4 repetitions hit the merged
+complementary-pair case.
 """
 
 import json
@@ -12,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from treestats import mcsim
-from treestats.pipeline import canonical_json
+from treestats.pipeline import canonical_json, load_groups, sample_trees
+from treestats.seqio import GapMode, parse_fasta
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent.parent / "src" / "treestats" / "data"
@@ -46,3 +51,16 @@ def test_spine_coverage_matches_golden():
     expected = json.loads((GOLDEN / "spine_coverage_openbook_symmetric.json").read_text())
     for seed in (3, 11):
         assert mcsim.spine_coverage(law, N, REPS, 0.95, seed) == expected[str(seed)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("seed, gap_mode, strict_n, suffix", [
+    (7, GapMode.IGNORE, False, ""),
+    (42, GapMode.MISMATCH, True, "_mismatch_strict"),
+])
+def test_sample_trees_matches_golden(k, seed, gap_mode, strict_n, suffix):
+    block = parse_fasta((DATA / "toy_alignment.fasta").read_text())
+    groups = load_groups((DATA / f"toy_groups{k}.csv").read_text())
+    sample = sample_trees(block, groups, k, 40, seed, gap_mode, strict_n)
+    expected = (GOLDEN / f"sample_trees_k{k}_seed{seed}{suffix}.json").read_text()
+    assert canonical_json(sample.to_dict()) == expected

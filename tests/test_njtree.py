@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import four_point_topology, random_binary_tree, unrooted_bipartitions
+from oracles import (
+    four_point_topology,
+    pruned_splits,
+    random_binary_tree,
+    unrooted_bipartitions,
+)
 from treestats.errors import TooFewTaxaError, UnknownTaxonError
 from treestats.njtree import (
-    Quartet,
-    Triplet,
     induced_subtree,
     neighbor_joining,
     restrict_to_quartet,
     restrict_to_triplet,
     tree_distance_matrix,
+    tree_index,
 )
 from treestats.seqio import DistanceMatrix, parse_newick
+from treestats.t4space import T4Point
 
 
 def dm3(d12, d13, d23):
@@ -52,8 +59,8 @@ class TestNeighborJoining:
         assert np.allclose(tree_distance_matrix(tree).d, dm.d[
             [tree_distance_matrix(tree).taxa.index(t) for t in taxa]
         ][:, [tree_distance_matrix(tree).taxa.index(t) for t in taxa]])
-        quartet = restrict_to_quartet(tree, taxa)
-        assert dict(quartet.splits) in (
+        quartet = restrict_to_quartet(tree_index(tree), taxa, taxa)
+        assert quartet.coords in (
             {frozenset({"t1", "t2"}): pytest.approx(1.0)},
             {frozenset({"t3", "t4"}): pytest.approx(1.0)},
         )
@@ -75,29 +82,43 @@ class TestNeighborJoining:
             assert np.allclose(dm2.d[order][:, order], dm.d, atol=1e-9)
 
 
+def restrict3(newick, picks):
+    return restrict_to_triplet(tree_index(parse_newick(newick)), picks)
+
+
+def restrict4(newick, picks, labels=None):
+    return restrict_to_quartet(tree_index(parse_newick(newick)), picks, labels or picks)
+
+
 class TestRestrictToTriplet:
     def test_cherry_read_off(self):
-        t = parse_newick("((a:1,b:1):0.5,c:2);")
-        trip = restrict_to_triplet(t, ("a", "b", "c"))
-        assert trip.cherry == frozenset({"a", "b"})
-        assert trip.interior_length == pytest.approx(0.5)
-        assert trip.topology() == "ab|c"
+        leg, u = restrict3("((a:1,b:1):0.5,c:2);", ("a", "b", "c"))
+        assert leg == 1  # the cherry of the first and second pick
+        assert u == pytest.approx(0.5)
+
+    def test_legs_follow_pick_order(self):
+        t = "((a:1,b:1):0.5,c:2);"
+        assert restrict3(t, ("a", "c", "b"))[0] == 2
+        assert restrict3(t, ("c", "a", "b"))[0] == 3
 
     def test_star(self):
-        t = parse_newick("(a:1,b:1,c:1);")
-        trip = restrict_to_triplet(t, ("a", "b", "c"))
-        assert trip.is_star and trip.interior_length == 0.0
+        assert restrict3("(a:1,b:1,c:1);", ("a", "b", "c")) == (0, 0.0)
+
+    def test_zero_length_cherry_is_star(self):
+        assert restrict3("((a:1,b:1):0,c:2);", ("a", "b", "c")) == (0, 0.0)
 
     def test_suppression_sums_lengths(self):
-        t = parse_newick("(((a:1,b:1):0.3,c:1):0.2,d:1);")
-        trip = restrict_to_triplet(t, ("a", "b", "d"))
-        assert trip.cherry == frozenset({"a", "b"})
-        assert trip.interior_length == pytest.approx(0.5)
+        leg, u = restrict3("(((a:1,b:1):0.3,c:1):0.2,d:1);", ("a", "b", "d"))
+        assert leg == 1
+        assert u == pytest.approx(0.5)
 
     def test_unknown_taxon(self):
-        t = parse_newick("(a:1,b:1,c:1);")
         with pytest.raises(UnknownTaxonError):
-            restrict_to_triplet(t, ("a", "b", "z"))
+            restrict3("(a:1,b:1,c:1);", ("a", "b", "z"))
+
+    def test_repeated_taxon(self):
+        with pytest.raises(UnknownTaxonError):
+            restrict3("(a:1,b:1,c:1);", ("a", "b", "a"))
 
     def test_path_metric_preserved(self):
         rng = np.random.default_rng(5)
@@ -116,32 +137,39 @@ class TestRestrictToTriplet:
 
 class TestRestrictToQuartet:
     def test_two_nested_splits(self):
-        t = parse_newick("(((a:1,b:1):0.3,c:1):0.2,d:1);")
-        q = restrict_to_quartet(t, ("a", "b", "c", "d"))
-        assert q.split_dict() == {
+        q = restrict4("(((a:1,b:1):0.3,c:1):0.2,d:1);", ("a", "b", "c", "d"))
+        assert q.coords == {
             frozenset({"a", "b"}): pytest.approx(0.3),
             frozenset({"a", "b", "c"}): pytest.approx(0.2),
         }
 
     def test_star(self):
-        t = parse_newick("(a:1,b:1,c:1,d:1);")
-        q = restrict_to_quartet(t, ("a", "b", "c", "d"))
-        assert q.splits == ()
+        assert restrict4("(a:1,b:1,c:1,d:1);", ("a", "b", "c", "d")).is_origin
 
     def test_degree_two_root_merges_complementary_pairs(self):
-        t = parse_newick("((a:1,c:1):0.4,(b:1,d:1):0.6);")
-        q = restrict_to_quartet(t, ("a", "b", "c", "d"))
-        assert q.split_dict() == {frozenset({"a", "c"}): pytest.approx(1.0)}
+        q = restrict4("((a:1,c:1):0.4,(b:1,d:1):0.6);", ("a", "b", "c", "d"))
+        assert q.coords == {frozenset({"a", "c"}): pytest.approx(1.0)}
+
+    def test_merge_keeps_the_side_of_the_first_pick(self):
+        t = "((a:1,c:1):0.4,(b:1,d:1):0.6);"
+        q = restrict4(t, ("b", "a", "c", "d"))
+        assert q.coords == {frozenset({"b", "d"}): pytest.approx(1.0)}
+        named = restrict4(t, ("b", "a", "c", "d"), labels=("w", "x", "y", "z"))
+        assert named.labels == ("w", "x", "y", "z")
+        assert named.coords == {frozenset({"w", "z"}): pytest.approx(1.0)}
 
     def test_pendant_root_keeps_both_pair_clusters(self):
         # root hangs off the junction between the cherries, so the two
         # pair clusters are distinct rooted splits and must not merge
-        t = parse_newick("(((a:1,b:1):0.5,(c:1,d:1):0.7):0.3,e:1);")
-        q = restrict_to_quartet(t, ("a", "b", "c", "d"))
-        assert q.split_dict() == {
+        q = restrict4("(((a:1,b:1):0.5,(c:1,d:1):0.7):0.3,e:1);", ("a", "b", "c", "d"))
+        assert q.coords == {
             frozenset({"a", "b"}): pytest.approx(0.5),
             frozenset({"c", "d"}): pytest.approx(0.7),
         }
+
+    def test_wrong_pick_count(self):
+        with pytest.raises(ValueError):
+            restrict4("(a:1,b:1,c:1,d:1);", ("a", "b", "c"))
 
     def test_path_metric_preserved(self):
         rng = np.random.default_rng(6)
@@ -158,22 +186,52 @@ class TestRestrictToQuartet:
                     assert small.value(s, t) == pytest.approx(full.value(s, t))
 
 
-class TestTypes:
-    def test_triplet_zero_length_is_star(self):
-        trip = Triplet(("a", "b", "c"), frozenset({"a", "b"}), 0.0)
-        assert trip.is_star
+def roughen(tree, rng, collapse, zero):
+    """Collapse random interior edges into polytomies and zero random lengths."""
+    for node in list(tree.walk()):
+        merged = []
+        for child in node.children:
+            if child.children and rng.random() < collapse:
+                merged.extend(child.children)
+            else:
+                merged.append(child)
+        node.children = merged
+    for node in tree.walk():
+        if rng.random() < zero:
+            node.length = 0.0
+    return tree
 
-    def test_triplet_star_with_length_rejected(self):
-        with pytest.raises(ValueError):
-            Triplet(("a", "b", "c"), None, 0.5)
 
-    def test_quartet_incompatible_rejected(self):
-        with pytest.raises(ValueError):
-            Quartet(("a", "b", "c", "d"), (
-                (frozenset({"a", "b"}), 1.0),
-                (frozenset({"b", "c"}), 1.0),
-            ))
+@st.composite
+def restriction_cases(draw):
+    k = draw(st.sampled_from([3, 4]))
+    labels = [f"x{i}" for i in range(draw(st.integers(k, 12)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = random_binary_tree(labels, rng)
+    roughen(tree, rng, draw(st.sampled_from([0.0, 0.3, 0.7])),
+            draw(st.sampled_from([0.0, 0.2, 0.5])))
+    picks = draw(st.permutations(labels))[:k]
+    return tree, picks
 
-    def test_quartet_drops_zero_lengths(self):
-        q = Quartet(("a", "b", "c", "d"), ((frozenset({"a", "b"}), 0.0),))
-        assert q.splits == ()
+
+# leg of the cherry by the pick positions in it
+LEGS = {frozenset({0, 1}): 1, frozenset({0, 2}): 2, frozenset({1, 2}): 3}
+
+
+class TestRestrictionEqualsPruning:
+    """The parent-link walk gives exactly (==) what pruning a copy gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(restriction_cases())
+    def test_walk_equals_pruning_oracle(self, case):
+        tree, picks = case
+        index = tree_index(tree)
+        splits = pruned_splits(tree, picks)
+        if len(picks) == 3:
+            expected = (0, 0.0)
+            if splits:
+                ((cherry, length),) = splits
+                expected = (LEGS[frozenset(picks.index(x) for x in cherry)], length)
+            assert restrict_to_triplet(index, picks) == expected
+        else:
+            assert restrict_to_quartet(index, picks, picks) == T4Point(picks, splits)

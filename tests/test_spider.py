@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import spider_grid_minimum
-from treestats.errors import EmptySampleError, InsufficientDataError, InvalidWeightsError
+from treestats.errors import (
+    EmptySampleError,
+    InsufficientDataError,
+    InvalidParameterError,
+    InvalidWeightsError,
+    TreeStatsError,
+)
 from treestats.mcsim import OpenBookLaw, PointMass, SpiderLaw, Uniform
 from treestats.openbook import OpenBookPoint, OpenBookSample
 from treestats.t4space import T4Point, T4Sample
@@ -170,6 +176,13 @@ class TestIntrinsicMean:
         s = uniform_sample(SpiderPoint(1, 3), SpiderPoint(2, 1), SpiderPoint(3, 1))
         rep = intrinsic_mean(s, tolerance=0.5)
         assert rep.verdict.kind == "boundary"
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tolerance):
+        s = uniform_sample(SpiderPoint(1, 3), SpiderPoint(2, 1), SpiderPoint(3, 1))
+        with pytest.raises(InvalidParameterError, match="tolerance") as err:
+            intrinsic_mean(s, tolerance)
+        assert isinstance(err.value, TreeStatsError) and isinstance(err.value, ValueError)
 
     def test_grid_oracle_agreement(self):
         rng = np.random.default_rng(42)

@@ -14,6 +14,7 @@ from oracles import (
 )
 from treestats.errors import (
     EmptySampleError,
+    InvalidParameterError,
     NotInBookError,
     UndefinedProjectionError,
 )
@@ -425,6 +426,11 @@ class TestSpineStickiness:
         rep = spine_stickiness_t4(T4Sample(L, pts), axis)
         assert rep.verdict.kind == "non_sticky" and rep.verdict.leg == 1
         assert rep.mean.x2 == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("axis", [{1, 9}, {1, 2, 3, 4}, {1}])
+    def test_axis_not_a_split(self, axis):
+        with pytest.raises(InvalidParameterError, match="axis"):
+            book_partners(axis, L)
 
     def test_point_outside_book(self):
         axis = frozenset({1, 2})
