@@ -18,21 +18,29 @@ mean, and runs a Kolmogorov-Smirnov test against the fully specified
 limit (population parameters, no estimation), so textbook critical
 values apply.  Replicates get independent generators seeded by (seed,
 replicate index) and can therefore run in any order.
+
+The KS statistic is taken over the sorted values, with the normal CDF
+from ``math.erfc`` and the half-normal from ``math.erf``; its p-value is
+the exact two-sided tail of :mod:`treestats.kolmogorov`, whose method
+selection is that of Simard & L'Ecuyer (2011), "Computing the two-sided
+Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
+from . import kolmogorov
 from . import openbook as ob
 from . import spider as sp
-from .errors import WrongRegimeError
+from .errors import InvalidParameterError, WrongRegimeError
 
 __all__ = [
     "PointMass",
@@ -54,13 +62,20 @@ __all__ = [
 # one-dimensional leg distributions with nonnegative support
 # --------------------------------------------------------------------------
 
+def _check(name: str, value, rule: str, ok) -> None:
+    """Raise :class:`InvalidParameterError` naming ``name`` unless ``value``
+    is a finite real number that passes ``ok``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and ok(value))):
+        raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PointMass:
     u: float
 
     def __post_init__(self):
-        if self.u < 0:
-            raise ValueError("point mass must sit at a nonnegative value")
+        _check("u", self.u, "finite and >= 0", lambda v: v >= 0)
 
     def mean(self) -> float:
         return self.u
@@ -81,8 +96,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
-            raise ValueError("need 0 <= lo < hi")
+        _check("lo", self.lo, "finite and >= 0", lambda v: v >= 0)
+        _check("hi", self.hi, f"finite and > lo = {self.lo!r}", lambda v: v > self.lo)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -102,8 +117,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        _check("rate", self.rate, "finite and > 0", lambda v: v > 0)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -121,16 +135,55 @@ class Exponential:
 _DIST_KINDS = {"point_mass": PointMass, "uniform": Uniform, "exponential": Exponential}
 
 
-def distribution_from_dict(obj: dict):
+def distribution_from_dict(obj: dict, where: str = "distribution"):
+    """A leg distribution from its JSON object.
+
+    Errors are :class:`InvalidParameterError` naming the field as
+    ``where.<parameter>``, e.g. ``legs[0].rate``.
+    """
+    if obj is None:
+        raise InvalidParameterError(f"{where} is missing")
+    if not isinstance(obj, dict):
+        raise InvalidParameterError(f"{where} must be a distribution object, got {obj!r}")
     kind = obj.get("kind")
-    if kind not in _DIST_KINDS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
+    cls = _DIST_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidParameterError(
+            f"{where}.kind must be one of {', '.join(_DIST_KINDS)}, got {kind!r}")
     args = {k: v for k, v in obj.items() if k != "kind"}
-    return _DIST_KINDS[kind](**args)
+    params = [f.name for f in fields(cls)]
+    for key in args:
+        if key not in params:
+            raise InvalidParameterError(f"{where}.{key} is not a parameter of {kind}")
+    for key in params:
+        if key not in args:
+            raise InvalidParameterError(f"{where}.{key} is missing")
+    try:
+        return cls(**args)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{where}.{exc}") from None
 
 
-def _atom_at_zero(dist) -> bool:
-    return isinstance(dist, PointMass) and dist.u == 0.0
+def _list_field(obj: dict, key: str) -> list:
+    if key not in obj:
+        raise InvalidParameterError(f"{key} is missing")
+    if not isinstance(obj[key], list):
+        raise InvalidParameterError(f"{key} must be a list, got {obj[key]!r}")
+    return obj[key]
+
+
+def _one_weight_each(weights, dists, items: str, where: str, place: str) -> tuple[float, ...]:
+    """Checked law weights, one per distribution in ``dists`` (``items``),
+    none of which may put an atom at 0, the center or spine (``place``).
+    ``where`` formats the field of distribution ``a``."""
+    w = sp.validate_weights(weights)
+    if not dists or len(w) != len(dists):
+        raise InvalidParameterError(f"weights has {len(w)} entries for {len(dists)} {items}")
+    for a, d in enumerate(dists):
+        if isinstance(d, PointMass) and d.u == 0:
+            raise InvalidParameterError(
+                f"{where.format(a)}.u must be > 0 (a law puts no mass {place}), got {d.u!r}")
+    return w
 
 
 # --------------------------------------------------------------------------
@@ -155,12 +208,9 @@ class SpiderLaw:
     legs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", sp.validate_weights(self.weights))
         object.__setattr__(self, "legs", tuple(self.legs))
-        if len(self.weights) != len(self.legs) or not self.legs:
-            raise ValueError("need one distribution per leg")
-        if any(_atom_at_zero(d) for d in self.legs):
-            raise ValueError("leg distributions may not put mass at the center")
+        object.__setattr__(self, "weights", _one_weight_each(
+            self.weights, self.legs, "legs", "legs[{}]", "at the center"))
 
     @property
     def p(self) -> int:
@@ -180,9 +230,10 @@ class SpiderLaw:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderLaw":
+        legs = _list_field(obj, "legs")
         return cls(
-            tuple(obj["weights"]),
-            tuple(distribution_from_dict(d) for d in obj["legs"]),
+            tuple(_list_field(obj, "weights")),
+            tuple(distribution_from_dict(d, f"legs[{a}]") for a, d in enumerate(legs)),
         )
 
 
@@ -194,12 +245,12 @@ class OpenBookLaw:
     leaves: tuple  # three (x1 distribution, x2 distribution) pairs
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", sp.validate_weights(self.weights))
         object.__setattr__(self, "leaves", tuple(tuple(l) for l in self.leaves))
-        if len(self.weights) != 3 or len(self.leaves) != 3:
-            raise ValueError("an open-book law has exactly three leaves")
-        if any(_atom_at_zero(x2) for _, x2 in self.leaves):
-            raise ValueError("x2 distributions may not put mass on the spine")
+        if len(self.leaves) != 3:
+            raise InvalidParameterError(
+                f"leaves: an open-book law has exactly three, got {len(self.leaves)}")
+        object.__setattr__(self, "weights", _one_weight_each(
+            self.weights, self.transverse, "leaves", "leaves[{}].x2", "on the spine"))
 
     @property
     def transverse(self) -> tuple:
@@ -222,20 +273,30 @@ class OpenBookLaw:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OpenBookLaw":
-        leaves = tuple(
-            (distribution_from_dict(l["x1"]), distribution_from_dict(l["x2"]))
-            for l in obj["leaves"]
-        )
-        return cls(tuple(obj["weights"]), leaves)
+        leaves = []
+        for i, leaf in enumerate(_list_field(obj, "leaves")):
+            if not isinstance(leaf, dict):
+                raise InvalidParameterError(f"leaves[{i}] must be an object with x1 and x2")
+            leaves.append(tuple(
+                distribution_from_dict(leaf.get(x), f"leaves[{i}].{x}") for x in ("x1", "x2")))
+        return cls(tuple(_list_field(obj, "weights")), tuple(leaves))
+
+
+_LAWS = {"spider": SpiderLaw, "openbook": OpenBookLaw}
 
 
 def law_from_dict(obj: dict):
+    """A spider or open-book law from its JSON object.
+
+    Without ``space``, a document with ``legs`` is a spider law and any
+    other an open-book law.  Bad fields raise
+    :class:`InvalidParameterError` naming them.
+    """
     space = obj.get("space", "spider" if "legs" in obj else "openbook")
-    if space == "spider":
-        return SpiderLaw.from_dict(obj)
-    if space == "openbook":
-        return OpenBookLaw.from_dict(obj)
-    raise ValueError(f"unknown law space {space!r}")
+    law = _LAWS.get(space) if isinstance(space, str) else None
+    if law is None:
+        raise InvalidParameterError(f"space must be 'spider' or 'openbook', got {space!r}")
+    return law.from_dict(obj)
 
 
 # Moment gaps of a law are computed in floating point, so a law that is
@@ -310,11 +371,22 @@ class SimReport:
         return out
 
 
-def kstest(sample, law: str):
-    """``scipy.stats.kstest``; scipy is imported on first use, not at start-up."""
-    from scipy import stats
+_SQRT2, _SQRT_HALF = math.sqrt(2.0), math.sqrt(0.5)
+_CDFS = {
+    "norm": lambda x: 0.5 * math.erfc(-x * _SQRT_HALF),
+    "halfnorm": lambda x: math.erf(x / _SQRT2) if x > 0 else 0.0,
+}
 
-    return stats.kstest(sample, law)
+
+def kstest(values, law: str) -> tuple[float, float]:
+    """Two-sided KS test of ``values`` against ``law`` (``"norm"`` or
+    ``"halfnorm"``, both standard): ``(statistic, p-value)``."""
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    cdf = np.array([_CDFS[law](v) for v in x.tolist()])
+    d = max(float((np.arange(1.0, n + 1) / n - cdf).max()),
+            float((cdf - np.arange(0.0, n) / n).max()))
+    return d, kolmogorov.sf(n, d)
 
 
 def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -356,8 +428,9 @@ def _replicate_samples(law, n: int, replications: int, seed: int):
     Replicate ``rep`` is drawn from its own generator (see
     ``_replicate_rng``).
     """
-    if n < 1 or replications < 1:
-        raise ValueError("n and replications must be >= 1")
+    for name, value in (("n", n), ("replications", replications)):
+        if value < 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {value}")
     draw = draw_openbook_sample if isinstance(law, OpenBookLaw) else draw_spider_sample
     return (draw(law, n, _replicate_rng(seed, rep)) for rep in range(replications))
 
@@ -369,8 +442,7 @@ def _moment(weights, dists, moment: str) -> float:
 
 def _ks(values, law: str, n: int, sigma: float):
     """KS statistic and p-value of ``sqrt(n) * values / sigma`` against ``law``."""
-    stat, pvalue = kstest(math.sqrt(n) * values / sigma, law)
-    return float(stat), float(pvalue)
+    return kstest(math.sqrt(n) * values / sigma, law)
 
 
 def _simulate(law, n: int, replications: int, seed: int) -> SimReport:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
@@ -216,8 +217,6 @@ def spine_clt(
     :class:`WrongRegimeError` on a non-sticky sample, whose mean leaves
     the spine.  Requires uniform weights.
     """
-    from scipy.stats import norm  # deferred: a slow import few commands need
-
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     if len(sample) < 2:
@@ -231,7 +230,7 @@ def spine_clt(
         )
     n = len(sample)
     se = float(sample.x1.std(ddof=1)) / math.sqrt(n)
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     lo = max(0.0, report.x1_star - z * se)
     hi = report.x1_star + z * se
     return SpineInterval(lo, hi, report.x1_star, se, confidence, n)

@@ -22,8 +22,10 @@ At most one ``theta_a`` can be positive when all ``v_a`` are nonnegative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
     "theta",
     "thetas",
     "gaps",
+    "check_tolerance",
     "verdict",
     "intrinsic_mean",
     "clt_interval",
@@ -64,9 +67,12 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     simulation laws; raises :class:`InvalidWeightsError`.
     """
     try:
-        w = tuple(float(x) for x in weights)
-    except (TypeError, ValueError):
+        w = tuple(weights)
+    except TypeError:
         raise InvalidWeightsError("weights must be a list of numbers") from None
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in w):
+        raise InvalidWeightsError("weights must be a list of numbers")  # not strings or booleans
+    w = tuple(map(float, w))
     if count is not None and len(w) != count:
         raise InvalidWeightsError("weights length must match point count")
     if not all(math.isfinite(x) for x in w):
@@ -347,6 +353,13 @@ def gaps(v) -> tuple[float, ...]:
     return tuple(va - (total - va) for va in v)
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise :class:`InvalidParameterError` unless the verdict tolerance
+    is finite and >= 0."""
+    if not 0 <= tolerance < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def verdict(th, tolerance: float = 0.0) -> "Verdict":
     """Stickiness verdict of the moment gaps ``th``.
 
@@ -354,8 +367,7 @@ def verdict(th, tolerance: float = 0.0) -> "Verdict":
     the mean is off the center on that leg, at or above ``-tolerance``
     it is the boundary case, below it the mean sticks to the center.
     """
-    if not 0 <= tolerance < math.inf:  # NaN fails too
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
+    check_tolerance(tolerance)
     best = max(range(len(th)), key=th.__getitem__)
     if th[best] > tolerance:
         return Verdict("non_sticky", best + 1)
@@ -499,8 +511,6 @@ def clt_interval(
     interval at the center, where the sample mean sits almost surely for
     large n.  Requires uniform weights.
     """
-    from scipy.stats import norm  # deferred: a slow import few commands need
-
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
     if len(sample) < 2:
@@ -518,7 +528,7 @@ def clt_interval(
     s = np.where(sample.codes == leg, sample.u, -sample.u)  # other legs folded negative
     m = float(s.mean())
     se = float(s.std(ddof=1)) / math.sqrt(n)
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     if report.verdict.kind == "non_sticky":
         lo, hi = m - z * se, m + z * se
         note = ""

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -57,16 +58,38 @@ class TestDist:
         assert mismatch_csv.splitlines()[1].split(",")[1] == "0.25"
 
 
+# Prepended to the scripts of TestImports: any import of scipy fails.
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def run_without_scipy(script: str) -> None:
+    """Run ``script`` in a fresh interpreter (this one has scipy loaded by
+    other tests) in which importing scipy raises ModuleNotFoundError."""
+    src = str(Path(treestats.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY + script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestImports:
     def test_sequence_chain_never_imports_scipy(self, toy, tmp_path):
-        # a fresh interpreter, since this one has scipy loaded by other tests
         fasta, groups3, groups4 = toy
         d, tree, sample, mean, sample4, mean4 = (
             tmp_path / n
             for n in ("d.csv", "t.nwk", "s.json", "m.json", "s4.json", "m4.json")
         )
-        script = f"""
-import sys
+        run_without_scipy(f"""
 from treestats.cli import main
 assert main(["dist", {str(fasta)!r}, "-o", {str(d)!r}]) == 0
 assert main(["nj", {str(d)!r}, "-o", {str(tree)!r}]) == 0
@@ -78,15 +101,39 @@ assert main(["sample-trees", {str(fasta)!r}, "--groups", {str(groups4)!r},
 assert main(["mean", {str(sample4)!r}, "--space", "t4", "-o", {str(mean4)!r}]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-"""
-        src = str(Path(treestats.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path},
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
+""")
         assert json.loads(mean.read_text())["space"] == "t3"
         assert json.loads(mean4.read_text())["space"] == "t4"
+
+    def test_limit_laws_and_intervals_run_without_scipy(self, tmp_path):
+        laws = [DATA / "law_dominant.json", DATA / "law_symmetric.json",
+                DATA / "law_openbook_symmetric.json",
+                Path(__file__).parent / "golden" / "law_boundary.json"]
+        outs = [tmp_path / f"sim{i}.json" for i in range(len(laws))]
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}))
+        run_without_scipy(f"""
+import json
+import numpy as np
+from treestats import mcsim
+from treestats.cli import main
+from treestats.openbook import OpenBookSample, spine_clt
+from treestats.spider import SpiderSample, clt_interval
+for law, out in zip({[str(p) for p in laws]!r}, {[str(p) for p in outs]!r}):
+    assert main(["simulate", law, "--n", "40", "--reps", "50", "--seed", "1", "-o", out]) == 0
+rng = np.random.default_rng(0)
+spider = SpiderSample.from_arrays(3, rng.integers(1, 4, 30), rng.exponential(1.0, 30))
+assert clt_interval(spider, 0.9).confidence == 0.9
+book = OpenBookSample.from_arrays(rng.integers(1, 4, 30), rng.uniform(0, 2, 30),
+                                  rng.exponential(1.0, 30))
+assert spine_clt(book).lo <= spine_clt(book).hi
+law = mcsim.law_from_dict(json.load(open({str(laws[2])!r})))
+assert 0 < mcsim.spine_coverage(law, 40, 20, 0.95, seed=2) <= 1
+assert main(["sticky", {str(summary)!r}]) == 0
+""")
+        reports = [json.loads(p.read_text()) for p in outs]
+        assert [r["regime"] for r in reports] == ["i", "iii", "iii", "ii"]
+        assert reports[0]["ks_pvalue"] is not None and reports[3]["ks_pvalue"] is not None
 
 
 class TestNj:
@@ -413,6 +460,9 @@ class TestBadSampleExit2:
         (["sticky", "--tolerance", "nan"], T3_DOC, "tolerance"),
         (["sticky", "--axis", "a,zz"], T4_DOC, "axis"),
         (["sticky", "--axis", "a,b,c,d"], T4_DOC, "axis"),
+        (["mean", "--space", "t4", "--tolerance", "nan"], T4_DOC, "tolerance"),
+        (["mean", "--space", "t4", "--tolerance", "-5"], T4_DOC, "tolerance"),
+        (["mean"], {**T3_DOC, "weights": ["0.5", "0.25", "0.25"]}, "weights"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"
@@ -435,6 +485,61 @@ class TestBadSampleExit2:
         assert main(["mean", "--space", "t4", str(sample)]) == 2
         err = capsys.readouterr().err
         assert f"points[{i}].splits" in err and "length" in err
+
+
+_DROP = object()
+
+
+def _law(name, *path, value=_DROP):
+    """A bundled law as JSON text with the field at ``path`` set to ``value``
+    (or dropped); ``"RAW:<text>"`` is written as the bare JSON token
+    ``<text>``, e.g. ``1e400`` or ``Infinity``."""
+    doc = json.loads((DATA / name).read_text())
+    if path:
+        *parents, key = path
+        owner = doc
+        for part in parents:
+            owner = owner[part]
+        if value is _DROP:
+            del owner[key]
+        else:
+            owner[key] = value
+    return re.sub(r'"RAW:([^"]*)"', r"\1", json.dumps(doc))
+
+
+SPIDER, BOOK = "law_dominant.json", "law_openbook_symmetric.json"
+
+
+class TestBadLawExit2:
+    """Malformed law files are bad input: exit 2, field named."""
+
+    @pytest.mark.parametrize("law, args, field", [
+        (_law("law_symmetric.json", "legs", 0, "rate", value=-1), [], "legs[0].rate"),
+        (_law("law_symmetric.json", "legs", 0, "rate", value="RAW:Infinity"), [],
+         "legs[0].rate"),
+        (_law(SPIDER, "legs", 0, "kind", value="gamma"), [], "legs[0].kind"),
+        (_law(SPIDER, "legs", 0, "hi"), [], "legs[0].hi"),
+        (_law(SPIDER, "legs", 0, "mode", value=1.0), [], "legs[0].mode"),
+        (_law(SPIDER, "legs", 0, "hi", value="nan"), [], "legs[0].hi"),
+        (_law(SPIDER, "legs", 0, "hi", value="RAW:1e400"), [], "legs[0].hi"),
+        (_law(SPIDER, "legs"), [], "legs is missing"),
+        (_law(BOOK, "leaves", 0, "x1"), [], "leaves[0].x1"),
+        (_law(SPIDER, "legs", 2), [], "weights"),
+        (_law(SPIDER, "weights", value=["0.6", "0.2", "0.2"]), [], "weights"),
+        (_law(SPIDER, "legs", 0, value={"kind": "point_mass", "u": 0}), [], "legs[0].u"),
+        (_law(SPIDER), ["--n", "0"], "n must be >= 1"),
+        (_law(SPIDER), ["--reps", "0"], "replications must be >= 1"),
+    ], ids=["rate_negative", "rate_infinite", "kind_unknown", "hi_missing", "extra_key",
+            "hi_string", "hi_overflow", "legs_missing", "x1_missing", "weights_extra",
+            "weights_strings", "point_mass_at_center", "n_zero", "reps_zero"])
+    def test_exit_2_names_field(self, tmp_path, capsys, law, args, field):
+        path = tmp_path / "law.json"
+        path.write_text(law)
+        argv = ["simulate", str(path), "--n", "20", "--reps", "10", *args]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "tolerance" not in err
+        assert field in err
 
 
 class TestGroupCanonicalization:

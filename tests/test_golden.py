@@ -4,6 +4,9 @@ The simulate fixtures under ``golden/`` were written by ``simulate`` /
 ``simulate_openbook`` (n=60, 150 replicates) and ``spine_coverage`` before
 the samples became array-backed; a change to a seeded stream or to the
 float expressions of the moment gaps shows up here as a byte difference.
+Their ``ks_*`` fields were re-recorded when the KS test moved from
+``scipy.stats.kstest`` to ``treestats.kolmogorov``; they moved by at most
+2.3e-15 relative, all other fields stayed byte for byte.
 The ``sample_trees_*`` fixtures were written by ``sample-trees`` on the toy
 data (40 repetitions) while restriction still pruned a tree copy per
 repetition; 5 and 8 of their k=4 repetitions hit the merged
