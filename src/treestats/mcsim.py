@@ -19,6 +19,15 @@ limit (population parameters, no estimation), so textbook critical
 values apply.  Replicates get independent generators seeded by (seed,
 replicate index) and can therefore run in any order.
 
+It does so in two stages.  Each replicate is drawn and reduced at once
+to its per-leg sums: the mass and weighted transverse sum of every leg
+(``spider.leg_sums``, the reduction the sample means use) and, on the
+open book, the weighted ``x1`` sum.  No sample object is built.  The
+moment gaps, verdicts and folded statistics of all replicates are then
+computed in one array pass through ``spider.gaps`` and
+``spider.verdict``.  The output is bit for bit that of one
+``intrinsic_mean`` / ``openbook_mean`` per replicate sample.
+
 The KS statistic is taken over the sorted values, with the normal CDF
 from ``math.erfc`` and the half-normal from ``math.erf``; its p-value is
 the exact two-sided tail of :mod:`treestats.kolmogorov`, whose method
@@ -40,7 +49,7 @@ import numpy as np
 from . import kolmogorov
 from . import openbook as ob
 from . import spider as sp
-from .errors import InvalidParameterError, WrongRegimeError
+from .errors import InvalidParameterError
 
 __all__ = [
     "PointMass",
@@ -62,19 +71,47 @@ __all__ = [
 # one-dimensional leg distributions with nonnegative support
 # --------------------------------------------------------------------------
 
+def _finite(evaluate) -> bool:
+    """Whether ``evaluate()`` gives a finite number; an overflow on the way
+    (an int too large for a float, ``float ** 2``) or a division by an
+    underflowed zero counts as not finite."""
+    try:
+        return math.isfinite(evaluate())
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
 def _check(name: str, value, rule: str, ok) -> None:
     """Raise :class:`InvalidParameterError` naming ``name`` unless ``value``
     is a finite real number that passes ``ok``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and ok(value))):
+            or not (_finite(lambda: value) and ok(value))):
         raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PointMass:
-    u: float
+class _Distribution:
+    """Base of the leg distributions.
+
+    A subclass checks its parameters in ``_check_params``; its mean and
+    second moment must then be finite, and an overflow names the last
+    parameter, the one that sets the scale (``u``, ``hi``, ``rate``).
+    """
 
     def __post_init__(self):
+        self._check_params()
+        name = fields(self)[-1].name
+        for moment in (self.mean, self.second_moment):
+            if not _finite(moment):
+                raise InvalidParameterError(
+                    f"{name} = {getattr(self, name)!r} gives a "
+                    f"{moment.__name__.replace('_', ' ')} that is not finite")
+
+
+@dataclass(frozen=True)
+class PointMass(_Distribution):
+    u: float
+
+    def _check_params(self):
         _check("u", self.u, "finite and >= 0", lambda v: v >= 0)
 
     def mean(self) -> float:
@@ -91,11 +128,11 @@ class PointMass:
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Distribution):
     lo: float
     hi: float
 
-    def __post_init__(self):
+    def _check_params(self):
         _check("lo", self.lo, "finite and >= 0", lambda v: v >= 0)
         _check("hi", self.hi, f"finite and > lo = {self.lo!r}", lambda v: v > self.lo)
 
@@ -113,10 +150,10 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Distribution):
     rate: float
 
-    def __post_init__(self):
+    def _check_params(self):
         _check("rate", self.rate, "finite and > 0", lambda v: v > 0)
 
     def mean(self) -> float:
@@ -183,7 +220,21 @@ def _one_weight_each(weights, dists, items: str, where: str, place: str) -> tupl
         if isinstance(d, PointMass) and d.u == 0:
             raise InvalidParameterError(
                 f"{where.format(a)}.u must be > 0 (a law puts no mass {place}), got {d.u!r}")
+    _check_mixture(w, dists, items)
     return w
+
+
+def _moment(weights, dists, moment: str) -> float:
+    """Population moment (``"mean"`` or ``"second_moment"``) of a mixture."""
+    return sum(w * getattr(d, moment)() for w, d in zip(weights, dists))
+
+
+def _check_mixture(weights, dists, items: str) -> None:
+    """Raise :class:`InvalidParameterError` naming ``items`` unless the
+    mixture's second moment, which bounds its mean, gaps and variance, is
+    finite."""
+    if not _finite(lambda: _moment(weights, dists, "second_moment")):
+        raise InvalidParameterError(f"{items}: the law's second moment is not finite")
 
 
 # --------------------------------------------------------------------------
@@ -221,6 +272,11 @@ class SpiderLaw:
         """Per-leg distributions of the coordinate whose mean can stick."""
         return self.legs
 
+    @property
+    def coordinates(self) -> tuple:
+        """Per leg, the distributions of its coordinates: here only ``u``."""
+        return tuple((d,) for d in self.legs)
+
     def to_dict(self) -> dict:
         return {
             "space": "spider",
@@ -251,6 +307,7 @@ class OpenBookLaw:
                 f"leaves: an open-book law has exactly three, got {len(self.leaves)}")
         object.__setattr__(self, "weights", _one_weight_each(
             self.weights, self.transverse, "leaves", "leaves[{}].x2", "on the spine"))
+        _check_mixture(self.weights, self.spine, "leaves")
 
     @property
     def transverse(self) -> tuple:
@@ -261,6 +318,11 @@ class OpenBookLaw:
     def spine(self) -> tuple:
         """Per-leaf ``x1`` distributions."""
         return tuple(x1 for x1, _ in self.leaves)
+
+    @property
+    def coordinates(self) -> tuple:
+        """Per leaf, the distributions of its coordinates ``(x1, x2)``."""
+        return self.leaves
 
     def to_dict(self) -> dict:
         return {
@@ -308,7 +370,7 @@ _BOUNDARY_RTOL = 8 * sys.float_info.epsilon
 
 def _regime_of(v: tuple[float, ...]) -> tuple[Regime, tuple[float, ...]]:
     """Regime and moment gaps ``v_a - sum(v_b, b != a)`` of leg moments ``v``."""
-    th = sp.gaps(v)
+    th = tuple(sp.gaps(v).tolist())
     kind = sp.verdict(th, _BOUNDARY_RTOL * sum(v)).kind  # e.g. "non_sticky" -> NONSTICKY
     return Regime[kind.replace("_", "").upper()], th
 
@@ -395,49 +457,98 @@ def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(rep)]))
 
 
-def _draw(weights, leg_dists, n: int, rng):
-    """Leg codes (1-based) of an i.i.d. sample and one coordinate array per
-    entry of each leg's tuple of distributions, drawn leg by leg."""
-    legs = rng.choice(len(weights), size=n, p=np.asarray(weights))
-    coords = [np.empty(n) for _ in leg_dists[0]]
-    for a, dists in enumerate(leg_dists):
-        mask = legs == a
-        k = int(mask.sum())
-        if k:
-            for x, dist in zip(coords, dists):
-                x[mask] = dist.draw(rng, k)
-    return legs + 1, coords
+def _leg_cdf(weights) -> np.ndarray:
+    """Cumulative leg weights, built as ``Generator.choice`` builds them:
+    searching them with ``rng.random(n)`` draws the legs ``choice`` would."""
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf, coordinates, n: int, rng):
+    """The one draw primitive: an i.i.d. sample of size n, drawn leg by leg.
+
+    Returns the leg index (0-based) of each point and, per leg, one array
+    per coordinate distribution in ``coordinates``, in draw order (an
+    empty tuple for a leg that got no point).
+    """
+    legs = cdf.searchsorted(rng.random(n), side="right")
+    counts = np.bincount(legs, minlength=cdf.size).tolist()
+    return legs, [tuple(d.draw(rng, k) for d in dists) if k else ()
+                  for dists, k in zip(coordinates, counts)]
+
+
+def _in_point_order(legs, draws, j: int) -> np.ndarray:
+    """Coordinate ``j`` of every point of a draw, in point order."""
+    x = np.empty(legs.size)
+    for a, coords in enumerate(draws):
+        if coords:
+            x[legs == a] = coords[j]
+    return x
+
+
+def _sample(law, legs, draws):
+    """The spider or open-book sample of a draw (checked by ``from_arrays``)."""
+    columns = [_in_point_order(legs, draws, j) for j in range(len(law.coordinates[0]))]
+    if isinstance(law, OpenBookLaw):
+        return ob.OpenBookSample.from_arrays(legs + 1, *columns)
+    return sp.SpiderSample.from_arrays(law.p, legs + 1, *columns)
 
 
 def draw_spider_sample(law: SpiderLaw, n: int, rng) -> sp.SpiderSample:
     """One i.i.d. sample of size n from a spider law."""
-    codes, (u,) = _draw(law.weights, [(d,) for d in law.legs], n, rng)
-    return sp.SpiderSample.from_arrays(law.p, codes, u)
+    return _sample(law, *_draw(_leg_cdf(law.weights), law.coordinates, n, rng))
 
 
 def draw_openbook_sample(law: OpenBookLaw, n: int, rng) -> ob.OpenBookSample:
     """One i.i.d. sample of size n from an open-book law."""
-    codes, (x1, x2) = _draw(law.weights, law.leaves, n, rng)
-    return ob.OpenBookSample.from_arrays(codes, x1, x2)
+    return _sample(law, *_draw(_leg_cdf(law.weights), law.coordinates, n, rng))
 
 
-def _replicate_samples(law, n: int, replications: int, seed: int):
-    """The replicate samples of a law, in replicate order: the one replicate
-    loop of ``simulate``, ``simulate_openbook`` and ``spine_coverage``.
-
-    Replicate ``rep`` is drawn from its own generator (see
-    ``_replicate_rng``).
-    """
+def _check_sizes(n: int, replications: int) -> None:
     for name, value in (("n", n), ("replications", replications)):
         if value < 1:
             raise InvalidParameterError(f"{name} must be >= 1, got {value}")
-    draw = draw_openbook_sample if isinstance(law, OpenBookLaw) else draw_spider_sample
-    return (draw(law, n, _replicate_rng(seed, rep)) for rep in range(replications))
 
 
-def _moment(weights, dists, moment: str) -> float:
-    """Population moment (``"mean"`` or ``"second_moment"``) of a mixture."""
-    return sum(w * getattr(d, moment)() for w, d in zip(weights, dists))
+def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = False):
+    """Stage 1, the one replicate loop of ``simulate``, ``simulate_openbook``
+    and ``spine_coverage``: draw each replicate and reduce it at once to
+    the numbers its mean and verdict need.
+
+    Returns ``(mass, moment, spine, sd)``: the per-leg masses and
+    transverse first moments (``(replications, p)`` arrays, the sums
+    ``spider.leg_sums`` gives a sample); for an open book the spine
+    coordinate ``x1_star`` of each mean and, with ``spread``, the sample
+    standard deviation of ``x1`` (``(replications,)`` arrays).  Replicate
+    ``rep`` is drawn from its own generator (see ``_replicate_rng``).
+    Drawn coordinates are checked as ``from_arrays`` checks them.
+    """
+    _check_sizes(n, replications)
+    book = isinstance(law, OpenBookLaw)
+    cdf, coordinates = _leg_cdf(law.weights), law.coordinates
+    wts = np.full(n, 1.0 / n)
+    mass = np.zeros((replications, cdf.size))
+    moment = np.zeros((replications, cdf.size))
+    spine = np.empty(replications)
+    sd = np.empty(replications)
+    for rep in range(replications):
+        legs, draws = _draw(cdf, coordinates, n, _replicate_rng(seed, rep))
+        drawn = np.concatenate([x for coords in draws for x in coords])
+        lo = sp._min(drawn)
+        if not (lo >= 0 and sp._max(drawn) < np.inf):  # NaN fails too
+            _sample(law, legs, draws)  # raises, naming the point and field
+        for a, coords in enumerate(draws):
+            if coords:
+                t = coords[-1]  # transverse coordinate: 0 puts a point on no leg
+                t = t[t != 0] if lo == 0 else t
+                mass[rep, a], moment[rep, a] = sp.leg_sums(wts[:t.size], t)
+        if book:
+            x1 = _in_point_order(legs, draws, 0)
+            spine[rep] = sp._sum(wts * x1)
+            if spread:
+                sd[rep] = x1.std(ddof=1)
+    return mass, moment, spine, sd
 
 
 def _ks(values, law: str, n: int, sigma: float):
@@ -446,39 +557,31 @@ def _ks(values, law: str, n: int, sigma: float):
 
 
 def _simulate(law, n: int, replications: int, seed: int) -> SimReport:
-    """Replicate loop behind ``simulate`` and ``simulate_openbook``.
-
-    Per replicate, the intrinsic mean's verdict and moment gaps give the
-    folded transverse statistic; the open book also records its spine
-    coordinate ``x1_star``.
+    """Behind ``simulate`` and ``simulate_openbook``: stage 1 reduces the
+    replicates to per-leg sums, stage 2 turns all of them at once into
+    moment gaps and verdicts and those into the folded transverse
+    statistic; the open book also tests its spine coordinate ``x1_star``.
     """
     t0 = time.perf_counter()
-    samples = _replicate_samples(law, n, replications, seed)
+    mass, moment, spine, _ = _replicate_sums(law, n, replications, seed)
     book = isinstance(law, OpenBookLaw)
     regime, th = classify_law(law)
     a_star = int(np.argmax(th))
     theta_star = th[a_star]
     var = _moment(law.weights, law.transverse, "second_moment") - theta_star * theta_star
-    mean = ob.openbook_mean if book else sp.intrinsic_mean
 
-    stats = np.empty(replications)
-    spine = np.empty(replications)
-    stuck = 0
-    for rep, sample in enumerate(samples):
-        report = mean(sample)
-        gaps = report.theta2 if book else report.theta
-        leg = report.verdict.leg
-        off = report.verdict.kind == "non_sticky"
-        stuck += not off
-        if book:
-            spine[rep] = report.x1_star
-        if regime is Regime.NONSTICKY:
-            # signed coordinate of the mean on the line through leg a_star
-            folded = (gaps[leg - 1] if leg == a_star + 1 else -gaps[leg - 1]) if off else 0.0
-            stats[rep] = folded - theta_star
-        else:
-            # the folded sample mean equals the winning moment gap
-            stats[rep] = gaps[a_star]
+    # the open book's leaf moments are the sums themselves (openbook_mean)
+    gaps = sp.gaps(moment if book else sp.leg_means(mass, moment)[1])
+    kind, leg = sp.verdict(gaps)
+    off = kind == 0  # VERDICT_KINDS[0], non-sticky: the mean is on leg `leg`
+    stuck = replications - int(np.count_nonzero(off))
+    if regime is Regime.NONSTICKY:
+        # signed coordinate of the mean on the line through leg a_star
+        g = np.take_along_axis(gaps, leg[:, None] - 1, 1)[:, 0]
+        stats = np.where(off, np.where(leg == a_star + 1, g, -g), 0.0) - theta_star
+    else:
+        # the folded sample mean equals the winning moment gap
+        stats = gaps[:, a_star]
 
     ks = ks2 = (None, None)
     if var > 1e-15 and regime is Regime.NONSTICKY:
@@ -539,12 +642,11 @@ def spine_coverage(
     mean escapes the spine count as misses) and checked against the
     population spine coordinate.
     """
+    _check_sizes(n, replications)
+    sp.check_interval(confidence, n)
     mu1 = _moment(law.weights, law.spine, "mean")
-    hits = 0
-    for sample in _replicate_samples(law, n, replications, seed):
-        try:
-            interval = ob.spine_clt(sample, confidence)
-        except WrongRegimeError:
-            continue
-        hits += interval.lo <= mu1 <= interval.hi
-    return hits / replications
+    _, moment, x1_star, sd = _replicate_sums(law, n, replications, seed, spread=True)
+    kind, _ = sp.verdict(sp.gaps(moment))
+    lo, hi, _ = ob.spine_bounds(x1_star, sd, n, confidence)
+    hits = (kind != 0) & (lo <= mu1) & (mu1 <= hi)  # a mean off the spine is a miss
+    return int(np.count_nonzero(hits)) / replications

@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import (
     EmptySampleError,
-    InsufficientDataError,
     InvalidSampleError,
     WrongRegimeError,
 )
-from .spider import ArraySample, Verdict, _sum, gaps, verdict
+from .spider import ArraySample, Verdict, _sum, check_interval, gaps, leg_sums, verdict
 
 __all__ = [
     "OpenBookPoint",
@@ -38,6 +37,7 @@ __all__ = [
     "SpineInterval",
     "openbook_distance",
     "openbook_mean",
+    "spine_bounds",
     "frechet_function",
     "spine_clt",
 ]
@@ -174,13 +174,9 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
         raise EmptySampleError("cannot average an empty sample")
     codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
     x1_star = float(_sum(wts * x1))
-    w, v2 = [], []
-    for a in (1, 2, 3):
-        mask = codes == a
-        wa_i = wts[mask]
-        w.append(float(_sum(wa_i)))
-        v2.append(float(_sum(wa_i * x2[mask])))
-    th2 = gaps(v2)
+    w, s2 = np.array([leg_sums(wts[mask], x2[mask])
+                      for mask in (codes == a for a in range(1, N_LEAVES + 1))]).T
+    th2 = tuple(gaps(s2).tolist())
     vd = verdict(th2, tolerance)
     # off the spine only when non-sticky: x2 == 0 puts the mean on the spine
     mean = OpenBookPoint(vd.leg, x1_star, th2[vd.leg - 1] if vd.kind == "non_sticky" else 0.0)
@@ -189,8 +185,17 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
     spine_var = float(_sum(wts * (x1 - x1_star) ** 2))
     return SpineStickinessReport(
         x1_star, th2, vd, mean, math.sqrt(max(spine_var, 0.0)),
-        tuple(w), len(sample)
+        tuple(w.tolist()), len(sample)
     )
+
+
+def spine_bounds(x1_star, sd, n: int, confidence: float):
+    """Normal interval ``(lo, hi, se)`` for the spine coordinate from the
+    mean ``x1_star`` and sample standard deviation ``sd`` of ``x1`` over
+    ``n`` points, ``lo`` cut at 0; the arguments may be arrays."""
+    se = sd / math.sqrt(n)
+    half = NormalDist().inv_cdf(0.5 + confidence / 2.0) * se
+    return np.maximum(0.0, x1_star - half), x1_star + half, se
 
 
 @dataclass(frozen=True)
@@ -217,10 +222,7 @@ def spine_clt(
     :class:`WrongRegimeError` on a non-sticky sample, whose mean leaves
     the spine.  Requires uniform weights.
     """
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if len(sample) < 2:
-        raise InsufficientDataError("confidence intervals need n >= 2")
+    check_interval(confidence, len(sample))
     if sample.weights is not None:
         raise ValueError("spine_clt expects an unweighted sample")
     report = openbook_mean(sample, tolerance)
@@ -229,8 +231,5 @@ def spine_clt(
             "sample mean is off the spine; the spine CLT does not apply"
         )
     n = len(sample)
-    se = float(sample.x1.std(ddof=1)) / math.sqrt(n)
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    lo = max(0.0, report.x1_star - z * se)
-    hi = report.x1_star + z * se
-    return SpineInterval(lo, hi, report.x1_star, se, confidence, n)
+    lo, hi, se = spine_bounds(report.x1_star, float(sample.x1.std(ddof=1)), n, confidence)
+    return SpineInterval(float(lo), hi, report.x1_star, se, confidence, n)

@@ -50,8 +50,12 @@ __all__ = [
     "frechet_function",
     "theta",
     "thetas",
+    "leg_sums",
+    "leg_means",
     "gaps",
     "check_tolerance",
+    "check_interval",
+    "VERDICT_KINDS",
     "verdict",
     "intrinsic_mean",
     "clt_interval",
@@ -72,7 +76,10 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
         raise InvalidWeightsError("weights must be a list of numbers") from None
     if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in w):
         raise InvalidWeightsError("weights must be a list of numbers")  # not strings or booleans
-    w = tuple(map(float, w))
+    try:
+        w = tuple(map(float, w))
+    except OverflowError:  # an int too large for a float
+        raise InvalidWeightsError("weights must be finite") from None
     if count is not None and len(w) != count:
         raise InvalidWeightsError("weights length must match point count")
     if not all(math.isfinite(x) for x in w):
@@ -317,40 +324,55 @@ class SpiderMeasureSummary:
         return {"p": self.p, "w0": self.w0, "w": list(self.w), "nu": list(self.nu)}
 
 
+def leg_sums(w, x):
+    """Mass and first moment of one leg: the pairwise sums of the leg's
+    point weights ``w`` and of ``w * x``, both in point order.
+
+    The one per-leg reduction: spider and open-book samples and the
+    replicates of the simulation all call it, so their sums agree bit for
+    bit.
+    """
+    return _sum(w), _sum(w * x)
+
+
+def leg_means(w, s):
+    """Conditional means ``nu = s / w`` (0 on a leg without mass) and leg
+    moments ``v = w * nu`` of per-leg masses ``w`` and first moments ``s``,
+    along the last axis."""
+    nu = np.divide(s, w, out=np.zeros(np.shape(s)), where=w > 0)
+    return nu, w * nu
+
+
 def _moments(sample: SpiderSample):
-    """Center mass, per-leg masses and conditional means of a sample, plus
-    the masked ``w_i * u_i`` and ``u_i`` of each leg for second moments."""
+    """Center mass, per-leg masses and first moments of a sample, plus
+    the point weights and coordinates of each leg for second moments."""
     if not len(sample):
         raise EmptySampleError("cannot summarize an empty sample")
     codes, u, wts = sample.codes, sample.u, sample._w
-    w, nu, legs = [], [], []
-    for a in range(1, sample.p + 1):
-        mask = codes == a
-        wa_i, ua = wts[mask], u[mask]
-        wa = float(_sum(wa_i))
-        wu = wa_i * ua
-        w.append(wa)
-        nu.append(float(_sum(wu)) / wa if wa > 0 else 0.0)
-        legs.append((wu, ua))
-    return float(_sum(wts[codes == 0])), tuple(w), tuple(nu), legs
+    legs = [(wts[mask], u[mask]) for mask in (codes == a for a in range(1, sample.p + 1))]
+    w, s = np.array([leg_sums(*leg) for leg in legs]).T
+    return float(_sum(wts[codes == 0])), w, s, legs
 
 
 def summarize(sample: SpiderSample) -> SpiderMeasureSummary:
     """Decompose a sample into center mass plus per-leg masses and moments."""
-    w0, w, nu, legs = _moments(sample)
-    m2 = (float(_sum(wu * ua)) / wa if wa > 0 else 0.0 for wa, (wu, ua) in zip(w, legs))
-    return SpiderMeasureSummary(sample.p, w0, w, nu, tuple(m2))
+    w0, w, s, legs = _moments(sample)
+    m2 = (float(_sum(wa_i * ua * ua)) / wa if wa > 0 else 0.0
+          for wa, (wa_i, ua) in zip(w.tolist(), legs))
+    return SpiderMeasureSummary(sample.p, w0, w, leg_means(w, s)[0], tuple(m2))
 
 
-def gaps(v) -> tuple[float, ...]:
-    """Moment gaps ``v_a - sum(v_b, b != a)`` of the leg moments ``v``.
+def gaps(v) -> np.ndarray:
+    """Moment gaps ``v_a - sum(v_b, b != a)`` of the leg moments ``v``,
+    along the last axis (one row of leg moments per sample).
 
     The one place the gaps are computed: spider samples and summaries,
-    the open book's transverse coordinate and the simulation laws all
-    pass their leg moments here.
+    the open book's transverse coordinate, the simulation laws and their
+    replicates all pass their leg moments here.  The total is summed leg
+    by leg from the left, as ``sum`` does for a single row.
     """
-    total = sum(v)
-    return tuple(va - (total - va) for va in v)
+    legs = np.asarray(v, dtype=float).T  # legs first: iterating gives one leg at a time
+    return (legs - (sum(legs) - legs)).T
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -360,25 +382,45 @@ def check_tolerance(tolerance: float) -> None:
         raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
-def verdict(th, tolerance: float = 0.0) -> "Verdict":
+def check_interval(confidence: float, n: int) -> None:
+    """Raise unless a normal-theory interval at ``confidence`` can be built
+    from ``n`` points: ``ValueError`` for a confidence outside (0, 1),
+    :class:`InsufficientDataError` for ``n < 2``."""
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must be in (0, 1)")
+    if n < 2:
+        raise InsufficientDataError("confidence intervals need n >= 2")
+
+
+VERDICT_KINDS = ("non_sticky", "boundary", "sticky")
+
+
+def verdict(th, tolerance: float = 0.0):
     """Stickiness verdict of the moment gaps ``th``.
 
     The largest gap (the first one on ties) decides: above ``tolerance``
     the mean is off the center on that leg, at or above ``-tolerance``
     it is the boundary case, below it the mean sticks to the center.
+
+    One row of gaps gives a :class:`Verdict`.  Gaps with leading axes
+    (one row per sample) give two integer arrays instead: the index of
+    each kind in ``VERDICT_KINDS`` and the deciding leg (1-based, also
+    filled in where the kind is sticky).
     """
     check_tolerance(tolerance)
-    best = max(range(len(th)), key=th.__getitem__)
-    if th[best] > tolerance:
-        return Verdict("non_sticky", best + 1)
-    if th[best] >= -tolerance:
-        return Verdict("boundary", best + 1)
-    return Verdict("sticky")
+    th = np.asarray(th, dtype=float)
+    best = th.argmax(axis=-1)
+    top = np.take_along_axis(th, best[..., None], -1)[..., 0]
+    kind = np.where(top > tolerance, 0, np.where(top >= -tolerance, 1, 2))
+    if th.ndim > 1:
+        return kind, best + 1
+    kind = VERDICT_KINDS[kind]
+    return Verdict(kind) if kind == "sticky" else Verdict(kind, int(best) + 1)
 
 
 def thetas(summary: SpiderMeasureSummary) -> tuple[float, ...]:
     """All per-leg moment gaps ``theta_a = v_a - sum(v_b, b != a)``."""
-    return gaps(summary.v)
+    return tuple(gaps(summary.v).tolist())
 
 
 def theta(summary: SpiderMeasureSummary, leg: int) -> float:
@@ -468,14 +510,19 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     without second moments.
     """
     is_sample = isinstance(data, SpiderSample)
-    # a sample skips the summary object and its second moments
-    w0, w, nu, _ = _moments(data) if is_sample else (data.w0, data.w, data.nu, None)
-    th = gaps(tuple(wa * na for wa, na in zip(w, nu)))
+    if is_sample:  # a sample skips the summary object and its second moments
+        w0, w, s, _ = _moments(data)
+        nu, v = leg_means(w, s)
+    else:
+        w0, w, nu = data.w0, np.array(data.w), np.array(data.nu)
+        v = w * nu
+    th = tuple(gaps(v).tolist())
     vd = verdict(th, tolerance)
     mean = SpiderPoint(vd.leg, th[vd.leg - 1]) if vd.kind == "non_sticky" else CENTER
     sd = math.sqrt(frechet_function(mean, data)) if is_sample or data.m2 is not None else math.nan
     n = len(data) if is_sample else None
-    return StickinessReport(data.p, w0, w, nu, th, vd, mean, sd, n)
+    return StickinessReport(data.p, w0, tuple(w.tolist()), tuple(nu.tolist()), th, vd,
+                            mean, sd, n)
 
 
 @dataclass(frozen=True)
@@ -511,10 +558,7 @@ def clt_interval(
     interval at the center, where the sample mean sits almost surely for
     large n.  Requires uniform weights.
     """
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if len(sample) < 2:
-        raise InsufficientDataError("confidence intervals need n >= 2")
+    check_interval(confidence, len(sample))
     if sample.weights is not None:
         raise ValueError("clt_interval expects an unweighted sample")
     report = intrinsic_mean(sample, tolerance)

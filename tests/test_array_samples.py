@@ -1,8 +1,8 @@
 """Array-backed spider and open-book samples.
 
 ``from_arrays`` and the point constructors must build the same sample,
-with the same checks, and the simulation hot path must not build one
-point object per drawn point.
+with the same checks, and the simulation hot path must build no sample
+and no point object at all.
 """
 
 import math
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestats import mcsim
+from treestats import mcsim, openbook, spider
 from treestats.errors import InvalidSampleError
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
-from treestats.spider import SpiderPoint, SpiderSample, intrinsic_mean
+from treestats.spider import ArraySample, SpiderPoint, SpiderSample, intrinsic_mean
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
@@ -116,29 +116,42 @@ class TestArraysEqualPoints:
 
 
 class TestHotPath:
-    """``simulate`` builds point objects for the means, not for the samples."""
+    """``simulate`` reduces each replicate to per-leg sums: it builds no
+    sample and no point object and never calls the per-sample means."""
 
     @pytest.fixture
-    def created(self, monkeypatch):
-        counts = {"spider": 0, "book": 0}
-        for key, cls in (("spider", SpiderPoint), ("book", OpenBookPoint)):
-            original = cls.__post_init__
+    def events(self, monkeypatch):
+        counts = dict.fromkeys(("sample", "point", "intrinsic_mean", "openbook_mean"), 0)
 
-            def counting(self, key=key, original=original):
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
                 counts[key] += 1
-                original(self)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(ArraySample, "_store", "sample")
+        counting(SpiderPoint, "__post_init__", "point")
+        counting(OpenBookPoint, "__post_init__", "point")
+        counting(spider, "intrinsic_mean", "intrinsic_mean")
+        counting(openbook, "openbook_mean", "openbook_mean")
         return counts
 
-    def test_simulate(self, created):
+    def test_events_are_counted(self, events):
+        law = mcsim.SpiderLaw((0.5, 0.5), (mcsim.Exponential(1.0),) * 2)
+        spider.intrinsic_mean(mcsim.draw_spider_sample(law, 5, mcsim._replicate_rng(1, 0)))
+        assert events["sample"] == events["intrinsic_mean"] == 1 and events["point"] >= 1
+
+    def test_simulate(self, events):
         law = mcsim.SpiderLaw((0.5, 0.3, 0.2), (mcsim.Exponential(1.0),) * 3)
         mcsim.simulate(law, n=200, replications=50, seed=1)
-        assert created["spider"] <= 2 * 50
+        assert events == dict.fromkeys(events, 0)
 
-    def test_simulate_openbook(self, created):
+    def test_simulate_openbook(self, events):
         leaf = (mcsim.Uniform(0.0, 2.0), mcsim.Exponential(1.0))
         law = mcsim.OpenBookLaw((0.5, 0.3, 0.2), (leaf,) * 3)
         mcsim.simulate_openbook(law, n=200, replications=50, seed=1)
-        assert created["book"] <= 2 * 50
-        assert created["spider"] == 0
+        mcsim.spine_coverage(law, n=200, replications=50, seed=1)
+        assert events == dict.fromkeys(events, 0)

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treestats
 from treestats import pipeline
@@ -508,6 +513,7 @@ def _law(name, *path, value=_DROP):
 
 
 SPIDER, BOOK = "law_dominant.json", "law_openbook_symmetric.json"
+SYMMETRIC = "law_symmetric.json"
 
 
 class TestBadLawExit2:
@@ -529,9 +535,23 @@ class TestBadLawExit2:
         (_law(SPIDER, "legs", 0, value={"kind": "point_mass", "u": 0}), [], "legs[0].u"),
         (_law(SPIDER), ["--n", "0"], "n must be >= 1"),
         (_law(SPIDER), ["--reps", "0"], "replications must be >= 1"),
+        (_law(SPIDER, "legs", 0, "hi", value=1e155), [], "legs[0].hi"),
+        (_law(SPIDER, "legs", 0, "hi", value=1.7e308), [], "legs[0].hi"),
+        (_law(SYMMETRIC, "legs", 0, "rate", value=1e-310), [], "legs[0].rate"),
+        (_law(SYMMETRIC, "legs", 0, "rate", value=1e-160), [], "legs[0].rate"),
+        (_law(SYMMETRIC, "legs", 0, "rate", value=1e-200), [], "legs[0].rate"),
+        (_law(SYMMETRIC, "legs", 0, "rate", value="RAW:1" + "0" * 400), [], "legs[0].rate"),
+        (_law(SPIDER, "weights", value=["RAW:6" + "0" * 400, 0.2, 0.2]), [], "weights"),
+        (_law(BOOK, "leaves", 2, "x1", "hi", value=1e155), [], "leaves[2].x1.hi"),
+        (json.dumps({"weights": [0.5, 0.5000000001],
+                     "legs": [{"kind": "point_mass", "u": 1.3407807929942596e154}] * 2}),
+         [], "legs: the law's second moment"),
     ], ids=["rate_negative", "rate_infinite", "kind_unknown", "hi_missing", "extra_key",
             "hi_string", "hi_overflow", "legs_missing", "x1_missing", "weights_extra",
-            "weights_strings", "point_mass_at_center", "n_zero", "reps_zero"])
+            "weights_strings", "point_mass_at_center", "n_zero", "reps_zero",
+            "second_moment_overflow", "hi_near_max", "mean_overflow", "rate_squared_subnormal",
+            "rate_squared_zero", "rate_huge_int", "weights_huge_int", "x1_second_moment",
+            "mixture_second_moment"])
     def test_exit_2_names_field(self, tmp_path, capsys, law, args, field):
         path = tmp_path / "law.json"
         path.write_text(law)
@@ -562,3 +582,71 @@ class TestGroupCanonicalization:
         (point,) = sample.points
         assert len(point.support) == 1
         assert point.support[0] == frozenset({"a", "b"})
+
+
+# ---------------------------------------------------------------------------
+# law documents from hypothesis: bad input exits 2, never 1, and no NaN
+# ---------------------------------------------------------------------------
+
+_odd_numbers = st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, 5e-324, 1e-310, 1e-160, 1e-200,
+                                1e155, 1.7e308, 10**400, -(10**400), 2**63, 3])
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}),
+                  st.floats(allow_nan=True, allow_infinity=True), _odd_numbers,
+                  st.lists(st.integers(0, 2), max_size=2))
+
+
+def _param(lo=0.01, hi=5.0):
+    """Mostly a float in ``[lo, hi]``, one time in six an odd number."""
+    odd = st.one_of(st.floats(0.0, 1e300), _odd_numbers)
+    return st.integers(0, 5).flatmap(lambda i: odd if i == 0 else st.floats(lo, hi))
+
+
+_dist_doc = st.one_of(
+    st.builds(lambda u: {"kind": "point_mass", "u": u}, _param()),
+    st.builds(lambda lo, hi: {"kind": "uniform", "lo": lo, "hi": hi}, _param(), _param(5, 10)),
+    st.builds(lambda rate: {"kind": "exponential", "rate": rate}, _param()))
+
+
+@st.composite
+def law_docs(draw):
+    """A spider or open-book law document, then up to three of its fields
+    dropped or replaced by a value of another type."""
+    book = draw(st.booleans())
+    p = 3 if book else draw(st.integers(1, 4))
+    w = draw(st.lists(st.floats(0.05, 1.0), min_size=p, max_size=p))
+    for a in draw(st.sets(st.integers(0, p - 1), max_size=p - 1)):
+        w[a] = 0.0
+    doc = {"space": "openbook" if book else "spider", "weights": [x / sum(w) for x in w]}
+    if book:
+        doc["leaves"] = [{"x1": draw(_dist_doc), "x2": draw(_dist_doc)} for _ in range(p)]
+    else:
+        doc["legs"] = [draw(_dist_doc) for _ in range(p)]
+    for _ in range(draw(st.one_of(st.just(0), st.integers(1, 3)))):
+        owner, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(owner[key], (dict, list)) and owner[key] and draw(st.booleans()):
+            owner = owner[key]
+            key = draw(st.sampled_from(sorted(owner) if isinstance(owner, dict)
+                                       else range(len(owner))))
+        if isinstance(owner, dict) and draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = draw(_junk)
+        if not doc:
+            break
+    return doc
+
+
+class TestSimulateLawFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(law_docs(), *[st.one_of(st.integers(1, 5), st.integers(-1, 0))] * 2)
+    def test_exit_0_or_2_and_no_nan(self, law, n, reps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "law.json"
+            path.write_text(json.dumps(law))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["simulate", str(path), "--n", str(n), "--reps", str(reps)])
+        assert code in (0, 2), err.getvalue()
+        assert "NaN" not in out.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -1,22 +1,37 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import exact_stick_probability
+from treestats import mcsim
+from treestats.errors import TreeStatsError, WrongRegimeError
 from treestats.mcsim import (
     Exponential,
     OpenBookLaw,
     PointMass,
     Regime,
+    SimReport,
     SpiderLaw,
     Uniform,
+    _replicate_rng,
     classify_law,
     classify_openbook_law,
     distribution_from_dict,
+    draw_openbook_sample,
+    draw_spider_sample,
+    kstest,
     law_from_dict,
     simulate,
     simulate_openbook,
     spine_coverage,
 )
+from treestats.openbook import openbook_mean, spine_clt
+from treestats.pipeline import canonical_json
+from treestats.spider import intrinsic_mean
 
 SYMMETRIC = SpiderLaw((1 / 3, 1 / 3, 1 / 3), (PointMass(1.0),) * 3)
 
@@ -200,3 +215,216 @@ class TestSpineCoverage:
         frac = spine_coverage(symmetric_book(), n=100, replications=500,
                               confidence=0.95, seed=20)
         assert 0.90 <= frac <= 0.99
+
+
+class TestLegDraw:
+    """The legs of a sample are drawn as ``Generator.choice`` draws them."""
+
+    @pytest.mark.parametrize("weights", [
+        (1.0,), (0.5, 0.5), (0.6, 0.2, 0.2), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.7, 0.3),
+        (0.1, 0.2, 0.3, 0.4, 0.0), (1 - 1e-9, 1e-9), (0.25, 0.0, 0.0, 0.75),
+    ])
+    def test_searchsorted_is_choice(self, weights):
+        for seed in range(25):
+            by_choice = np.random.default_rng(seed)
+            by_search = np.random.default_rng(seed)
+            legs = by_choice.choice(len(weights), size=300, p=np.asarray(weights))
+            searched = mcsim._leg_cdf(weights).searchsorted(by_search.random(300), side="right")
+            assert np.array_equal(legs, searched)
+            assert by_choice.bit_generator.state == by_search.bit_generator.state
+
+
+# --------------------------------------------------------------------------
+# the two-stage replicate loop against one sample and one mean per replicate
+# --------------------------------------------------------------------------
+
+def oracle_simulate(law, n, reps, seed) -> str:
+    """``simulate`` / ``simulate_openbook`` as a loop over replicate samples,
+    each through ``intrinsic_mean`` / ``openbook_mean``: canonical JSON."""
+    book = isinstance(law, OpenBookLaw)
+    draw, mean = (draw_openbook_sample, openbook_mean) if book else (draw_spider_sample,
+                                                                     intrinsic_mean)
+    regime, th = classify_law(law)
+    a_star = int(np.argmax(th))
+    theta_star = th[a_star]
+    var = sum(w * d.second_moment() for w, d in zip(law.weights, law.transverse)) \
+        - theta_star * theta_star
+    stats, spine, stuck = np.empty(reps), np.empty(reps), 0
+    for rep in range(reps):
+        report = mean(draw(law, n, _replicate_rng(seed, rep)))
+        gaps = report.theta2 if book else report.theta
+        leg, off = report.verdict.leg, report.verdict.kind == "non_sticky"
+        stuck += not off
+        if book:
+            spine[rep] = report.x1_star
+        if regime is Regime.NONSTICKY:
+            folded = (gaps[leg - 1] if leg == a_star + 1 else -gaps[leg - 1]) if off else 0.0
+            stats[rep] = folded - theta_star
+        else:
+            stats[rep] = gaps[a_star]
+
+    def ks(values, name, variance):
+        return kstest(math.sqrt(n) * values / math.sqrt(variance), name)
+
+    ks1 = ks2 = (None, None)
+    if var > 1e-15 and regime is Regime.NONSTICKY:
+        ks1 = ks(stats, "norm", var)
+    elif var > 1e-15 and regime is Regime.BOUNDARY:
+        ks1 = ks(np.abs(stats), "halfnorm", var)
+    degenerate = var <= 1e-15
+    if book:
+        mu1 = sum(w * d.mean() for w, d in zip(law.weights, law.spine))
+        var1 = sum(w * d.second_moment() for w, d in zip(law.weights, law.spine)) - mu1 * mu1
+        degenerate = var1 <= 1e-15
+        ks1, ks2 = (None, None) if degenerate else ks(spine - mu1, "norm", var1), ks1
+    report = SimReport("openbook" if book else "spider", regime, n, reps, stuck / reps, th,
+                       *ks1, *ks2, degenerate=degenerate)
+    return canonical_json(report.to_dict(include_runtime=False))
+
+
+def oracle_coverage(law, n, reps, confidence, seed) -> float:
+    """``spine_coverage`` as a loop of ``spine_clt`` over replicate samples."""
+    mu1 = sum(w * d.mean() for w, d in zip(law.weights, law.spine))
+    hits = 0
+    for rep in range(reps):
+        try:
+            interval = spine_clt(draw_openbook_sample(law, n, _replicate_rng(seed, rep)),
+                                 confidence)
+        except WrongRegimeError:
+            continue
+        hits += interval.lo <= mu1 <= interval.hi
+    return hits / reps
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (TreeStatsError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@dataclass(frozen=True)
+class HoledUniform(Uniform):
+    """Uniform draws with the given share of them set to 0 (points at the
+    center or spine), against the laws' rule, so that zeros sit among
+    ordinary values."""
+
+    share: float = 0.3
+
+    def draw(self, rng, size):
+        x = super().draw(rng, size)
+        x[rng.random(size) < self.share] = 0.0
+        return x
+
+
+@dataclass(frozen=True)
+class BadDraws(Uniform):
+    """Uniform draws with one value replaced by ``bad``."""
+
+    bad: float = math.nan
+
+    def draw(self, rng, size):
+        x = super().draw(rng, size)
+        x[size // 2] = self.bad
+        return x
+
+
+# uniform laws on [0, tiny] draw exact zeros too
+_tiny = st.builds(Uniform, st.just(0.0), st.sampled_from([5e-324, 1e-321, 1e-300]))
+_uniform = st.builds(lambda lo, width: Uniform(lo, lo + width),
+                     st.one_of(st.just(0.0), st.floats(0.0, 3.0)), st.floats(0.01, 3.0))
+leg_dists = st.one_of(st.builds(PointMass, st.floats(0.001, 3.0)), _uniform, _tiny,
+                      st.builds(HoledUniform, st.just(0.0), st.floats(0.01, 3.0),
+                                st.floats(0.0, 0.5)),
+                      st.builds(Exponential, st.floats(0.2, 5.0)))
+x1_dists = st.one_of(leg_dists, st.just(PointMass(0.0)))
+
+
+def weights(p):
+    raw = st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=p, max_size=p)
+    return raw.filter(lambda w: sum(w) > 0).map(lambda w: tuple(x / sum(w) for x in w))
+
+
+# weights (0.5, x, 0.5 - x) with one distribution on every leg: a boundary law
+boundary_weights = st.floats(0.0, 0.5).map(lambda x: (0.5, x, 0.5 - x))
+
+
+@st.composite
+def spider_laws(draw):
+    if draw(st.booleans()):
+        return SpiderLaw(draw(boundary_weights), (draw(leg_dists),) * 3)
+    p = draw(st.integers(1, 5))
+    return SpiderLaw(draw(weights(p)), tuple(draw(leg_dists) for _ in range(p)))
+
+
+@st.composite
+def book_laws(draw):
+    if draw(st.booleans()):
+        leaf = (draw(x1_dists), draw(leg_dists))
+        return OpenBookLaw(draw(boundary_weights), (leaf,) * 3)
+    return OpenBookLaw(draw(weights(3)),
+                       tuple((draw(x1_dists), draw(leg_dists)) for _ in range(3)))
+
+
+sizes = st.tuples(st.one_of(st.just(1), st.integers(1, 40)), st.integers(1, 12),
+                  st.integers(0, 2**32 - 1))
+
+
+class TestStagesMatchOracle:
+    """Per-leg sums per replicate, then one array pass over all replicates,
+    give byte for byte what one sample and one mean per replicate give."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(spider_laws(), sizes)
+    def test_simulate(self, law, size):
+        assert canonical_json(simulate(law, *size).to_dict(include_runtime=False)) \
+            == oracle_simulate(law, *size)
+
+    @settings(max_examples=120, deadline=None)
+    @given(book_laws(), sizes)
+    def test_simulate_openbook(self, law, size):
+        report = simulate_openbook(law, *size)
+        assert canonical_json(report.to_dict(include_runtime=False)) \
+            == oracle_simulate(law, *size)
+
+    @settings(max_examples=120, deadline=None)
+    @given(book_laws(), sizes, st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+    def test_spine_coverage(self, law, size, confidence):
+        n, reps, seed = size
+        assert outcome(spine_coverage, law, n, reps, confidence, seed) \
+            == outcome(oracle_coverage, law, n, reps, confidence, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(spider_laws(), book_laws()), sizes)
+    def test_replicate_sums_are_the_sample_sums(self, law, size):
+        # points drawn at 0 sit at the center or spine and add to no leg's mass
+        n, reps, seed = size
+        mass, moment, spine, _ = mcsim._replicate_sums(law, n, reps, seed)
+        for rep in range(reps):
+            if isinstance(law, OpenBookLaw):
+                report = openbook_mean(draw_openbook_sample(law, n, _replicate_rng(seed, rep)))
+                assert spine[rep] == report.x1_star
+            else:
+                report = intrinsic_mean(draw_spider_sample(law, n, _replicate_rng(seed, rep)))
+            assert tuple(mass[rep].tolist()) == report.w
+
+    def test_boundary_law_is_reached(self):
+        law = SpiderLaw((0.5, 0.3, 0.2), (Uniform(0.0, 2.0),) * 3)
+        assert classify_law(law)[0] is Regime.BOUNDARY
+        assert canonical_json(simulate(law, 30, 20, 4).to_dict(include_runtime=False)) \
+            == oracle_simulate(law, 30, 20, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("where", ["u", "x1", "x2"])
+    def test_drawn_coordinates_are_checked(self, bad, where):
+        ok, broken = Uniform(0.0, 2.0), BadDraws(0.0, 2.0, bad)
+        if where == "u":
+            law, run = SpiderLaw((0.5, 0.5), (ok, broken)), simulate
+        else:
+            leaf = (broken, ok) if where == "x1" else (ok, broken)
+            law, run = OpenBookLaw((0.2, 0.3, 0.5), ((ok, ok), (ok, ok), leaf)), simulate_openbook
+        got = outcome(run, law, 20, 3, 1)
+        assert got == outcome(oracle_simulate, law, 20, 3, 1)
+        assert got[0].__name__ == "InvalidSampleError" and f".{where} must be finite" in got[1]
+        if where != "u":
+            assert got == outcome(spine_coverage, law, 20, 3, 0.9, 1)
