@@ -42,18 +42,33 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
     the joined pair's path length.  The tree is rooted at the final
     three-way join.  On an additive matrix the tree's path metric
     reproduces the input exactly.
+
+    The working matrix lives in two flat n*n buffers: each join writes
+    the merged row and column in place, then copies the matrix without
+    row and column ``j`` into the other buffer as one contiguous
+    (m-1, m-1) block.  The arithmetic is that of the plain version (in
+    ``tests/oracles.py``) bit for bit, so Newick and sample output do not
+    move: the column sums run down the rows of a contiguous matrix, in
+    the same row order; ``q[a, b]`` is ``(m-2)*d[a, b] - r[a] - r[b]``,
+    subtracted in that order; and ``argmin`` scans Q row-major.  Q is
+    not bit-symmetric (``q[b, a]`` subtracts ``r[b]`` first), so the
+    ``i > j`` swap is kept.
     """
     n = len(dm.taxa)
     if n < 3:
         raise TooFewTaxaError(f"neighbor joining needs >= 3 taxa, got {n}")
-    d = dm.d.copy()
+    buf, spare, qbuf = np.empty(n * n), np.empty(n * n), np.empty(n * n)
+    buf[:] = dm.d.ravel()
     nodes = [TreeNode(label=t) for t in dm.taxa]
 
-    while len(nodes) > 3:
-        m = len(nodes)
+    for m in range(n, 3, -1):
+        d = buf[: m * m].reshape(m, m)
         r = d.sum(axis=0)
-        q = (m - 2) * d - r[:, None] - r[None, :]
-        np.fill_diagonal(q, np.inf)
+        q = qbuf[: m * m].reshape(m, m)
+        np.multiply(d, m - 2, out=q)
+        q -= r[:, None]
+        q -= r
+        q.flat[:: m + 1] = np.inf
         i, j = divmod(int(np.argmin(q)), m)
         if i > j:  # argmin scans row-major, so this should not trigger
             i, j = j, i
@@ -67,15 +82,21 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
             lj = 0.0
         nodes[i].length = li
         nodes[j].length = lj
-        joined = TreeNode(children=[nodes[i], nodes[j]])
+        nodes[i] = TreeNode(children=[nodes[i], nodes[j]])
+        nodes.pop(j)
         dnew = 0.5 * (d[i] + d[j] - d[i, j])
         d[i, :] = dnew
         d[:, i] = dnew
         d[i, i] = 0.0
-        nodes[i] = joined
-        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
-        nodes.pop(j)
+        # drop row and column j: copy the four blocks around them
+        out = spare[: (m - 1) * (m - 1)].reshape(m - 1, m - 1)
+        out[:j, :j] = d[:j, :j]
+        out[:j, j:] = d[:j, j + 1 :]
+        out[j:, :j] = d[j + 1 :, :j]
+        out[j:, j:] = d[j + 1 :, j + 1 :]
+        buf, spare = spare, buf
 
+    d = buf[:9].reshape(3, 3)
     dxy, dxz, dyz = d[0, 1], d[0, 2], d[1, 2]
     nodes[0].length = max(0.0, 0.5 * (dxy + dxz - dyz))
     nodes[1].length = max(0.0, 0.5 * (dxy + dyz - dxz))

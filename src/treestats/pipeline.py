@@ -93,8 +93,9 @@ def sample_trees(
     if reps < 1:
         raise ConfigError("reps must be >= 1")
     members: dict[str, list[str]] = {}
+    known = set(block.taxa)
     for taxon, group in groups.items():
-        if taxon not in block.taxa:
+        if taxon not in known:
             raise ConfigError(f"group file references unknown taxon {taxon!r}")
         members.setdefault(group, []).append(taxon)
     group_names = sorted(members)
@@ -106,12 +107,14 @@ def sample_trees(
         members[g].sort()
 
     index = tree_index(neighbor_joining(mismatch_distance(block, gap_mode, strict_n)))
+    # arrays once, so that rng.choice does not convert a list per draw
+    pools = [np.array(members[g]) for g in group_names]
     rng = np.random.default_rng(seed)
     legs, coords, t4_points = [], [], []
     for _ in range(reps):
         # picks in sorted-group order, so the restriction's merge rule is
         # the same in group space on every repetition
-        picks = [str(rng.choice(members[g])) for g in group_names]
+        picks = [str(rng.choice(pool)) for pool in pools]
         if k == 3:
             leg, u = restrict_to_triplet(index, picks)
             legs.append(leg)

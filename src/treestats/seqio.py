@@ -40,6 +40,14 @@ class GapMode(Enum):
     MISMATCH = "mismatch"
 
 
+def _check_unique_taxa(taxa) -> None:
+    """Raise :class:`DuplicateTaxonError` naming the first repeated label."""
+    if len(set(taxa)) != len(taxa):
+        seen: set[str] = set()
+        dup = next(t for t in taxa if t in seen or seen.add(t))
+        raise DuplicateTaxonError(f"duplicate taxon label {dup!r}")
+
+
 @dataclass(frozen=True)
 class AlignedBlock:
     """A block of equal-length aligned sequences with unique taxon labels."""
@@ -52,10 +60,7 @@ class AlignedBlock:
             raise AlignmentLengthError("taxa count does not match row count")
         if not self.taxa:
             raise AlignmentLengthError("empty alignment block")
-        if len(set(self.taxa)) != len(self.taxa):
-            seen: set[str] = set()
-            dup = next(t for t in self.taxa if t in seen or seen.add(t))
-            raise DuplicateTaxonError(f"duplicate taxon label {dup!r}")
+        _check_unique_taxa(self.taxa)
         length = len(self.rows[0])
         if length < 1:
             raise AlignmentLengthError("aligned rows must have length >= 1")
@@ -129,12 +134,13 @@ def write_fasta(block: AlignedBlock, width: int = 70) -> str:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix with zero diagonal over labeled taxa."""
+    """Symmetric nonnegative matrix with zero diagonal over unique taxa."""
 
     taxa: tuple[str, ...]
     d: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_unique_taxa(self.taxa)
         m = np.array(self.d, dtype=float)
         n = len(self.taxa)
         if m.shape != (n, n):
@@ -161,10 +167,18 @@ class DistanceMatrix:
         return float(self.d[i, j])
 
     def to_csv(self) -> str:
-        """Header row of taxa, then the square matrix, comma separated."""
-        lines = [",".join(self.taxa)]
-        for row in self.d:
-            lines.append(",".join(repr(float(x)) for x in row))
+        """Header row of taxa, then the square matrix, comma separated.
+
+        Each cell is ``repr`` of its float.  The text is the same as
+        formatting cell by cell, but each distinct value is formatted
+        once: mismatch fractions are ratios of small integers and the
+        matrix is symmetric, so values repeat.  Values are told apart by
+        their bits, so ``-0.0`` keeps its sign.
+        """
+        bits, inverse = np.unique(self.d.view(np.int64), return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+        rows = text[inverse.reshape(self.d.shape)].tolist()
+        lines = [",".join(self.taxa), *(",".join(row) for row in rows)]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -181,6 +195,11 @@ class DistanceMatrix:
             rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
         except ValueError as exc:
             raise InvalidMatrixError(f"bad number in distance CSV: {exc}") from None
+        for k, row in enumerate(rows, 1):
+            if len(row) != len(taxa):
+                raise InvalidMatrixError(
+                    f"matrix row {k} has {len(row)} entries, expected {len(taxa)}"
+                )
         return cls(taxa, np.array(rows))
 
 

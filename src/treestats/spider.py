@@ -96,6 +96,14 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
 _sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
 
+def _fits_float(x) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
 def json_points(obj) -> list[dict]:
     """The ``points`` list of a sample document, each entry an object."""
     points = obj.get("points")
@@ -131,7 +139,14 @@ class ArraySample:
         if codes.size and codes.dtype.kind not in "iu":
             raise InvalidSampleError(f"{self._code} codes must be integers")
         codes = codes.astype(np.int64, copy=False)
-        coords = {name: np.array(c, dtype=float) for name, c in coords.items()}
+        try:
+            coords = {name: np.array(c, dtype=float) for name, c in coords.items()}
+        except OverflowError:  # an int too large for a float
+            name, i = next((name, i) for name, c in coords.items()
+                           for i, x in enumerate(c) if not _fits_float(x))
+            raise InvalidSampleError(
+                f"points[{i}].{name} must be finite and >= 0, got an integer too large for a float"
+            ) from None
         if any(c.shape != (codes.size,) for c in (codes, *coords.values())):
             raise InvalidSampleError("codes and coordinates must be 1-D arrays of one length")
         for name, c in coords.items():

@@ -194,7 +194,12 @@ class T4Point:
         pairs = coords.items() if hasattr(coords, "items") else (coords or ())
         for cluster, length in pairs:
             cluster = frozenset(cluster)
-            length = float(length)
+            try:
+                length = float(length)
+            except OverflowError:  # an int too large for a float
+                raise InvalidSampleError(
+                    "splits: length must be finite and >= 0, got an integer too large for a float"
+                ) from None
             if not math.isfinite(length) or length < 0:
                 raise InvalidSampleError(f"splits: length must be finite and >= 0, got {length}")
             if length == 0.0:

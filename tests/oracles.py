@@ -82,6 +82,63 @@ def mismatch_distance_loop(block, mode, strict_n=False):
     return DistanceMatrix(block.taxa, d)
 
 
+def distance_csv_per_cell(dm):
+    """Distance CSV with ``repr`` taken of every cell, row by row.
+
+    The direct form of ``DistanceMatrix.to_csv``, which formats each
+    distinct value once.
+    """
+    lines = [",".join(dm.taxa)]
+    for row in dm.d:
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------
+# neighbor joining with a fresh matrix per join
+# --------------------------------------------------------------------------
+
+def neighbor_joining_delete(dm):
+    """Neighbor joining that drops row and column ``j`` with ``np.delete``.
+
+    The plain form of ``njtree.neighbor_joining``, which reuses two
+    buffers; both must give the same tree, bit for bit.
+    """
+    d = dm.d.copy()
+    nodes = [TreeNode(label=t) for t in dm.taxa]
+    while len(nodes) > 3:
+        m = len(nodes)
+        r = d.sum(axis=0)
+        q = (m - 2) * d - r[:, None] - r[None, :]
+        np.fill_diagonal(q, np.inf)
+        i, j = divmod(int(np.argmin(q)), m)
+        if i > j:
+            i, j = j, i
+        li = 0.5 * d[i, j] + (r[i] - r[j]) / (2 * (m - 2))
+        lj = d[i, j] - li
+        if li < 0:
+            lj += li
+            li = 0.0
+        if lj < 0:
+            li = max(0.0, li + lj)
+            lj = 0.0
+        nodes[i].length = li
+        nodes[j].length = lj
+        joined = TreeNode(children=[nodes[i], nodes[j]])
+        dnew = 0.5 * (d[i] + d[j] - d[i, j])
+        d[i, :] = dnew
+        d[:, i] = dnew
+        d[i, i] = 0.0
+        nodes[i] = joined
+        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
+        nodes.pop(j)
+    dxy, dxz, dyz = d[0, 1], d[0, 2], d[1, 2]
+    nodes[0].length = max(0.0, 0.5 * (dxy + dxz - dyz))
+    nodes[1].length = max(0.0, 0.5 * (dxy + dyz - dxz))
+    nodes[2].length = max(0.0, 0.5 * (dxz + dyz - dxy))
+    return TreeNode(children=nodes)
+
+
 # --------------------------------------------------------------------------
 # spider: 1D grid minimization of the Frechet function
 # --------------------------------------------------------------------------

@@ -396,6 +396,19 @@ class TestMoreCliEdges:
         assert main(["nj", str(csv)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c\n0,1,2\n1,0\n2,3,0\n", "matrix row 2 has 2 entries, expected 3"),
+        ("a,b,c\n0,1,2\n1,0,3,4\n2,3,0\n", "matrix row 2 has 4 entries, expected 3"),
+        ("a,b,a\n0,1,2\n1,0,3\n2,3,0\n", "duplicate taxon label 'a'"),
+    ])
+    def test_nj_bad_matrix_exit_2(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        assert main(["nj", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert message in err
+
     def test_mean_openbook_sample(self, tmp_path):
         sample = tmp_path / "book.json"
         sample.write_text(json.dumps({"points": [
@@ -468,6 +481,14 @@ class TestBadSampleExit2:
         (["mean", "--space", "t4", "--tolerance", "nan"], T4_DOC, "tolerance"),
         (["mean", "--space", "t4", "--tolerance", "-5"], T4_DOC, "tolerance"),
         (["mean"], {**T3_DOC, "weights": ["0.5", "0.25", "0.25"]}, "weights"),
+        (["mean"], {"p": 3, "points": [{"leg": 1, "u": 1}, {"leg": 2, "u": 10**400}]},
+         "points[1].u"),
+        (["mean", "--space", "openbook"],
+         {"points": [{"leaf": 1, "x1": 10**400, "x2": 1}]}, "points[0].x1"),
+        (["mean", "--space", "t4"],
+         {**T4_DOC, "points": [*T4_DOC["points"],
+                               {"splits": [{"cluster": ["a", "c"], "length": 10**400}]}]},
+         "points[1].splits"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     four_point_topology,
+    neighbor_joining_delete,
     pruned_splits,
     random_binary_tree,
     unrooted_bipartitions,
@@ -18,7 +21,7 @@ from treestats.njtree import (
     tree_distance_matrix,
     tree_index,
 )
-from treestats.seqio import DistanceMatrix, parse_newick
+from treestats.seqio import DistanceMatrix, parse_newick, serialize_newick
 from treestats.t4space import T4Point
 
 
@@ -80,6 +83,73 @@ class TestNeighborJoining:
             dm2 = tree_distance_matrix(rebuilt)
             order = [dm2.taxa.index(t) for t in dm.taxa]
             assert np.allclose(dm2.d[order][:, order], dm.d, atol=1e-9)
+
+
+@st.composite
+def nj_matrices(draw):
+    """Symmetric zero-diagonal matrices, n = 3..60: uniform, or quantized
+    to a few levels so that Q has many ties."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    if levels is None:
+        x = rng.random((n, n))
+    else:
+        x = rng.integers(0, levels + 1, (n, n)) / levels
+    d = np.triu(x, 1)
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), d + d.T)
+
+
+def nodes_and_lengths(tree):
+    return [(node.label, len(node.children), node.length) for node in tree.walk()]
+
+
+class TestNeighborJoiningEqualsDeleteOracle:
+    """The two-buffer NJ gives the np.delete version's tree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nj_matrices())
+    def test_same_tree_bit_for_bit(self, dm):
+        tree, expected = neighbor_joining(dm), neighbor_joining_delete(dm)
+        assert serialize_newick(tree, 17) == serialize_newick(expected, 17)
+        assert nodes_and_lengths(tree) == nodes_and_lengths(expected)
+        assert unrooted_bipartitions(tree) == unrooted_bipartitions(expected)
+
+
+def permuted(dm, order):
+    return DistanceMatrix(tuple(dm.taxa[k] for k in order), dm.d[np.ix_(order, order)])
+
+
+def assert_exact(truth, dm, rebuilt):
+    assert unrooted_bipartitions(rebuilt) == unrooted_bipartitions(truth)
+    dm2 = tree_distance_matrix(rebuilt)
+    order = [dm2.taxa.index(t) for t in dm.taxa]
+    assert np.allclose(dm2.d[np.ix_(order, order)], dm.d, rtol=0, atol=1e-9)
+
+
+class TestNeighborJoiningExactInAnyOrder:
+    """NJ recovers the tree and path metric of an additive matrix whatever
+    the order of its taxa, which moves NJ's joins and its last join."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_permutation(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            truth = random_binary_tree([f"x{i}" for i in range(n)], rng)
+            dm = tree_distance_matrix(truth)
+            for order in itertools.permutations(range(n)):
+                shuffled = permuted(dm, list(order))
+                assert_exact(truth, shuffled, neighbor_joining(shuffled))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 30).flatmap(lambda n: st.tuples(
+        st.integers(0, 2**32 - 1), st.permutations(range(n)))))
+    def test_random_permutation(self, case):
+        seed, order = case
+        truth = random_binary_tree([f"x{i}" for i in range(len(order))],
+                                   np.random.default_rng(seed))
+        shuffled = permuted(tree_distance_matrix(truth), list(order))
+        assert_exact(truth, shuffled, neighbor_joining(shuffled))
 
 
 def restrict3(newick, picks):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import mismatch_distance_loop
+from oracles import distance_csv_per_cell, mismatch_distance_loop
 from treestats import seqio
 from treestats.errors import (
     AlignmentLengthError,
@@ -200,6 +200,72 @@ class TestDistanceMatrixCSV:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InvalidMatrixError):
             DistanceMatrix(("a", "b"), np.array([[0.5, 1.0], [1.0, 0.0]]))
+
+    def test_rejects_duplicate_taxa(self):
+        with pytest.raises(DuplicateTaxonError, match="'a'"):
+            DistanceMatrix(("a", "b", "a"), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("text, row, count", [
+        ("a,b,c\n0,1,2\n1,0\n2,3,0\n", 2, 2),
+        ("a,b,c\n0,1\n1,0,3\n2,3,0\n", 1, 2),
+        ("a,b\n0,1,5\n1,0\n", 1, 3),
+    ])
+    def test_from_csv_rejects_ragged_rows(self, text, row, count):
+        with pytest.raises(InvalidMatrixError, match=f"row {row} has {count} entries"):
+            DistanceMatrix.from_csv(text)
+
+
+# distances as they occur (ratios of small integers), arbitrary floats,
+# and both zeros: -0.0 passes the nonnegativity check and keeps its sign
+csv_values = st.one_of(
+    st.integers(0, 12).flatmap(lambda k: st.sampled_from([k / 7, k / 12, k / 1500])),
+    st.floats(0.0, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324]),
+)
+
+
+def symmetric(n, upper):
+    """Matrix with ``upper`` above the diagonal and mirrored below it."""
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    d.T[np.triu_indices(n, 1)] = upper
+    return DistanceMatrix(tuple(f"t{i}" for i in range(n)), d)
+
+
+def upper_triangles(n_taxa, values, **kwargs):
+    """(n, list of n(n-1)/2 values) for n drawn from ``n_taxa``."""
+    return n_taxa.flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2, **kwargs)))
+
+
+class TestDistanceCSVEqualsPerCellOracle:
+    """to_csv formats each distinct value once and writes the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.lists(csv_values, min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_repeated_values(self, n, pool, seed):
+        upper = np.random.default_rng(seed).choice(np.array(pool), n * (n - 1) // 2)
+        dm = symmetric(n, upper)
+        assert dm.to_csv() == distance_csv_per_cell(dm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(upper_triangles(st.integers(2, 16), st.floats(1e-300, 1e300), unique=True))
+    def test_every_value_distinct(self, case):
+        dm = symmetric(*case)
+        text = dm.to_csv()
+        assert text == distance_csv_per_cell(dm)
+        assert np.array_equal(DistanceMatrix.from_csv(text).d, dm.d)
+
+    def test_every_value_distinct_wide(self):
+        n = 200
+        dm = symmetric(n, np.random.default_rng(5).random(n * (n - 1) // 2))
+        assert dm.to_csv() == distance_csv_per_cell(dm)
+
+    def test_negative_zero_keeps_its_sign(self):
+        dm = symmetric(3, [-0.0, 0.0, 0.5])
+        assert dm.to_csv() == "t0,t1,t2\n0.0,-0.0,0.0\n-0.0,0.0,0.5\n0.0,0.5,0.0\n"
+        assert dm.to_csv() == distance_csv_per_cell(dm)
 
 
 def random_tree(rng, n_leaves):
