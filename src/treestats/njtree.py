@@ -57,8 +57,7 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
     n = len(dm.taxa)
     if n < 3:
         raise TooFewTaxaError(f"neighbor joining needs >= 3 taxa, got {n}")
-    buf, spare, qbuf = np.empty(n * n), np.empty(n * n), np.empty(n * n)
-    buf[:] = dm.d.ravel()
+    buf, spare, qbuf = dm.d.flatten(), np.empty(n * n), np.empty(n * n)
     nodes = [TreeNode(label=t) for t in dm.taxa]
 
     for m in range(n, 3, -1):

@@ -232,12 +232,6 @@ def symmetric(n, upper):
     return DistanceMatrix(tuple(f"t{i}" for i in range(n)), d)
 
 
-def upper_triangles(n_taxa, values, **kwargs):
-    """(n, list of n(n-1)/2 values) for n drawn from ``n_taxa``."""
-    return n_taxa.flatmap(lambda n: st.tuples(st.just(n), st.lists(
-        values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2, **kwargs)))
-
-
 class TestDistanceCSVEqualsPerCellOracle:
     """to_csv formats each distinct value once and writes the same bytes."""
 
@@ -250,7 +244,9 @@ class TestDistanceCSVEqualsPerCellOracle:
         assert dm.to_csv() == distance_csv_per_cell(dm)
 
     @settings(max_examples=100, deadline=None)
-    @given(upper_triangles(st.integers(2, 16), st.floats(1e-300, 1e300), unique=True))
+    @given(st.integers(2, 16).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.floats(1e-300, 1e300), min_size=n * (n - 1) // 2,
+        max_size=n * (n - 1) // 2, unique=True))))
     def test_every_value_distinct(self, case):
         dm = symmetric(*case)
         text = dm.to_csv()
