@@ -69,7 +69,7 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
         q -= r
         q.flat[:: m + 1] = np.inf
         i, j = divmod(int(np.argmin(q)), m)
-        if i > j:  # argmin scans row-major, so this should not trigger
+        if i > j:  # Q is not bit-symmetric: q[i, j] rounded below q[j, i]
             i, j = j, i
         li = 0.5 * d[i, j] + (r[i] - r[j]) / (2 * (m - 2))
         lj = d[i, j] - li
@@ -81,12 +81,12 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
             lj = 0.0
         nodes[i].length = li
         nodes[j].length = lj
-        nodes[i] = TreeNode(children=[nodes[i], nodes[j]])
-        nodes.pop(j)
+        joined = TreeNode(children=[nodes[i], nodes[j]])
         dnew = 0.5 * (d[i] + d[j] - d[i, j])
         d[i, :] = dnew
         d[:, i] = dnew
         d[i, i] = 0.0
+        nodes[i] = joined
         # drop row and column j: copy the four blocks around them
         out = spare[: (m - 1) * (m - 1)].reshape(m - 1, m - 1)
         out[:j, :j] = d[:j, :j]
@@ -94,6 +94,7 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
         out[j:, :j] = d[j + 1 :, :j]
         out[j:, j:] = d[j + 1 :, j + 1 :]
         buf, spare = spare, buf
+        nodes.pop(j)
 
     d = buf[:9].reshape(3, 3)
     dxy, dxz, dyz = d[0, 1], d[0, 2], d[1, 2]
