@@ -9,85 +9,61 @@ Spaces implemented: the p-leg spider (rooted three-leaf trees when
 p = 3), the three-leaf open book, and the two-dimensional space of
 rooted four-leaf trees with its Petersen-graph structure.  A Monte Carlo
 harness verifies the predicted limiting distributions by simulation.
+
+``import treestats`` loads no submodule: each name below is imported
+from its submodule on first access (PEP 562), so a command-line process
+compiles only the modules its subcommand runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import errors
-from .errors import TreeStatsError
-from .seqio import (
-    AlignedBlock,
-    DistanceMatrix,
-    GapMode,
-    TreeNode,
-    mismatch_distance,
-    parse_fasta,
-    parse_newick,
-    serialize_newick,
-    write_fasta,
-)
-from .njtree import (
-    TreeIndex,
-    induced_subtree,
-    neighbor_joining,
-    restrict_to_quartet,
-    restrict_to_triplet,
-    tree_distance_matrix,
-    tree_index,
-)
-from .spider import (
-    CENTER,
-    SpiderMeasureSummary,
-    SpiderPoint,
-    SpiderSample,
-    StickinessReport,
-    Verdict,
-    clt_interval,
-    intrinsic_mean,
-    net_moment,
-    spider_distance,
-    summarize,
-    theta,
-    thetas,
-)
-from .openbook import (
-    OpenBookPoint,
-    OpenBookSample,
-    SpineStickinessReport,
-    openbook_distance,
-    openbook_mean,
-    spine_clt,
-)
-from .t4space import (
-    PetersenProjection,
-    Quadrant,
-    Stratum,
-    T4MeanEstimate,
-    T4Point,
-    T4Sample,
-    all_splits,
-    book_partners,
-    compatible,
-    enumerate_quadrants,
-    geodesic_point,
-    petersen_projection,
-    spine_stickiness_t4,
-    stratum_of,
-    t4_distance,
-    t4_mean,
-    tree_type_newick,
-)
-from .mcsim import (
-    Exponential,
-    OpenBookLaw,
-    PointMass,
-    Regime,
-    SimReport,
-    SpiderLaw,
-    Uniform,
-    classify_law,
-    classify_openbook_law,
-    simulate,
-    simulate_openbook,
-    spine_coverage,
-)
+_EXPORTS = {
+    "errors": ("TreeStatsError",),
+    "seqio": (
+        "AlignedBlock", "DistanceMatrix", "GapMode", "TreeNode", "mismatch_distance",
+        "parse_fasta", "parse_newick", "serialize_newick", "write_fasta",
+    ),
+    "njtree": (
+        "TreeIndex", "induced_subtree", "neighbor_joining", "restrict_to_quartet",
+        "restrict_to_triplet", "tree_distance_matrix", "tree_index",
+    ),
+    "spider": (
+        "CENTER", "SpiderMeasureSummary", "SpiderPoint", "SpiderSample", "StickinessReport",
+        "Verdict", "clt_interval", "intrinsic_mean", "net_moment", "spider_distance",
+        "summarize", "theta", "thetas",
+    ),
+    "openbook": (
+        "OpenBookPoint", "OpenBookSample", "SpineStickinessReport", "openbook_distance",
+        "openbook_mean", "spine_clt",
+    ),
+    "t4space": (
+        "PetersenProjection", "Quadrant", "Stratum", "T4MeanEstimate", "T4Point", "T4Sample",
+        "all_splits", "book_partners", "compatible", "enumerate_quadrants", "geodesic_point",
+        "petersen_projection", "spine_stickiness_t4", "stratum_of", "t4_distance", "t4_mean",
+        "tree_type_newick",
+    ),
+    "mcsim": (
+        "Exponential", "OpenBookLaw", "PointMass", "Regime", "SimReport", "SpiderLaw",
+        "Uniform", "classify_law", "classify_openbook_law", "simulate", "simulate_openbook",
+        "spine_coverage",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["errors", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # the submodules themselves, such as treestats.errors
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,10 @@ means and stickiness verdicts), ``simulate`` (limit-law checks), and
 identical inputs and seed give byte-identical JSON output.
 
 Exit codes: 0 success, 1 internal error, 2 bad input or configuration.
+
+Only what ``dist`` and ``nj`` run is imported at module level; every other
+command imports its modules when it runs, so a process loads only the
+modules of its own subcommand.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import mcsim
-from . import pipeline
-from . import plots
-from . import t4space as t4
 from .errors import ConfigError, TreeStatsError
 from .seqio import DistanceMatrix, GapMode, mismatch_distance, parse_fasta, serialize_newick
 from .njtree import neighbor_joining
@@ -67,6 +67,8 @@ def cmd_nj(args) -> int:
 
 
 def cmd_sample_trees(args) -> int:
+    from . import pipeline
+
     block = parse_fasta(_read(args.fasta))
     groups = pipeline.load_groups(_read(args.groups))
     sample = pipeline.sample_trees(
@@ -77,6 +79,8 @@ def cmd_sample_trees(args) -> int:
 
 
 def cmd_mean(args) -> int:
+    from . import pipeline
+
     obj = _load_json(args.sample)
     detected = pipeline.detect_space(obj)
     space = args.space or detected
@@ -88,11 +92,15 @@ def cmd_mean(args) -> int:
     report = pipeline.mean_report(sample, space, args.tolerance)
     _write(pipeline.canonical_json(report), args.output)
     if args.plot:
+        from . import plots
+
         if space == "t3":
             from . import spider as sp
 
             svg = plots.spider_svg(sample, sp.intrinsic_mean(sample, args.tolerance))
         else:
+            from . import t4space as t4
+
             mean = t4.T4Point.from_dict(report["mean"], sample.labels)
             svg = plots.petersen_svg(sample, mean)
         Path(args.plot).write_text(svg, encoding="utf-8")
@@ -100,6 +108,8 @@ def cmd_mean(args) -> int:
 
 
 def cmd_sticky(args) -> int:
+    from . import pipeline
+
     obj = _load_json(args.input)
     axis = args.axis.split(",") if args.axis else None
     report = pipeline.sticky_report(obj, args.tolerance, axis)
@@ -108,6 +118,8 @@ def cmd_sticky(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import mcsim, pipeline
+
     law = mcsim.law_from_dict(_load_json(args.law))
     if isinstance(law, mcsim.SpiderLaw):
         report = mcsim.simulate(law, args.n, args.reps, args.seed)
@@ -121,6 +133,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import pipeline, plots
+
     obj = _load_json(args.sample)
     space = pipeline.detect_space(obj)
     sample = pipeline.load_sample(obj, space)

@@ -21,12 +21,15 @@ the reference the walk is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import TooFewTaxaError, UnknownTaxonError
 from .seqio import DistanceMatrix, TreeNode
-from .t4space import T4Point
+
+if TYPE_CHECKING:  # imported where used, so that dist and nj never load t4space
+    from .t4space import T4Point
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +258,8 @@ def restrict_to_quartet(index: TreeIndex, picks, labels) -> T4Point:
     ``labels`` name the point's leaves, one per pick in the same order
     (``picks`` itself to keep the leaf labels).
     """
+    from .t4space import T4Point
+
     return T4Point(labels, [
         (frozenset(lb for i, lb in enumerate(labels) if mask >> i & 1), length)
         for mask, length in _splits(index, picks, 4)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from statistics import NormalDist
 
 import numpy as np
 
@@ -193,6 +192,8 @@ def spine_bounds(x1_star, sd, n: int, confidence: float):
     """Normal interval ``(lo, hi, se)`` for the spine coordinate from the
     mean ``x1_star`` and sample standard deviation ``sd`` of ``x1`` over
     ``n`` points, ``lo`` cut at 0; the arguments may be arrays."""
+    from statistics import NormalDist  # loads fractions and decimal: only here
+
     se = sd / math.sqrt(n)
     half = NormalDist().inv_cdf(0.5 + confidence / 2.0) * se
     return np.maximum(0.0, x1_star - half), x1_star + half, se

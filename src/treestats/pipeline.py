@@ -13,6 +13,9 @@ Group labels are sorted; for 3 groups the spider legs are numbered
 
 which in letter notation (a, b, c for the sorted groups) reads
 ``((a,b),c)``, ``((a,c),b)``, ``((b,c),a)``.
+
+``t4space`` is imported on the four-leaf paths only, so three-leaf
+commands never load it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .njtree import (
 from .seqio import AlignedBlock, GapMode, mismatch_distance
 from . import openbook as ob
 from . import spider as sp
-from . import t4space as t4
 
 
 def canonical_json(obj) -> str:
@@ -123,6 +125,8 @@ def sample_trees(
             t4_points.append(restrict_to_quartet(index, picks, group_names))
     if k == 3:
         return sp.SpiderSample.from_arrays(3, legs, coords)
+    from . import t4space as t4
+
     return t4.T4Sample(tuple(group_names), tuple(t4_points))
 
 
@@ -148,6 +152,8 @@ def load_sample(obj: dict, space: str):
     if space == "t3":
         return sp.SpiderSample.from_dict(obj)
     if space == "t4":
+        from . import t4space as t4
+
         return t4.T4Sample.from_dict(obj)
     if space == "openbook":
         return ob.OpenBookSample.from_dict(obj)
@@ -167,6 +173,8 @@ def mean_report(sample, space: str, tolerance: float = 0.0) -> dict:
         out.update(report.to_dict())
         return out
     if space == "t4":
+        from . import t4space as t4
+
         sp.check_tolerance(tolerance)  # unused by the t4 mean, still checked
         estimate = t4.t4_mean(sample)
         return {
@@ -190,7 +198,7 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
     if "w" in obj and "nu" in obj:
         summary = sp.SpiderMeasureSummary(
             int(obj.get("p", len(obj["w"]))),
-            float(obj.get("w0", 0.0)),
+            obj.get("w0", 0.0),
             tuple(obj["w"]),
             tuple(obj["nu"]),
         )
@@ -207,6 +215,8 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
         return mean_report(sample, "openbook", tolerance)
     if axis is None:
         raise ConfigError("tree-space stickiness needs --axis (the spine cluster)")
+    from . import t4space as t4
+
     cluster = frozenset(axis)
     report = t4.spine_stickiness_t4(sample, cluster, tolerance)
     partners = t4.book_partners(cluster, sample.labels)

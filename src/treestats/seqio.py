@@ -134,7 +134,12 @@ def write_fasta(block: AlignedBlock, width: int = 70) -> str:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix with zero diagonal over unique taxa."""
+    """Symmetric nonnegative matrix with zero diagonal over unique taxa.
+
+    Entries must also be small enough that neighbor joining cannot
+    overflow: its Q values are bounded by ``3 * n * max(d)``, which must
+    be finite.
+    """
 
     taxa: tuple[str, ...]
     d: np.ndarray = field(repr=False)
@@ -154,6 +159,10 @@ class DistanceMatrix:
         scale = max(1.0, float(np.abs(m).max()))
         if np.any(np.abs(m - m.T) > 1e-9 * scale):
             raise InvalidMatrixError("matrix is not symmetric")
+        if not np.isfinite(3.0 * n * scale):
+            raise InvalidMatrixError(
+                f"distances up to {scale!r} overflow neighbor joining on {n} taxa"
+            )
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
         m.flags.writeable = False
@@ -183,6 +192,14 @@ class DistanceMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistanceMatrix":
+        """Read the text of :meth:`to_csv`; blank lines and blanks around
+        cells are ignored.
+
+        The body is parsed in one ``np.loadtxt`` call, which reads the
+        same decimal forms as ``float`` (and ``inf``/``nan``, which the
+        matrix checks then reject) bit for bit, but not ``_`` digit
+        separators or non-ASCII digits.
+        """
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         if not lines:
             raise InvalidMatrixError("empty distance CSV")
@@ -191,16 +208,16 @@ class DistanceMatrix:
             raise InvalidMatrixError(
                 f"expected {len(taxa)} matrix rows, found {len(lines) - 1}"
             )
+        for k, ln in enumerate(lines[1:], 1):
+            if ln.count(",") != len(taxa) - 1:
+                raise InvalidMatrixError(
+                    f"matrix row {k} has {ln.count(',') + 1} entries, expected {len(taxa)}"
+                )
         try:
-            rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+            d = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise InvalidMatrixError(f"bad number in distance CSV: {exc}") from None
-        for k, row in enumerate(rows, 1):
-            if len(row) != len(taxa):
-                raise InvalidMatrixError(
-                    f"matrix row {k} has {len(row)} entries, expected {len(taxa)}"
-                )
-        return cls(taxa, np.array(rows))
+        return cls(taxa, d)
 
 
 # Columns per indicator block.  Counts are accumulated block by block, so

@@ -25,7 +25,6 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from statistics import NormalDist
 
 import numpy as np
 
@@ -294,6 +293,17 @@ class SpiderSample(ArraySample):
         return cls.from_arrays(obj.get("p"), codes, u, obj.get("weights") or None)
 
 
+def _summary_float(x, name: str, i: int | None = None) -> float:
+    """``x`` as a float; :class:`InvalidSampleError` names ``name[i]`` (or
+    ``name``) when it is not a number or an integer too large for a float."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        field = name if i is None else f"{name}[{i}]"
+        got = "an integer too large for a float" if isinstance(exc, OverflowError) else repr(x)
+        raise InvalidSampleError(f"summary {field} must be a finite number, got {got}") from None
+
+
 @dataclass(frozen=True)
 class SpiderMeasureSummary:
     """Per-leg masses, conditional means, and (optionally) second moments.
@@ -314,10 +324,12 @@ class SpiderMeasureSummary:
     m2: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(x) for x in self.w))
-        object.__setattr__(self, "nu", tuple(float(x) for x in self.nu))
-        if self.m2 is not None:
-            object.__setattr__(self, "m2", tuple(float(x) for x in self.m2))
+        object.__setattr__(self, "w0", _summary_float(self.w0, "w0"))
+        for name in ("w", "nu", "m2"):
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, tuple(
+                    _summary_float(x, name, i) for i, x in enumerate(values)))
         for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu),
                              ("m2", self.m2 or ())):
             if not all(map(math.isfinite, values)):
@@ -587,6 +599,8 @@ def clt_interval(
     s = np.where(sample.codes == leg, sample.u, -sample.u)  # other legs folded negative
     m = float(s.mean())
     se = float(s.std(ddof=1)) / math.sqrt(n)
+    from statistics import NormalDist  # loads fractions and decimal: only here
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     if report.verdict.kind == "non_sticky":
         lo, hi = m - z * se, m + z * se

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.stats import binom
 
-from treestats.errors import NoComparableSitesError
+from treestats.errors import InvalidMatrixError, NoComparableSitesError
 from treestats.njtree import induced_subtree
 from treestats.seqio import DistanceMatrix, GapMode, TreeNode
 from treestats.t4space import (
@@ -92,6 +92,30 @@ def distance_csv_per_cell(dm):
     for row in dm.d:
         lines.append(",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def distance_csv_float_cells(text):
+    """``DistanceMatrix.from_csv`` with ``float`` called on every cell.
+
+    The direct form of the parser, which reads the body in one
+    ``np.loadtxt`` call.
+    """
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidMatrixError("empty distance CSV")
+    taxa = tuple(t.strip() for t in lines[0].split(","))
+    if len(lines) != len(taxa) + 1:
+        raise InvalidMatrixError(f"expected {len(taxa)} matrix rows, found {len(lines) - 1}")
+    try:
+        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise InvalidMatrixError(f"bad number in distance CSV: {exc}") from None
+    for k, row in enumerate(rows, 1):
+        if len(row) != len(taxa):
+            raise InvalidMatrixError(
+                f"matrix row {k} has {len(row)} entries, expected {len(taxa)}"
+            )
+    return DistanceMatrix(taxa, np.array(rows))
 
 
 # --------------------------------------------------------------------------

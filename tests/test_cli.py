@@ -77,14 +77,97 @@ sys.meta_path.insert(0, NoScipy())
 """
 
 
-def run_without_scipy(script: str) -> None:
-    """Run ``script`` in a fresh interpreter (this one has scipy loaded by
-    other tests) in which importing scipy raises ModuleNotFoundError."""
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter (this one has every module loaded
+    by other tests); returns its standard output."""
     src = str(Path(treestats.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY + script], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def run_without_scipy(script: str) -> None:
+    """Run ``script`` in a fresh interpreter in which importing scipy raises
+    ModuleNotFoundError."""
+    run_fresh(NO_SCIPY + script)
+
+
+# treestats submodules each subcommand's process loads (README, Conventions)
+CLI_MODULES = {"cli", "errors", "njtree", "seqio"}
+T3_MODULES = CLI_MODULES | {"openbook", "pipeline", "spider"}
+T4_MODULES = T3_MODULES | {"t4space"}
+SIMULATE_MODULES = T3_MODULES | {"kolmogorov", "mcsim"}
+
+
+class TestModulesPerCommand:
+    """A subcommand's process imports only the modules the command runs."""
+
+    @pytest.fixture()
+    def inputs(self, toy, tmp_path):
+        fasta, groups3, groups4 = toy
+        files = {"fasta": fasta, "groups3": groups3, "groups4": groups4,
+                 "law": DATA / "law_dominant.json",
+                 "book_law": DATA / "law_openbook_symmetric.json"}
+        for name in ("d.csv", "s3.json", "s4.json"):
+            files[name] = tmp_path / name
+        main(["dist", str(fasta), "-o", str(files["d.csv"])])
+        for k in (3, 4):
+            main(["sample-trees", str(fasta), "--groups", str(files[f"groups{k}"]),
+                  "--k", str(k), "--reps", "20", "-o", str(files[f"s{k}.json"])])
+        return files
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--version"], CLI_MODULES),
+        (["dist", "fasta"], CLI_MODULES),
+        (["nj", "d.csv"], CLI_MODULES),
+        (["sample-trees", "fasta", "--groups", "groups3", "--k", "3"], T3_MODULES),
+        (["mean", "s3.json"], T3_MODULES),
+        (["sticky", "s3.json"], T3_MODULES),
+        (["sample-trees", "fasta", "--groups", "groups4", "--k", "4"], T4_MODULES),
+        (["mean", "s4.json"], T4_MODULES),
+        (["simulate", "law", "--n", "20", "--reps", "10"], SIMULATE_MODULES),
+        (["simulate", "book_law", "--n", "20", "--reps", "10"], SIMULATE_MODULES),
+    ], ids=["version", "dist", "nj", "sample_trees_k3", "mean_t3", "sticky_t3",
+            "sample_trees_k4", "mean_t4", "simulate_spider", "simulate_openbook"])
+    def test_loaded_modules(self, inputs, tmp_path, argv, expected):
+        argv = [str(inputs.get(a, a)) for a in argv]
+        if argv[0] != "--version":
+            argv += ["-o", str(tmp_path / "out")]
+        out = run_fresh(f"""
+import sys
+from treestats.cli import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:  # --version
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith(("treestats.", "statistics"))))
+""")
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == "0"
+        assert set(loaded) == {f"treestats.{m}" for m in expected}
+
+    def test_import_treestats_loads_nothing(self):
+        out = run_fresh("""
+import sys
+import treestats
+print(*sorted(m for m in sys.modules if m.startswith(("treestats", "numpy"))))
+""")
+        assert out.split() == ["treestats"]
+
+    def test_every_export_resolves(self):
+        import importlib
+
+        listed = dir(treestats)
+        for name in treestats.__all__:
+            module = importlib.import_module(f"treestats.{treestats._MODULE_OF.get(name, name)}")
+            expected = module if name == "errors" else getattr(module, name)
+            assert getattr(treestats, name) is expected, name
+            assert name in listed
+        assert "T4Point" in treestats.__all__ and "simulate" in treestats.__all__
+        with pytest.raises(AttributeError, match="no_such_name"):
+            treestats.no_such_name
 
 
 class TestImports:
@@ -389,6 +472,12 @@ class TestSampleJsonRoundTrip:
         assert OpenBookSample.from_dict(s.to_dict()) == s
 
 
+def uniform_csv(n, value):
+    """Distance CSV of ``n`` taxa with every off-diagonal entry ``value``."""
+    rows = [",".join("0" if i == j else value for j in range(n)) for i in range(n)]
+    return "\n".join([",".join(f"t{i}" for i in range(n)), *rows]) + "\n"
+
+
 class TestMoreCliEdges:
     def test_nj_too_few_taxa_exit_2(self, tmp_path, capsys):
         csv = tmp_path / "two.csv"
@@ -400,6 +489,11 @@ class TestMoreCliEdges:
         ("a,b,c\n0,1,2\n1,0\n2,3,0\n", "matrix row 2 has 2 entries, expected 3"),
         ("a,b,c\n0,1,2\n1,0,3,4\n2,3,0\n", "matrix row 2 has 4 entries, expected 3"),
         ("a,b,a\n0,1,2\n1,0,3\n2,3,0\n", "duplicate taxon label 'a'"),
+        # NJ overflow: these gave (a:0,b:0,c:0); and nan branch lengths with exit 0
+        pytest.param(uniform_csv(3, "1e308"), "overflow neighbor joining on 3 taxa",
+                     id="overflow_3"),
+        pytest.param(uniform_csv(20, "1e307"), "overflow neighbor joining on 20 taxa",
+                     id="overflow_20"),
     ])
     def test_nj_bad_matrix_exit_2(self, tmp_path, capsys, text, message):
         csv = tmp_path / "bad.csv"
@@ -489,6 +583,9 @@ class TestBadSampleExit2:
          {**T4_DOC, "points": [*T4_DOC["points"],
                                {"splits": [{"cluster": ["a", "c"], "length": 10**400}]}]},
          "points[1].splits"),
+        (["sticky"], {"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 10**400]}, "nu[2]"),
+        (["sticky"], {"p": 3, "w": [10**400, 0.5, 0.3], "nu": [1, 1, 1]}, "w[0]"),
+        (["sticky"], {"p": 3, "w0": 10**400, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "w0"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_csv_per_cell, mismatch_distance_loop
+from oracles import distance_csv_float_cells, distance_csv_per_cell, mismatch_distance_loop
 from treestats import seqio
 from treestats.errors import (
     AlignmentLengthError,
@@ -262,6 +262,78 @@ class TestDistanceCSVEqualsPerCellOracle:
         dm = symmetric(3, [-0.0, 0.0, 0.5])
         assert dm.to_csv() == "t0,t1,t2\n0.0,-0.0,0.0\n-0.0,0.0,0.5\n0.0,0.5,0.0\n"
         assert dm.to_csv() == distance_csv_per_cell(dm)
+
+
+# the same value written several ways, with blanks around cells and
+# blank lines between rows, all of which from_csv must read alike
+cell_text = st.sampled_from([repr, "{:.17g}".format, "{:.17e}".format, "{:.6g}".format])
+blanks = st.text(" \t", max_size=2)
+
+
+@st.composite
+def padded_csv(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    upper = draw(st.lists(csv_values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    dm = symmetric(n, upper)
+    rows = [[draw(blanks) + draw(cell_text)(x) + draw(blanks) for x in row]
+            for row in dm.d.tolist()]
+    lines = []
+    for line in [",".join(dm.taxa), *map(",".join, rows)]:
+        lines += [*draw(st.lists(blanks, max_size=2)), line]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n \n\t\n"]))
+
+
+def parse_both(text):
+    """(result or error message) of from_csv and of its per-cell oracle."""
+    out = []
+    for parse in (DistanceMatrix.from_csv, distance_csv_float_cells):
+        try:
+            out.append(parse(text))
+        except InvalidMatrixError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestDistanceCSVParserEqualsFloatOracle:
+    """from_csv reads the body in one call and gets float's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_csv())
+    def test_same_bits(self, text):
+        new, old = parse_both(text)
+        if isinstance(old, str):  # .6g can break symmetry: the same error then
+            assert new == old
+            return
+        assert new.taxa == old.taxa
+        assert np.array_equal(new.d.view(np.int64), old.d.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_csv(max_n=6).filter(lambda t: "," in t), st.data())
+    def test_same_errors(self, text, data):
+        lines = text.split("\n")
+        k = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if "," in ln][1:] or [0]))
+        cells = lines[k].split(",")
+        edit = data.draw(st.sampled_from(["drop", "add", "bad"]))
+        if edit == "drop":
+            del cells[-1]
+        elif edit == "add":
+            cells.append("0.5")
+        else:
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+                st.sampled_from(["x", "", " ", "1e", "0x10", "--1", "1 2", "#1"]))
+        lines[k] = ",".join(cells)
+        new, old = parse_both("\n".join(lines))
+        if k == 0 or edit != "bad":  # header or row length: the same message
+            assert new == old
+        else:
+            assert new.startswith("bad number in distance CSV: ")
+            assert old.startswith("bad number in distance CSV: ")
+
+    def test_edge_values(self):
+        text = "a,b,c\n\n 0 ,-0.0,5e-324\n\t-0.0, 0,1e300 \n  \n5e-324,1e300,0\n\n"
+        new, old = parse_both(text)
+        assert np.array_equal(new.d.view(np.int64), old.d.view(np.int64))
+        assert np.signbit(new.d[0, 1]) and new.d[0, 2] == 5e-324
 
 
 def random_tree(rng, n_leaves):
