@@ -23,11 +23,11 @@ _EXPORTS = {
     "errors": ("TreeStatsError",),
     "seqio": (
         "AlignedBlock", "DistanceMatrix", "GapMode", "TreeNode", "mismatch_distance",
-        "parse_fasta", "parse_newick", "serialize_newick", "write_fasta",
+        "parse_fasta", "parse_newick", "serialize_newick",
     ),
     "njtree": (
         "TreeIndex", "induced_subtree", "neighbor_joining", "restrict_to_quartet",
-        "restrict_to_triplet", "tree_distance_matrix", "tree_index",
+        "restrict_to_triplet", "tree_index",
     ),
     "spider": (
         "CENTER", "SpiderMeasureSummary", "SpiderPoint", "SpiderSample", "StickinessReport",

@@ -101,8 +101,7 @@ def cmd_mean(args) -> int:
         else:
             from . import t4space as t4
 
-            mean = t4.T4Point.from_dict(report["mean"], sample.labels)
-            svg = plots.petersen_svg(sample, mean)
+            svg = plots.petersen_svg(sample, t4.t4_mean(sample).mean)
         Path(args.plot).write_text(svg, encoding="utf-8")
     return 0
 

@@ -5,31 +5,29 @@ The output is rooted at the final three-way join; that rooting is an
 artifact of the algorithm's termination, not a biological statement, and
 restriction treats the root as a fifth (or fourth) terminal.
 
-Restriction reads one :class:`TreeIndex` per tree (a parent link and an
-edge length per node) and walks up from the k <= 4 picked leaves: a node
-is kept where the set of picks below it grows, and a suppressed node adds
-its length to the kept edge below it.  Each kept edge below the root
-splits off 2..k-1 picks.  When the root keeps exactly two children, each
-above two picks, the two edges are one unrooted split: they merge into
-the side holding the first pick, with the lengths summed.
-:func:`restrict_to_triplet` gives a 3-spider leg and coordinate and
-:func:`restrict_to_quartet` a :class:`~treestats.t4space.T4Point`.
+Restriction reads one :class:`TreeIndex` per tree (parent links, edge
+lengths and preorder subtree ends as arrays) and restricts every
+repetition at once: each row of an (m, k) array of picked leaves, k <= 4.
+A node is kept where the set of picks below it grows: the picks and the
+lowest common ancestors of picks that are neighbours in preorder.  A
+suppressed node adds its length to the kept edge below it.  Each kept
+edge below the root splits off 2..k-1 picks.  When the root keeps
+exactly two children, each above two picks, the two edges are one
+unrooted split: they merge into the side holding the first pick, with
+the lengths summed.  :func:`restrict_to_triplet` gives 3-spider legs and
+coordinates, :func:`restrict_to_quartet` split bitmasks and lengths.
 :func:`induced_subtree` prunes a copy of the tree instead, and is kept as
-the reference the walk is tested against.
+the reference the restriction is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import TooFewTaxaError, UnknownTaxonError
 from .seqio import DistanceMatrix, TreeNode
-
-if TYPE_CHECKING:  # imported where used, so that dist and nj never load t4space
-    from .t4space import T4Point
 
 
 # --------------------------------------------------------------------------
@@ -107,31 +105,6 @@ def neighbor_joining(dm: DistanceMatrix) -> TreeNode:
     return TreeNode(children=nodes)
 
 
-def tree_distance_matrix(tree: TreeNode) -> DistanceMatrix:
-    """Pairwise leaf-to-leaf path lengths of a tree."""
-    leaves = tree.leaves()
-    labels = tuple(lf.label for lf in leaves)
-    n = len(labels)
-    d = np.zeros((n, n))
-    index = {id(lf): k for k, lf in enumerate(leaves)}
-
-    # depth-first accumulation: distances between leaves meet at their LCA
-    def below(node) -> dict[int, float]:
-        if node.is_leaf():
-            return {index[id(node)]: 0.0}
-        mine: dict[int, float] = {}
-        for child in node.children:
-            sub = {k: v + child.length for k, v in below(child).items()}
-            for k1, v1 in mine.items():
-                for k2, v2 in sub.items():
-                    d[k1, k2] = d[k2, k1] = v1 + v2
-            mine.update(sub)
-        return mine
-
-    below(tree)
-    return DistanceMatrix(labels, d)
-
-
 # --------------------------------------------------------------------------
 # restriction to leaf subsets
 # --------------------------------------------------------------------------
@@ -168,18 +141,32 @@ def induced_subtree(tree: TreeNode, labels) -> TreeNode:
     return TreeNode(tree.label, 0.0, kept)
 
 
-@dataclass(frozen=True)
+
+
+@dataclass(frozen=True, eq=False)
 class TreeIndex:
     """Parent links of a tree: nodes numbered in preorder, the root is 0.
 
     ``parent[v]`` is the parent of node ``v`` (-1 at the root),
-    ``length[v]`` the length of the edge above it, and ``leaf`` maps each
-    leaf label to its node.
+    ``length[v]`` the length of the edge above it and ``end[v]`` one past
+    the last node of its subtree, so ``u`` is ``v`` or an ancestor of it
+    exactly when ``u <= v < end[u]``.  ``leaf`` maps each leaf label to
+    its node.
     """
 
-    parent: tuple
-    length: tuple
+    parent: np.ndarray
+    length: np.ndarray
+    end: np.ndarray
     leaf: dict
+
+    def nodes(self, labels) -> np.ndarray:
+        """The leaf nodes of an array-like of leaf labels, in its shape."""
+        labels = np.asarray(labels, dtype=object)
+        try:
+            nodes = [self.leaf[lb] for lb in labels.flat]
+        except KeyError as exc:
+            raise UnknownTaxonError(f"{exc.args[0]!r} is not a leaf of the tree") from None
+        return np.array(nodes, dtype=np.int64).reshape(labels.shape)
 
 
 def tree_index(tree: TreeNode) -> TreeIndex:
@@ -193,74 +180,90 @@ def tree_index(tree: TreeNode) -> TreeIndex:
         stack.extend((child, len(parent)) for child in reversed(node.children))
         parent.append(up)
         length.append(node.length)
-    return TreeIndex(tuple(parent), tuple(length), leaf)
+    end = list(range(1, len(parent) + 1))
+    for v in range(len(parent) - 1, 0, -1):  # a subtree closes before its parent's
+        end[parent[v]] = max(end[parent[v]], end[v])
+    return TreeIndex(np.array(parent), np.array(length, dtype=float), np.array(end), leaf)
 
 
-def _splits(index: TreeIndex, picks, k: int) -> list[tuple[int, float]]:
-    """(bitmask of the picks below, length) of each split of the restriction.
+def _restrict(index: TreeIndex, picks, k: int):
+    """Bitmasks and lengths of the kept edges of every row's restriction.
 
-    Bit i stands for ``picks[i]``.  Lengths are summed upward from the
-    kept node, the order :func:`induced_subtree` sums them in, and may be 0.
+    ``picks`` is an (m, k) array of leaf nodes, distinct in each row; bit
+    i of a mask stands for column i.  Returns two (m, 2k - 1) arrays, one
+    column per kept node: the picks below it, and the length of the edge
+    above it where that edge is a split, 0 elsewhere.  Lengths are summed
+    upward from the kept node, the order :func:`induced_subtree` sums them
+    in, and may be 0.
     """
-    if len(picks) != k:
-        raise ValueError(f"restriction needs {k} leaves, got {len(picks)}")
-    try:
-        nodes = [index.leaf[p] for p in picks]
-    except KeyError as exc:
-        raise UnknownTaxonError(f"{exc.args[0]!r} is not a leaf of the tree") from None
-    if len(set(nodes)) != k:
-        raise UnknownTaxonError(f"repeated labels in {list(picks)}")
-    parent, length = index.parent, index.length
-    below = {}
-    for bit, v in enumerate(nodes):
-        while v:
-            below[v] = below.get(v, 0) | 1 << bit
-            v = parent[v]
-    edges, at_root, todo, seen = [], [], list(nodes), set()
-    while todo:
-        v = todo.pop()
-        mask, total, up = below[v], length[v], parent[v]
-        while up and below[up] == mask:  # suppressed: one kept child
-            total += length[up]
-            up = parent[up]
-        if not up:
-            at_root.append((mask, total))
-        elif up not in seen:
-            seen.add(up)
-            todo.append(up)
-        edges.append((mask, total))
-    if len(at_root) == 2 and all(m.bit_count() == 2 for m, _ in at_root):
-        (m1, l1), (m2, l2) = at_root
-        return [(m1 if m1 & 1 else m2, l1 + l2)]
-    return [(m, l) for m, l in edges if 2 <= m.bit_count() < k]
+    picks = np.asarray(picks)
+    if picks.ndim != 2 or picks.shape[1] != k:
+        raise ValueError(f"restriction needs {k} leaves per row, got shape {picks.shape}")
+    parent, length, end = index.parent, index.length, index.end
+    ordered = np.sort(picks, axis=1)  # in preorder
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        label = {v: lb for lb, v in index.leaf.items()}
+        raise UnknownTaxonError(f"repeated labels in {[label[v] for v in picks[repeated][0]]}")
+    # the kept inner nodes are the lowest common ancestors of picks that
+    # are neighbours in preorder: climb from the first until the second
+    # lies below
+    lca, second = ordered[:, :-1].flatten(), ordered[:, 1:].flatten()
+    todo = np.flatnonzero(end[lca] <= second)
+    while todo.size:
+        lca[todo] = parent[lca[todo]]
+        todo = todo[end[lca[todo]] <= second[todo]]
+    kept = np.concatenate([picks, lca.reshape(-1, k - 1)], axis=1)
+    # the picks below each kept node, and the kept node above it: its
+    # lowest kept proper ancestor, else the root
+    below = (kept[:, :, None] <= picks[:, None]) & (picks[:, None] < end[kept][:, :, None])
+    masks = below @ (1 << np.arange(k))
+    above = (kept[:, None] < kept[:, :, None]) & (kept[:, :, None] < end[kept][:, None])
+    top = np.where(above, kept[:, None], 0).max(axis=2)
+    edge = (kept != 0) & ~np.tril(kept[:, :, None] == kept[:, None], -1).any(axis=2)
+    count = below.sum(axis=2)
+    split = edge & (count >= 2) & (count < k)
+    # a split's length: its own edge, then those of the suppressed nodes
+    # up to the kept node above, added one at a time
+    total, up, stop = length[kept[split]], parent[kept[split]], top[split]
+    todo = np.flatnonzero(up != stop)
+    while todo.size:
+        total[todo] += length[up[todo]]
+        up[todo] = parent[up[todo]]
+        todo = todo[up[todo] != stop[todo]]
+    lengths = np.zeros(kept.shape)
+    lengths[split] = total
+    # a root with exactly two kept children, two picks below each: the two
+    # edges are one unrooted split, on the side of the first pick
+    at_root = edge & (top == 0)
+    merge = (at_root.sum(axis=1) == 2) & ((at_root & (count == 2)).sum(axis=1) == 2)
+    side = at_root[merge] & (masks[merge] & 1 == 1)
+    lengths[merge] = np.where(side, lengths[merge].sum(axis=1)[:, None], 0.0)  # l1 + l2
+    return masks, lengths
 
 
-# leg of a 3-spider by the pick positions of its cherry (bit i = picks[i])
-_LEGS = {0b011: 1, 0b101: 2, 0b110: 3}
+# leg of a 3-spider by the bitmask of its cherry (bit i = column i of the picks)
+_LEGS = np.array([0, 0, 0, 1, 0, 2, 3, 0])
 
 
-def restrict_to_triplet(index: TreeIndex, picks) -> tuple[int, float]:
-    """Project an indexed tree onto three of its leaves as a 3-spider point.
+def restrict_to_triplet(index: TreeIndex, picks):
+    """Project an indexed tree onto three of its leaves per row, as 3-spider points.
 
-    Returns ``(leg, u)``: leg 1, 2 or 3 for the cherry of the first and
-    second, first and third, or second and third pick, and the interior
-    edge length; ``(0, 0.0)`` for the star.
+    ``picks`` is an (m, 3) array of leaf nodes (:meth:`TreeIndex.nodes`).
+    Returns the legs and coordinates, (m,) each: leg 1, 2 or 3 for the
+    cherry of the first and second, first and third, or second and third
+    pick, and the interior edge length; leg 0 and 0.0 for the star.
     """
-    for mask, length in _splits(index, picks, 3):
-        if length:
-            return _LEGS[mask], length
-    return 0, 0.0
+    masks, lengths = _restrict(index, picks, 3)  # at most one split per row
+    return (_LEGS[masks] * (lengths != 0)).sum(axis=1), lengths.sum(axis=1)
 
 
-def restrict_to_quartet(index: TreeIndex, picks, labels) -> T4Point:
-    """Project an indexed tree onto four of its leaves as a four-leaf tree.
+def restrict_to_quartet(index: TreeIndex, picks):
+    """Project an indexed tree onto four of its leaves per row.
 
-    ``labels`` name the point's leaves, one per pick in the same order
-    (``picks`` itself to keep the leaf labels).
+    ``picks`` is an (m, 4) array of leaf nodes (:meth:`TreeIndex.nodes`).
+    Returns the bitmasks (bit i = column i) and lengths of the kept edges,
+    (m, 7) each, with length 0 on the edges that are not splits:
+    :meth:`~treestats.t4space.T4Sample.from_splits` reads them as a sample.
     """
-    from .t4space import T4Point
-
-    return T4Point(labels, [
-        (frozenset(lb for i, lb in enumerate(labels) if mask >> i & 1), length)
-        for mask, length in _splits(index, picks, 4)
-    ])
+    return _restrict(index, picks, 4)

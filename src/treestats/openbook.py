@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +90,9 @@ class OpenBookSample(ArraySample):
     """
 
     _code = "leaf"
+    _coords = ("x1", "x2")
     _eq_fields = ("codes", "x1", "x2")
+    _point = OpenBookPoint
 
     def __init__(self, points=(), weights=None):
         points = tuple(points)
@@ -107,16 +108,9 @@ class OpenBookSample(ArraySample):
         sample._store(N_LEAVES, leaf_codes, weights, x1=x1, x2=x2)
         return sample
 
-    @cached_property
-    def points(self) -> tuple[OpenBookPoint, ...]:
-        return tuple(
-            OpenBookPoint(int(c) if c else None, float(a), float(b))
-            for c, a, b in zip(self.codes, self.x1, self.x2)
-        )
-
     @classmethod
     def from_dict(cls, obj: dict) -> "OpenBookSample":
-        codes, x1, x2 = cls._json_columns(obj, "x1", "x2")
+        codes, x1, x2 = cls._json_columns(obj, *cls._coords)
         return cls.from_arrays(codes, x1, x2, obj.get("weights") or None)
 
 

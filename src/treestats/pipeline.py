@@ -5,7 +5,9 @@ assigned to k groups (k = 3 or 4); each repetition picks one taxon per
 group at random, the neighbor-joining tree of the full alignment is
 restricted to the picked taxa (with the root as an extra terminal), and
 the restriction becomes one spider point (k = 3) or one tree-space point
-(k = 4) whose coordinates are labeled by group.
+(k = 4) whose coordinates are labeled by group.  All picks are drawn at
+once and every repetition is restricted in one array pass, straight
+into the arrays of a SpiderSample or T4Sample.
 
 Group labels are sorted; for 3 groups the spider legs are numbered
 
@@ -76,6 +78,14 @@ def spider_tree_type(leg: int | None) -> str:
     }[leg]
 
 
+def draw_picks(pools, reps: int, seed: int) -> np.ndarray:
+    """One seeded pick per repetition and pool, (reps, len(pools)), drawn at
+    once: the picks of ``rng.choice(pool)`` per repetition, pool after pool."""
+    draws = np.random.default_rng(seed).integers(0, [len(p) for p in pools],
+                                                 size=(reps, len(pools)))
+    return np.stack([np.asarray(p)[draws[:, i]] for i, p in enumerate(pools)], axis=1)
+
+
 def sample_trees(
     block: AlignedBlock,
     groups: dict[str, str],
@@ -103,31 +113,18 @@ def sample_trees(
     group_names = sorted(members)
     if len(group_names) != k:
         raise ConfigError(f"need exactly {k} groups, found {len(group_names)}")
-    for g in group_names:
-        if not members[g]:
-            raise ConfigError(f"group {g!r} is empty")
+    for g in group_names:  # none is empty: a group exists once a taxon names it
         members[g].sort()
 
     index = tree_index(neighbor_joining(mismatch_distance(block, gap_mode, strict_n)))
-    # arrays once, so that rng.choice does not convert a list per draw
-    pools = [np.array(members[g]) for g in group_names]
-    rng = np.random.default_rng(seed)
-    legs, coords, t4_points = [], [], []
-    for _ in range(reps):
-        # picks in sorted-group order, so the restriction's merge rule is
-        # the same in group space on every repetition
-        picks = [str(rng.choice(pool)) for pool in pools]
-        if k == 3:
-            leg, u = restrict_to_triplet(index, picks)
-            legs.append(leg)
-            coords.append(u)
-        else:
-            t4_points.append(restrict_to_quartet(index, picks, group_names))
+    # picks in sorted-group order, so that the restriction's merge rule is
+    # the same in group space on every repetition
+    picks = draw_picks([index.nodes(members[g]) for g in group_names], reps, seed)
     if k == 3:
-        return sp.SpiderSample.from_arrays(3, legs, coords)
+        return sp.SpiderSample.from_arrays(3, *restrict_to_triplet(index, picks))
     from . import t4space as t4
 
-    return t4.T4Sample(tuple(group_names), tuple(t4_points))
+    return t4.T4Sample.from_splits(group_names, *restrict_to_quartet(index, picks))
 
 
 # --------------------------------------------------------------------------
@@ -196,12 +193,9 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
     pick the open-book spine.
     """
     if "w" in obj and "nu" in obj:
-        summary = sp.SpiderMeasureSummary(
-            int(obj.get("p", len(obj["w"]))),
-            obj.get("w0", 0.0),
-            tuple(obj["w"]),
-            tuple(obj["nu"]),
-        )
+        w = obj["w"]
+        p = obj.get("p", len(w) if isinstance(w, list) else None)  # checked by the summary
+        summary = sp.SpiderMeasureSummary(p, obj.get("w0", 0.0), w, obj["nu"])
         report = sp.intrinsic_mean(summary, tolerance)
         out = {"space": "t3", "input": "summary",
                "tree_type": spider_tree_type(report.mean.leg)}

@@ -119,15 +119,6 @@ def parse_fasta(text: str) -> AlignedBlock:
     return AlignedBlock(tuple(taxa), tuple("".join(c) for c in chunks))
 
 
-def write_fasta(block: AlignedBlock, width: int = 70) -> str:
-    out = []
-    for taxon, row in zip(block.taxa, block.rows):
-        out.append(f">{taxon}")
-        for i in range(0, len(row), width):
-            out.append(row[i : i + width])
-    return "\n".join(out) + "\n"
-
-
 # --------------------------------------------------------------------------
 # distance matrices
 # --------------------------------------------------------------------------

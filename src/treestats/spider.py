@@ -115,16 +115,19 @@ def json_points(obj) -> list[dict]:
 
 
 class ArraySample:
-    """Base of the spider and open-book samples: read-only arrays plus weights.
+    """Base of the spider, open-book and tree-space samples: read-only arrays.
 
     A sample holds ``codes`` (the leg or leaf of each point, 0 for the
-    center or spine), one array per coordinate, ``weights`` (``None`` for
-    uniform) and ``_w``, the per-point weights with uniform ones filled
-    in.  ``points`` is built from the arrays on first access, and ``==``
-    compares ``weights`` and the attributes a subclass lists in ``_eq_fields``.
+    center or spine; a tree-space point's support class), its coordinate
+    arrays, ``weights`` (``None`` for uniform) and ``_w``, the per-point
+    weights with uniform ones filled in.  ``points`` (of the class
+    ``_point``) is built from the arrays on first access, ``==`` compares
+    ``weights`` and the attributes listed in ``_eq_fields``, and
+    :meth:`to_dict` writes the arrays without building a point.
     """
 
     _code = "leg"  # field name of the codes in sample documents
+    _coords = ("u",)  # coordinate arrays, named as in sample documents
 
     def _store(self, n_codes: int, codes, weights, **coords):
         """Check and store the arrays; the last coordinate is the distance
@@ -161,14 +164,17 @@ class ArraySample:
             raise InvalidSampleError(
                 f"points[{i}].{self._code} must be in 1..{n_codes} where {name} > 0, got {codes[i]}"
             )
-        codes = np.where(off, codes, 0)
-        for x in (codes, *coords.values()):
+        self._keep(np.where(off, codes, 0), weights, **coords)
+
+    def _keep(self, codes, weights, **arrays):
+        """Store the arrays read-only, and the weights once checked."""
+        for x in (codes, *arrays.values()):
             x.flags.writeable = False
         n = codes.size
         if weights is not None:
             weights = validate_weights(weights, n)
         w = np.full(n, 1.0 / max(n, 1)) if weights is None else np.asarray(weights)
-        self.__dict__.update(coords, codes=codes, weights=weights, _w=w)
+        self.__dict__.update(arrays, codes=codes, weights=weights, _w=w)
 
     @classmethod
     def _json_columns(cls, obj, *coords: str) -> list[list]:
@@ -202,8 +208,25 @@ class ArraySample:
     def __repr__(self):
         return f"{type(self).__name__}(n={len(self)}, weights={self.weights})"
 
+    def _rows(self):
+        """Each point's code (``None`` for 0) and coordinates, as Python numbers."""
+        codes = [c or None for c in self.codes.tolist()]
+        return zip(codes, *(getattr(self, name).tolist() for name in self._coords))
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(self._point(*row) for row in self._rows())
+
+    def normalized_weights(self) -> np.ndarray:
+        return self._w
+
+    def _point_dicts(self) -> list[dict]:
+        """The points of a sample document, as the point classes' ``to_dict`` write them."""
+        names = (self._code, *self._coords)
+        return [dict(zip(names, row)) for row in self._rows()]
+
     def to_dict(self) -> dict:
-        out = {"points": [pt.to_dict() for pt in self.points]}
+        out = {"points": self._point_dicts()}
         if self.weights is not None:
             out["weights"] = list(self.weights)
         return out
@@ -258,6 +281,7 @@ class SpiderSample(ArraySample):
     """
 
     _eq_fields = ("p", "codes", "u")
+    _point = SpiderPoint
 
     def __init__(self, p: int, points=(), weights=None):
         points = tuple(points)
@@ -278,18 +302,12 @@ class SpiderSample(ArraySample):
         sample._set(p, leg_codes, u, weights)
         return sample
 
-    @cached_property
-    def points(self) -> tuple[SpiderPoint, ...]:
-        return tuple(
-            SpiderPoint(int(c) if c else None, float(x)) for c, x in zip(self.codes, self.u)
-        )
-
     def to_dict(self) -> dict:
         return {"p": self.p, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderSample":
-        codes, u = cls._json_columns(obj, "u")
+        codes, u = cls._json_columns(obj, *cls._coords)
         return cls.from_arrays(obj.get("p"), codes, u, obj.get("weights") or None)
 
 
@@ -328,8 +346,12 @@ class SpiderMeasureSummary:
         for name in ("w", "nu", "m2"):
             values = getattr(self, name)
             if values is not None:
+                if not isinstance(values, (list, tuple, np.ndarray)):
+                    raise InvalidSampleError(f"summary {name} must be a list, got {values!r}")
                 object.__setattr__(self, name, tuple(
                     _summary_float(x, name, i) for i, x in enumerate(values)))
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral) or self.p < 1:
+            raise InvalidSampleError(f"summary p must be an integer >= 1, got {self.p!r}")
         for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu),
                              ("m2", self.m2 or ())):
             if not all(map(math.isfinite, values)):

@@ -27,39 +27,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    EmptySampleError,
-    InvalidParameterError,
-    InvalidSampleError,
-    NotInBookError,
-    UndefinedProjectionError,
-)
+from .errors import (EmptySampleError, InvalidParameterError, InvalidSampleError,
+                     NotInBookError, UndefinedProjectionError)
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
-from .spider import json_points, validate_weights
+from .spider import ArraySample, _fits_float, json_points
 
 __all__ = [
-    "Quadrant",
-    "T4Point",
-    "T4Sample",
-    "T4MeanEstimate",
-    "Stratum",
-    "PetersenProjection",
-    "all_splits",
-    "compatible",
-    "enumerate_quadrants",
-    "t4_distance",
-    "geodesic_point",
-    "frechet_function",
-    "t4_mean",
-    "stratum_of",
-    "book_partners",
-    "spine_stickiness_t4",
-    "petersen_projection",
-    "tree_type_newick",
+    "Quadrant", "T4Point", "T4Sample", "T4MeanEstimate", "Stratum", "PetersenProjection",
+    "all_splits", "compatible", "enumerate_quadrants", "t4_distance", "geodesic_point",
+    "frechet_function", "t4_mean", "stratum_of", "book_partners", "spine_stickiness_t4",
+    "petersen_projection", "tree_type_newick",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -74,13 +56,8 @@ def all_splits(labels) -> list[frozenset]:
     labels = tuple(sorted(labels))
     if len(labels) != 4 or len(set(labels)) != 4:
         raise ValueError("exactly four distinct labels required")
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(frozenset((labels[i], labels[j])))
-    for i in range(4):
-        out.append(frozenset(labels) - {labels[i]})
-    return sorted(out, key=_split_key)
+    pairs_and_triples = [*combinations(labels, 2), *combinations(labels, 3)]
+    return sorted(map(frozenset, pairs_and_triples), key=_split_key)
 
 
 def compatible(a: frozenset, b: frozenset) -> bool:
@@ -141,6 +118,12 @@ class _Geometry:
         # support classes of points: the origin, the 10 axes, the 15 quadrants
         self.supports = [()] + [(s,) for s in self.splits] + self.quadrants
         self.support_class = {s: c for c, s in enumerate(self.supports)}
+        # split indices of each class's support, 10 for none, and back
+        none = len(self.splits)
+        self.pairs = np.array([([self.index[s] for s in sup] + [none, none])[:2]
+                               for sup in self.supports])
+        self.class_of = np.full((none + 1, none + 1), -1)  # -1: no point has that support
+        self.class_of[tuple(self.pairs.T)] = np.arange(len(self.supports))
         self.image_tables = [self._image_table(e, f) for e, f in self.quadrants]
 
     def _image_table(self, e, f) -> np.ndarray:
@@ -176,6 +159,9 @@ def _geometry(labels: tuple) -> _Geometry:
     return _Geometry(labels)
 
 
+_SUPPORT_RULE = "a four-leaf tree has at most two distinct compatible splits of 2 or 3 leaves"
+
+
 class T4Point:
     """A tree-space point: at most two compatible splits with positive lengths.
 
@@ -189,11 +175,9 @@ class T4Point:
         labels = tuple(sorted(labels))
         if len(labels) != 4 or len(set(labels)) != 4:
             raise InvalidSampleError("labels: exactly four distinct labels required")
-        universe = set(labels)
         items = []
         pairs = coords.items() if hasattr(coords, "items") else (coords or ())
         for cluster, length in pairs:
-            cluster = frozenset(cluster)
             try:
                 length = float(length)
             except OverflowError:  # an int too large for a float
@@ -202,20 +186,12 @@ class T4Point:
                 ) from None
             if not math.isfinite(length) or length < 0:
                 raise InvalidSampleError(f"splits: length must be finite and >= 0, got {length}")
-            if length == 0.0:
-                continue
-            if not (2 <= len(cluster) <= 3) or not cluster <= universe:
-                raise InvalidSampleError(f"splits: invalid cluster {set(cluster)}")
-            items.append((cluster, length))
-        items.sort(key=lambda cl: _split_key(cl[0]))
-        if len(items) > 2:
-            raise InvalidSampleError("splits: a four-leaf tree has at most two interior edges")
-        if len(set(c for c, _ in items)) != len(items):
-            raise InvalidSampleError("splits: repeated cluster")
-        if len(items) == 2 and not compatible(items[0][0], items[1][0]):
-            raise InvalidSampleError(
-                f"splits: incompatible splits {set(items[0][0])} and {set(items[1][0])}"
-            )
+            if length != 0.0:
+                items.append((frozenset(cluster), length))
+        geom = _geometry(labels)
+        items.sort(key=lambda cl: geom.index.get(cl[0], -1))  # canonical order
+        if tuple(c for c, _ in items) not in geom.support_class:
+            raise InvalidSampleError(f"splits: {_SUPPORT_RULE}, got {[set(c) for c, _ in items]}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_items", tuple(items))
 
@@ -259,21 +235,7 @@ class T4Point:
         return f"T4Point({parts})"
 
     def to_dict(self) -> dict:
-        return {
-            "splits": [
-                {"cluster": sorted(c), "length": l} for c, l in self._items
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict, labels) -> "T4Point":
-        splits = obj.get("splits")
-        if not isinstance(splits, list) or not all(
-            isinstance(s, dict) and _is_labels(s.get("cluster"))
-            and isinstance(s.get("length"), (int, float)) for s in splits
-        ):
-            raise InvalidSampleError("splits must be a list of {cluster, length} objects")
-        return cls(labels, {frozenset(s["cluster"]): s["length"] for s in splits})
+        return {"splits": [{"cluster": sorted(c), "length": l} for c, l in self._items]}
 
 
 def _is_labels(x) -> bool:
@@ -285,54 +247,107 @@ def origin(labels) -> T4Point:
     return T4Point(labels, {})
 
 
-@dataclass(frozen=True)
-class T4Sample:
-    """Sample of tree-space points over one shared label universe."""
+class T4Sample(ArraySample):
+    """Sample of tree-space points over one shared label universe, held as
+    read-only arrays (see :class:`~treestats.spider.ArraySample`): ``codes``,
+    each point's support class (0 the star tree, 1..10 an axis, 11..25 a
+    quadrant: ``_Geometry.supports``), and ``coords`` (n, 2), the lengths of
+    its support's splits in canonical order, 0 past them.
+    ``T4Sample(labels, points, weights)`` takes :class:`T4Point` objects,
+    :meth:`from_splits` split bitmasks and lengths.
+    """
 
-    labels: tuple
-    points: tuple[T4Point, ...]
-    weights: tuple[float, ...] | None = None
+    _eq_fields = ("labels", "codes", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
-        object.__setattr__(self, "points", tuple(self.points))
-        for pt in self.points:
-            if pt.labels != self.labels:
-                raise ValueError("all points must share the sample's labels")
-        if self.weights is not None:
-            w = validate_weights(self.weights, len(self.points))
-            object.__setattr__(self, "weights", w)
+    def __init__(self, labels, points=(), weights=None):
+        points, labels = tuple(points), tuple(sorted(labels))
+        if any(pt.labels != labels for pt in points):
+            raise ValueError("all points must share the sample's labels")
+        support_class = _geometry(labels).support_class
+        codes = np.array([support_class[pt.support] for pt in points], dtype=np.int64)
+        coords = [[*(l for _, l in pt._items), 0.0, 0.0][:2] for pt in points]
+        self.__dict__.update(labels=labels, points=points)
+        self._keep(codes, weights, coords=np.array(coords, dtype=float).reshape(-1, 2))
 
-    def __len__(self) -> int:
-        return len(self.points)
+    @classmethod
+    def from_splits(cls, labels, masks, lengths, weights=None) -> "T4Sample":
+        """Build a sample from (n, w) arrays of split bitmasks and lengths.
 
-    def normalized_weights(self) -> np.ndarray:
-        if self.weights is None:
-            n = len(self.points)
-            return np.full(n, 1.0 / n) if n else np.empty(0)
-        return np.asarray(self.weights)
+        Bit i of a mask stands for ``labels[i]``.  As in :class:`T4Point`,
+        splits of length 0 are dropped, and a point keeps at most two
+        distinct compatible splits of two or three leaves, with lengths
+        finite and >= 0.  The tests are vectorised, and
+        :class:`InvalidSampleError` names the first bad point.
+        """
+        geom = _geometry(tuple(sorted(labels)))
+        none = len(geom.splits)
+        split_of = np.array([  # bit 4 and above name no label
+            geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), none)
+            for m in range(16)] + [none] * 16)
+        pad = ((0, 0), (0, max(0, 2 - np.shape(masks)[1])))  # two columns at least
+        masks, lengths = np.pad(masks, pad).astype(np.int64), np.pad(lengths, pad).astype(float)
+        bad = ~((lengths >= 0) & (lengths < np.inf))  # NaN fails too
+        kept = (lengths != 0) & ~bad
+        split = np.where(kept, split_of[np.clip(masks, 0, 31)], none)
+        bad |= kept & (split == none)
+        first = np.argsort(split, axis=1)[:, :2]  # the kept splits, in canonical order
+        s = np.take_along_axis(split, first, axis=1)
+        xy = np.where(s < none, np.take_along_axis(lengths, first, axis=1), 0.0)
+        codes = geom.class_of[s[:, 0], s[:, 1]]
+        wrong = bad.any(axis=1) | (kept.sum(axis=1) > 2) | (codes < 0)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            j = int(np.argmax(bad[i] & ~kept[i]))
+            raise InvalidSampleError(f"points[{i}].splits: " + (
+                f"length must be finite and >= 0, got {lengths[i, j]}" if bad[i, j] and not kept[i, j]
+                else f"{_SUPPORT_RULE}, got bitmasks {masks[i][kept[i]].tolist()} of {list(labels)}"))
+        sample = cls.__new__(cls)
+        sample.__dict__["labels"] = geom.labels
+        sample._keep(codes, weights, coords=xy)
+        return sample
+
+    @cached_property
+    def points(self) -> tuple[T4Point, ...]:
+        supports = _geometry(self.labels).supports
+        return tuple(T4Point(self.labels, dict(zip(supports[code], xy)))
+                     for code, xy in zip(self.codes.tolist(), self.coords.tolist()))
+
+    def _point_dicts(self) -> list[dict]:
+        clusters = [[sorted(s) for s in support] for support in _geometry(self.labels).supports]
+        return [{"splits": [{"cluster": list(c), "length": x} for c, x in zip(clusters[code], xy)]}
+                for code, xy in zip(self.codes.tolist(), self.coords.tolist())]
 
     def to_dict(self) -> dict:
-        out = {
-            "labels": list(self.labels),
-            "points": [pt.to_dict() for pt in self.points],
-        }
-        if self.weights is not None:
-            out["weights"] = list(self.weights)
-        return out
+        return {"labels": list(self.labels), **super().to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "T4Sample":
         labels = obj.get("labels")
         if not _is_labels(labels) or len(set(labels)) != 4 or len(labels) != 4:
             raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
-        pts = []
+        bit = {lb: 1 << i for i, lb in enumerate(labels)}
+        rows = []
         for i, o in enumerate(json_points(obj)):
-            try:
-                pts.append(T4Point.from_dict(o, labels))
-            except InvalidSampleError as exc:
-                raise InvalidSampleError(f"points[{i}].{exc}") from None
-        return cls(tuple(labels), tuple(pts), obj.get("weights") or None)
+            splits = o.get("splits")
+            if not isinstance(splits, list) or not all(
+                isinstance(s, dict) and _is_labels(s.get("cluster"))
+                and isinstance(s.get("length"), (int, float)) for s in splits
+            ):
+                raise InvalidSampleError(
+                    f"points[{i}].splits must be a list of {{cluster, length}} objects")
+            # a mapping, so a repeated cluster keeps its last length
+            rows.append({sum({bit.get(lb, 16) for lb in s["cluster"]}): s["length"]
+                         for s in splits})
+        shape = (len(rows), max(map(len, rows), default=0))
+        masks, lengths = ([[*part(row), *[0] * (shape[1] - len(row))] for row in rows]
+                          for part in (dict.keys, dict.values))
+        try:
+            lengths = np.array(lengths, dtype=float)
+        except OverflowError:  # an int too large for a float: infinite, so rejected
+            lengths = np.array([[x if _fits_float(x) else math.inf for x in row]
+                                for row in lengths])
+        return cls.from_splits(labels, np.array(masks, dtype=np.int64).reshape(shape),
+                               lengths.reshape(shape), obj.get("weights") or None)
 
 
 # --------------------------------------------------------------------------
@@ -344,11 +359,7 @@ def _first_pairs(geom: _Geometry, support) -> list[tuple]:
         e, f = support
         return [(e, f), (f, e)]
     (e,) = support
-    out = []
-    for t in geom.adjacency[e]:
-        out.append((e, t))
-        out.append((t, e))
-    return out
+    return [pair for t in geom.adjacency[e] for pair in ((e, t), (t, e))]
 
 
 def _route(x: T4Point, y: T4Point):
@@ -376,9 +387,7 @@ def _route(x: T4Point, y: T4Point):
             span = beta - alpha
             if span >= math.pi:
                 continue
-            cand = math.sqrt(
-                max(rx * rx + ry * ry - 2.0 * rx * ry * math.cos(span), 0.0)
-            )
+            cand = math.sqrt(max(rx * rx + ry * ry - 2.0 * rx * ry * math.cos(span), 0.0))
             if cand < best[0]:
                 best = (cand, "unfold", (path, alpha, beta))
     return best
@@ -417,12 +426,7 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
         phi = ang - j * _HALF_PI
         c1, c2 = r * math.cos(phi), r * math.sin(phi)
         eps = 1e-12 * max(r, 1.0)
-        coords = {}
-        if c1 > eps:
-            coords[path[j]] = c1
-        if c2 > eps:
-            coords[path[j + 1]] = c2
-        return T4Point(labels, coords)
+        return T4Point(labels, {e: c for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
     # cone path through the origin
     rx, ry = x.norm(), y.norm()
     s = t * length
@@ -435,12 +439,10 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
 
 def frechet_function(x: T4Point, sample: T4Sample) -> float:
     """Weighted mean squared geodesic distance from ``x`` to the sample."""
-    if not sample.points:
+    if not len(sample):
         raise EmptySampleError("empty sample")
     wts = sample.normalized_weights()
-    return float(
-        sum(w * t4_distance(x, pt) ** 2 for w, pt in zip(wts, sample.points))
-    )
+    return float(sum(w * t4_distance(x, pt) ** 2 for w, pt in zip(wts, sample.points)))
 
 
 # --------------------------------------------------------------------------
@@ -470,15 +472,11 @@ class T4MeanEstimate:
                 "quadrant": [sorted(c) for c in self.quadrant]}
 
 
-def _sample_arrays(sample: T4Sample, geom: _Geometry):
-    """Support classes (n,) and split coordinates (n, 10) of the points."""
-    cells = [(i, geom.index[c], l)
-             for i, pt in enumerate(sample.points) for c, l in pt._items]
-    rows, cols, lengths = np.array(cells, dtype=float).reshape(-1, 3).T
-    coords = np.zeros((len(sample.points), len(geom.splits)))
-    coords[rows.astype(int), cols.astype(int)] = lengths
-    classes = [geom.support_class[tuple(c for c, _ in pt._items)] for pt in sample.points]
-    return np.array(classes, dtype=np.int64), coords
+def _split_coords(sample: T4Sample, geom: _Geometry) -> np.ndarray:
+    """The points' lengths on the 10 splits, (n, 10): 0 off their supports."""
+    out = np.zeros((len(sample), len(geom.splits) + 1))  # the last column is "none"
+    np.put_along_axis(out, geom.pairs[sample.codes], sample.coords, axis=1)
+    return out[:, :-1]
 
 
 class _QuadrantImages:
@@ -622,18 +620,24 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     sample's images unfolded into its frame; the best of these minima and
     the star tree wins (``method="newton"``).
     """
-    if not sample.points:
+    if not len(sample):
         raise EmptySampleError("cannot average an empty sample")
     labels, wts = sample.labels, sample.normalized_weights()
     geom = _geometry(labels)
-    classes, coords = _sample_arrays(sample, geom)
-    union = {e for c in set(classes.tolist()) for e in geom.supports[c]}
+    classes, coords = sample.codes, _split_coords(sample, geom)
+    union = {e for c in np.unique(classes).tolist() for e in geom.supports[c]}
     if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
         # a plain running sum per split, which a fused dot product is not:
         # equal points then average to themselves exactly
         mean = T4Point(labels, dict(zip(geom.splits, (wts[:, None] * coords).sum(axis=0))))
         axes = tuple(sorted(union, key=_split_key))
-        return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
+        # frechet_function(mean, sample) without a point object: the segment
+        # to each point, weighted and summed in point order; squares by pow,
+        # as ``** 2`` takes them, which x * x is not
+        gaps = np.array([mean.get(e) for e in axes]) - coords[:, [geom.index[e] for e in axes]]
+        d = np.sqrt(np.float_power(gaps, 2).sum(axis=1))
+        value = float(np.add.accumulate(wts * np.float_power(d, 2))[-1])
+        return T4MeanEstimate(mean, value, "euclidean", axes)
 
     star = float(wts @ (coords * coords).sum(axis=1))
     best, steps = (star, origin(labels), (), 0.0), 0
@@ -665,12 +669,7 @@ class Stratum(Enum):
 
 def stratum_of(x: T4Point) -> Stratum:
     """Which stratum a point belongs to, by its number of active splits."""
-    k = len(x.support)
-    if k == 2:
-        return Stratum.TOP2D
-    if k == 1:
-        return Stratum.ONE_D
-    return Stratum.ORIGIN
+    return (Stratum.ORIGIN, Stratum.ONE_D, Stratum.TOP2D)[len(x.support)]
 
 
 def book_partners(axis: frozenset, labels) -> tuple[frozenset, ...]:
@@ -700,17 +699,18 @@ def spine_stickiness_t4(
     """
     axis = frozenset(axis)
     partners = book_partners(axis, sample.labels)
-    leaves, x1, x2 = [], [], []
-    for pt in sample.points:
-        extra = [e for e in pt.support if e != axis]
-        if len(extra) > 1 or extra and extra[0] not in partners:
-            raise NotInBookError(
-                f"{pt!r} lies outside the open book around {set(axis)}"
-            )
-        leaves.append(partners.index(extra[0]) + 1 if extra else 0)
-        x1.append(pt.get(axis))
-        x2.append(pt.get(extra[0]) if extra else 0.0)
-    book = OpenBookSample.from_arrays(leaves, x1, x2, sample.weights)
+    geom = _geometry(sample.labels)
+
+    leaf = {(): 0, (axis,): 0}  # of the book by support, 0 on the spine
+    for k, e in enumerate(partners, 1):
+        leaf[(e,)] = leaf[tuple(sorted((axis, e), key=_split_key))] = k
+    leaves = np.array([leaf.get(support, -1) for support in geom.supports])[sample.codes]
+    if (leaves < 0).any():
+        pt = sample.points[int(np.argmax(leaves < 0))]
+        raise NotInBookError(f"{pt!r} lies outside the open book around {set(axis)}")
+    lengths = _split_coords(sample, geom)[:, [geom.index[e] for e in (axis, *partners)]]
+    x2 = np.where(leaves > 0, lengths[np.arange(len(leaves)), leaves], 0.0)
+    book = OpenBookSample.from_arrays(leaves, lengths[:, 0], x2, sample.weights)
     return openbook_mean(book, tolerance)
 
 
@@ -752,12 +752,8 @@ def tree_type_newick(labels, splits) -> str:
     clusters.  Example: clusters {a,b} and {a,b,c} give
     ``(((a,b),c),d)``; no clusters give the star ``(a,b,c,d)``.
     """
-    if isinstance(splits, T4Point):
-        clusters = list(splits.support)
-    elif hasattr(splits, "keys"):
-        clusters = [frozenset(c) for c in splits.keys()]
-    else:
-        clusters = [frozenset(c) for c in splits]
+    # a mapping iterates over its clusters
+    clusters = splits.support if isinstance(splits, T4Point) else map(frozenset, splits)
     groups = [(frozenset([lb]), str(lb)) for lb in sorted(labels)]
     for cluster in sorted(clusters, key=len):
         inside = [g for g in groups if g[0] <= cluster]

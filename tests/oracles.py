@@ -470,6 +470,39 @@ def t4_descent(sample, mean, value, step=1e-3):
 # trees: random generation, bipartitions, four-point condition
 # --------------------------------------------------------------------------
 
+def tree_distance_matrix(tree: TreeNode) -> DistanceMatrix:
+    """Pairwise leaf-to-leaf path lengths of a tree."""
+    leaves = tree.leaves()
+    labels = tuple(lf.label for lf in leaves)
+    n = len(labels)
+    d = np.zeros((n, n))
+    index = {id(lf): k for k, lf in enumerate(leaves)}
+
+    # depth-first accumulation: distances between leaves meet at their LCA
+    def below(node) -> dict[int, float]:
+        if node.is_leaf():
+            return {index[id(node)]: 0.0}
+        mine: dict[int, float] = {}
+        for child in node.children:
+            sub = {k: v + child.length for k, v in below(child).items()}
+            for k1, v1 in mine.items():
+                for k2, v2 in sub.items():
+                    d[k1, k2] = d[k2, k1] = v1 + v2
+            mine.update(sub)
+        return mine
+
+    below(tree)
+    return DistanceMatrix(labels, d)
+
+
+def choice_picks(pools, reps, seed):
+    """Grouped picks drawn one at a time: ``rng.choice(pool)`` per
+    repetition, pool after pool; a list of rows of pool entries."""
+    rng = np.random.default_rng(seed)
+    arrays = [np.array(pool) for pool in pools]
+    return [[rng.choice(pool).item() for pool in arrays] for _ in range(reps)]
+
+
 def random_binary_tree(labels, rng, lo=0.1, hi=1.0) -> TreeNode:
     """Random rooted binary tree with branch lengths in [lo, hi]."""
     nodes = [TreeNode(label=lb, length=rng.uniform(lo, hi)) for lb in labels]

@@ -19,6 +19,7 @@ from oracles import (
     random_binary_tree,
     spider_grid_minimum,
     t4_shortest_path,
+    tree_distance_matrix,
     unrooted_bipartitions,
 )
 from treestats.mcsim import (
@@ -30,7 +31,7 @@ from treestats.mcsim import (
     simulate,
     spine_coverage,
 )
-from treestats.njtree import neighbor_joining, tree_distance_matrix
+from treestats.njtree import neighbor_joining
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_distance, openbook_mean
 from treestats.spider import (
     SpiderMeasureSummary,

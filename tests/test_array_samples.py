@@ -1,20 +1,26 @@
-"""Array-backed spider and open-book samples.
+"""Array-backed spider, open-book and tree-space samples.
 
 ``from_arrays`` and the point constructors must build the same sample,
-with the same checks, and the simulation hot path must build no sample
-and no point object at all.
+with the same checks.  The simulation hot path must build no sample and
+no point object at all, and the four-leaf sample-trees and mean build no
+point object per sample point.
 """
 
+import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestats import mcsim, openbook, spider
+from treestats.cli import main
 from treestats.errors import InvalidSampleError
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
 from treestats.spider import ArraySample, SpiderPoint, SpiderSample, intrinsic_mean
+from treestats.t4space import T4Point
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
@@ -117,11 +123,14 @@ class TestArraysEqualPoints:
 
 class TestHotPath:
     """``simulate`` reduces each replicate to per-leg sums: it builds no
-    sample and no point object and never calls the per-sample means."""
+    sample and no point object and never calls the per-sample means.
+    ``sample-trees --k 4`` builds no T4Point, and the t4 ``mean`` builds
+    as many for a sample as for that sample repeated ten times."""
 
     @pytest.fixture
     def events(self, monkeypatch):
-        counts = dict.fromkeys(("sample", "point", "intrinsic_mean", "openbook_mean"), 0)
+        counts = dict.fromkeys(
+            ("sample", "point", "intrinsic_mean", "openbook_mean", "t4_point"), 0)
 
         def counting(owner, name, key):
             original = getattr(owner, name)
@@ -137,12 +146,39 @@ class TestHotPath:
         counting(OpenBookPoint, "__post_init__", "point")
         counting(spider, "intrinsic_mean", "intrinsic_mean")
         counting(openbook, "openbook_mean", "openbook_mean")
+        counting(T4Point, "__init__", "t4_point")
         return counts
 
     def test_events_are_counted(self, events):
         law = mcsim.SpiderLaw((0.5, 0.5), (mcsim.Exponential(1.0),) * 2)
         spider.intrinsic_mean(mcsim.draw_spider_sample(law, 5, mcsim._replicate_rng(1, 0)))
         assert events["sample"] == events["intrinsic_mean"] == 1 and events["point"] >= 1
+        T4Point((1, 2, 3, 4))
+        assert events["t4_point"] == 1
+
+    def test_sample_trees_k4(self, events, tmp_path):
+        data = resources.files("treestats") / "data"
+        assert main(["sample-trees", str(data / "toy_alignment.fasta"), "--groups",
+                     str(data / "toy_groups4.csv"), "--k", "4", "--reps", "200",
+                     "-o", str(tmp_path / "sample.json")]) == 0
+        assert events["t4_point"] == 0
+
+    @pytest.mark.parametrize("doc", [
+        json.loads((Path(__file__).parent / "golden" / "sample_trees_k4_seed7.json").read_text()),
+        {"labels": ["a", "b", "c", "d"], "points": [  # inside one quadrant: the Euclidean mean
+            {"splits": [{"cluster": ["a", "b"], "length": 0.5}]},
+            {"splits": [{"cluster": ["a", "b"], "length": 0.25},
+                        {"cluster": ["a", "b", "c"], "length": 1.0}]}]},
+    ], ids=["newton", "euclidean"])
+    def test_t4_mean(self, events, tmp_path, doc):
+        counts = []
+        for times in (1, 10):
+            path = tmp_path / f"sample{times}.json"
+            path.write_text(json.dumps({**doc, "points": doc["points"] * times}))
+            events["t4_point"] = 0
+            assert main(["mean", str(path), "-o", str(tmp_path / "mean.json")]) == 0
+            counts.append(events["t4_point"])
+        assert counts[0] == counts[1]
 
     def test_simulate(self, events):
         law = mcsim.SpiderLaw((0.5, 0.3, 0.2), (mcsim.Exponential(1.0),) * 3)

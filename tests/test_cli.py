@@ -586,6 +586,13 @@ class TestBadSampleExit2:
         (["sticky"], {"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 10**400]}, "nu[2]"),
         (["sticky"], {"p": 3, "w": [10**400, 0.5, 0.3], "nu": [1, 1, 1]}, "w[0]"),
         (["sticky"], {"p": 3, "w0": 10**400, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "w0"),
+        (["sticky"], {"p": 3, "w": 5, "nu": [1, 1, 1]}, "summary w"),
+        (["sticky"], {"p": 3, "w": [0.2, 0.5, 0.3], "nu": {"a": 1}}, "summary nu"),
+        (["sticky"], {"w": 5, "nu": [1, 1, 1]}, "summary w"),
+        (["sticky"], {"p": "x", "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary p"),
+        (["sticky"], {"p": 3.7, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary p"),
+        (["sticky"], {"p": True, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary p"),
+        (["sticky"], {"p": 0, "w": [], "nu": []}, "summary p"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    choice_picks,
     four_point_topology,
     neighbor_joining_delete,
     pruned_splits,
     random_binary_tree,
+    tree_distance_matrix,
     unrooted_bipartitions,
 )
 from treestats.errors import TooFewTaxaError, UnknownTaxonError
@@ -18,11 +20,11 @@ from treestats.njtree import (
     neighbor_joining,
     restrict_to_quartet,
     restrict_to_triplet,
-    tree_distance_matrix,
     tree_index,
 )
+from treestats.pipeline import draw_picks
 from treestats.seqio import DistanceMatrix, parse_newick, serialize_newick
-from treestats.t4space import T4Point
+from treestats.t4space import T4Point, T4Sample
 
 
 def dm3(d12, d13, d23):
@@ -62,7 +64,7 @@ class TestNeighborJoining:
         assert np.allclose(tree_distance_matrix(tree).d, dm.d[
             [tree_distance_matrix(tree).taxa.index(t) for t in taxa]
         ][:, [tree_distance_matrix(tree).taxa.index(t) for t in taxa]])
-        quartet = restrict_to_quartet(tree_index(tree), taxa, taxa)
+        quartet = quartet_point(tree_index(tree), taxa, taxa)
         assert quartet.coords in (
             {frozenset({"t1", "t2"}): pytest.approx(1.0)},
             {frozenset({"t3", "t4"}): pytest.approx(1.0)},
@@ -152,12 +154,25 @@ class TestNeighborJoiningExactInAnyOrder:
         assert_exact(truth, shuffled, neighbor_joining(shuffled))
 
 
+def triplet_point(index, picks):
+    """(leg, u) of one row of picked labels, through the batched restriction."""
+    legs, u = restrict_to_triplet(index, index.nodes([picks]))
+    return int(legs[0]), float(u[0])
+
+
+def quartet_point(index, picks, labels):
+    """One row of picked labels as a T4Point, through the batched restriction;
+    ``labels`` name the point's leaves, one per pick."""
+    masks, lengths = restrict_to_quartet(index, index.nodes([picks]))
+    return T4Sample.from_splits(labels, masks, lengths).points[0]
+
+
 def restrict3(newick, picks):
-    return restrict_to_triplet(tree_index(parse_newick(newick)), picks)
+    return triplet_point(tree_index(parse_newick(newick)), picks)
 
 
 def restrict4(newick, picks, labels=None):
-    return restrict_to_quartet(tree_index(parse_newick(newick)), picks, labels or picks)
+    return quartet_point(tree_index(parse_newick(newick)), picks, labels or picks)
 
 
 class TestRestrictToTriplet:
@@ -289,7 +304,7 @@ LEGS = {frozenset({0, 1}): 1, frozenset({0, 2}): 2, frozenset({1, 2}): 3}
 
 
 class TestRestrictionEqualsPruning:
-    """The parent-link walk gives exactly (==) what pruning a copy gives."""
+    """Restriction gives exactly (==) what pruning a copy gives."""
 
     @settings(max_examples=400, deadline=None)
     @given(restriction_cases())
@@ -302,6 +317,80 @@ class TestRestrictionEqualsPruning:
             if splits:
                 ((cherry, length),) = splits
                 expected = (LEGS[frozenset(picks.index(x) for x in cherry)], length)
-            assert restrict_to_triplet(index, picks) == expected
+            assert triplet_point(index, picks) == expected
         else:
-            assert restrict_to_quartet(index, picks, picks) == T4Point(picks, splits)
+            assert quartet_point(index, picks, picks) == T4Point(picks, splits)
+
+
+@st.composite
+def batched_cases(draw):
+    """A tree with polytomies and zero lengths, and up to 40 rows of
+    picks; for k = 4 some rows take two picks below the root's first
+    child and two elsewhere, where two cherries meet at the root."""
+    k = draw(st.sampled_from([3, 4]))
+    labels = [f"x{i}" for i in range(draw(st.integers(k, 14)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = roughen(random_binary_tree(labels, rng), rng,
+                   draw(st.sampled_from([0.0, 0.3, 0.7])), draw(st.sampled_from([0.0, 0.2, 0.5])))
+    rows = [list(rng.permutation(labels)[:k]) for _ in range(draw(st.integers(1, 30)))]
+    left = tree.children[0].leaf_labels()
+    right = [lb for lb in labels if lb not in left]
+    if k == 4 and len(left) >= 2 and len(right) >= 2:
+        for _ in range(10):
+            row = [*rng.choice(left, 2, replace=False), *rng.choice(right, 2, replace=False)]
+            rows.append([str(x) for x in rng.permutation(row)])
+    return k, tree, rows
+
+
+def by_cluster(splits):
+    return sorted(splits, key=lambda cl: sorted(cl[0]))
+
+
+class TestBatchedRestriction:
+    """One call restricts every row exactly (==) as pruning a copy does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batched_cases())
+    def test_rows_equal_pruning_oracle(self, case):
+        k, tree, rows = case
+        index = tree_index(tree)
+        if k == 3:
+            legs, u = restrict_to_triplet(index, index.nodes(rows))
+            got = list(zip(legs.tolist(), u.tolist()))
+        else:
+            masks, lengths = restrict_to_quartet(index, index.nodes(rows))
+            assert masks.shape == lengths.shape == (len(rows), 7)
+        for i, row in enumerate(rows):
+            splits = pruned_splits(tree, row)
+            if k == 3:
+                expected = (0, 0.0)
+                if splits:
+                    ((cherry, length),) = splits
+                    expected = (LEGS[frozenset(row.index(x) for x in cherry)], length)
+                assert got[i] == expected
+            else:
+                found = [(frozenset(row[b] for b in range(4) if m >> b & 1), x)
+                         for m, x in zip(masks[i].tolist(), lengths[i].tolist()) if x != 0]
+                assert by_cluster(found) == by_cluster(splits)
+
+    def test_no_rows(self):
+        index = tree_index(parse_newick("((a:1,b:1):0.5,c:1,d:1);"))
+        legs, u = restrict_to_triplet(index, np.empty((0, 3), dtype=np.int64))
+        assert legs.shape == u.shape == (0,)
+
+
+class TestDrawPicks:
+    """The batched draw gives the picks of rng.choice per repetition and pool."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 77, 2**40 + 3])
+    def test_equals_choice_loop(self, k, seed):
+        rng = np.random.default_rng(seed + k)
+        sizes = [*rng.integers(1, 32, size=k - 1), 1 + seed % 31]
+        pools = [[f"g{g}t{t}" for t in range(size)] for g, size in enumerate(sizes)]
+        assert draw_picks(pools, 500, seed).tolist() == choice_picks(pools, 500, seed)
+
+    def test_every_pool_size(self):
+        pools = [[f"t{t}" for t in range(size)] for size in range(1, 32)]
+        for seed in (3, 5):
+            assert draw_picks(pools, 50, seed).tolist() == choice_picks(pools, 50, seed)

@@ -15,6 +15,7 @@ from oracles import (
 from treestats.errors import (
     EmptySampleError,
     InvalidParameterError,
+    InvalidSampleError,
     NotInBookError,
     UndefinedProjectionError,
 )
@@ -25,7 +26,7 @@ from treestats.t4space import (
     T4Sample,
     _QuadrantImages,
     _geometry,
-    _sample_arrays,
+    _split_coords,
     all_splits,
     book_partners,
     compatible,
@@ -395,12 +396,102 @@ class TestQuadrantImages:
         qi, (a, b), sample = case
         geom = _geometry(L)
         e, f = geom.quadrants[qi]
-        classes, coords = _sample_arrays(sample, geom)
+        classes, coords = sample.codes, _split_coords(sample, geom)
         images = _QuadrantImages(
             geom.image_tables[qi], classes, coords, sample.normalized_weights())
         expected = frechet_function(T4Point(L, {e: a, f: b}), sample)
         assert images.value(np.array([a, b])) == pytest.approx(
             expected, rel=1e-12, abs=1e-300)
+
+
+def point_doc_rows(sample):
+    """The split bitmasks (bit i = sample.labels[i]) and lengths of each point."""
+    width = max([2, *(len(pt.support) for pt in sample.points)])
+    rows = [[(sum(1 << sample.labels.index(x) for x in c), length) for c, length in pt._items]
+            + [(0, 0.0)] * (width - len(pt._items)) for pt in sample.points]
+    return np.array([[m for m, _ in r] for r in rows]), np.array([[x for _, x in r] for r in rows])
+
+
+@st.composite
+def one_quadrant_samples(draw):
+    """Samples inside one closed quadrant (inside, on its axes, at the origin)."""
+    home = draw(st.integers(0, 14))
+    pts = draw(st.lists(t4_points(home).filter(
+        lambda pt: set(pt.support) <= set(QUADRANTS[home].axes)), min_size=1, max_size=12))
+    weights = None
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(pts),
+                                     max_size=len(pts))))
+        weights = tuple(raw / raw.sum())
+    return T4Sample(L, tuple(pts), weights)
+
+
+# clusters over the labels and one foreign label, and lengths good and bad
+doc_splits = st.lists(st.fixed_dictionaries({
+    "cluster": st.lists(st.sampled_from(["a", "b", "c", "d", "z"]), max_size=4),
+    "length": st.sampled_from([0, 0.0, -0.0, 0.5, 1, 2.5, -1.0, 10**400, 1e308]),
+}), max_size=3)
+
+
+def as_point(labels, splits):
+    """A document point as T4Point reads it: a mapping, the last length
+    of a repeated cluster wins."""
+    return T4Point(labels, {frozenset(s["cluster"]): s["length"] for s in splits})
+
+
+class TestSampleArrays:
+    """T4Sample holds support classes and (n, 2) coordinates: built from
+    points, documents or split bitmasks it is the same sample, and its
+    document is the one its points write."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(t4_samples())
+    def test_points_documents_and_splits_agree(self, sample):
+        doc = sample.to_dict()
+        expected = {"labels": list(L), "points": [pt.to_dict() for pt in sample.points]}
+        if sample.weights is not None:
+            expected["weights"] = list(sample.weights)
+        assert doc == expected
+        assert T4Sample.from_splits(L, *point_doc_rows(sample), sample.weights) == sample
+        # documents name the leaves by strings
+        named = {**doc, "labels": list("abcd"), "points": [{"splits": [
+            {"cluster": ["abcd"[x - 1] for x in s["cluster"]], "length": s["length"]}
+            for s in pt["splits"]]} for pt in doc["points"]]}
+        parsed = T4Sample.from_dict(named)
+        assert parsed.to_dict() == named
+        assert T4Sample.from_dict(parsed.to_dict()) == parsed
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_quadrant_samples())
+    def test_euclidean_value_is_the_frechet_function(self, sample):
+        est = t4_mean(sample)
+        assert est.method == "euclidean"
+        assert est.frechet_value == frechet_function(est.mean, sample)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(doc_splits, min_size=1, max_size=5))
+    def test_checks_agree_with_points(self, points):
+        labels = ["d", "b", "a", "c"]
+        first_bad = None
+        for i, splits in enumerate(points):
+            try:
+                as_point(labels, splits)
+            except InvalidSampleError:
+                first_bad = i
+                break
+        doc = {"labels": labels, "points": [{"splits": splits} for splits in points]}
+        if first_bad is None:
+            sample = T4Sample.from_dict(doc)
+            assert sample.points == tuple(as_point(labels, splits) for splits in points)
+        else:
+            with pytest.raises(InvalidSampleError, match=rf"^points\[{first_bad}\]\.splits"):
+                T4Sample.from_dict(doc)
+
+    def test_split_order_follows_the_labels(self):
+        # bit i stands for labels[i]: {b, a} and {b, a, c} in this order
+        sample = T4Sample.from_splits(("b", "a", "c", "d"), [[0b11, 0b111, 0]], [[1.0, 2.0, 0.0]])
+        assert sample.points == (T4Point(("a", "b", "c", "d"), {
+            frozenset("ab"): 1.0, frozenset("abc"): 2.0}),)
 
 
 class TestStratum:
