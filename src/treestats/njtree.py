@@ -263,7 +263,6 @@ def restrict_to_quartet(index: TreeIndex, picks):
 
     ``picks`` is an (m, 4) array of leaf nodes (:meth:`TreeIndex.nodes`).
     Returns the bitmasks (bit i = column i) and lengths of the kept edges,
-    (m, 7) each, with length 0 on the edges that are not splits:
-    :meth:`~treestats.t4space.T4Sample.from_splits` reads them as a sample.
+    (m, 7) each, length 0 where an edge is no split; ``T4Sample.from_splits`` reads them.
     """
     return _restrict(index, picks, 4)

@@ -124,7 +124,10 @@ class _Geometry:
                                for sup in self.supports])
         self.class_of = np.full((none + 1, none + 1), -1)  # -1: no point has that support
         self.class_of[tuple(self.pairs.T)] = np.arange(len(self.supports))
-        self.image_tables = [self._image_table(e, f) for e, f in self.quadrants]
+
+    @cached_property
+    def image_tables(self) -> list[np.ndarray]:  # built when a mean needs them
+        return [self._image_table(e, f) for e, f in self.quadrants]
 
     def _image_table(self, e, f) -> np.ndarray:
         """Image slots (support class, slot, 4) in the frame of quadrant (e, f).
@@ -276,8 +279,7 @@ class T4Sample(ArraySample):
         Bit i of a mask stands for ``labels[i]``.  As in :class:`T4Point`,
         splits of length 0 are dropped, and a point keeps at most two
         distinct compatible splits of two or three leaves, with lengths
-        finite and >= 0.  The tests are vectorised, and
-        :class:`InvalidSampleError` names the first bad point.
+        finite and >= 0; :class:`InvalidSampleError` names the first bad point.
         """
         geom = _geometry(tuple(sorted(labels)))
         none = len(geom.splits)
