@@ -89,19 +89,15 @@ def cmd_mean(args) -> int:
     if args.plot and space == "openbook":
         raise ConfigError("--plot supports t3 and t4 samples")
     sample = pipeline.load_sample(obj, space)
-    report = pipeline.mean_report(sample, space, args.tolerance)
-    _write(pipeline.canonical_json(report), args.output)
+    estimate = pipeline.mean_estimate(sample, space, args.tolerance)
+    _write(pipeline.canonical_json(pipeline.mean_report(sample, space, estimate)), args.output)
     if args.plot:
         from . import plots
 
         if space == "t3":
-            from . import spider as sp
-
-            svg = plots.spider_svg(sample, sp.intrinsic_mean(sample, args.tolerance))
+            svg = plots.spider_svg(sample, estimate)
         else:
-            from . import t4space as t4
-
-            svg = plots.petersen_svg(sample, t4.t4_mean(sample).mean)
+            svg = plots.petersen_svg(sample, estimate.mean)
         Path(args.plot).write_text(svg, encoding="utf-8")
     return 0
 

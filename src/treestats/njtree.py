@@ -141,8 +141,6 @@ def induced_subtree(tree: TreeNode, labels) -> TreeNode:
     return TreeNode(tree.label, 0.0, kept)
 
 
-
-
 @dataclass(frozen=True, eq=False)
 class TreeIndex:
     """Parent links of a tree: nodes numbered in preorder, the root is 0.

@@ -157,32 +157,38 @@ def load_sample(obj: dict, space: str):
     raise ConfigError(f"unknown space {space!r}")
 
 
-def mean_report(sample, space: str, tolerance: float = 0.0) -> dict:
-    """Space-appropriate mean report as a JSON-ready dictionary."""
+def mean_estimate(sample, space: str, tolerance: float = 0.0):
+    """The mean of a sample in its space, as the space's solver reports it."""
     if space == "t3":
-        report = sp.intrinsic_mean(sample, tolerance)
-        out = {"space": "t3", "tree_type": spider_tree_type(report.mean.leg)}
-        out.update(report.to_dict())
-        return out
+        return sp.intrinsic_mean(sample, tolerance)
     if space == "openbook":
-        report = ob.openbook_mean(sample, tolerance)
-        out = {"space": "openbook"}
-        out.update(report.to_dict())
-        return out
+        return ob.openbook_mean(sample, tolerance)
     if space == "t4":
         from . import t4space as t4
 
         sp.check_tolerance(tolerance)  # unused by the t4 mean, still checked
-        estimate = t4.t4_mean(sample)
-        return {
-            "space": "t4",
-            "n": len(sample),
-            "labels": list(sample.labels),
-            "tree_type": t4.tree_type_newick(sample.labels, estimate.mean),
-            "intrinsic_sd": math.sqrt(estimate.frechet_value),
-            **estimate.to_dict(),
-        }
+        return t4.t4_mean(sample)
     raise ConfigError(f"unknown space {space!r}")
+
+
+def mean_report(sample, space: str, estimate) -> dict:
+    """Space-appropriate report, as a JSON-ready dictionary, of the
+    sample's :func:`mean_estimate`."""
+    if space == "t3":
+        return {"space": "t3", "tree_type": spider_tree_type(estimate.mean.leg),
+                **estimate.to_dict()}
+    if space == "openbook":
+        return {"space": "openbook", **estimate.to_dict()}
+    from . import t4space as t4
+
+    return {
+        "space": "t4",
+        "n": len(sample),
+        "labels": list(sample.labels),
+        "tree_type": t4.tree_type_newick(sample.labels, estimate.mean),
+        "intrinsic_sd": math.sqrt(estimate.frechet_value),
+        **estimate.to_dict(),
+    }
 
 
 def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
@@ -203,10 +209,8 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
         return out
     space = detect_space(obj)
     sample = load_sample(obj, space)
-    if space == "t3":
-        return mean_report(sample, "t3", tolerance)
-    if space == "openbook":
-        return mean_report(sample, "openbook", tolerance)
+    if space in ("t3", "openbook"):
+        return mean_report(sample, space, mean_estimate(sample, space, tolerance))
     if axis is None:
         raise ConfigError("tree-space stickiness needs --axis (the spine cluster)")
     from . import t4space as t4

@@ -28,20 +28,38 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .errors import (EmptySampleError, InvalidParameterError, InvalidSampleError,
-                     NotInBookError, UndefinedProjectionError)
+from .errors import (
+    EmptySampleError,
+    InvalidParameterError,
+    InvalidSampleError,
+    NotInBookError,
+    UndefinedProjectionError,
+)
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
 from .spider import ArraySample, _fits_float, json_points
 
 __all__ = [
-    "Quadrant", "T4Point", "T4Sample", "T4MeanEstimate", "Stratum", "PetersenProjection",
-    "all_splits", "compatible", "enumerate_quadrants", "t4_distance", "geodesic_point",
-    "frechet_function", "t4_mean", "stratum_of", "book_partners", "spine_stickiness_t4",
-    "petersen_projection", "tree_type_newick",
+    "Quadrant",
+    "T4Point",
+    "T4Sample",
+    "T4MeanEstimate",
+    "Stratum",
+    "PetersenProjection",
+    "all_splits",
+    "compatible",
+    "enumerate_quadrants",
+    "t4_distance",
+    "geodesic_point",
+    "frechet_function",
+    "t4_mean",
+    "stratum_of",
+    "book_partners",
+    "spine_stickiness_t4",
+    "petersen_projection",
+    "tree_type_newick",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -56,8 +74,13 @@ def all_splits(labels) -> list[frozenset]:
     labels = tuple(sorted(labels))
     if len(labels) != 4 or len(set(labels)) != 4:
         raise ValueError("exactly four distinct labels required")
-    pairs_and_triples = [*combinations(labels, 2), *combinations(labels, 3)]
-    return sorted(map(frozenset, pairs_and_triples), key=_split_key)
+    out = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            out.append(frozenset((labels[i], labels[j])))
+    for i in range(4):
+        out.append(frozenset(labels) - {labels[i]})
+    return sorted(out, key=_split_key)
 
 
 def compatible(a: frozenset, b: frozenset) -> bool:
@@ -238,7 +261,11 @@ class T4Point:
         return f"T4Point({parts})"
 
     def to_dict(self) -> dict:
-        return {"splits": [{"cluster": sorted(c), "length": l} for c, l in self._items]}
+        return {
+            "splits": [
+                {"cluster": sorted(c), "length": l} for c, l in self._items
+            ]
+        }
 
 
 def _is_labels(x) -> bool:
@@ -266,21 +293,15 @@ class T4Sample(ArraySample):
         points, labels = tuple(points), tuple(sorted(labels))
         if any(pt.labels != labels for pt in points):
             raise ValueError("all points must share the sample's labels")
-        support_class = _geometry(labels).support_class
-        codes = np.array([support_class[pt.support] for pt in points], dtype=np.int64)
-        coords = [[*(l for _, l in pt._items), 0.0, 0.0][:2] for pt in points]
-        self.__dict__.update(labels=labels, points=points)
-        self._keep(codes, weights, coords=np.array(coords, dtype=float).reshape(-1, 2))
+        rows = [[*pt._items, ((), 0.0), ((), 0.0)][:2] for pt in points]
+        masks = [[sum(1 << labels.index(x) for x in c) for c, _ in row] for row in rows]
+        lengths = [[length for _, length in row] for row in rows]
+        self._set(labels, np.reshape(masks, (-1, 2)), np.reshape(lengths, (-1, 2)), weights)
+        self.__dict__["points"] = points
 
-    @classmethod
-    def from_splits(cls, labels, masks, lengths, weights=None) -> "T4Sample":
-        """Build a sample from (n, w) arrays of split bitmasks and lengths.
-
-        Bit i of a mask stands for ``labels[i]``.  As in :class:`T4Point`,
-        splits of length 0 are dropped, and a point keeps at most two
-        distinct compatible splits of two or three leaves, with lengths
-        finite and >= 0; :class:`InvalidSampleError` names the first bad point.
-        """
+    def _set(self, labels, masks, lengths, weights):
+        """Check (n, w) arrays of split bitmasks and lengths and store them as
+        support classes and coordinates; bit i of a mask is ``labels[i]``."""
         geom = _geometry(tuple(sorted(labels)))
         none = len(geom.splits)
         split_of = np.array([  # bit 4 and above name no label
@@ -303,9 +324,20 @@ class T4Sample(ArraySample):
             raise InvalidSampleError(f"points[{i}].splits: " + (
                 f"length must be finite and >= 0, got {lengths[i, j]}" if bad[i, j] and not kept[i, j]
                 else f"{_SUPPORT_RULE}, got bitmasks {masks[i][kept[i]].tolist()} of {list(labels)}"))
+        self.__dict__["labels"] = geom.labels
+        self._keep(codes, weights, coords=xy)
+
+    @classmethod
+    def from_splits(cls, labels, masks, lengths, weights=None) -> "T4Sample":
+        """Build a sample from (n, w) arrays of split bitmasks and lengths.
+
+        Bit i of a mask stands for ``labels[i]``.  As in :class:`T4Point`,
+        splits of length 0 are dropped, and a point keeps at most two
+        distinct compatible splits of two or three leaves, with lengths
+        finite and >= 0; :class:`InvalidSampleError` names the first bad point.
+        """
         sample = cls.__new__(cls)
-        sample.__dict__["labels"] = geom.labels
-        sample._keep(codes, weights, coords=xy)
+        sample._set(labels, masks, lengths, weights)
         return sample
 
     @cached_property
@@ -337,12 +369,14 @@ class T4Sample(ArraySample):
             ):
                 raise InvalidSampleError(
                     f"points[{i}].splits must be a list of {{cluster, length}} objects")
-            # a mapping, so a repeated cluster keeps its last length
-            rows.append({sum({bit.get(lb, 16) for lb in s["cluster"]}): s["length"]
-                         for s in splits})
+            # a mapping by cluster, as T4Point reads it: a repeated cluster
+            # keeps its last length
+            rows.append({frozenset(s["cluster"]): s["length"] for s in splits})
         shape = (len(rows), max(map(len, rows), default=0))
-        masks, lengths = ([[*part(row), *[0] * (shape[1] - len(row))] for row in rows]
-                          for part in (dict.keys, dict.values))
+        # any label outside the four sets bit 4, which names no split
+        masks = [[sum({bit.get(lb, 16) for lb in c}) for c in row] + [0] * (shape[1] - len(row))
+                 for row in rows]
+        lengths = [[*row.values(), *[0] * (shape[1] - len(row))] for row in rows]
         try:
             lengths = np.array(lengths, dtype=float)
         except OverflowError:  # an int too large for a float: infinite, so rejected
@@ -361,7 +395,11 @@ def _first_pairs(geom: _Geometry, support) -> list[tuple]:
         e, f = support
         return [(e, f), (f, e)]
     (e,) = support
-    return [pair for t in geom.adjacency[e] for pair in ((e, t), (t, e))]
+    out = []
+    for t in geom.adjacency[e]:
+        out.append((e, t))
+        out.append((t, e))
+    return out
 
 
 def _route(x: T4Point, y: T4Point):
@@ -389,7 +427,9 @@ def _route(x: T4Point, y: T4Point):
             span = beta - alpha
             if span >= math.pi:
                 continue
-            cand = math.sqrt(max(rx * rx + ry * ry - 2.0 * rx * ry * math.cos(span), 0.0))
+            cand = math.sqrt(
+                max(rx * rx + ry * ry - 2.0 * rx * ry * math.cos(span), 0.0)
+            )
             if cand < best[0]:
                 best = (cand, "unfold", (path, alpha, beta))
     return best
@@ -428,7 +468,12 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
         phi = ang - j * _HALF_PI
         c1, c2 = r * math.cos(phi), r * math.sin(phi)
         eps = 1e-12 * max(r, 1.0)
-        return T4Point(labels, {e: c for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
+        coords = {}
+        if c1 > eps:
+            coords[path[j]] = c1
+        if c2 > eps:
+            coords[path[j + 1]] = c2
+        return T4Point(labels, coords)
     # cone path through the origin
     rx, ry = x.norm(), y.norm()
     s = t * length
@@ -441,10 +486,12 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
 
 def frechet_function(x: T4Point, sample: T4Sample) -> float:
     """Weighted mean squared geodesic distance from ``x`` to the sample."""
-    if not len(sample):
+    if not sample.points:
         raise EmptySampleError("empty sample")
     wts = sample.normalized_weights()
-    return float(sum(w * t4_distance(x, pt) ** 2 for w, pt in zip(wts, sample.points)))
+    return float(
+        sum(w * t4_distance(x, pt) ** 2 for w, pt in zip(wts, sample.points))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -633,13 +680,7 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
         # equal points then average to themselves exactly
         mean = T4Point(labels, dict(zip(geom.splits, (wts[:, None] * coords).sum(axis=0))))
         axes = tuple(sorted(union, key=_split_key))
-        # frechet_function(mean, sample) without a point object: the segment
-        # to each point, weighted and summed in point order; squares by pow,
-        # as ``** 2`` takes them, which x * x is not
-        gaps = np.array([mean.get(e) for e in axes]) - coords[:, [geom.index[e] for e in axes]]
-        d = np.sqrt(np.float_power(gaps, 2).sum(axis=1))
-        value = float(np.add.accumulate(wts * np.float_power(d, 2))[-1])
-        return T4MeanEstimate(mean, value, "euclidean", axes)
+        return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
 
     star = float(wts @ (coords * coords).sum(axis=1))
     best, steps = (star, origin(labels), (), 0.0), 0
@@ -671,7 +712,12 @@ class Stratum(Enum):
 
 def stratum_of(x: T4Point) -> Stratum:
     """Which stratum a point belongs to, by its number of active splits."""
-    return (Stratum.ORIGIN, Stratum.ONE_D, Stratum.TOP2D)[len(x.support)]
+    k = len(x.support)
+    if k == 2:
+        return Stratum.TOP2D
+    if k == 1:
+        return Stratum.ONE_D
+    return Stratum.ORIGIN
 
 
 def book_partners(axis: frozenset, labels) -> tuple[frozenset, ...]:
@@ -702,7 +748,6 @@ def spine_stickiness_t4(
     axis = frozenset(axis)
     partners = book_partners(axis, sample.labels)
     geom = _geometry(sample.labels)
-
     leaf = {(): 0, (axis,): 0}  # of the book by support, 0 on the spine
     for k, e in enumerate(partners, 1):
         leaf[(e,)] = leaf[tuple(sorted((axis, e), key=_split_key))] = k
@@ -754,8 +799,12 @@ def tree_type_newick(labels, splits) -> str:
     clusters.  Example: clusters {a,b} and {a,b,c} give
     ``(((a,b),c),d)``; no clusters give the star ``(a,b,c,d)``.
     """
-    # a mapping iterates over its clusters
-    clusters = splits.support if isinstance(splits, T4Point) else map(frozenset, splits)
+    if isinstance(splits, T4Point):
+        clusters = list(splits.support)
+    elif hasattr(splits, "keys"):
+        clusters = [frozenset(c) for c in splits.keys()]
+    else:
+        clusters = [frozenset(c) for c in splits]
     groups = [(frozenset([lb]), str(lb)) for lb in sorted(labels)]
     for cluster in sorted(clusters, key=len):
         inside = [g for g in groups if g[0] <= cluster]

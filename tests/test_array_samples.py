@@ -163,14 +163,9 @@ class TestHotPath:
                      "-o", str(tmp_path / "sample.json")]) == 0
         assert events["t4_point"] == 0
 
-    @pytest.mark.parametrize("doc", [
-        json.loads((Path(__file__).parent / "golden" / "sample_trees_k4_seed7.json").read_text()),
-        {"labels": ["a", "b", "c", "d"], "points": [  # inside one quadrant: the Euclidean mean
-            {"splits": [{"cluster": ["a", "b"], "length": 0.5}]},
-            {"splits": [{"cluster": ["a", "b"], "length": 0.25},
-                        {"cluster": ["a", "b", "c"], "length": 1.0}]}]},
-    ], ids=["newton", "euclidean"])
-    def test_t4_mean(self, events, tmp_path, doc):
+    def test_t4_mean(self, events, tmp_path):
+        doc = json.loads((Path(__file__).parent / "golden" / "sample_trees_k4_seed7.json")
+                         .read_text())
         counts = []
         for times in (1, 10):
             path = tmp_path / f"sample{times}.json"
