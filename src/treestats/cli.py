@@ -41,11 +41,22 @@ def _write(text: str, output: str | None) -> None:
 def _load_json(path: str) -> dict:
     try:
         obj = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int longer than Python converts
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _seed(text: str) -> int:
+    """The argparse type of ``--seed``: an integer >= 0, as numpy seeds are."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _gap_mode(args) -> GapMode:
@@ -184,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, choices=[3, 4], required=True,
                    help="leaves per sample tree (= number of groups)")
     p.add_argument("--reps", type=int, default=10, help="repetitions (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed >= 0 (default 0)")
     p.add_argument("--gaps", choices=["ignore", "mismatch"], default="ignore")
     p.add_argument("--strict-n", action="store_true")
     add_output(p)
@@ -212,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("law", help="law JSON file")
     p.add_argument("--n", type=int, required=True, help="sample size per replicate")
     p.add_argument("--reps", type=int, required=True, help="number of replicates")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0, help="random seed >= 0 (default 0)")
     add_output(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -16,15 +16,20 @@ gaps then predict one of three regimes for the sample mean:
 ``simulate`` draws many replicate samples, classifies each intrinsic
 mean, and runs a Kolmogorov-Smirnov test against the fully specified
 limit (population parameters, no estimation), so textbook critical
-values apply.  Replicates get independent generators seeded by (seed,
-replicate index) and can therefore run in any order.
+values apply.  Replicate ``rep`` draws from PCG64 seeded by
+``SeedSequence([seed, rep])``, an independent stream, so replicates can
+run in any order.  That seeding is computed in arrays, numpy's mixing on
+uint32 words for many replicates at once, and gives numpy's own streams.
+The seed must be an integer >= 0 and there are at most 2**32 replicates
+(``MAX_REPLICATIONS``): the replicate index is one 32-bit word.
 
-It does so in two stages.  Each replicate is drawn and reduced at once
-to its per-leg sums: the mass and weighted transverse sum of every leg
-(``spider.leg_sums``, the reduction the sample means use) and, on the
-open book, the weighted ``x1`` sum.  No sample object is built.  The
-moment gaps, verdicts and folded statistics of all replicates are then
-computed in one array pass through ``spider.gaps`` and
+It does so in two stages.  Replicates are drawn in blocks of at most
+``_BLOCK`` draws per coordinate, and each block is reduced to the
+per-leg sums of its replicates: the mass and weighted transverse sum of
+every leg (``spider.leg_sums``, the reduction the sample means use) and,
+on the open book, the weighted ``x1`` sum.  No sample object is built.
+The moment gaps, verdicts and folded statistics of all replicates are
+then computed in one array pass through ``spider.gaps`` and
 ``spider.verdict``.  The output is bit for bit that of one
 ``intrinsic_mean`` / ``openbook_mean`` per replicate sample.
 
@@ -451,10 +456,94 @@ def kstest(values, law: str) -> tuple[float, float]:
     return d, kolmogorov.sf(n, d)
 
 
-def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    # replicate index mixed into the seed: replicates are independent
-    # streams and may be evaluated in any order
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(rep)]))
+# --------------------------------------------------------------------------
+# replicate seeding: numpy's SeedSequence([seed, rep]) and PCG64 seeding,
+# computed for many replicates at once
+# --------------------------------------------------------------------------
+
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+# the constants of numpy's SeedSequence (bit_generator.pyx) and of PCG64
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Replicates seeded per kernel call; apart from the draw blocks, so that a
+# large n (few replicates a block) still seeds many replicates per call.
+_SEED_CHUNK = 1024
+
+
+def _seed_words(seed) -> list[int]:
+    """``seed`` split into 32-bit words, low first, as ``SeedSequence`` splits
+    an int; a negative seed raises :class:`InvalidParameterError`."""
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be an integer >= 0, got {seed}")
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    return words
+
+
+def _hashmix(const: int, mult: int):
+    """numpy's ``hashmix`` on uint32 arrays, with its running hash constant
+    (first ``const``): xor with the constant, step it by ``mult``, multiply
+    by the new one and xor-shift."""
+    shift = np.uint32(16)
+
+    def hashmix(v):
+        nonlocal const
+        xor, const = np.uint32(const), const * mult & _M32
+        v = (v ^ xor) * np.uint32(const)
+        return v ^ (v >> shift)
+    return hashmix
+
+
+def _generate_state(words: list[int], reps: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, rep]).generate_state(4, np.uint64)`` for every
+    ``rep`` in ``reps`` (each < 2**32), as a ``(4, reps.size)`` array;
+    ``words`` is ``_seed_words(seed)``.
+
+    The entropy of replicate ``rep`` is the words of ``seed`` followed by
+    ``rep``.  As in numpy it is mixed into a pool of four words, and the
+    state is hashed out of the pool; each step is one uint32 array
+    operation over all replicates.
+    """
+    entropy = [np.full(reps.size, w, np.uint32) for w in words] + [reps.astype(np.uint32)]
+    entropy += [np.zeros(reps.size, np.uint32)] * (4 - len(entropy))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        v = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return v ^ (v >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashout = _hashmix(_INIT_B, _MULT_B)
+    out = [hashout(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return np.array([lo | (hi << np.uint64(32)) for lo, hi in zip(out[::2], out[1::2])])
+
+
+def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    """The ``PCG64.state`` that seeding with the four words gives (``pcg64_set_seed``)."""
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _replicate_states(words: list[int], replications: int):
+    """Yield, for rep = 0, 1, ..., the ``PCG64.state`` of
+    ``default_rng(SeedSequence([seed, rep]))``, seeded ``_SEED_CHUNK``
+    replicates at a time."""
+    for r0 in range(0, replications, _SEED_CHUNK):
+        reps = np.arange(r0, min(r0 + _SEED_CHUNK, replications))
+        for state in zip(*_generate_state(words, reps).tolist()):
+            yield _pcg64_state(*state)
 
 
 def _leg_cdf(weights) -> np.ndarray:
@@ -463,6 +552,21 @@ def _leg_cdf(weights) -> np.ndarray:
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
     return cdf
+
+
+# A law with at most this many legs counts its points per leg by one
+# comparison pass over the uniforms per inner cut of the leg CDF, which is
+# then cheaper than a binary search per point and a bincount.
+_CUT_LEGS = 4
+
+
+def _leg_counts(cdf, u) -> list[int]:
+    """Points per leg among the legs ``cdf.searchsorted(u, side="right")``."""
+    if cdf.size > _CUT_LEGS:
+        return np.bincount(cdf.searchsorted(u, side="right"), minlength=cdf.size).tolist()
+    # a point's leg is <= a exactly where u < cdf[a], cdf being nondecreasing
+    below = [np.count_nonzero(u < c) for c in cdf[:-1].tolist()] + [u.size]
+    return [hi - lo for lo, hi in zip([0, *below], below)]
 
 
 def _draw(cdf, coordinates, n: int, rng):
@@ -505,49 +609,124 @@ def draw_openbook_sample(law: OpenBookLaw, n: int, rng) -> ob.OpenBookSample:
     return _sample(law, *_draw(_leg_cdf(law.weights), law.coordinates, n, rng))
 
 
+# Replicate index ``rep`` is one uint32 word of the seed entropy.
+MAX_REPLICATIONS = 2**32
+
+
 def _check_sizes(n: int, replications: int) -> None:
     for name, value in (("n", n), ("replications", replications)):
         if value < 1:
             raise InvalidParameterError(f"{name} must be >= 1, got {value}")
+    if replications > MAX_REPLICATIONS:
+        raise InvalidParameterError(
+            f"replications must be <= 2**32, got {replications}")
+
+
+# Replicates are drawn and reduced in blocks of at most this many draws per
+# coordinate (one replicate when n is larger), so memory is O(block).
+_BLOCK = 1 << 16
+
+
+def _segment_sums(t, lengths, wts):
+    """Mass and first moment (``spider.leg_sums``, point weights ``wts``) of
+    each segment of ``t``, the consecutive runs of the given ``lengths``.
+
+    Segments of one length k are reduced together as one ``(count, k)``
+    array; ``add.reduce`` along its rows is the pairwise sum of the 1-D
+    call, bit for bit, and the mass depends on k only.
+    """
+    starts = np.cumsum(lengths) - lengths
+    mass, moment = np.zeros(lengths.size), np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    by_length = lengths[order]
+    cuts = [0, *(np.flatnonzero(np.diff(by_length)) + 1).tolist(), lengths.size]
+    for a, b in zip(cuts, cuts[1:]):
+        k = int(by_length[a])
+        if not k:
+            continue
+        if b - a == 1:  # one segment: reduce it in place
+            s = int(starts[order[a]])
+            rows = order[a], t[s:s + k]
+        else:
+            group = order[a:b]
+            rows = group, t[starts[group, None] + np.arange(k)]
+        mass[rows[0]], moment[rows[0]] = sp.leg_sums(wts[:k], rows[1])
+    return mass, moment
 
 
 def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = False):
     """Stage 1, the one replicate loop of ``simulate``, ``simulate_openbook``
-    and ``spine_coverage``: draw each replicate and reduce it at once to
-    the numbers its mean and verdict need.
+    and ``spine_coverage``: draw each replicate and reduce it to the numbers
+    its mean and verdict need.
 
     Returns ``(mass, moment, spine, sd)``: the per-leg masses and
     transverse first moments (``(replications, p)`` arrays, the sums
     ``spider.leg_sums`` gives a sample); for an open book the spine
     coordinate ``x1_star`` of each mean and, with ``spread``, the sample
-    standard deviation of ``x1`` (``(replications,)`` arrays).  Replicate
-    ``rep`` is drawn from its own generator (see ``_replicate_rng``).
-    Drawn coordinates are checked as ``from_arrays`` checks them.
+    standard deviation of ``x1`` (``(replications,)`` arrays).
+
+    Replicate ``rep`` draws from PCG64 seeded by ``SeedSequence([seed,
+    rep])`` (``_replicate_states``), as ``_draw`` draws.  The loop only
+    draws: it writes each replicate's legs, per-leg counts and leg-sorted
+    coordinates into the rows of a block, and each block is then checked
+    (as ``from_arrays`` checks) and reduced in one array pass.
     """
     _check_sizes(n, replications)
+    states = _replicate_states(_seed_words(seed), replications)
     book = isinstance(law, OpenBookLaw)
     cdf, coordinates = _leg_cdf(law.weights), law.coordinates
+    p = cdf.size
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    mass, moment = np.empty((replications, p)), np.empty((replications, p))
+    spine, sd = np.empty(replications), np.empty(replications)
+    m = max(1, min(replications, _BLOCK // n))
+    uniforms = np.empty((m, n) if book else 0)  # the open book's, to sort x1 by
+    counts = np.empty((m, p), np.int64)
+    x = np.empty((len(coordinates[0]), m, n))  # per coordinate, leg-sorted rows
     wts = np.full(n, 1.0 / n)
-    mass = np.zeros((replications, cdf.size))
-    moment = np.zeros((replications, cdf.size))
-    spine = np.empty(replications)
-    sd = np.empty(replications)
-    for rep in range(replications):
-        legs, draws = _draw(cdf, coordinates, n, _replicate_rng(seed, rep))
-        drawn = np.concatenate([x for coords in draws for x in coords])
-        lo = sp._min(drawn)
-        if not (lo >= 0 and sp._max(drawn) < np.inf):  # NaN fails too
-            _sample(law, legs, draws)  # raises, naming the point and field
-        for a, coords in enumerate(draws):
-            if coords:
-                t = coords[-1]  # transverse coordinate: 0 puts a point on no leg
-                t = t[t != 0] if lo == 0 else t
-                mass[rep, a], moment[rep, a] = sp.leg_sums(wts[:t.size], t)
+    for r0 in range(0, replications, m):
+        rows = min(m, replications - r0)
+        block = [next(states) for _ in range(rows)]
+        for i, state in enumerate(block):
+            bitgen.state = state
+            u = rng.random(n)
+            counts[i] = ks = _leg_counts(cdf, u)
+            if book:
+                uniforms[i] = u
+            end = 0
+            for dists, k in zip(coordinates, ks):
+                if k:
+                    for j, d in enumerate(dists):
+                        x[j, i, end:end + k] = d.draw(rng, k)
+                    end += k
+        drawn = x[:, :rows]
+        if not (sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) < np.inf):
+            # NaN fails too; redraw the first bad replicate into a sample,
+            # which raises naming the point and field
+            bad = ~((drawn >= 0) & (drawn < np.inf)).all(axis=(0, 2))
+            bitgen.state = block[int(np.argmax(bad))]
+            _sample(law, *_draw(cdf, coordinates, n, rng))
+        t, lengths = drawn[-1].reshape(-1), counts[:rows].reshape(-1)
+        if sp._min(t) == 0:  # transverse coordinate 0: the point is on no leg
+            nonzero = t != 0
+            lengths = np.bincount(np.repeat(np.arange(lengths.size), lengths)[nonzero],
+                                  minlength=lengths.size)
+            t = t[nonzero]
+        out = slice(r0, r0 + rows)
+        mass[out], moment[out] = (s.reshape(rows, p) for s in _segment_sums(t, lengths, wts))
         if book:
-            x1 = _in_point_order(legs, draws, 0)
-            spine[rep] = sp._sum(wts * x1)
+            # back to point order: a stable sort of the legs (small ints, a
+            # radix sort) gives the point of each leg-sorted place; a point's
+            # leg is the number of inner cuts of the leg CDF <= u, as searched
+            legs = np.zeros((rows, n), np.uint8)
+            for c in cdf[:-1].tolist():
+                legs += uniforms[:rows] >= c
+            x1 = np.empty((rows, n))
+            np.put_along_axis(x1, np.argsort(legs, axis=1, kind="stable"), drawn[0], axis=1)
+            spine[out] = sp._sum(wts * x1, axis=1)
             if spread:
-                sd[rep] = x1.std(ddof=1)
+                sd[out] = x1.std(ddof=1, axis=1)
     return mass, moment, spine, sd
 
 

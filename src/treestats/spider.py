@@ -90,6 +90,17 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     return w
 
 
+# The most legs a spider sample or summary may have.  Reports list the
+# mass, mean and gap of every leg, and the means loop over the legs, so p
+# is bounded before anything per leg is allocated.
+MAX_LEGS = 2**16
+
+
+def _check_p(p, what: str) -> None:
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 1 <= p <= MAX_LEGS:
+        raise InvalidSampleError(f"{what} must be an integer in 1..{MAX_LEGS}, got {p!r}")
+
+
 # What ndarray.sum/min/max call, minus their Python-level wrappers (the
 # same pairwise sum); the per-replicate paths of simulate use them.
 _sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
@@ -290,8 +301,7 @@ class SpiderSample(ArraySample):
         self.__dict__["points"] = points
 
     def _set(self, p, codes, u, weights):
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
-            raise InvalidSampleError(f"p must be an integer >= 1, got {p!r}")
+        _check_p(p, "p")
         self.__dict__["p"] = p
         self._store(p, codes, weights, u=u)
 
@@ -350,8 +360,7 @@ class SpiderMeasureSummary:
                     raise InvalidSampleError(f"summary {name} must be a list, got {values!r}")
                 object.__setattr__(self, name, tuple(
                     _summary_float(x, name, i) for i, x in enumerate(values)))
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral) or self.p < 1:
-            raise InvalidSampleError(f"summary p must be an integer >= 1, got {self.p!r}")
+        _check_p(self.p, "summary p")
         for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu),
                              ("m2", self.m2 or ())):
             if not all(map(math.isfinite, values)):
@@ -375,13 +384,14 @@ class SpiderMeasureSummary:
 
 def leg_sums(w, x):
     """Mass and first moment of one leg: the pairwise sums of the leg's
-    point weights ``w`` and of ``w * x``, both in point order.
+    point weights ``w`` and of ``w * x``, both in point order, along the
+    last axis (``x`` may hold one row per leg of equal length).
 
     The one per-leg reduction: spider and open-book samples and the
     replicates of the simulation all call it, so their sums agree bit for
     bit.
     """
-    return _sum(w), _sum(w * x)
+    return _sum(w, axis=-1), _sum(w * x, axis=-1)
 
 
 def leg_means(w, s):

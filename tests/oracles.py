@@ -598,3 +598,13 @@ def exact_stick_probability(n: int, p: int) -> float:
     is one minus p times a binomial tail.
     """
     return 1.0 - p * float(binom.sf(n // 2, n, 1.0 / p))
+
+
+# --------------------------------------------------------------------------
+# simulation: one generator per replicate, seeded by numpy itself
+# --------------------------------------------------------------------------
+
+def replicate_rng(seed: int, rep: int) -> np.random.Generator:
+    """The generator of replicate ``rep`` of a seeded simulation: PCG64 from
+    ``SeedSequence([seed, rep])``, built by numpy's own seeding."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(rep)]))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import replicate_rng
 from treestats import mcsim, openbook, spider
 from treestats.cli import main
 from treestats.errors import InvalidSampleError
@@ -151,7 +152,7 @@ class TestHotPath:
 
     def test_events_are_counted(self, events):
         law = mcsim.SpiderLaw((0.5, 0.5), (mcsim.Exponential(1.0),) * 2)
-        spider.intrinsic_mean(mcsim.draw_spider_sample(law, 5, mcsim._replicate_rng(1, 0)))
+        spider.intrinsic_mean(mcsim.draw_spider_sample(law, 5, replicate_rng(1, 0)))
         assert events["sample"] == events["intrinsic_mean"] == 1 and events["point"] >= 1
         T4Point((1, 2, 3, 4))
         assert events["t4_point"] == 1

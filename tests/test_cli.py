@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treestats
-from treestats import pipeline
+from treestats import pipeline, spider
 from treestats.cli import main
 from treestats.errors import ConfigError
 from treestats.seqio import GapMode, parse_fasta
@@ -412,6 +412,68 @@ class TestSimulate:
                          "--seed", "9", "-o", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestSeedAndSizeBounds:
+    """Seeds, replicate counts and spider leg counts outside their documented
+    bounds exit 2 and name the option or field."""
+
+    def test_negative_seed_simulate(self, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text((DATA / "law_symmetric.json").read_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(law), "--n", "10", "--reps", "5", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_seed_sample_trees(self, toy, capsys):
+        fasta, groups3, _ = toy
+        with pytest.raises(SystemExit) as exc:
+            main(["sample-trees", str(fasta), "--groups", str(groups3), "--k", "3",
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_two_word_seed_runs(self, tmp_path):
+        law = tmp_path / "law.json"
+        law.write_text((DATA / "law_openbook_symmetric.json").read_text())
+        out = tmp_path / "report.json"
+        assert main(["simulate", str(law), "--n", "20", "--reps", "30",
+                     "--seed", str(2**32 + 1), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["replications"] == 30
+
+    def test_too_many_replications(self, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text((DATA / "law_symmetric.json").read_text())
+        assert main(["simulate", str(law), "--n", "10", "--reps", str(2**32 + 1)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "replications" in err
+
+    @pytest.mark.parametrize("command", [["mean"], ["sticky"]])
+    @pytest.mark.parametrize("p", [10**400, spider.MAX_LEGS + 1])
+    def test_leg_count_bound(self, tmp_path, capsys, command, p):
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps({"p": p, "points": [{"leg": 1, "u": 1}]}))
+        assert main([*command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and f"p must be an integer in 1..{2**16}" in err
+
+    @pytest.mark.parametrize("argv", [["mean"], ["sticky"], ["simulate", "--n", "5"]])
+    def test_integer_too_long_to_parse(self, tmp_path, capsys, argv):
+        # Python refuses to convert integers of more than 4300 digits
+        path = tmp_path / "doc.json"
+        path.write_text('{"p": 1' + "0" * 5000 + ', "points": [{"leg": 1, "u": 1}]}')
+        assert main([*argv, str(path), *(["--reps", "5"] if "--n" in argv else [])]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "invalid JSON" in err
+
+    @pytest.mark.parametrize("p", [10**400, spider.MAX_LEGS + 1])
+    def test_summary_leg_count_bound(self, tmp_path, capsys, p):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps({"p": p, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}))
+        assert main(["sticky", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "summary p must be an integer in" in err
 
 
 class TestPlotCommand:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_stick_probability
+from oracles import exact_stick_probability, replicate_rng
 from treestats import mcsim
-from treestats.errors import TreeStatsError, WrongRegimeError
+from treestats.errors import InvalidParameterError, TreeStatsError, WrongRegimeError
 from treestats.mcsim import (
     Exponential,
     OpenBookLaw,
@@ -17,7 +17,6 @@ from treestats.mcsim import (
     SimReport,
     SpiderLaw,
     Uniform,
-    _replicate_rng,
     classify_law,
     classify_openbook_law,
     distribution_from_dict,
@@ -165,10 +164,10 @@ class TestSimulateSpider:
             checked += 1
             verdicts = []
             for rep in range(5):
-                from treestats.mcsim import draw_spider_sample, _replicate_rng
+                from treestats.mcsim import draw_spider_sample
                 from treestats.spider import intrinsic_mean
 
-                sample = draw_spider_sample(law, 10_000, _replicate_rng(16, rep))
+                sample = draw_spider_sample(law, 10_000, replicate_rng(16, rep))
                 verdicts.append(intrinsic_mean(sample).verdict.kind)
             majority = max(set(verdicts), key=verdicts.count)
             expected = "non_sticky" if regime is Regime.NONSTICKY else "sticky"
@@ -251,7 +250,7 @@ def oracle_simulate(law, n, reps, seed) -> str:
         - theta_star * theta_star
     stats, spine, stuck = np.empty(reps), np.empty(reps), 0
     for rep in range(reps):
-        report = mean(draw(law, n, _replicate_rng(seed, rep)))
+        report = mean(draw(law, n, replicate_rng(seed, rep)))
         gaps = report.theta2 if book else report.theta
         leg, off = report.verdict.leg, report.verdict.kind == "non_sticky"
         stuck += not off
@@ -288,7 +287,7 @@ def oracle_coverage(law, n, reps, confidence, seed) -> float:
     hits = 0
     for rep in range(reps):
         try:
-            interval = spine_clt(draw_openbook_sample(law, n, _replicate_rng(seed, rep)),
+            interval = spine_clt(draw_openbook_sample(law, n, replicate_rng(seed, rep)),
                                  confidence)
         except WrongRegimeError:
             continue
@@ -402,10 +401,10 @@ class TestStagesMatchOracle:
         mass, moment, spine, _ = mcsim._replicate_sums(law, n, reps, seed)
         for rep in range(reps):
             if isinstance(law, OpenBookLaw):
-                report = openbook_mean(draw_openbook_sample(law, n, _replicate_rng(seed, rep)))
+                report = openbook_mean(draw_openbook_sample(law, n, replicate_rng(seed, rep)))
                 assert spine[rep] == report.x1_star
             else:
-                report = intrinsic_mean(draw_spider_sample(law, n, _replicate_rng(seed, rep)))
+                report = intrinsic_mean(draw_spider_sample(law, n, replicate_rng(seed, rep)))
             assert tuple(mass[rep].tolist()) == report.w
 
     def test_boundary_law_is_reached(self):
@@ -428,3 +427,83 @@ class TestStagesMatchOracle:
         assert got[0].__name__ == "InvalidSampleError" and f".{where} must be finite" in got[1]
         if where != "u":
             assert got == outcome(spine_coverage, law, 20, 3, 0.9, 1)
+
+
+# --------------------------------------------------------------------------
+# replicate seeding in arrays, and replicates reduced in blocks
+# --------------------------------------------------------------------------
+
+# one-word seeds at both ends, two- and three-word seeds, and seeds whose
+# entropy (seed words plus the replicate word) is longer than the pool of 4
+seeds = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96,
+                                   2**96 + 12345, 2**160 - 1, 2**200 + 7]),
+                  st.integers(0, 2**32 - 1), st.integers(0, 2**256))
+rep_lists = st.lists(st.one_of(st.integers(0, 2**32 - 1),
+                               st.sampled_from([0, 1, 2**31, 2**32 - 1])), min_size=1, max_size=6)
+
+
+class TestReplicateSeeding:
+    """The seeding kernel gives the words and PCG64 state numpy's own
+    ``SeedSequence([seed, rep])`` gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds, rep_lists)
+    def test_kernel_is_seed_sequence(self, seed, rep_list):
+        words = mcsim._generate_state(mcsim._seed_words(seed), np.array(rep_list))
+        for column, rep in zip(words.T.tolist(), rep_list):
+            sequence = np.random.SeedSequence([seed, rep])
+            assert column == sequence.generate_state(4, np.uint64).tolist()
+            assert mcsim._pcg64_state(*column) == np.random.PCG64(sequence).state
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
+    def test_states_across_chunk_edges(self, monkeypatch, seed):
+        monkeypatch.setattr(mcsim, "_SEED_CHUNK", 4)
+        states = list(mcsim._replicate_states(mcsim._seed_words(seed), 11))
+        assert states == [replicate_rng(seed, rep).bit_generator.state for rep in range(11)]
+
+    @pytest.mark.parametrize("run", [
+        lambda seed: simulate(SYMMETRIC, 10, 5, seed),
+        lambda seed: simulate_openbook(symmetric_book(), 10, 5, seed),
+        lambda seed: spine_coverage(symmetric_book(), 10, 5, 0.9, seed),
+    ], ids=["simulate", "simulate_openbook", "spine_coverage"])
+    def test_negative_seed_is_named(self, run):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
+            run(-1)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run(-2**70)
+
+    def test_replication_bound(self):
+        with pytest.raises(InvalidParameterError, match="replications must be <= 2\\*\\*32"):
+            simulate(SYMMETRIC, 10, mcsim.MAX_REPLICATIONS + 1, 0)
+
+
+class TestBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(spider_laws(), book_laws()),
+           st.tuples(st.integers(2, 12), st.integers(1, 15), seeds),
+           st.integers(1, 30))
+    def test_blocked_sums_are_one_block_sums(self, law, size, block):
+        # blocks of a few draws, down to one replicate per block
+        whole = mcsim._replicate_sums(law, *size, spread=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_BLOCK", block)
+            blocked = mcsim._replicate_sums(law, *size, spread=True)
+        kept = 4 if isinstance(law, OpenBookLaw) else 2  # a spider has no spine
+        for a, b in zip(whole[:kept], blocked[:kept]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("weights", [
+        (1.0,), (0.5, 0.5), (0.6, 0.2, 0.2), (0.0, 0.7, 0.3), (0.25, 0.0, 0.0, 0.75),
+        (0.1, 0.2, 0.3, 0.4, 0.0), (0.2,) * 5, (1 - 1e-9, 1e-9),
+    ])
+    def test_leg_counts_are_the_searched_counts(self, weights):
+        cdf = mcsim._leg_cdf(weights)
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 300):
+            u = rng.random(n)
+            searched = np.bincount(cdf.searchsorted(u, side="right"), minlength=cdf.size)
+            assert mcsim._leg_counts(cdf, u) == searched.tolist()
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
+        edges = edges[edges < 1]
+        searched = np.bincount(cdf.searchsorted(edges, side="right"), minlength=cdf.size)
+        assert mcsim._leg_counts(cdf, edges) == searched.tolist()
