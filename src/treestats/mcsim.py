@@ -466,8 +466,9 @@ _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Replicates seeded per kernel call; apart from the draw blocks, so that a
-# large n (few replicates a block) still seeds many replicates per call.
+# Replicates seeded per kernel call.  A call costs about 0.2 ms for up to a
+# few hundred replicates, so seeding is not tied to the draw blocks, which
+# hold only three replicates at n = 20000.
 _SEED_CHUNK = 1024
 
 
@@ -554,46 +555,34 @@ def _leg_cdf(weights) -> np.ndarray:
     return cdf
 
 
-# A law with at most this many legs counts its points per leg by one
-# comparison pass over the uniforms per inner cut of the leg CDF, which is
-# then cheaper than a binary search per point and a bincount.
-_CUT_LEGS = 4
-
-
-def _leg_counts(cdf, u) -> list[int]:
-    """Points per leg among the legs ``cdf.searchsorted(u, side="right")``."""
-    if cdf.size > _CUT_LEGS:
-        return np.bincount(cdf.searchsorted(u, side="right"), minlength=cdf.size).tolist()
-    # a point's leg is <= a exactly where u < cdf[a], cdf being nondecreasing
-    below = [np.count_nonzero(u < c) for c in cdf[:-1].tolist()] + [u.size]
-    return [hi - lo for lo, hi in zip([0, *below], below)]
-
-
-def _draw(cdf, coordinates, n: int, rng):
+def _draw(cdf, coordinates, n: int, rng, out) -> tuple[np.ndarray, np.ndarray]:
     """The one draw primitive: an i.i.d. sample of size n, drawn leg by leg.
 
-    Returns the leg index (0-based) of each point and, per leg, one array
-    per coordinate distribution in ``coordinates``, in draw order (an
-    empty tuple for a leg that got no point).
+    Writes coordinate ``j`` of the points into ``out[j]`` (n values), sorted
+    by leg and in draw order within a leg, and returns the leg index
+    (0-based) of each point and the number of points per leg.
     """
     legs = cdf.searchsorted(rng.random(n), side="right")
-    counts = np.bincount(legs, minlength=cdf.size).tolist()
-    return legs, [tuple(d.draw(rng, k) for d in dists) if k else ()
-                  for dists, k in zip(coordinates, counts)]
+    counts = np.bincount(legs, minlength=cdf.size)
+    end = 0
+    for dists, k in zip(coordinates, counts.tolist()):
+        if k:
+            for j, d in enumerate(dists):
+                out[j, end:end + k] = d.draw(rng, k)
+            end += k
+    return legs, counts
 
 
-def _in_point_order(legs, draws, j: int) -> np.ndarray:
-    """Coordinate ``j`` of every point of a draw, in point order."""
-    x = np.empty(legs.size)
-    for a, coords in enumerate(draws):
-        if coords:
-            x[legs == a] = coords[j]
-    return x
+def _draw_sample(law, n: int, rng):
+    """The spider or open-book sample of one draw (checked by ``from_arrays``).
 
-
-def _sample(law, legs, draws):
-    """The spider or open-book sample of a draw (checked by ``from_arrays``)."""
-    columns = [_in_point_order(legs, draws, j) for j in range(len(law.coordinates[0]))]
+    A stable sort of the legs gives the point of each leg-sorted place, so
+    the columns come back in point order.
+    """
+    out = np.empty((len(law.coordinates[0]), n))
+    legs, _ = _draw(_leg_cdf(law.weights), law.coordinates, n, rng, out)
+    columns = np.empty_like(out)
+    columns[:, np.argsort(legs, kind="stable")] = out
     if isinstance(law, OpenBookLaw):
         return ob.OpenBookSample.from_arrays(legs + 1, *columns)
     return sp.SpiderSample.from_arrays(law.p, legs + 1, *columns)
@@ -601,12 +590,12 @@ def _sample(law, legs, draws):
 
 def draw_spider_sample(law: SpiderLaw, n: int, rng) -> sp.SpiderSample:
     """One i.i.d. sample of size n from a spider law."""
-    return _sample(law, *_draw(_leg_cdf(law.weights), law.coordinates, n, rng))
+    return _draw_sample(law, n, rng)
 
 
 def draw_openbook_sample(law: OpenBookLaw, n: int, rng) -> ob.OpenBookSample:
     """One i.i.d. sample of size n from an open-book law."""
-    return _sample(law, *_draw(_leg_cdf(law.weights), law.coordinates, n, rng))
+    return _draw_sample(law, n, rng)
 
 
 # Replicate index ``rep`` is one uint32 word of the seed entropy.
@@ -666,10 +655,10 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     standard deviation of ``x1`` (``(replications,)`` arrays).
 
     Replicate ``rep`` draws from PCG64 seeded by ``SeedSequence([seed,
-    rep])`` (``_replicate_states``), as ``_draw`` draws.  The loop only
-    draws: it writes each replicate's legs, per-leg counts and leg-sorted
-    coordinates into the rows of a block, and each block is then checked
-    (as ``from_arrays`` checks) and reduced in one array pass.
+    rep])`` (``_replicate_states``).  The loop only draws: ``_draw`` writes
+    each replicate's leg-sorted coordinates into the rows of a block, and
+    each block is then checked (as ``from_arrays`` checks) and reduced in
+    one array pass.
     """
     _check_sizes(n, replications)
     states = _replicate_states(_seed_words(seed), replications)
@@ -681,7 +670,7 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     mass, moment = np.empty((replications, p)), np.empty((replications, p))
     spine, sd = np.empty(replications), np.empty(replications)
     m = max(1, min(replications, _BLOCK // n))
-    uniforms = np.empty((m, n) if book else 0)  # the open book's, to sort x1 by
+    legs = np.empty((m, n) if book else 0, np.uint8)  # the open book's, to sort x1 by
     counts = np.empty((m, p), np.int64)
     x = np.empty((len(coordinates[0]), m, n))  # per coordinate, leg-sorted rows
     wts = np.full(n, 1.0 / n)
@@ -690,23 +679,16 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
         block = [next(states) for _ in range(rows)]
         for i, state in enumerate(block):
             bitgen.state = state
-            u = rng.random(n)
-            counts[i] = ks = _leg_counts(cdf, u)
+            row_legs, counts[i] = _draw(cdf, coordinates, n, rng, x[:, i])
             if book:
-                uniforms[i] = u
-            end = 0
-            for dists, k in zip(coordinates, ks):
-                if k:
-                    for j, d in enumerate(dists):
-                        x[j, i, end:end + k] = d.draw(rng, k)
-                    end += k
+                legs[i] = row_legs
         drawn = x[:, :rows]
         if not (sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) < np.inf):
             # NaN fails too; redraw the first bad replicate into a sample,
             # which raises naming the point and field
             bad = ~((drawn >= 0) & (drawn < np.inf)).all(axis=(0, 2))
             bitgen.state = block[int(np.argmax(bad))]
-            _sample(law, *_draw(cdf, coordinates, n, rng))
+            _draw_sample(law, n, rng)
         t, lengths = drawn[-1].reshape(-1), counts[:rows].reshape(-1)
         if sp._min(t) == 0:  # transverse coordinate 0: the point is on no leg
             nonzero = t != 0
@@ -717,13 +699,10 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
         mass[out], moment[out] = (s.reshape(rows, p) for s in _segment_sums(t, lengths, wts))
         if book:
             # back to point order: a stable sort of the legs (small ints, a
-            # radix sort) gives the point of each leg-sorted place; a point's
-            # leg is the number of inner cuts of the leg CDF <= u, as searched
-            legs = np.zeros((rows, n), np.uint8)
-            for c in cdf[:-1].tolist():
-                legs += uniforms[:rows] >= c
+            # radix sort) gives the point of each leg-sorted place
             x1 = np.empty((rows, n))
-            np.put_along_axis(x1, np.argsort(legs, axis=1, kind="stable"), drawn[0], axis=1)
+            np.put_along_axis(x1, np.argsort(legs[:rows], axis=1, kind="stable"),
+                              drawn[0], axis=1)
             spine[out] = sp._sum(wts * x1, axis=1)
             if spread:
                 sd[out] = x1.std(ddof=1, axis=1)

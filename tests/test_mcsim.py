@@ -456,7 +456,12 @@ class TestReplicateSeeding:
             assert mcsim._pcg64_state(*column) == np.random.PCG64(sequence).state
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
-    def test_states_across_chunk_edges(self, monkeypatch, seed):
+    def test_states_across_block_and_chunk_edges(self, monkeypatch, seed):
+        # draw blocks of 3 replicates of 10 draws, seeding chunks of 4
+        monkeypatch.setattr(mcsim, "_BLOCK", 30)
+        for law in (SYMMETRIC, symmetric_book()):
+            assert canonical_json(simulate(law, 10, 11, seed).to_dict(include_runtime=False)) \
+                == oracle_simulate(law, 10, 11, seed)
         monkeypatch.setattr(mcsim, "_SEED_CHUNK", 4)
         states = list(mcsim._replicate_states(mcsim._seed_words(seed), 11))
         assert states == [replicate_rng(seed, rep).bit_generator.state for rep in range(11)]
@@ -491,19 +496,3 @@ class TestBlocks:
         kept = 4 if isinstance(law, OpenBookLaw) else 2  # a spider has no spine
         for a, b in zip(whole[:kept], blocked[:kept]):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("weights", [
-        (1.0,), (0.5, 0.5), (0.6, 0.2, 0.2), (0.0, 0.7, 0.3), (0.25, 0.0, 0.0, 0.75),
-        (0.1, 0.2, 0.3, 0.4, 0.0), (0.2,) * 5, (1 - 1e-9, 1e-9),
-    ])
-    def test_leg_counts_are_the_searched_counts(self, weights):
-        cdf = mcsim._leg_cdf(weights)
-        rng = np.random.default_rng(3)
-        for n in (1, 7, 300):
-            u = rng.random(n)
-            searched = np.bincount(cdf.searchsorted(u, side="right"), minlength=cdf.size)
-            assert mcsim._leg_counts(cdf, u) == searched.tolist()
-        edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
-        edges = edges[edges < 1]
-        searched = np.bincount(cdf.searchsorted(edges, side="right"), minlength=cdf.size)
-        assert mcsim._leg_counts(cdf, edges) == searched.tolist()
