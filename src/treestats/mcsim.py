@@ -43,7 +43,6 @@ Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11).
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -88,9 +87,9 @@ def _finite(evaluate) -> bool:
 
 def _check(name: str, value, rule: str, ok) -> None:
     """Raise :class:`InvalidParameterError` naming ``name`` unless ``value``
-    is a finite real number that passes ``ok``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (_finite(lambda: value) and ok(value))):
+    is finite and passes ``ok``; a document's values are numbers already
+    (``spider.json_number``)."""
+    if not (_finite(lambda: value) and ok(value)):
         raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -200,18 +199,11 @@ def distribution_from_dict(obj: dict, where: str = "distribution"):
     for key in params:
         if key not in args:
             raise InvalidParameterError(f"{where}.{key} is missing")
+    args = {k: sp.json_number(v, f"{where}.{k}", InvalidParameterError) for k, v in args.items()}
     try:
         return cls(**args)
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"{where}.{exc}") from None
-
-
-def _list_field(obj: dict, key: str) -> list:
-    if key not in obj:
-        raise InvalidParameterError(f"{key} is missing")
-    if not isinstance(obj[key], list):
-        raise InvalidParameterError(f"{key} must be a list, got {obj[key]!r}")
-    return obj[key]
 
 
 def _one_weight_each(weights, dists, items: str, where: str, place: str) -> tuple[float, ...]:
@@ -291,9 +283,9 @@ class SpiderLaw:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderLaw":
-        legs = _list_field(obj, "legs")
+        legs = sp.json_list(obj.get("legs"), "legs", InvalidParameterError)
         return cls(
-            tuple(_list_field(obj, "weights")),
+            obj.get("weights"),
             tuple(distribution_from_dict(d, f"legs[{a}]") for a, d in enumerate(legs)),
         )
 
@@ -341,12 +333,12 @@ class OpenBookLaw:
     @classmethod
     def from_dict(cls, obj: dict) -> "OpenBookLaw":
         leaves = []
-        for i, leaf in enumerate(_list_field(obj, "leaves")):
+        for i, leaf in enumerate(sp.json_list(obj.get("leaves"), "leaves", InvalidParameterError)):
             if not isinstance(leaf, dict):
                 raise InvalidParameterError(f"leaves[{i}] must be an object with x1 and x2")
             leaves.append(tuple(
                 distribution_from_dict(leaf.get(x), f"leaves[{i}].{x}") for x in ("x1", "x2")))
-        return cls(tuple(_list_field(obj, "weights")), tuple(leaves))
+        return cls(obj.get("weights"), tuple(leaves))
 
 
 _LAWS = {"spider": SpiderLaw, "openbook": OpenBookLaw}
@@ -683,10 +675,10 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
             if book:
                 legs[i] = row_legs
         drawn = x[:, :rows]
-        if not (sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) < np.inf):
+        if not (sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) <= sp.MAX_COORD):
             # NaN fails too; redraw the first bad replicate into a sample,
             # which raises naming the point and field
-            bad = ~((drawn >= 0) & (drawn < np.inf)).all(axis=(0, 2))
+            bad = ~((drawn >= 0) & (drawn <= sp.MAX_COORD)).all(axis=(0, 2))
             bitgen.state = block[int(np.argmax(bad))]
             _draw_sample(law, n, rng)
         t, lengths = drawn[-1].reshape(-1), counts[:rows].reshape(-1)

@@ -111,7 +111,7 @@ class OpenBookSample(ArraySample):
     @classmethod
     def from_dict(cls, obj: dict) -> "OpenBookSample":
         codes, x1, x2 = cls._json_columns(obj, *cls._coords)
-        return cls.from_arrays(codes, x1, x2, obj.get("weights") or None)
+        return cls.from_arrays(codes, x1, x2, obj.get("weights"))
 
 
 def frechet_function(x: OpenBookPoint, sample: OpenBookSample) -> float:

@@ -137,10 +137,10 @@ def detect_space(obj: dict) -> str:
         return "t3"
     if "labels" in obj:
         return "t4"
-    points = obj.get("points")
-    if points and "leaf" in points[0]:
+    first = sp.json_points(obj)[:1]
+    if first and "leaf" in first[0]:
         return "openbook"
-    if points and "leg" in points[0]:
+    if first and "leg" in first[0]:
         return "t3"
     raise ConfigError("cannot infer the sample space from the JSON document")
 
@@ -173,10 +173,10 @@ def mean_estimate(sample, space: str, tolerance: float = 0.0):
 
 def mean_report(sample, space: str, estimate) -> dict:
     """Space-appropriate report, as a JSON-ready dictionary, of the
-    sample's :func:`mean_estimate`."""
-    if space == "t3":
-        return {"space": "t3", "tree_type": spider_tree_type(estimate.mean.leg),
-                **estimate.to_dict()}
+    sample's :func:`mean_estimate` (for t3, also of a summary's)."""
+    if space == "t3":  # the letter notation names the trees of a 3-spider only
+        tree_type = spider_tree_type(estimate.mean.leg) if estimate.p == 3 else None
+        return {"space": "t3", "tree_type": tree_type, **estimate.to_dict()}
     if space == "openbook":
         return {"space": "openbook", **estimate.to_dict()}
     from . import t4space as t4
@@ -203,10 +203,7 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
         p = obj.get("p", len(w) if isinstance(w, list) else None)  # checked by the summary
         summary = sp.SpiderMeasureSummary(p, obj.get("w0", 0.0), w, obj["nu"])
         report = sp.intrinsic_mean(summary, tolerance)
-        out = {"space": "t3", "input": "summary",
-               "tree_type": spider_tree_type(report.mean.leg)}
-        out.update(report.to_dict())
-        return out
+        return {"input": "summary", **mean_report(summary, "t3", report)}
     space = detect_space(obj)
     sample = load_sample(obj, space)
     if space in ("t3", "openbook"):

@@ -186,8 +186,8 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None, size: int = 480)
             f'<text x="{_F(x + 5)}" y="{_F(y - 5)}" font-size="10" fill="#333">'
             f"{_split_label(s)}</text>"
         )
-    radii = [pt.norm() for pt in sample.points if not pt.is_origin]
-    max_r = max(radii) if radii else 1.0
+    # a norm is 0 off the origin too when the squares of its lengths underflow
+    max_r = max((pt.norm() for pt in sample.points), default=0.0) or 1.0
     for pt in sample.points:
         if pt.is_origin:
             continue

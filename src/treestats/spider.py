@@ -65,20 +65,13 @@ __all__ = [
 def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     """Weights as floats, checked to be finite, nonnegative and sum to 1.
 
-    ``count``, when given, is the number of points the weights belong to.
-    Shared by the spider, open-book and tree-space samples and the
-    simulation laws; raises :class:`InvalidWeightsError`.
+    ``weights`` is read by :func:`json_list` and :func:`json_numbers`;
+    ``count``, when given, is the number of points they belong to.  Shared
+    by the spider, open-book and tree-space samples and the simulation
+    laws; raises :class:`InvalidWeightsError`.
     """
-    try:
-        w = tuple(weights)
-    except TypeError:
-        raise InvalidWeightsError("weights must be a list of numbers") from None
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in w):
-        raise InvalidWeightsError("weights must be a list of numbers")  # not strings or booleans
-    try:
-        w = tuple(map(float, w))
-    except OverflowError:  # an int too large for a float
-        raise InvalidWeightsError("weights must be finite") from None
+    w = json_list(weights, "weights", InvalidWeightsError)
+    w = tuple(json_numbers(w, "weights[{}]".format, InvalidWeightsError).tolist())
     if count is not None and len(w) != count:
         raise InvalidWeightsError("weights length must match point count")
     if not all(math.isfinite(x) for x in w):
@@ -90,10 +83,70 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     return w
 
 
+# Readers of JSON documents.  They check structure and types only, and
+# every loader of a sample, summary or law goes through them; the range
+# checks are the library constructors'.  In a document an absent or null
+# "weights" means uniform weights, and any other value goes to
+# validate_weights.
+
+def json_list(value, field: str, error=InvalidSampleError) -> list:
+    """``value``, a required list (library callers may pass a tuple or a
+    numpy array); ``error`` names ``field`` when it is absent (``None``)
+    or not a list."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise error(f"{field} is missing" if value is None
+                    else f"{field} must be a list, got {value!r}")
+    return value
+
+
+def json_points(obj) -> list[dict]:
+    """The ``points`` list of a sample document, each entry an object."""
+    points = json_list(obj.get("points"), "points")
+    if not {*map(type, points)} <= {dict}:
+        i, o = next((i, o) for i, o in enumerate(points) if type(o) is not dict)
+        raise InvalidSampleError(f"points[{i}] must be an object, got {o!r}")
+    return points
+
+
+def json_number(x, field: str, error=InvalidSampleError) -> float:
+    """``x`` as a float, by the one number rule of documents: a real number
+    (in JSON an int or a float), never a bool or a string.  An integer too
+    large for a float reads as infinity, so the range check after this one
+    names ``field``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise error(f"{field} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def json_numbers(values, entry, error=InvalidSampleError) -> np.ndarray:
+    """A list or tuple of numbers as a float array, converted in one pass;
+    a numpy array passes straight through (as a copy).
+
+    Entries follow :func:`json_number`, and ``entry(i)`` names entry ``i``
+    in errors.  A list of plain ints and floats converts in one numpy call;
+    any other list is read entry by entry.
+    """
+    if isinstance(values, np.ndarray) or {*map(type, values)} <= {int, float}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an int too large for a float, read below
+            pass
+    return np.array([json_number(x, entry(i), error) for i, x in enumerate(values)], dtype=float)
+
+
 # The most legs a spider sample or summary may have.  Reports list the
 # mass, mean and gap of every leg, and the means loop over the legs, so p
 # is bounded before anything per leg is allocated.
 MAX_LEGS = 2**16
+
+# The largest coordinate a sample holds (a spider's u, an open book's x1
+# and x2, a tree-space split length) and the largest summary w0, w or nu:
+# squared distances and leg moments of such values, summed with weights
+# that sum to 1 (or over at most MAX_LEGS legs), stay finite in doubles.
+MAX_COORD = 1e150
 
 
 def _check_p(p, what: str) -> None:
@@ -104,25 +157,6 @@ def _check_p(p, what: str) -> None:
 # What ndarray.sum/min/max call, minus their Python-level wrappers (the
 # same pairwise sum); the per-replicate paths of simulate use them.
 _sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
-
-
-def _fits_float(x) -> bool:
-    try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
-
-
-def json_points(obj) -> list[dict]:
-    """The ``points`` list of a sample document, each entry an object."""
-    points = obj.get("points")
-    if not isinstance(points, list):
-        raise InvalidSampleError("points: a list of point objects is required")
-    for i, o in enumerate(points):
-        if not isinstance(o, dict):
-            raise InvalidSampleError(f"points[{i}] must be an object, got {o!r}")
-    return points
 
 
 class ArraySample:
@@ -144,29 +178,25 @@ class ArraySample:
         """Check and store the arrays; the last coordinate is the distance
         from the center or spine, and where it is 0 the code becomes 0.
 
-        Coordinates must be finite and nonnegative, and a point off the
-        center needs a code in ``1..n_codes``; the tests are vectorised and
+        Coordinates are read by :func:`json_numbers` and must be in
+        ``0..MAX_COORD``, and a point off the center needs a code in
+        ``1..n_codes``; the tests are vectorised and
         :class:`InvalidSampleError` names the first bad field.
         """
         codes = np.asarray(codes)
         if codes.size and codes.dtype.kind not in "iu":
             raise InvalidSampleError(f"{self._code} codes must be integers")
         codes = codes.astype(np.int64, copy=False)
-        try:
-            coords = {name: np.array(c, dtype=float) for name, c in coords.items()}
-        except OverflowError:  # an int too large for a float
-            name, i = next((name, i) for name, c in coords.items()
-                           for i, x in enumerate(c) if not _fits_float(x))
-            raise InvalidSampleError(
-                f"points[{i}].{name} must be finite and >= 0, got an integer too large for a float"
-            ) from None
+        coords = {name: json_numbers(c, f"points[{{}}].{name}".format)
+                  for name, c in coords.items()}
         if any(c.shape != (codes.size,) for c in (codes, *coords.values())):
             raise InvalidSampleError("codes and coordinates must be 1-D arrays of one length")
         for name, c in coords.items():
             # min/max are NaN when a NaN is present, so NaN fails too
-            if c.size and not (_min(c) >= 0 and _max(c) < np.inf):
-                i = int(np.argmax(~(np.isfinite(c) & (c >= 0))))
-                raise InvalidSampleError(f"points[{i}].{name} must be finite and >= 0, got {c[i]}")
+            if c.size and not (_min(c) >= 0 and _max(c) <= MAX_COORD):
+                i = int(np.argmax(~((c >= 0) & (c <= MAX_COORD))))
+                raise InvalidSampleError(
+                    f"points[{i}].{name} must be finite and in 0..{MAX_COORD:g}, got {c[i]}")
         name, dist = next(reversed(coords.items()))
         off = dist != 0.0
         off_codes = np.where(off, codes, 1)  # codes of the points off the center
@@ -191,17 +221,15 @@ class ArraySample:
     def _json_columns(cls, obj, *coords: str) -> list[list]:
         """Code and coordinate columns of a sample document's points.
 
-        A missing or null code is 0 and a missing coordinate 0.0.
+        A missing or null code is 0 and a missing coordinate 0.0; codes are
+        integers, and the coordinates are read by :meth:`_store`.
         """
         points = json_points(obj)
-        columns = [[o.get(cls._code) or 0 for o in points]]
-        columns += [[o.get(name, 0.0) for o in points] for name in coords]
-        for name, column in zip((cls._code, *coords), columns):
-            kind = int if name == cls._code else (int, float)
-            for i, x in enumerate(column):
-                if isinstance(x, bool) or not isinstance(x, kind):
-                    raise InvalidSampleError(f"points[{i}].{name} must be a number, got {x!r}")
-        return columns
+        codes = [o.get(cls._code) for o in points]
+        if not {*map(type, codes)} <= {int, type(None)}:
+            i, x = next((i, x) for i, x in enumerate(codes) if type(x) not in (int, type(None)))
+            raise InvalidSampleError(f"points[{i}].{cls._code} must be an integer, got {x!r}")
+        return [[x or 0 for x in codes], *([o.get(name, 0.0) for o in points] for name in coords)]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -318,18 +346,7 @@ class SpiderSample(ArraySample):
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderSample":
         codes, u = cls._json_columns(obj, *cls._coords)
-        return cls.from_arrays(obj.get("p"), codes, u, obj.get("weights") or None)
-
-
-def _summary_float(x, name: str, i: int | None = None) -> float:
-    """``x`` as a float; :class:`InvalidSampleError` names ``name[i]`` (or
-    ``name``) when it is not a number or an integer too large for a float."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        field = name if i is None else f"{name}[{i}]"
-        got = "an integer too large for a float" if isinstance(exc, OverflowError) else repr(x)
-        raise InvalidSampleError(f"summary {field} must be a finite number, got {got}") from None
+        return cls.from_arrays(obj.get("p"), codes, u, obj.get("weights"))
 
 
 @dataclass(frozen=True)
@@ -352,27 +369,23 @@ class SpiderMeasureSummary:
     m2: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "w0", _summary_float(self.w0, "w0"))
-        for name in ("w", "nu", "m2"):
-            values = getattr(self, name)
-            if values is not None:
-                if not isinstance(values, (list, tuple, np.ndarray)):
-                    raise InvalidSampleError(f"summary {name} must be a list, got {values!r}")
-                object.__setattr__(self, name, tuple(
-                    _summary_float(x, name, i) for i, x in enumerate(values)))
+        object.__setattr__(self, "w0", json_number(self.w0, "summary w0"))
+        for name in ("w", "nu") if self.m2 is None else ("w", "nu", "m2"):
+            values = json_list(getattr(self, name), f"summary {name}")
+            object.__setattr__(self, name, tuple(
+                json_numbers(values, f"summary {name}[{{}}]".format).tolist()))
         _check_p(self.p, "summary p")
-        for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu),
-                             ("m2", self.m2 or ())):
-            if not all(map(math.isfinite, values)):
-                raise InvalidWeightsError(f"summary {name} must be finite")
         if any(len(x) != self.p for x in (self.w, self.nu, self.m2 or self.w)):
             raise InvalidSampleError(f"summary w, nu and m2 need one entry per leg (p={self.p})")
-        if self.w0 < 0:
-            raise InvalidSampleError(f"summary w0 must be nonnegative, got {self.w0}")
-        for name in ("w", "nu"):
-            for i, x in enumerate(getattr(self, name)):
-                if x < 0:
-                    raise InvalidSampleError(f"summary {name}[{i}] must be nonnegative, got {x}")
+        for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu)):
+            for i, x in enumerate(values):
+                field = name if name == "w0" else f"{name}[{i}]"
+                if not math.isfinite(x):
+                    raise InvalidWeightsError(f"summary {name} must be finite, got {field} = {x}")
+                if not 0 <= x <= MAX_COORD:
+                    raise InvalidSampleError(f"summary {field} must be in 0..{MAX_COORD:g}, got {x}")
+        if not all(map(math.isfinite, self.m2 or ())):
+            raise InvalidWeightsError("summary m2 must be finite")
 
     @property
     def v(self) -> tuple[float, ...]:

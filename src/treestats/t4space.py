@@ -39,7 +39,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
-from .spider import ArraySample, _fits_float, json_points
+from .spider import MAX_COORD, ArraySample, json_number, json_numbers, json_points
 
 __all__ = [
     "Quadrant",
@@ -204,14 +204,10 @@ class T4Point:
         items = []
         pairs = coords.items() if hasattr(coords, "items") else (coords or ())
         for cluster, length in pairs:
-            try:
-                length = float(length)
-            except OverflowError:  # an int too large for a float
+            length = json_number(length, "splits: length")
+            if not 0 <= length <= MAX_COORD:  # NaN fails too
                 raise InvalidSampleError(
-                    "splits: length must be finite and >= 0, got an integer too large for a float"
-                ) from None
-            if not math.isfinite(length) or length < 0:
-                raise InvalidSampleError(f"splits: length must be finite and >= 0, got {length}")
+                    f"splits: length must be finite and in 0..{MAX_COORD:g}, got {length}")
             if length != 0.0:
                 items.append((frozenset(cluster), length))
         geom = _geometry(labels)
@@ -309,7 +305,7 @@ class T4Sample(ArraySample):
             for m in range(16)] + [none] * 16)
         pad = ((0, 0), (0, max(0, 2 - np.shape(masks)[1])))  # two columns at least
         masks, lengths = np.pad(masks, pad).astype(np.int64), np.pad(lengths, pad).astype(float)
-        bad = ~((lengths >= 0) & (lengths < np.inf))  # NaN fails too
+        bad = ~((lengths >= 0) & (lengths <= MAX_COORD))  # NaN fails too
         kept = (lengths != 0) & ~bad
         split = np.where(kept, split_of[np.clip(masks, 0, 31)], none)
         bad |= kept & (split == none)
@@ -322,7 +318,8 @@ class T4Sample(ArraySample):
             i = int(np.argmax(wrong))
             j = int(np.argmax(bad[i] & ~kept[i]))
             raise InvalidSampleError(f"points[{i}].splits: " + (
-                f"length must be finite and >= 0, got {lengths[i, j]}" if bad[i, j] and not kept[i, j]
+                f"length must be finite and in 0..{MAX_COORD:g}, got {lengths[i, j]}"
+                if bad[i, j] and not kept[i, j]
                 else f"{_SUPPORT_RULE}, got bitmasks {masks[i][kept[i]].tolist()} of {list(labels)}"))
         self.__dict__["labels"] = geom.labels
         self._keep(codes, weights, coords=xy)
@@ -359,31 +356,31 @@ class T4Sample(ArraySample):
         labels = obj.get("labels")
         if not _is_labels(labels) or len(set(labels)) != 4 or len(labels) != 4:
             raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
-        bit = {lb: 1 << i for i, lb in enumerate(labels)}
-        rows = []
-        for i, o in enumerate(json_points(obj)):
-            splits = o.get("splits")
-            if not isinstance(splits, list) or not all(
-                isinstance(s, dict) and _is_labels(s.get("cluster"))
-                and isinstance(s.get("length"), (int, float)) for s in splits
-            ):
-                raise InvalidSampleError(
-                    f"points[{i}].splits must be a list of {{cluster, length}} objects")
-            # a mapping by cluster, as T4Point reads it: a repeated cluster
-            # keeps its last length
-            rows.append({frozenset(s["cluster"]): s["length"] for s in splits})
-        shape = (len(rows), max(map(len, rows), default=0))
+        rows = [o.get("splits") for o in json_points(obj)]
+        splits = [s for row in rows if type(row) is list for s in row]
+        clusters = [s.get("cluster") if type(s) is dict else None for s in splits]
+        if not ({*map(type, rows)} <= {list} and {*map(type, clusters)} <= {list}
+                and {type(lb) for c in clusters for lb in c} <= {str}):
+            i = next(i for i, row in enumerate(rows) if not isinstance(row, list) or not all(
+                isinstance(s, dict) and _is_labels(s.get("cluster")) for s in row))
+            raise InvalidSampleError(
+                f"points[{i}].splits must be a list of {{cluster, length}} objects")
+        owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])  # point of each split
+        lengths = json_numbers([s.get("length") for s in splits], lambda k: (
+            f"points[{owner[k]}].splits[{k - np.searchsorted(owner, owner[k])}].length"))
+        # a point keeps the last length of a repeated cluster, as T4Point reads it
+        keys = list(map(frozenset, clusters))
+        kept = sorted({(i, c): k for k, (i, c) in enumerate(zip(owner.tolist(), keys))}.values())
         # any label outside the four sets bit 4, which names no split
-        masks = [[sum({bit.get(lb, 16) for lb in c}) for c in row] + [0] * (shape[1] - len(row))
-                 for row in rows]
-        lengths = [[*row.values(), *[0] * (shape[1] - len(row))] for row in rows]
-        try:
-            lengths = np.array(lengths, dtype=float)
-        except OverflowError:  # an int too large for a float: infinite, so rejected
-            lengths = np.array([[x if _fits_float(x) else math.inf for x in row]
-                                for row in lengths])
-        return cls.from_splits(labels, np.array(masks, dtype=np.int64).reshape(shape),
-                               lengths.reshape(shape), obj.get("weights") or None)
+        bit = {lb: 1 << i for i, lb in enumerate(labels)}
+        mask = {c: sum({bit.get(lb, 16) for lb in c}) for c in set(keys)}
+        point = owner[kept]
+        col = np.arange(len(kept)) - np.searchsorted(point, point)  # place in its point
+        shape = (len(rows), int(col.max(initial=-1)) + 1)
+        masks, coords = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+        masks[point, col] = [mask[keys[k]] for k in kept]
+        coords[point, col] = lengths[kept]
+        return cls.from_splits(labels, masks, coords, obj.get("weights"))
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treestats
@@ -366,6 +367,23 @@ class TestMeanAndSticky:
         assert captured.out == ""
         assert f"summary {field} must be finite" in captured.err
 
+    @pytest.mark.parametrize("command, doc, leg, tree_type", [
+        ("mean", {"p": 5, "points": [{"leg": 1, "u": 1}, {"leg": 5, "u": 2}]}, 5, None),
+        ("sticky", {"p": 5, "points": [{"leg": 1, "u": 1}, {"leg": 5, "u": 2}]}, 5, None),
+        ("sticky", {"p": 5, "w": [0.2, 0, 0, 0, 0.8], "nu": [1, 1, 1, 1, 2]}, 5, None),
+        ("mean", {"p": 1, "points": [{"leg": 1, "u": 1}]}, 1, None),
+        ("sticky", {"p": 2, "w": [0.2, 0.8], "nu": [1, 1]}, 2, None),
+        ("sticky", {"p": 3, "w": [0.2, 0.7, 0.1], "nu": [1, 1, 1]}, 2, "((a,c),b)"),
+        ("mean", {"p": 3, "points": [{"leg": 3, "u": 1}]}, 3, "((b,c),a)"),
+    ])
+    def test_tree_type_names_three_leg_trees_only(self, tmp_path, capsys, command, doc, leg,
+                                                   tree_type):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["mean"]["leg"] == leg and rep["tree_type"] == tree_type
+
     def test_mean_t4_report_keys(self, toy, tmp_path):
         fasta, _, groups4 = toy
         sample = tmp_path / "s4.json"
@@ -616,6 +634,7 @@ class TestMoreCliEdges:
 T3_DOC = {"p": 3, "points": [{"leg": 1, "u": 3}, {"leg": 2, "u": 1}, {"leg": 3, "u": 1}]}
 T4_DOC = {"labels": ["a", "b", "c", "d"],
           "points": [{"splits": [{"cluster": ["a", "b"], "length": 1.0}]}]}
+BOOK_DOC = {"points": [{"leaf": 1, "x1": 1, "x2": 1}, {"leaf": 2, "x1": 0.5, "x2": 0}]}
 
 
 class TestBadSampleExit2:
@@ -655,6 +674,23 @@ class TestBadSampleExit2:
         (["sticky"], {"p": 3.7, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary p"),
         (["sticky"], {"p": True, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary p"),
         (["sticky"], {"p": 0, "w": [], "nu": []}, "summary p"),
+        (["sticky"], {"p": 3, "w0": "0.5", "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary w0"),
+        (["sticky"], {"p": 3, "w": [0.2, 0.5, True], "nu": [1, 1, 1]}, "summary w[2]"),
+        (["sticky"], {"p": 3, "w": [1.7e308, 1.7e308, 0.3], "nu": [1, 1, 1]}, "summary w[0]"),
+        *((["mean"], {**T3_DOC, "weights": w}, "weights") for w in (0, [], {}, False)),
+        *((["mean", "--space", space], {**doc, "weights": False}, "weights")
+          for space, doc in (("openbook", BOOK_DOC), ("t4", T4_DOC))),
+        *(([command], {"points": [x]}, "points[0]")
+          for command in ("mean", "sticky", "plot") for x in (1, None)),
+        *(([command], {"points": 5}, "points") for command in ("mean", "sticky", "plot")),
+        (["mean"], {"p": 3, "points": [{"leg": 1, "u": 1e155}]}, "points[0].u"),
+        (["mean"], {"p": 3, "points": [{"leg": False, "u": 0}]}, "points[0].leg"),
+        (["mean"], {**BOOK_DOC, "points": [{"leaf": 1, "x1": 1.7e308, "x2": 1}]},
+         "points[0].x1"),
+        (["mean"], {**T4_DOC, "points": [{"splits": [{"cluster": ["a", "b"], "length": 1e155}]}]},
+         "points[0].splits"),
+        (["mean"], {**T4_DOC, "points": [{"splits": [{"cluster": ["a", "b"], "length": True}]}]},
+         "points[0].splits[0].length"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"
@@ -808,6 +844,12 @@ def law_docs(draw):
         doc["leaves"] = [{"x1": draw(_dist_doc), "x2": draw(_dist_doc)} for _ in range(p)]
     else:
         doc["legs"] = [draw(_dist_doc) for _ in range(p)]
+    return _mutate(draw, doc, _junk)
+
+
+def _mutate(draw, doc, junk):
+    """``doc`` with up to three of its fields, at any depth, dropped or
+    replaced by a value drawn from ``junk``."""
     for _ in range(draw(st.one_of(st.just(0), st.integers(1, 3)))):
         owner, key = doc, draw(st.sampled_from(sorted(doc)))
         while isinstance(owner[key], (dict, list)) and owner[key] and draw(st.booleans()):
@@ -817,7 +859,7 @@ def law_docs(draw):
         if isinstance(owner, dict) and draw(st.booleans()):
             del owner[key]
         else:
-            owner[key] = draw(_junk)
+            owner[key] = draw(junk)
         if not doc:
             break
     return doc
@@ -837,3 +879,78 @@ class TestSimulateLawFuzz:
         assert "NaN" not in out.getvalue()
         if code == 0:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# sample and summary documents from hypothesis: mean, sticky and plot exit 0
+# or 2, never 1, and their JSON holds no NaN or Infinity
+# ---------------------------------------------------------------------------
+
+_coord = st.one_of(st.just(0), st.floats(0.0, 5.0))
+_T4_SUPPORTS = ([], [["a", "b"]], [["c", "d"]], [["a", "b"], ["a", "b", "c"]],
+                [["a", "c"], ["b", "d"]])
+_nested_junk = st.one_of(_junk, st.sampled_from([[None], [[0.5]], [{}], {"cluster": 1},
+                                                 {"leg": [1]}, [10**400], {"points": []}])
+                         .map(copy.deepcopy))  # a later mutation may write into it
+
+
+@st.composite
+def sample_docs(draw):
+    """A spider (t3), open-book or tree-space (t4) sample or a (w, nu)
+    summary, then up to three of its fields dropped or replaced by junk."""
+    kind = draw(st.sampled_from(["t3", "openbook", "t4", "summary"]))
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if kind == "summary":
+        doc = {"p": p, **{k: draw(st.lists(_coord, min_size=p, max_size=p)) for k in ("w", "nu")}}
+        if draw(st.booleans()):
+            doc["w0"] = draw(_coord)
+        return _mutate(draw, doc, _nested_junk)
+    if kind == "t3":
+        doc = {"p": p, "points": [{"leg": draw(st.integers(1, p)), "u": draw(_coord)}
+                                  for _ in range(n)]}
+    elif kind == "openbook":
+        doc = {"points": [{"leaf": draw(st.integers(1, 3)), "x1": draw(_coord),
+                           "x2": draw(_coord)} for _ in range(n)]}
+    else:
+        doc = {"labels": ["a", "b", "c", "d"], "points": [
+            {"splits": [{"cluster": list(c), "length": draw(_coord)}
+                        for c in draw(st.sampled_from(_T4_SUPPORTS))]} for _ in range(n)]}
+    if draw(st.booleans()):
+        doc["weights"] = [1 / n] * n
+    return _mutate(draw, doc, _nested_junk)
+
+
+class TestSampleDocumentFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(sample_docs())
+    @example({"points": [1]})
+    @example({"points": [None]})
+    @example({"points": 5})
+    @example({"p": 3, "w0": "0.5", "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]})
+    @example({"p": 3, "w": [0.2, 0.5, True], "nu": [1, 1, 1]})
+    @example({**T3_DOC, "weights": 0})
+    @example({**T3_DOC, "weights": []})
+    @example({**T3_DOC, "weights": {}})
+    @example({**T3_DOC, "weights": False})
+    @example({"p": 5, "points": [{"leg": 1, "u": 1}, {"leg": 5, "u": 2}]})
+    @example({"p": 5, "w": [0.2, 0, 0, 0, 0.8], "nu": [1, 1, 1, 1, 2]})
+    @example({"p": 1, "points": [{"leg": 1, "u": 1}]})
+    @example({"p": 2, "w": [0.2, 0.8], "nu": [1, 1]})
+    @example({"p": 3, "points": [{"leg": 1, "u": 1}, {"leg": 2, "u": 10**400}]})
+    @example({"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 10**400]})
+    @example({**T4_DOC, "points": [{"splits": [{"cluster": ["a", "c"], "length": 10**400}]}]})
+    @example({"p": 3, "points": [{"leg": 1, "u": 1e155}, {"leg": 2, "u": 1}]})
+    @example({"p": 3, "w": [1.7e308, 1.7e308, 0.3], "nu": [1.7e308, 1, 1]})
+    @example({"points": [{"leaf": 1, "x1": 1e155, "x2": 1}, {"leaf": 2, "x1": 0, "x2": 1}]})
+    @example({**T4_DOC, "points": [{"splits": [{"cluster": ["a", "b"], "length": 1e155}]}]})
+    def test_exit_0_or_2_and_no_nan(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            for argv in (["mean"], ["sticky", "--axis", "a,b"], ["plot"]):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([*argv, str(path)])
+                assert code in (0, 2) and "internal error" not in err.getvalue(), err.getvalue()
+                if code == 0 and argv[0] != "plot":
+                    json.loads(out.getvalue(), parse_constant=_reject_constant)
