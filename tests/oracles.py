@@ -25,9 +25,7 @@ from treestats.t4space import (
     all_splits,
     compatible,
     frechet_function,
-    geodesic_point,
     origin,
-    t4_distance,
 )
 
 
@@ -238,6 +236,110 @@ def openbook_grid_minimum(sample, step=1e-3):
 
 
 # --------------------------------------------------------------------------
+# four-leaf tree space: geodesics by enumerating Petersen paths per pair
+# --------------------------------------------------------------------------
+
+_HALF_PI = math.pi / 2.0
+
+
+def _first_pairs(geom, support):
+    """The first edges of the Petersen paths out of a point's support."""
+    if len(support) == 2:
+        e, f = support
+        return [(e, f), (f, e)]
+    (e,) = support
+    out = []
+    for t in geom.adjacency[e]:
+        out.append((e, t))
+        out.append((t, e))
+    return out
+
+
+def _route(x, y):
+    """Shortest route between two points: (length, kind, payload).
+
+    The minimum of the straight segment when one closed quadrant holds
+    both points, the straight segments of the unfoldings of every short
+    Petersen path from ``x``'s support to ``y``'s whose angle stays below
+    pi, and the cone path ``|x| + |y|`` through the origin.
+    """
+    if x.labels != y.labels:
+        raise ValueError("points live over different label universes")
+    union = set(x.support) | set(y.support)
+    if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
+        axes = tuple(union)
+        d = math.sqrt(sum((x.get(e) - y.get(e)) ** 2 for e in axes))
+        return d, "segment", axes
+    rx, ry = x.norm(), y.norm()
+    best = (rx + ry, "cone", None)
+    geom = _geometry(x.labels)
+    sy = set(y.support)
+    for first in _first_pairs(geom, x.support):
+        for path in geom.paths_by_first[first]:
+            if not sy <= {path[-2], path[-1]}:
+                continue
+            alpha = math.atan2(x.get(path[1]), x.get(path[0]))
+            k = len(path) - 1
+            beta = (k - 1) * _HALF_PI + math.atan2(y.get(path[-1]), y.get(path[-2]))
+            span = beta - alpha
+            if span >= math.pi:
+                continue
+            cand = math.sqrt(max(rx * rx + ry * ry - 2.0 * rx * ry * math.cos(span), 0.0))
+            if cand < best[0]:
+                best = (cand, "unfold", (path, alpha, beta))
+    return best
+
+
+def route_distance(x, y):
+    """Geodesic distance of two tree-space points, by :func:`_route`."""
+    return _route(x, y)[0]
+
+
+def route_geodesic_point(x, y, t):
+    """Point at arclength fraction ``t`` along the route of :func:`_route`."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    if t == 0.0:
+        return x
+    if t == 1.0:
+        return y
+    length, kind, payload = _route(x, y)
+    labels = x.labels
+    if kind == "segment":
+        return T4Point(labels, {e: (1.0 - t) * x.get(e) + t * y.get(e) for e in payload})
+    rx, ry = x.norm(), y.norm()
+    if kind == "unfold":
+        path, alpha, beta = payload
+        qx = (1.0 - t) * rx * math.cos(alpha) + t * ry * math.cos(beta)
+        qy = (1.0 - t) * rx * math.sin(alpha) + t * ry * math.sin(beta)
+        r = math.hypot(qx, qy)
+        ang = math.atan2(qy, qx)
+        if ang < 0.0:  # unfolded wedges may span past pi; unwrap
+            ang += 2.0 * math.pi
+        ang = min(max(ang, alpha), beta)
+        j = min(max(int(ang // _HALF_PI), 0), len(path) - 2)
+        phi = ang - j * _HALF_PI
+        c1, c2 = r * math.cos(phi), r * math.sin(phi)
+        eps = 1e-12 * max(r, 1.0)
+        coords = {}
+        if c1 > eps:
+            coords[path[j]] = c1
+        if c2 > eps:
+            coords[path[j + 1]] = c2
+        return T4Point(labels, coords)
+    s = t * length  # the cone path through the origin
+    if s <= rx:
+        return T4Point(labels, {e: (rx - s) / rx * x.get(e) for e in x.support})
+    return T4Point(labels, {e: (s - rx) / ry * y.get(e) for e in y.support})
+
+
+def route_frechet_function(x, sample):
+    """Weighted mean squared :func:`route_distance` from ``x`` to the sample."""
+    wts = sample.normalized_weights()
+    return float(sum(w * route_distance(x, pt) ** 2 for w, pt in zip(wts, sample.points)))
+
+
+# --------------------------------------------------------------------------
 # four-leaf tree space: Dijkstra on a discretized complex
 # --------------------------------------------------------------------------
 
@@ -333,9 +435,8 @@ def t4_shortest_path(x, y, h=0.02):
 def t4_grid_frechet_minimum(sample, step=0.05, radius=None):
     """Grid-restricted Frechet minimization over all closed quadrants.
 
-    Uses the implementation's distance (the mean algorithm is what is
-    being checked here; the distance has its own shortest-path oracle).
-    Returns (point, value).
+    Uses :func:`route_frechet_function`, so the implementation's mean is
+    checked against distances it did not compute.  Returns (point, value).
     """
     labels = sample.labels
     splits = all_splits(labels)
@@ -343,7 +444,7 @@ def t4_grid_frechet_minimum(sample, step=0.05, radius=None):
         radius = max(pt.norm() for pt in sample.points) + step
     grid = np.arange(0.0, radius + step, step)
     best = T4Point(labels, {})
-    best_val = frechet_function(best, sample)
+    best_val = route_frechet_function(best, sample)
     for i, e in enumerate(splits):
         for f in splits[i + 1 :]:
             if not compatible(e, f):
@@ -351,7 +452,7 @@ def t4_grid_frechet_minimum(sample, step=0.05, radius=None):
             for s in grid:
                 for t in grid:
                     pt = T4Point(labels, {e: s, f: t})
-                    val = frechet_function(pt, sample)
+                    val = route_frechet_function(pt, sample)
                     if val < best_val:
                         best_val = val
                         best = pt
@@ -384,7 +485,7 @@ def t4_mean_inductive_polish(sample, epochs=50, seed=0, movement_tol=1e-8):
             for e in union
         }
         mean = _snap_point(labels, coords, eps=0.0)
-        return mean, frechet_function(mean, sample)
+        return mean, route_frechet_function(mean, sample)
 
     rng = np.random.default_rng(seed)
     n = len(sample.points)
@@ -404,16 +505,16 @@ def t4_mean_inductive_polish(sample, epochs=50, seed=0, movement_tol=1e-8):
                 current = pt
                 count = 1
             else:
-                current = geodesic_point(current, pt, 1.0 / (count + 1))
+                current = route_geodesic_point(current, pt, 1.0 / (count + 1))
                 count += 1
-        if start is not None and t4_distance(start, current) < movement_tol:
+        if start is not None and route_distance(start, current) < movement_tol:
             break
 
     current = _snap_point(labels, current.coords)
     best_point = current
-    best_value = frechet_function(current, sample)
+    best_value = route_frechet_function(current, sample)
     geom = _geometry(labels)
-    candidates = [(frechet_function(origin(labels), sample), origin(labels))]
+    candidates = [(route_frechet_function(origin(labels), sample), origin(labels))]
     for i, e in enumerate(geom.splits):
         for f in geom.splits[i + 1 :]:
             if not compatible(e, f):
@@ -425,7 +526,7 @@ def t4_mean_inductive_polish(sample, epochs=50, seed=0, movement_tol=1e-8):
                     coords[e] = v[0]
                 if v[1] > 0:
                     coords[f] = v[1]
-                return frechet_function(T4Point(labels, coords), sample)
+                return route_frechet_function(T4Point(labels, coords), sample)
 
             x0 = np.array([max(current.get(e), 0.0), max(current.get(f), 0.0)])
             res = minimize(
@@ -436,7 +537,7 @@ def t4_mean_inductive_polish(sample, epochs=50, seed=0, movement_tol=1e-8):
                 options={"maxiter": 100},
             )
             pt = _snap_point(labels, {e: float(res.x[0]), f: float(res.x[1])})
-            candidates.append((frechet_function(pt, sample), pt))
+            candidates.append((route_frechet_function(pt, sample), pt))
     val, pt = min(candidates, key=lambda c: c[0])
     if val <= best_value:
         best_value, best_point = val, pt

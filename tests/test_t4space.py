@@ -7,6 +7,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    route_distance,
+    route_frechet_function,
+    route_geodesic_point,
     t4_descent,
     t4_grid_frechet_minimum,
     t4_mean_inductive_polish,
@@ -399,9 +402,69 @@ class TestQuadrantImages:
         classes, coords = sample.codes, _split_coords(sample, geom)
         images = _QuadrantImages(
             geom.image_tables[qi], classes, coords, sample.normalized_weights())
-        expected = frechet_function(T4Point(L, {e: a, f: b}), sample)
+        expected = route_frechet_function(T4Point(L, {e: a, f: b}), sample)
         assert images.value(np.array([a, b])) == pytest.approx(
             expected, rel=1e-12, abs=1e-300)
+
+
+# two or three points, each of one shared home quadrant or of any quadrant
+t4_pairs = st.integers(0, 14).flatmap(lambda home: st.tuples(t4_points(home), t4_points(home)))
+t4_triples = st.integers(0, 14).flatmap(
+    lambda home: st.tuples(t4_points(home), t4_points(home), t4_points(home)))
+fractions = st.floats(0.0, 1.0)
+
+
+class TestDistanceProperties:
+    """The metric and its geodesics against the per-pair route oracle and
+    the shortest paths of the discretized complex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t4_triples)
+    def test_symmetry_and_triangle(self, xyz):
+        x, y, z = xyz
+        assert t4_distance(x, y) == pytest.approx(t4_distance(y, x), rel=1e-12)
+        assert t4_distance(x, z) <= t4_distance(x, y) + t4_distance(y, z) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(t4_triples)
+    def test_cat0_midpoint_inequality(self, xyz):
+        x, y, z = xyz
+        m = geodesic_point(x, y, 0.5)
+        assert t4_distance(z, m) ** 2 <= (
+            0.5 * t4_distance(z, x) ** 2 + 0.5 * t4_distance(z, y) ** 2
+            - 0.25 * t4_distance(x, y) ** 2 + 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(frames_and_points())
+    def test_distance_equals_route(self, case):
+        qi, (a, b), sample = case
+        e, f = _geometry(L).quadrants[qi]
+        x = T4Point(L, {e: a, f: b})
+        for y in sample.points:
+            assert t4_distance(x, y) == pytest.approx(route_distance(x, y), rel=1e-12)
+            assert t4_distance(y, x) == pytest.approx(route_distance(y, x), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t4_pairs, fractions)
+    def test_geodesic_point_equals_route(self, xy, t):
+        x, y = xy
+        g, expected = geodesic_point(x, y, t), route_geodesic_point(x, y, t)
+        assert route_distance(g, expected) <= 1e-9
+        d = route_distance(x, y)
+        assert route_distance(x, g) == pytest.approx(t * d, abs=1e-9)
+        assert route_distance(g, y) == pytest.approx((1 - t) * d, abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(t4_pairs, fractions)
+    def test_against_shortest_path_oracle(self, xy, t):
+        x, y = xy
+        h = 0.02
+        for d in (t4_distance(x, y), route_distance(x, y)):
+            oracle = t4_shortest_path(x, y, h=h)
+            assert d <= oracle + 1e-9  # oracle paths are realizable
+            assert abs(d - oracle) <= 2 * h
+        for g in (geodesic_point(x, y, t), route_geodesic_point(x, y, t)):
+            assert abs(t4_shortest_path(x, g, h=h) - t * d) <= 2 * h
 
 
 def point_doc_rows(sample):
