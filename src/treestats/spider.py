@@ -183,9 +183,15 @@ class ArraySample:
         ``1..n_codes``; the tests are vectorised and
         :class:`InvalidSampleError` names the first bad field.
         """
-        codes = np.asarray(codes)
-        if codes.size and codes.dtype.kind not in "iu":
-            raise InvalidSampleError(f"{self._code} codes must be integers")
+        raw, codes = codes, np.asarray(codes)
+        # codes past int64 are clipped, still out of range, so that the
+        # range check names their point and reports them as given
+        if codes.dtype.kind not in "iu":  # Python ints past int64 read as floats or objects
+            if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in raw):
+                raise InvalidSampleError(f"{self._code} codes must be integers")
+            codes = np.array([min(max(c, 0), n_codes + 1) for c in raw], dtype=np.int64)
+        elif codes.dtype.kind == "u":
+            codes = np.minimum(codes, n_codes + 1)
         codes = codes.astype(np.int64, copy=False)
         coords = {name: json_numbers(c, f"points[{{}}].{name}".format)
                   for name, c in coords.items()}
@@ -203,7 +209,7 @@ class ArraySample:
         if codes.size and not (_min(off_codes) >= 1 and _max(off_codes) <= n_codes):
             i = int(np.argmax((off_codes < 1) | (off_codes > n_codes)))
             raise InvalidSampleError(
-                f"points[{i}].{self._code} must be in 1..{n_codes} where {name} > 0, got {codes[i]}"
+                f"points[{i}].{self._code} must be in 1..{n_codes} where {name} > 0, got {raw[i]}"
             )
         self._keep(np.where(off, codes, 0), weights, **coords)
 

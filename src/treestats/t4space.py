@@ -10,16 +10,22 @@ girth 5), and the whole space is the one-sheet cone over it, with the
 star tree at the origin.
 
 Geodesics: with the piecewise-Euclidean metric the space is CAT(0) (means
-are unique).  The distance between two points is the minimum of
+are unique).  Seen from a point x, in the frame of a closed quadrant that
+holds it, a point y has one image per Petersen-graph path of 1 to 3 edges
+from that quadrant to y's support: where y lies in the plane unfolding
+the path's consecutive quadrants (a point of the frame is its own image).
+The distance is the minimum of
 
-* the straight segment, when one closed quadrant contains both points,
-* straight segments in unfoldings of 2 or 3 consecutive quadrants along
-  Petersen-graph paths, valid while the unfolded angle stays below pi
-  (every split axis is crossed at a nonnegative radius exactly then), and
+* the straight segments to the images whose unfolded angle from x stays
+  below pi (every split axis is crossed at a nonnegative radius exactly
+  then), and
 * the cone path through the origin, of length ``|x| + |y|``.
 
 Unfoldings of four or more quadrants always span at least pi, so the cone
-path dominates them; enumeration over short Petersen paths is exact.
+path dominates them; the short paths are exact.  ``_Geometry.image_tables``
+holds these images, one table per frame; distances, geodesics, the
+Frechet function and the mean all evaluate them through
+``_QuadrantImages``.
 """
 
 from __future__ import annotations
@@ -141,6 +147,9 @@ class _Geometry:
         # support classes of points: the origin, the 10 axes, the 15 quadrants
         self.supports = [()] + [(s,) for s in self.splits] + self.quadrants
         self.support_class = {s: c for c, s in enumerate(self.supports)}
+        # the frame of each class: the first quadrant that holds its support
+        self.frames = [next(q for q, axes in enumerate(self.quadrants) if set(sup) <= set(axes))
+                       for sup in self.supports]
         # split indices of each class's support, 10 for none, and back
         none = len(self.splits)
         self.pairs = np.array([([self.index[s] for s in sup] + [none, none])[:2]
@@ -149,17 +158,17 @@ class _Geometry:
         self.class_of[tuple(self.pairs.T)] = np.arange(len(self.supports))
 
     @cached_property
-    def image_tables(self) -> list[np.ndarray]:  # built when a mean needs them
+    def image_tables(self) -> list[np.ndarray]:  # built when a distance needs them
         return [self._image_table(e, f) for e, f in self.quadrants]
 
     def _image_table(self, e, f) -> np.ndarray:
         """Image slots (support class, slot, 4) in the frame of quadrant (e, f).
 
         A point inside the closed quadrant is its own image; any other point
-        has one image per Petersen path that ``_route`` enumerates from the
-        first pair (e, f) or (f, e) and whose last edge holds its support.  A
-        slot holds the indices of the splits read as the image's local
-        coordinates, the quarter turns of the unfolding, and 1 for a
+        has one image per path of ``paths_by_first`` that starts with (e, f)
+        or (f, e) and whose last edge holds its support.  A slot holds the
+        indices of the splits read as the image's local coordinates (the
+        path's last edge), the quarter turns of the unfolding, and 1 for a
         clockwise one (first pair (f, e)).  Padding slots turn four quarters,
         past pi from any x, so they are never valid.
         """
@@ -267,10 +276,6 @@ class T4Point:
 def _is_labels(x) -> bool:
     """A JSON list of leaf labels (strings)."""
     return isinstance(x, list) and all(isinstance(label, str) for label in x)
-
-
-def origin(labels) -> T4Point:
-    return T4Point(labels, {})
 
 
 class T4Sample(ArraySample):
@@ -387,108 +392,83 @@ class T4Sample(ArraySample):
 # geodesics
 # --------------------------------------------------------------------------
 
-def _first_pairs(geom: _Geometry, support) -> list[tuple]:
-    if len(support) == 2:
-        e, f = support
-        return [(e, f), (f, e)]
-    (e,) = support
-    out = []
-    for t in geom.adjacency[e]:
-        out.append((e, t))
-        out.append((t, e))
-    return out
-
-
-def _route(x: T4Point, y: T4Point):
-    """Shortest route between two points: (length, kind, payload)."""
-    if x.labels != y.labels:
+def _frame(x: T4Point, labels, classes, coords, weights):
+    """Points of support classes ``classes`` and (n, 10) split lengths
+    ``coords`` unfolded into the frame of ``x``: the first quadrant (e, f)
+    that holds it.  Returns the images, (e, f) and x's coordinates there."""
+    if x.labels != labels:
         raise ValueError("points live over different label universes")
-    union = set(x.support) | set(y.support)
-    if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
-        axes = sorted(union, key=_split_key)
-        d = math.sqrt(sum((x.get(e) - y.get(e)) ** 2 for e in axes))
-        return d, "segment", tuple(axes)
-    rx, ry = x.norm(), y.norm()
-    best = (rx + ry, "cone", None)
-    geom = _geometry(x.labels)
-    sy = set(y.support)
-    for first in _first_pairs(geom, x.support):
-        for path in geom.paths_by_first[first]:
-            if not sy <= {path[-2], path[-1]}:
-                continue
-            alpha = math.atan2(x.get(path[1]), x.get(path[0]))
-            k = len(path) - 1
-            beta = (k - 1) * _HALF_PI + math.atan2(
-                y.get(path[-1]), y.get(path[-2])
-            )
-            span = beta - alpha
-            if span >= math.pi:
-                continue
-            cand = math.sqrt(
-                max(rx * rx + ry * ry - 2.0 * rx * ry * math.cos(span), 0.0)
-            )
-            if cand < best[0]:
-                best = (cand, "unfold", (path, alpha, beta))
-    return best
+    geom = _geometry(labels)
+    q = geom.frames[geom.support_class[x.support]]
+    e, f = geom.quadrants[q]
+    images = _QuadrantImages(geom.image_tables[q], classes, coords, weights)
+    return images, (e, f), (x.get(e), x.get(f))
+
+
+def _one_point(y: T4Point):
+    """``y`` as the arrays of a sample of one: labels, support class, split
+    lengths and weight, the arguments of :func:`_frame` after ``x``."""
+    geom = _geometry(y.labels)
+    coords = np.zeros((1, len(geom.splits)))
+    coords[0, [geom.index[c] for c in y.support]] = [length for _, length in y._items]
+    return y.labels, [geom.support_class[y.support]], coords, np.ones(1)
 
 
 def t4_distance(x: T4Point, y: T4Point) -> float:
     """Geodesic distance; never exceeds the cone-path bound ``|x| + |y|``."""
-    return _route(x, y)[0]
+    images, _, at = _frame(x, *_one_point(y))
+    return math.sqrt(images.value(at))
 
 
 def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
-    """Point at arclength fraction ``t`` along the geodesic from x to y."""
+    """Point at arclength fraction ``t`` along the geodesic from x to y.
+
+    Unless the cone path wins, the geodesic is the straight segment to y's
+    nearest valid image in the frame of x, in the unfolding of its path:
+    the frame's first pair, then the image's pair.
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if t == 0.0:
         return x
     if t == 1.0:
         return y
-    length, kind, payload = _route(x, y)
+    images, first, (a, b) = _frame(x, *_one_point(y))
+    _, on_image, slot = images._terms((a, b))
     labels = x.labels
-    if kind == "segment":
-        coords = {e: (1.0 - t) * x.get(e) + t * y.get(e) for e in payload}
-        return T4Point(labels, coords)
-    if kind == "unfold":
-        path, alpha, beta = payload
+    if not on_image[0]:  # the cone path through the origin
         rx, ry = x.norm(), y.norm()
-        qx = (1.0 - t) * rx * math.cos(alpha) + t * ry * math.cos(beta)
-        qy = (1.0 - t) * rx * math.sin(alpha) + t * ry * math.sin(beta)
-        r = math.hypot(qx, qy)
-        ang = math.atan2(qy, qx)
-        if ang < 0.0:  # unfolded wedges may span past pi; unwrap
-            ang += 2.0 * math.pi
-        ang = min(max(ang, alpha), beta)
-        k = len(path) - 1
-        j = min(max(int(ang // _HALF_PI), 0), k - 1)
-        phi = ang - j * _HALF_PI
-        c1, c2 = r * math.cos(phi), r * math.sin(phi)
-        eps = 1e-12 * max(r, 1.0)
-        coords = {}
-        if c1 > eps:
-            coords[path[j]] = c1
-        if c2 > eps:
-            coords[path[j + 1]] = c2
-        return T4Point(labels, coords)
-    # cone path through the origin
-    rx, ry = x.norm(), y.norm()
-    s = t * length
-    if s <= rx:
-        scale = (rx - s) / rx
-        return T4Point(labels, {e: scale * x.get(e) for e in x.support})
-    scale = (s - rx) / ry
-    return T4Point(labels, {e: scale * y.get(e) for e in y.support})
+        s = t * (rx + ry)
+        if s <= rx:
+            return T4Point(labels, {e: (rx - s) / rx * length for e, length in x._items})
+        return T4Point(labels, {e: (s - rx) / ry * length for e, length in y._items})
+    k = int(slot[0])
+    sx, sy, turns, clockwise = images.slots[0, k].tolist()
+    splits = _geometry(labels).splits
+    path = list(first[::-1] if clockwise else first)  # path[j] lies at angle j pi/2
+    path[turns:] = splits[sx], splits[sy]
+    px, py = (1.0 - t) * a + t * images.qx[0, k], (1.0 - t) * b + t * images.qy[0, k]
+    if clockwise:  # to the unfolding's own coordinates, the frame's mirror image
+        (a, b), (px, py) = (b, a), (py, px)
+    ang = math.atan2(py, px)
+    if ang < 0.0:  # unfolded wedges may span past pi; unwrap
+        ang += 2.0 * math.pi
+    alpha, beta = math.atan2(b, a), images.beta[0, k]
+    # a geodesic inside the frame may run from a larger angle to a smaller
+    ang = min(max(ang, min(alpha, beta)), max(alpha, beta))
+    j = min(int(ang // _HALF_PI), turns)
+    c1, c2 = _turn(-j, px, py)  # the point in the quadrant (path[j], path[j + 1])
+    eps = 1e-12 * max(math.hypot(px, py), 1.0)
+    return T4Point(labels, {e: float(c) for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
 
 
 def frechet_function(x: T4Point, sample: T4Sample) -> float:
     """Weighted mean squared geodesic distance from ``x`` to the sample."""
-    if not sample.points:
+    if not len(sample):
         raise EmptySampleError("empty sample")
-    wts = sample.normalized_weights()
-    return float(
-        sum(w * t4_distance(x, pt) ** 2 for w, pt in zip(wts, sample.points))
-    )
+    coords = _split_coords(sample, _geometry(sample.labels))
+    images, _, at = _frame(x, sample.labels, sample.codes, coords, sample.normalized_weights())
+    return images.value(at)
 
 
 # --------------------------------------------------------------------------
@@ -525,26 +505,33 @@ def _split_coords(sample: T4Sample, geom: _Geometry) -> np.ndarray:
     return out[:, :-1]
 
 
-class _QuadrantImages:
-    """The sample unfolded into the frame of one quadrant (e at 0, f at pi/2).
+def _turn(k, x, y):
+    """``(x, y)`` turned by ``k`` quarter turns (arrays or scalars), by swap
+    and sign: exact where cos and sin of the angle round."""
+    k = np.asarray(k) % 4
+    cos_k, sin_k = np.choose(k, (1, 0, -1, 0)), np.choose(k, (0, 1, 0, -1))
+    return cos_k * x - sin_k * y, sin_k * x + cos_k * y
 
-    Each point has the images of ``_Geometry._image_table``, at its own
-    radius.  An image is valid at ``x`` while its span from ``x``'s angle
-    stays below pi, ``_route``'s rule (an invalid one under-estimates).
-    The squared distance to a point is the least valid image distance,
-    else the cone term ``(|x| + |p|)**2``.
+
+class _QuadrantImages:
+    """Points unfolded into the frame of one quadrant (e at 0, f at pi/2).
+
+    Each point has the image slots of ``_Geometry._image_table`` (kept as
+    ``slots``), at its own radius.  From ``x`` in the closed quadrant an
+    image is valid while its angle ``beta`` stays less than pi past
+    ``x``'s; the straight segment to it is then a path in the space (an
+    invalid one under-estimates).  The squared distance to a point is the
+    least valid image distance, else the cone term ``(|x| + |p|)**2``.
     """
 
     def __init__(self, table: np.ndarray, classes, coords, weights):
-        sx, sy, turns, clockwise = np.moveaxis(table[classes], -1, 0)
+        self.slots = table[classes]
+        sx, sy, turns, clockwise = np.moveaxis(self.slots, -1, 0)
         lx = np.take_along_axis(coords, sx, axis=1)
         ly = np.take_along_axis(coords, sy, axis=1)
-        self.beta = turns * _HALF_PI + np.arctan2(ly, lx)  # as ``_route`` has it
+        self.beta = turns * _HALF_PI + np.arctan2(ly, lx)
         self.clockwise = clockwise.astype(bool)
-        # quarter turns by swap and sign, exact where cos/sin of beta round
-        k = turns % 4
-        cos_k, sin_k = np.choose(k, (1, 0, -1, 0)), np.choose(k, (0, 1, 0, -1))
-        ux, uy = cos_k * lx - sin_k * ly, sin_k * lx + cos_k * ly
+        ux, uy = _turn(turns, lx, ly)
         # a clockwise unfolding is the mirror image across the diagonal
         self.qx = np.where(self.clockwise, uy, ux)
         self.qy = np.where(self.clockwise, ux, uy)
@@ -679,8 +666,12 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
         axes = tuple(sorted(union, key=_split_key))
         return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
 
+    # solved at a power-of-two scale, exact in binary, at which no squared
+    # length underflows
+    exp = math.frexp(coords.max())[1]
+    coords = np.ldexp(coords, -exp)
     star = float(wts @ (coords * coords).sum(axis=1))
-    best, steps = (star, origin(labels), (), 0.0), 0
+    best, steps = (star, (), (), 0.0), 0
     for (e, f), table in zip(geom.quadrants, geom.image_tables):
         start = wts @ coords[:, [geom.index[e], geom.index[f]]]
         if not start.any():
@@ -692,9 +683,11 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
         x, value, pg_norm, used = found
         steps += used
         if value < best[0]:
-            best = (value, T4Point(labels, dict(zip((e, f), x))), (e, f), pg_norm)
-    value, mean, quadrant, pg_norm = best
-    return T4MeanEstimate(mean, value, "newton", quadrant, steps, pg_norm)
+            best = (value, (e, f), x, pg_norm)
+    value, quadrant, x, pg_norm = best
+    mean = T4Point(labels, dict(zip(quadrant, np.ldexp(x, exp))))
+    return T4MeanEstimate(mean, math.ldexp(value, 2 * exp), "newton", quadrant, steps,
+                          math.ldexp(pg_norm, exp))
 
 
 # --------------------------------------------------------------------------
@@ -751,7 +744,7 @@ def spine_stickiness_t4(
     leaves = np.array([leaf.get(support, -1) for support in geom.supports])[sample.codes]
     if (leaves < 0).any():
         pt = sample.points[int(np.argmax(leaves < 0))]
-        raise NotInBookError(f"{pt!r} lies outside the open book around {set(axis)}")
+        raise NotInBookError(f"{pt!r} lies outside the open book around {sorted(axis)}")
     lengths = _split_coords(sample, geom)[:, [geom.index[e] for e in (axis, *partners)]]
     x2 = np.where(leaves > 0, lengths[np.arange(len(leaves)), leaves], 0.0)
     book = OpenBookSample.from_arrays(leaves, lengths[:, 0], x2, sample.weights)

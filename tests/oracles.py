@@ -25,7 +25,6 @@ from treestats.t4space import (
     all_splits,
     compatible,
     frechet_function,
-    origin,
 )
 
 
@@ -514,7 +513,8 @@ def t4_mean_inductive_polish(sample, epochs=50, seed=0, movement_tol=1e-8):
     best_point = current
     best_value = route_frechet_function(current, sample)
     geom = _geometry(labels)
-    candidates = [(route_frechet_function(origin(labels), sample), origin(labels))]
+    star = T4Point(labels, {})
+    candidates = [(route_frechet_function(star, sample), star)]
     for i, e in enumerate(geom.splits):
         for f in geom.splits[i + 1 :]:
             if not compatible(e, f):

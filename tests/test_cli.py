@@ -700,6 +700,23 @@ class TestBadSampleExit2:
         assert "internal error" not in err
         assert field in err
 
+    @pytest.mark.parametrize("space, doc, field, n", [
+        ("t3", T3_DOC, "leg", 3),
+        ("openbook", {"points": [{"leaf": 1, "x1": 1, "x2": 1}, {"leaf": 2, "x1": 0, "x2": 2}]},
+         "leaf", 3)])
+    @pytest.mark.parametrize("code", [2**63, -2**63 - 1, 10**400],
+                             ids=["2**63", "-2**63-1", "10**400"])
+    def test_code_outside_int64_named_exactly(self, tmp_path, capsys, space, doc, field, n, code):
+        for i in (0, 1):  # alone in the document, or after a good point
+            points = copy.deepcopy(doc["points"])
+            points[i][field] = code
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({**doc, "points": points}))
+            assert main(["mean", "--space", space, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"points[{i}].{field} must be in 1..{n} where" in err
+            assert err.rstrip().endswith(f"got {code}")
+
     def test_t4_negative_length(self, toy, tmp_path, capsys):
         fasta, _, groups4 = toy
         sample = tmp_path / "s4.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -310,6 +311,37 @@ class TestMean:
         with pytest.raises(EmptySampleError):
             t4_mean(T4Sample(L, ()))
 
+    @pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
+    def test_tiny_lengths_scale_the_mean(self, s):
+        # squared lengths this small underflow: the mean is s times the mean at 1
+        def sample(scale):
+            return T4Sample.from_dict({"labels": list("abcd"), "points": [
+                {"splits": [{"cluster": list(c), "length": x * scale}]}
+                for c, x in (("abc", 1.896), ("cd", 0.7), ("ab", 0.7))]})
+
+        expected = t4_mean(sample(1.0)).mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = t4_mean(sample(s)).mean
+        assert mean.support == expected.support and len(mean.support) == 2
+        for c in expected.support:
+            assert mean.get(c) == pytest.approx(s * expected.get(c), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 10, 300])
+    def test_euclidean_mean_builds_one_point(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        masks = np.tile([0b11, 0b111], (n, 1))  # {1, 2} and {1, 2, 3}
+        sample = T4Sample.from_splits(L, masks, rng.uniform(0.1, 1.0, (n, 2)))
+        built, init = [], T4Point.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(T4Point, "__init__", counting)
+        est = t4_mean(sample)
+        assert est.method == "euclidean" and built == [est.mean]
+
 
 QUADRANTS = enumerate_quadrants(L)
 lengths = st.floats(0.05, 2.0)
@@ -571,6 +603,17 @@ class TestSpineStickiness:
         pts = (P({(1, 3): 1.0, (1, 2, 3): 1.0}),)
         with pytest.raises(NotInBookError):
             spine_stickiness_t4(T4Sample(L, pts), axis)
+
+    @pytest.mark.parametrize("labels, point, axis, where", [
+        ("abcd", {"ac": 1}, "ab", "T4Point({a|c}:1) lies outside the open book around ['a', 'b']"),
+        ((1, 2, 3, 8), {(1, 2): 1, (1, 2, 3): 2}, (1, 8),
+         "T4Point({1|2}:1, {1|2|3}:2) lies outside the open book around [1, 8]"),
+    ])
+    def test_point_outside_book_message(self, labels, point, axis, where):
+        pt = T4Point(labels, {frozenset(c): x for c, x in point.items()})
+        with pytest.raises(NotInBookError) as info:
+            spine_stickiness_t4(T4Sample(labels, (pt,)), frozenset(axis))
+        assert str(info.value) == where
 
     def test_matches_grid_oracle(self, quadrants):
         rng = np.random.default_rng(38)
