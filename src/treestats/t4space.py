@@ -458,7 +458,7 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
     ang = min(max(ang, min(alpha, beta)), max(alpha, beta))
     j = min(int(ang // _HALF_PI), turns)
     c1, c2 = _turn(-j, px, py)  # the point in the quadrant (path[j], path[j + 1])
-    eps = 1e-12 * max(math.hypot(px, py), 1.0)
+    eps = 1e-12 * max(x.norm(), y.norm())  # above the rounding of px and py
     return T4Point(labels, {e: float(c) for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
 
 

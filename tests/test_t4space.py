@@ -221,6 +221,23 @@ class TestGeodesicPoint:
         y = P({(1, 3): 1.0})
         assert geodesic_point(x, y, 0.5).is_origin
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-50, 1e100])
+    @pytest.mark.parametrize("x, y", [
+        ({(1, 2): 1.0, (1, 2, 3): 2.0}, {(1, 2): 2.0, (1, 2, 3): 0.5}),  # one quadrant
+        ({(1, 2): 1.0}, {(1, 2): 2.0, (1, 2, 4): 1.0}),  # an axis and a quadrant on it
+        ({(1, 2): 1.0, (1, 2, 3): 0.5}, {(1, 2): 0.5, (1, 2, 4): 1.0}),  # across an axis
+        ({(1, 2): 1.0}, {(1, 3): 1.0}),  # the cone path
+    ])
+    def test_scale_invariance(self, x, y, s):
+        def scaled(coords, by):
+            return P({c: by * v for c, v in coords.items()})
+
+        expected = geodesic_point(scaled(x, 1.0), scaled(y, 1.0), 0.3)
+        g = geodesic_point(scaled(x, s), scaled(y, s), 0.3)
+        assert g.support == expected.support
+        for c in expected.support:
+            assert g.get(c) == pytest.approx(s * expected.get(c), rel=1e-12)
+
     def test_arclength_consistency(self, quadrants):
         rng = np.random.default_rng(34)
         for _ in range(150):
