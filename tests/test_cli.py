@@ -707,7 +707,7 @@ class TestBadSampleExit2:
     @pytest.mark.parametrize("code", [2**63, -2**63 - 1, 10**400],
                              ids=["2**63", "-2**63-1", "10**400"])
     def test_code_outside_int64_named_exactly(self, tmp_path, capsys, space, doc, field, n, code):
-        for i in (0, 1):  # alone in the document, or after a good point
+        for i in (0, 1):  # the first point, or one after a good point
             points = copy.deepcopy(doc["points"])
             points[i][field] = code
             path = tmp_path / "bad.json"
