@@ -11,6 +11,13 @@ The ``sample_trees_*`` fixtures were written by ``sample-trees`` on the toy
 data (40 repetitions) while restriction still pruned a tree copy per
 repetition; 5 and 8 of their k=4 repetitions hit the merged
 complementary-pair case.
+The ``plots/`` fixtures are what ``plot`` (SVG, and CSV for four-leaf
+samples) and ``mean --plot`` wrote for three of those samples and for the
+small edge samples beside them (origins only, lengths whose squares
+underflow, a star-tree mean, spiders with one and five legs), recorded
+while the plots still built a point object per sample point.  Pixel
+coordinates print with two decimals, so they pin the float expressions
+of the layout and the projection only on these inputs.
 """
 
 import json
@@ -18,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from treestats import mcsim
+from treestats import __version__, mcsim
+from treestats.cli import main
 from treestats.pipeline import canonical_json, load_groups, sample_trees
 from treestats.seqio import GapMode, parse_fasta
 
@@ -31,6 +39,13 @@ LAWS = {
     "boundary": GOLDEN / "law_boundary.json",
 }
 N, REPS = 60, 150
+PLOTS = GOLDEN / "plots"
+PLOT_SAMPLES = {
+    "k3_seed7": GOLDEN / "sample_trees_k3_seed7.json",
+    "k4_seed7": GOLDEN / "sample_trees_k4_seed7.json",
+    "k4_seed42_mismatch_strict": GOLDEN / "sample_trees_k4_seed42_mismatch_strict.json",
+    **{path.stem: path for path in PLOTS.glob("*.json")},
+}
 
 
 def load_law(name):
@@ -67,3 +82,26 @@ def test_sample_trees_matches_golden(k, seed, gap_mode, strict_n, suffix):
     sample = sample_trees(block, groups, k, 40, seed, gap_mode, strict_n)
     expected = (GOLDEN / f"sample_trees_k{k}_seed{seed}{suffix}.json").read_text()
     assert canonical_json(sample.to_dict()) == expected
+
+
+def plot_outputs(sample: Path, out: Path) -> dict[str, str]:
+    """What ``plot`` and ``mean --plot`` write for ``sample``, by fixture
+    suffix, with the version comment of the SVG header made constant."""
+    commands = {
+        "plot.svg": ["plot", str(sample), "--format", "svg", "-o", str(out)],
+        "mean.svg": ["mean", str(sample), "--plot", str(out), "-o", str(out.with_suffix(".json"))],
+    }
+    if "labels" in json.loads(sample.read_text()):
+        commands["plot.csv"] = ["plot", str(sample), "--format", "csv", "-o", str(out)]
+    texts = {}
+    for kind, argv in commands.items():
+        assert main(argv) == 0
+        texts[kind] = out.read_text().replace(f"<!-- treestats {__version__} -->",
+                                              "<!-- treestats VERSION -->", 1)
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SAMPLES))
+def test_plots_match_golden(name, tmp_path):
+    for kind, text in plot_outputs(PLOT_SAMPLES[name], tmp_path / "out").items():
+        assert text == (PLOTS / f"{name}.{kind}").read_text(), kind
