@@ -743,7 +743,8 @@ def spine_stickiness_t4(
         leaf[(e,)] = leaf[tuple(sorted((axis, e), key=_split_key))] = k
     leaves = np.array([leaf.get(support, -1) for support in geom.supports])[sample.codes]
     if (leaves < 0).any():
-        pt = sample.points[int(np.argmax(leaves < 0))]
+        i = int(np.argmax(leaves < 0))
+        pt = T4Point(sample.labels, zip(geom.supports[sample.codes[i]], sample.coords[i].tolist()))
         raise NotInBookError(f"{pt!r} lies outside the open book around {sorted(axis)}")
     lengths = _split_coords(sample, geom)[:, [geom.index[e] for e in (axis, *partners)]]
     x2 = np.where(leaves > 0, lengths[np.arange(len(leaves)), leaves], 0.0)
@@ -769,17 +770,20 @@ class PetersenProjection:
         return "vertex" if len(self.splits) == 1 else "edge"
 
 
+def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
+    """The fields of :class:`PetersenProjection` for the point whose splits
+    ``support`` (canonical order) have ``lengths``; ``()`` splits the origin."""
+    r = math.sqrt(sum(length * length for length in lengths))
+    if len(support) < 2:
+        return support, 0.0, r
+    return support, math.atan2(lengths[1], lengths[0]) / _HALF_PI, r
+
+
 def petersen_projection(x: T4Point) -> PetersenProjection:
     """Project a nonzero point radially onto the Petersen graph."""
     if x.is_origin:
         raise UndefinedProjectionError("the origin has no radial projection")
-    r = x.norm()
-    support = x.support
-    if len(support) == 1:
-        return PetersenProjection((support[0],), 0.0, r)
-    e, f = support  # already canonically sorted
-    s = math.atan2(x.get(f), x.get(e)) / _HALF_PI
-    return PetersenProjection((e, f), s, r)
+    return PetersenProjection(*_projection(x.support, [length for _, length in x._items]))
 
 
 def tree_type_newick(labels, splits) -> str:

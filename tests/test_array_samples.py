@@ -2,8 +2,8 @@
 
 ``from_arrays`` and the point constructors must build the same sample,
 with the same checks.  The simulation hot path must build no sample and
-no point object at all, and the four-leaf sample-trees and mean build no
-point object per sample point.
+no point object at all, and the four-leaf sample-trees and mean and the
+plots build no point object per sample point.
 """
 
 import json
@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import replicate_rng
+from test_golden import PLOT_SAMPLES, plot_outputs
 from treestats import mcsim, openbook, spider
 from treestats.cli import main
 from treestats.errors import InvalidSampleError
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
 from treestats.spider import ArraySample, SpiderPoint, SpiderSample, intrinsic_mean
-from treestats.t4space import T4Point
+from treestats.t4space import PetersenProjection, T4Point
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
@@ -126,12 +127,13 @@ class TestHotPath:
     """``simulate`` reduces each replicate to per-leg sums: it builds no
     sample and no point object and never calls the per-sample means.
     ``sample-trees --k 4`` builds no T4Point, and the t4 ``mean`` builds
-    as many for a sample as for that sample repeated ten times."""
+    as many for a sample as for that sample repeated ten times; so do
+    ``plot`` and ``mean --plot``, with their point and projection objects."""
 
     @pytest.fixture
     def events(self, monkeypatch):
         counts = dict.fromkeys(
-            ("sample", "point", "intrinsic_mean", "openbook_mean", "t4_point"), 0)
+            ("sample", "point", "intrinsic_mean", "openbook_mean", "t4_point", "projection"), 0)
 
         def counting(owner, name, key):
             original = getattr(owner, name)
@@ -148,6 +150,7 @@ class TestHotPath:
         counting(spider, "intrinsic_mean", "intrinsic_mean")
         counting(openbook, "openbook_mean", "openbook_mean")
         counting(T4Point, "__init__", "t4_point")
+        counting(PetersenProjection, "__init__", "projection")
         return counts
 
     def test_events_are_counted(self, events):
@@ -174,6 +177,18 @@ class TestHotPath:
             events["t4_point"] = 0
             assert main(["mean", str(path), "-o", str(tmp_path / "mean.json")]) == 0
             counts.append(events["t4_point"])
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("name", sorted(PLOT_SAMPLES))
+    def test_plots(self, events, tmp_path, name):
+        doc = json.loads(PLOT_SAMPLES[name].read_text())
+        counts = []
+        for times in (1, 10):
+            path = tmp_path / f"sample{times}.json"
+            path.write_text(json.dumps({**doc, "points": doc["points"] * times}))
+            events.update(t4_point=0, projection=0, point=0)
+            plot_outputs(path, tmp_path / "out")
+            counts.append((events["t4_point"], events["projection"], events["point"]))
         assert counts[0] == counts[1]
 
     def test_simulate(self, events):
