@@ -26,7 +26,7 @@ from .errors import (
     InvalidSampleError,
     WrongRegimeError,
 )
-from .spider import ArraySample, Verdict, _sum, check_interval, gaps, leg_sums, verdict
+from .spider import MAX_COORD, ArraySample, Verdict, _sum, check_interval, gaps, leg_sums, verdict
 
 __all__ = [
     "OpenBookPoint",
@@ -54,10 +54,9 @@ class OpenBookPoint:
     def __post_init__(self):
         object.__setattr__(self, "x1", float(self.x1))
         object.__setattr__(self, "x2", float(self.x2))
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise InvalidSampleError(f"x1, x2 must be finite, got {self.x1}, {self.x2}")
-        if self.x1 < 0 or self.x2 < 0:
-            raise InvalidSampleError(f"x1, x2 must be >= 0, got {self.x1}, {self.x2}")
+        if not (0 <= self.x1 <= MAX_COORD and 0 <= self.x2 <= MAX_COORD):  # NaN fails too
+            raise InvalidSampleError(
+                f"x1, x2 must be finite and in 0..{MAX_COORD:g}, got {self.x1}, {self.x2}")
         if self.x2 == 0.0:
             object.__setattr__(self, "leaf", None)
         elif self.leaf is None:
@@ -171,8 +170,10 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
                       for mask in (codes == a for a in range(1, N_LEAVES + 1))]).T
     th2 = tuple(gaps(s2).tolist())
     vd = verdict(th2, tolerance)
-    # off the spine only when non-sticky: x2 == 0 puts the mean on the spine
-    mean = OpenBookPoint(vd.leg, x1_star, th2[vd.leg - 1] if vd.kind == "non_sticky" else 0.0)
+    # off the spine only when non-sticky: x2 == 0 puts the mean on the spine;
+    # a weighted mean of coordinates up to MAX_COORD may round past it
+    x2_star = th2[vd.leg - 1] if vd.kind == "non_sticky" else 0.0
+    mean = OpenBookPoint(vd.leg, min(x1_star, MAX_COORD), min(x2_star, MAX_COORD))
     if vd.kind == "sticky":
         vd = Verdict("stuck_to_spine")
     spine_var = float(_sum(wts * (x1 - x1_star) ** 2))

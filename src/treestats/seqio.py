@@ -12,6 +12,7 @@ lengths go out.  Comparison rules (what counts as a mismatch) are:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -173,8 +174,14 @@ class DistanceMatrix:
         formatting cell by cell, but each distinct value is formatted
         once: mismatch fractions are ratios of small integers and the
         matrix is symmetric, so values repeat.  Values are told apart by
-        their bits, so ``-0.0`` keeps its sign.
+        their bits, so ``-0.0`` keeps its sign.  :class:`InvalidMatrixError`
+        names the labels :meth:`from_csv` would not read back.
         """
+        bad = [t for t in self.taxa
+               if not t or t != t.strip() or "," in t or len(t.splitlines()) != 1]
+        if bad:
+            raise InvalidMatrixError(f"the distance CSV cannot carry the taxon labels {bad!r}: "
+                                     "a label is one line, without commas or blanks at its ends")
         bits, inverse = np.unique(self.d.view(np.int64), return_inverse=True)
         text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
         rows = text[inverse.reshape(self.d.shape)].tolist()
@@ -195,6 +202,8 @@ class DistanceMatrix:
         if not lines:
             raise InvalidMatrixError("empty distance CSV")
         taxa = tuple(t.strip() for t in lines[0].split(","))
+        if "" in taxa:
+            raise InvalidMatrixError(f"empty taxon name in column {taxa.index('') + 1} of the header")
         if len(lines) != len(taxa) + 1:
             raise InvalidMatrixError(
                 f"expected {len(taxa)} matrix rows, found {len(lines) - 1}"
@@ -319,6 +328,7 @@ class TreeNode:
 
 
 _RESERVED = set("():,;")
+_NEWICK_SYNTAX = re.compile(r"[():,;\s]")  # what ends a label in parse_newick
 
 
 def parse_newick(text: str) -> TreeNode:
@@ -417,7 +427,14 @@ def parse_newick(text: str) -> TreeNode:
 
 
 def serialize_newick(tree: TreeNode, precision: int = 6) -> str:
-    """Serialize a rooted tree to Newick with the given significant digits."""
+    """Serialize a rooted tree to Newick with the given significant digits;
+    :class:`NewickSyntaxError` names the labels :func:`parse_newick` would
+    not read back (a leaf's missing one, any holding ``():;,`` or blanks)."""
+    bad = [n.label for n in tree.walk()
+           if (n.label or n.is_leaf()) and (not n.label or _NEWICK_SYNTAX.search(n.label))]
+    if bad:
+        raise NewickSyntaxError(f"Newick cannot carry the labels {bad!r}: "
+                                "a label holds no whitespace and none of ():;,")
 
     def fmt(x: float) -> str:
         return f"{x:.{precision}g}"

@@ -289,8 +289,8 @@ class SpiderPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "u", float(self.u))
-        if not math.isfinite(self.u) or self.u < 0:
-            raise InvalidSampleError(f"u must be finite and >= 0, got {self.u}")
+        if not 0 <= self.u <= MAX_COORD:  # NaN fails too
+            raise InvalidSampleError(f"u must be finite and in 0..{MAX_COORD:g}, got {self.u}")
         if self.u == 0.0:
             object.__setattr__(self, "leg", None)
         elif self.leg is None:
@@ -390,6 +390,10 @@ class SpiderMeasureSummary:
                     raise InvalidWeightsError(f"summary {name} must be finite, got {field} = {x}")
                 if not 0 <= x <= MAX_COORD:
                     raise InvalidSampleError(f"summary {field} must be in 0..{MAX_COORD:g}, got {x}")
+        for i, v in enumerate(self.v):  # theta, and so the mean, is at most v
+            if not v <= MAX_COORD:
+                raise InvalidSampleError(
+                    f"summary w[{i}] * nu[{i}] must be in 0..{MAX_COORD:g}, got {v}")
         if not all(map(math.isfinite, self.m2 or ())):
             raise InvalidWeightsError("summary m2 must be finite")
 
@@ -596,7 +600,8 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
         v = w * nu
     th = tuple(gaps(v).tolist())
     vd = verdict(th, tolerance)
-    mean = SpiderPoint(vd.leg, th[vd.leg - 1]) if vd.kind == "non_sticky" else CENTER
+    # a weighted mean of coordinates up to MAX_COORD may round past it
+    mean = SpiderPoint(vd.leg, min(th[vd.leg - 1], MAX_COORD)) if vd.kind == "non_sticky" else CENTER
     sd = math.sqrt(frechet_function(mean, data)) if is_sample or data.m2 is not None else math.nan
     n = len(data) if is_sample else None
     return StickinessReport(data.p, w0, tuple(w.tolist()), tuple(nu.tolist()), th, vd,

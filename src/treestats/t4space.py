@@ -25,7 +25,8 @@ Unfoldings of four or more quadrants always span at least pi, so the cone
 path dominates them; the short paths are exact.  ``_Geometry.image_tables``
 holds these images, one table per frame; distances, geodesics, the
 Frechet function and the mean all evaluate them through
-``_QuadrantImages``.
+``_QuadrantImages``, with the lengths divided by a power of two above the
+largest: exact in binary, and no squared length underflows.
 """
 
 from __future__ import annotations
@@ -395,14 +396,16 @@ class T4Sample(ArraySample):
 def _frame(x: T4Point, labels, classes, coords, weights):
     """Points of support classes ``classes`` and (n, 10) split lengths
     ``coords`` unfolded into the frame of ``x``: the first quadrant (e, f)
-    that holds it.  Returns the images, (e, f) and x's coordinates there."""
+    that holds it, with all lengths divided by ``2**exp``, which is above
+    the largest.  Returns the images, (e, f), x's coordinates there and exp."""
     if x.labels != labels:
         raise ValueError("points live over different label universes")
     geom = _geometry(labels)
     q = geom.frames[geom.support_class[x.support]]
     e, f = geom.quadrants[q]
-    images = _QuadrantImages(geom.image_tables[q], classes, coords, weights)
-    return images, (e, f), (x.get(e), x.get(f))
+    exp = math.frexp(max([coords.max(initial=0.0), *(length for _, length in x._items)]))[1]
+    images = _QuadrantImages(geom.image_tables[q], classes, np.ldexp(coords, -exp), weights)
+    return images, (e, f), (math.ldexp(x.get(e), -exp), math.ldexp(x.get(f), -exp)), exp
 
 
 def _one_point(y: T4Point):
@@ -416,8 +419,8 @@ def _one_point(y: T4Point):
 
 def t4_distance(x: T4Point, y: T4Point) -> float:
     """Geodesic distance; never exceeds the cone-path bound ``|x| + |y|``."""
-    images, _, at = _frame(x, *_one_point(y))
-    return math.sqrt(images.value(at))
+    images, _, at, exp = _frame(x, *_one_point(y))
+    return math.ldexp(math.sqrt(images.value(at)), exp)
 
 
 def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
@@ -433,11 +436,11 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
         return x
     if t == 1.0:
         return y
-    images, first, (a, b) = _frame(x, *_one_point(y))
+    images, first, (a, b), exp = _frame(x, *_one_point(y))
     _, on_image, slot = images._terms((a, b))
     labels = x.labels
+    rx, ry = math.sqrt(a * a + b * b), float(images.norms[0])  # at the frame's scale
     if not on_image[0]:  # the cone path through the origin
-        rx, ry = x.norm(), y.norm()
         s = t * (rx + ry)
         if s <= rx:
             return T4Point(labels, {e: (rx - s) / rx * length for e, length in x._items})
@@ -458,8 +461,9 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
     ang = min(max(ang, min(alpha, beta)), max(alpha, beta))
     j = min(int(ang // _HALF_PI), turns)
     c1, c2 = _turn(-j, px, py)  # the point in the quadrant (path[j], path[j + 1])
-    eps = 1e-12 * max(x.norm(), y.norm())  # above the rounding of px and py
-    return T4Point(labels, {e: float(c) for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
+    eps = 1e-12 * max(rx, ry)  # above the rounding of px and py
+    return T4Point(labels, {e: math.ldexp(float(c), exp)
+                            for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
 
 
 def frechet_function(x: T4Point, sample: T4Sample) -> float:
@@ -467,8 +471,8 @@ def frechet_function(x: T4Point, sample: T4Sample) -> float:
     if not len(sample):
         raise EmptySampleError("empty sample")
     coords = _split_coords(sample, _geometry(sample.labels))
-    images, _, at = _frame(x, sample.labels, sample.codes, coords, sample.normalized_weights())
-    return images.value(at)
+    images, _, at, exp = _frame(x, sample.labels, sample.codes, coords, sample.normalized_weights())
+    return math.ldexp(images.value(at), 2 * exp)
 
 
 # --------------------------------------------------------------------------
@@ -661,8 +665,10 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     union = {e for c in np.unique(classes).tolist() for e in geom.supports[c]}
     if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
         # a plain running sum per split, which a fused dot product is not:
-        # equal points then average to themselves exactly
-        mean = T4Point(labels, dict(zip(geom.splits, (wts[:, None] * coords).sum(axis=0))))
+        # equal points then average to themselves exactly; a weighted mean of
+        # lengths up to MAX_COORD may round past it
+        lengths = np.minimum((wts[:, None] * coords).sum(axis=0), MAX_COORD)
+        mean = T4Point(labels, dict(zip(geom.splits, lengths)))
         axes = tuple(sorted(union, key=_split_key))
         return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
 
@@ -685,7 +691,7 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
         if value < best[0]:
             best = (value, (e, f), x, pg_norm)
     value, quadrant, x, pg_norm = best
-    mean = T4Point(labels, dict(zip(quadrant, np.ldexp(x, exp))))
+    mean = T4Point(labels, dict(zip(quadrant, np.minimum(np.ldexp(x, exp), MAX_COORD))))
     return T4MeanEstimate(mean, math.ldexp(value, 2 * exp), "newton", quadrant, steps,
                           math.ldexp(pg_norm, exp))
 

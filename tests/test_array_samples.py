@@ -11,6 +11,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +23,11 @@ from treestats.cli import main
 from treestats.errors import InvalidSampleError
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
 from treestats.spider import ArraySample, SpiderPoint, SpiderSample, intrinsic_mean
-from treestats.t4space import PetersenProjection, T4Point
+from treestats.t4space import PetersenProjection, T4Point, T4Sample, t4_mean
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
-bad_coordinate = st.one_of(coordinate, st.sampled_from([-1.0, math.nan, math.inf]))
+bad_coordinate = st.one_of(coordinate, st.sampled_from([-1.0, math.nan, math.inf, 1e200]))
 
 
 def weights_for(n):
@@ -109,6 +110,33 @@ class TestArraysEqualPoints:
         by_arrays = outcome(OpenBookSample.from_arrays, *data)
         by_points = outcome(book_from_points, *data)
         assert (by_arrays == "rejected") == (by_points == "rejected")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-1, 5), bad_coordinate, bad_coordinate)
+    def test_point_checks_agree(self, code, a, b):
+        # a point alone keeps the bounds of a sample of that one point
+        for point, sample in (
+            ((SpiderPoint, code or None, a), (SpiderSample.from_arrays, 5, [code], [a])),
+            ((OpenBookPoint, code or None, a, b), (OpenBookSample.from_arrays, [code], [a], [b])),
+        ):
+            assert (outcome(*point) == "rejected") == (outcome(*sample) == "rejected")
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_means_at_the_coordinate_bound(self, n):
+        # weights that sum to 1 only to rounding can carry a weighted mean
+        # of coordinates at MAX_COORD past it; the mean keeps the bound
+        w = np.random.default_rng(n).random(n) + 0.01
+        w, top = tuple((w / w.sum()).tolist()), spider.MAX_COORD
+        means = (
+            intrinsic_mean(SpiderSample.from_arrays(3, [1] * n, [top] * n, w)).mean.u,
+            *vars(openbook_mean(OpenBookSample.from_arrays([1] * n, [top] * n, [top] * n, w))
+                  .mean).values(),
+            *t4_mean(T4Sample.from_splits("abcd", [[0b11, 0b111]] * n, [[top] * 2] * n, w))
+            .mean.coords.values(),
+        )
+        assert means[1] == 1 and len(means) == 6
+        for x in (means[0], *means[2:]):
+            assert x <= top and x == pytest.approx(top, rel=1e-12)
 
     def test_arrays_are_read_only(self):
         s = SpiderSample.from_arrays(3, [1, 2], [0.5, 1.0])

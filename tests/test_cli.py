@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ import treestats
 from treestats import pipeline, spider
 from treestats.cli import main
 from treestats.errors import ConfigError
-from treestats.seqio import GapMode, parse_fasta
+from treestats.seqio import DistanceMatrix, GapMode, parse_fasta, parse_newick
 from treestats.spider import SpiderSample, intrinsic_mean
 
 
@@ -366,6 +367,13 @@ class TestMeanAndSticky:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"summary {field} must be finite" in captured.err
+
+    def test_sticky_summary_moment_past_the_bound_exit_2(self, tmp_path, capsys):
+        # masses need not sum to 1, so w * nu can exceed the coordinate bound
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"p": 3, "w": [1e100, 0, 0], "nu": [1e100, 1, 1]}')
+        assert main(["sticky", str(summary)]) == 2
+        assert "summary w[0] * nu[0] must be in 0..1e+150" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, doc, leg, tree_type", [
         ("mean", {"p": 5, "points": [{"leg": 1, "u": 1}, {"leg": 5, "u": 2}]}, 5, None),
@@ -971,3 +979,102 @@ class TestSampleDocumentFuzz:
                 assert code in (0, 2) and "internal error" not in err.getvalue(), err.getvalue()
                 if code == 0 and argv[0] != "plot":
                     json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# FASTA headers, distance CSVs and group CSVs from hypothesis: dist, nj and
+# sample-trees exit 0 or 2, and what they write reads back with its labels
+# ---------------------------------------------------------------------------
+
+# plain labels, and labels of characters that CSV or Newick syntax, or
+# str.strip and str.splitlines, treat specially
+_label = st.one_of(st.text("abcdef", min_size=1, max_size=3),
+                   st.text(st.sampled_from("ab,():; \t\u00a0\x0b\x1c'[]#-"), min_size=1,
+                           max_size=3))
+_edit = st.lists(st.sampled_from([*"ab,;:() \n\t-.e019", "nan", "1e400", "\u00a0"]),
+                 max_size=3).map("".join)
+
+
+@st.composite
+def _edited(draw, text):
+    """``text`` with up to three short runs replaced by junk."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(_edit) + text[j:]
+    return text
+
+
+@st.composite
+def distance_csvs(draw):
+    taxa = draw(st.lists(st.text("abc", min_size=1, max_size=2), min_size=3, max_size=5,
+                         unique=True))
+    n = len(taxa)
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = draw(st.lists(st.floats(0.0, 2.0), min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    return draw(_edited(DistanceMatrix(tuple(taxa), d + d.T).to_csv()))
+
+
+class TestSequenceInputFuzz:
+    @staticmethod
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 2) and "internal error" not in err.getvalue(), err.getvalue()
+        return code, out.getvalue()
+
+    def nj_reads_back(self, csv: Path):
+        taxa = DistanceMatrix.from_csv(csv.read_text()).taxa
+        code, newick = self.run("nj", csv)
+        if code == 0:
+            assert sorted(parse_newick(newick).leaf_labels()) == sorted(taxa)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_label, st.text("ACGT-N", min_size=6, max_size=6)),
+                    min_size=3, max_size=5, unique_by=lambda record: record[0]))
+    @example([("a,x", "ACGTAC"), ("b", "ACGTTC"), ("c", "ACCTTC")])
+    @example([("a x", "ACGTAC"), ("b", "ACGTTC"), ("c", "ACCTTC")])
+    @example([("a(", "ACGTAC"), ("b", "ACGTTC"), ("c", "ACCTTC")])
+    def test_fasta_headers(self, records):
+        taxa = [t for t, _ in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            fasta, csv, groups = (Path(tmp) / name for name in ("a.fasta", "d.csv", "g.csv"))
+            fasta.write_text("".join(f">{t}\n{r}\n" for t, r in records))
+            if self.run("dist", fasta, "-o", csv)[0] == 0:
+                assert DistanceMatrix.from_csv(csv.read_text()).taxa == parse_fasta(
+                    fasta.read_text()).taxa
+                self.nj_reads_back(csv)
+            groups.write_text("".join(f"{t},{'xyz'[i % 3]}\n" for i, t in enumerate(taxa)))
+            code, text = self.run("sample-trees", fasta, "--groups", groups, "--k", "3",
+                                  "--reps", "3")
+            if code == 0:
+                json.loads(text, parse_constant=_reject_constant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(distance_csvs())
+    @example(",b,c\n0,1,1\n1,0,1\n1,1,0\n")
+    def test_distance_csvs(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv = Path(tmp) / "d.csv"
+            csv.write_text(text)
+            try:
+                DistanceMatrix.from_csv(text)
+            except treestats.TreeStatsError:
+                assert self.run("nj", csv)[0] == 2
+            else:
+                self.nj_reads_back(csv)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([3, 4]), st.data())
+    def test_group_csvs(self, k, data):
+        groups_text = data.draw(_edited((DATA / f"toy_groups{k}.csv").read_text()))
+        with tempfile.TemporaryDirectory() as tmp:
+            fasta, groups = Path(tmp) / "a.fasta", Path(tmp) / "g.csv"
+            fasta.write_text((DATA / "toy_alignment.fasta").read_text())
+            groups.write_text(groups_text)
+            code, text = self.run("sample-trees", fasta, "--groups", groups, "--k", str(k),
+                                  "--reps", "3")
+            if code == 0:
+                json.loads(text, parse_constant=_reject_constant)

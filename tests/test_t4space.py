@@ -265,6 +265,31 @@ class TestGeodesicPoint:
             assert lhs <= rhs + 1e-9
 
 
+class TestPowerOfTwoScale:
+    """The metric functions solve at a power-of-two scale, so lengths whose
+    squares underflow still give exact results: scaling by 2**k is exact."""
+
+    @pytest.mark.parametrize("k", [-530, -700, -1000])
+    @pytest.mark.parametrize("x, y", [
+        ({(1, 2): 1.0}, {(1, 2): 2.0, (1, 2, 3): 1.0}),  # an axis and a quadrant on it
+        ({(1, 2): 1.0}, {(1, 3): 2.0}),  # the cone path
+        ({(1, 2): 1.0, (1, 2, 3): 0.5}, {(1, 2): 0.5, (1, 2, 4): 1.0}),  # across an axis
+        ({(1, 2): 1.0, (1, 2, 3): 2.0}, {(1, 2): 2.0, (1, 2, 3): 0.5}),  # one quadrant
+    ])
+    def test_scaling_is_exact(self, x, y, k):
+        def scaled(coords, by):
+            return P({c: math.ldexp(v, by) for c, v in coords.items()})
+
+        (x1, y1), (xk, yk) = (scaled(x, 0), scaled(y, 0)), (scaled(x, k), scaled(y, k))
+        assert t4_distance(xk, yk) == math.ldexp(t4_distance(x1, y1), k)
+        for t in (0.25, 0.5, 0.75):
+            expected = geodesic_point(x1, y1, t).coords
+            assert geodesic_point(xk, yk, t).coords == {
+                c: math.ldexp(v, k) for c, v in expected.items()}
+        assert frechet_function(xk, T4Sample(L, (xk, yk))) == math.ldexp(
+            frechet_function(x1, T4Sample(L, (x1, y1))), 2 * k)
+
+
 class TestMean:
     def test_single_quadrant_euclidean(self):
         pts = (P({(1, 2): 1.0, (1, 2, 3): 1.0}), P({(1, 2): 3.0, (1, 2, 3): 3.0}))
