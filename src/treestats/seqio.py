@@ -12,7 +12,6 @@ lengths go out.  Comparison rules (what counts as a mismatch) are:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -328,7 +327,6 @@ class TreeNode:
 
 
 _RESERVED = set("():,;")
-_NEWICK_SYNTAX = re.compile(r"[():,;\s]")  # what ends a label in parse_newick
 
 
 def parse_newick(text: str) -> TreeNode:
@@ -430,8 +428,8 @@ def serialize_newick(tree: TreeNode, precision: int = 6) -> str:
     """Serialize a rooted tree to Newick with the given significant digits;
     :class:`NewickSyntaxError` names the labels :func:`parse_newick` would
     not read back (a leaf's missing one, any holding ``():;,`` or blanks)."""
-    bad = [n.label for n in tree.walk()
-           if (n.label or n.is_leaf()) and (not n.label or _NEWICK_SYNTAX.search(n.label))]
+    bad = [n.label for n in tree.walk() if (n.label or n.is_leaf()) and (
+        not n.label or any(c in _RESERVED or c.isspace() for c in n.label))]
     if bad:
         raise NewickSyntaxError(f"Newick cannot carry the labels {bad!r}: "
                                 "a label holds no whitespace and none of ():;,")

@@ -778,7 +778,7 @@ class PetersenProjection:
 
 def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
     """The fields of :class:`PetersenProjection` for the point whose splits
-    ``support`` (canonical order) have ``lengths``; ``()`` splits the origin."""
+    ``support`` (canonical order) have ``lengths``; splits are ``()`` at the origin."""
     r = math.sqrt(sum(length * length for length in lengths))
     if len(support) < 2:
         return support, 0.0, r
