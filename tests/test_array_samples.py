@@ -127,15 +127,10 @@ class TestArraysEqualPoints:
         # of coordinates at MAX_COORD past it; the mean keeps the bound
         w = np.random.default_rng(n).random(n) + 0.01
         w, top = tuple((w / w.sum()).tolist()), spider.MAX_COORD
-        means = (
-            intrinsic_mean(SpiderSample.from_arrays(3, [1] * n, [top] * n, w)).mean.u,
-            *vars(openbook_mean(OpenBookSample.from_arrays([1] * n, [top] * n, [top] * n, w))
-                  .mean).values(),
-            *t4_mean(T4Sample.from_splits("abcd", [[0b11, 0b111]] * n, [[top] * 2] * n, w))
-            .mean.coords.values(),
-        )
-        assert means[1] == 1 and len(means) == 6
-        for x in (means[0], *means[2:]):
+        u = intrinsic_mean(SpiderSample.from_arrays(3, [1] * n, [top] * n, w)).mean.u
+        book = openbook_mean(OpenBookSample.from_arrays([1] * n, [top] * n, [top] * n, w)).mean
+        t4 = t4_mean(T4Sample.from_splits("abcd", [[0b11, 0b111]] * n, [[top] * 2] * n, w)).mean
+        for x in (u, book.x1, book.x2, *t4.coords.values()):
             assert x <= top and x == pytest.approx(top, rel=1e-12)
 
     def test_arrays_are_read_only(self):
