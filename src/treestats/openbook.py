@@ -21,12 +21,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptySampleError,
-    InvalidSampleError,
-    WrongRegimeError,
-)
-from .spider import MAX_COORD, ArraySample, Verdict, _sum, check_interval, gaps, leg_sums, verdict
+from .errors import EmptySampleError, WrongRegimeError
+from .spider import (MAX_COORD, ArraySample, Verdict, _sum, check_interval, gaps, leg_sums,
+                     point_arrays, verdict)
 
 __all__ = [
     "OpenBookPoint",
@@ -45,24 +42,22 @@ N_LEAVES = 3
 
 @dataclass(frozen=True)
 class OpenBookPoint:
-    """Point of O3; ``x2 == 0`` is canonicalized to the spine (leaf None)."""
+    """Point of O3; ``x2 == 0`` is canonicalized to the spine (leaf None).
+
+    The point is checked as a sample of one point, by
+    :func:`~treestats.spider.point_arrays`.
+    """
 
     leaf: int | None
     x1: float
     x2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "x2", float(self.x2))
-        if not (0 <= self.x1 <= MAX_COORD and 0 <= self.x2 <= MAX_COORD):  # NaN fails too
-            raise InvalidSampleError(
-                f"x1, x2 must be finite and in 0..{MAX_COORD:g}, got {self.x1}, {self.x2}")
-        if self.x2 == 0.0:
-            object.__setattr__(self, "leaf", None)
-        elif self.leaf is None:
-            raise InvalidSampleError("leaf: spine points must have x2 == 0")
-        elif not isinstance(self.leaf, int) or self.leaf not in (1, 2, 3):
-            raise InvalidSampleError(f"leaf must be 1, 2, or 3, got {self.leaf!r}")
+        codes, coords = point_arrays(N_LEAVES, "leaf", [0 if self.leaf is None else self.leaf],
+                                     at="", x1=[self.x1], x2=[self.x2])
+        object.__setattr__(self, "leaf", int(codes[0]) or None)
+        for name, c in coords.items():
+            object.__setattr__(self, name, float(c[0]))
 
     @property
     def on_spine(self) -> bool:

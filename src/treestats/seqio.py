@@ -322,8 +322,8 @@ class TreeNode:
     def leaf_labels(self) -> list[str]:
         return [n.label for n in self.leaves()]
 
-    def __repr__(self):
-        return f"TreeNode({serialize_newick(self)!r})"
+    def __repr__(self):  # not Newick: a lone leaf or an unwritable label would raise
+        return f"TreeNode({self.label!r}, {self.length!r}, children={len(self.children)})"
 
 
 _RESERVED = set("():,;")

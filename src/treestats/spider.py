@@ -123,13 +123,14 @@ def json_number(x, field: str, error=InvalidSampleError) -> float:
 
 def json_numbers(values, entry, error=InvalidSampleError) -> np.ndarray:
     """A list or tuple of numbers as a float array, converted in one pass;
-    a numpy array passes straight through (as a copy).
+    a numpy array of integers or floats passes straight through (as a copy).
 
     Entries follow :func:`json_number`, and ``entry(i)`` names entry ``i``
     in errors.  A list of plain ints and floats converts in one numpy call;
-    any other list is read entry by entry.
+    any other list or array is read entry by entry.
     """
-    if isinstance(values, np.ndarray) or {*map(type, values)} <= {int, float}:
+    if (values.dtype.kind in "iuf" if isinstance(values, np.ndarray)
+            else {*map(type, values)} <= {int, float}):
         try:
             return np.array(values, dtype=float)
         except OverflowError:  # an int too large for a float, read below
@@ -159,6 +160,58 @@ def _check_p(p, what: str) -> None:
 _sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 
 
+# The rules for points, stated once: ArraySample._store checks a sample's
+# arrays by them, and SpiderPoint and OpenBookPoint their one row.
+
+def coordinates(values, entry) -> np.ndarray:
+    """Coordinates and split lengths as a float array, each read by :func:`json_number`
+    and in ``0..MAX_COORD``; else :class:`InvalidSampleError` names ``entry(i)``."""
+    c = json_numbers(values, entry)
+    # min/max are NaN when a NaN is present, so NaN fails too
+    if c.size and not (_min(c, axis=None) >= 0 and _max(c, axis=None) <= MAX_COORD):
+        i = int(np.argmax(~((c >= 0) & (c <= MAX_COORD))))
+        raise InvalidSampleError(
+            f"{entry(i)} must be finite and in 0..{MAX_COORD:g}, got {c.flat[i]}")
+    return c
+
+
+def _codes(codes, n_codes: int, entry) -> np.ndarray:
+    """Codes as an int64 array: each an integer, Python or numpy, never a
+    bool, else :class:`InvalidSampleError` names ``entry(i)``.  Codes past
+    int64 are clipped, still out of ``1..n_codes``, for the range check."""
+    if not (isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"):
+        if not {*map(type, codes)} <= {int}:
+            for i, c in enumerate(codes):
+                if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                    raise InvalidSampleError(f"{entry(i)} must be an integer, got {c!r}")
+        raw, codes = codes, np.asarray(codes)
+        if codes.dtype.kind not in "iu":  # Python ints past int64 read as floats or objects
+            codes = np.array([min(max(c, 0), n_codes + 1) for c in raw], dtype=np.int64)
+    if codes.dtype.kind == "u":
+        codes = np.minimum(codes, n_codes + 1)
+    return codes.astype(np.int64, copy=False)
+
+
+def point_arrays(n_codes: int, code: str, codes, at: str = "points[{}].", **coords):
+    """Checked codes and a dict of coordinate arrays of spider or open-book
+    points, by :func:`_codes` and :func:`coordinates`.  The last coordinate
+    is the distance from the center or spine: where it is 0 the code becomes
+    0, elsewhere it must be in ``1..n_codes``.  Errors name the first bad
+    field, of point ``i`` as ``at.format(i)`` and the field's name."""
+    raw, codes = codes, _codes(codes, n_codes, f"{at}{code}".format)
+    coords = {name: coordinates(c, f"{at}{name}".format) for name, c in coords.items()}
+    if any(c.shape != (codes.size,) for c in (codes, *coords.values())):
+        raise InvalidSampleError("codes and coordinates must be 1-D arrays of one length")
+    name, dist = next(reversed(coords.items()))
+    off = dist != 0.0
+    off_codes = np.where(off, codes, 1)  # codes of the points off the center
+    if codes.size and not (_min(off_codes) >= 1 and _max(off_codes) <= n_codes):
+        i = int(np.argmax((off_codes < 1) | (off_codes > n_codes)))
+        raise InvalidSampleError(
+            f"{at.format(i)}{code} must be in 1..{n_codes} where {name} > 0, got {raw[i]}")
+    return np.where(off, codes, 0), coords
+
+
 class ArraySample:
     """Base of the spider, open-book and tree-space samples: read-only arrays.
 
@@ -168,50 +221,18 @@ class ArraySample:
     weights with uniform ones filled in.  ``points`` (of the class
     ``_point``) is built from the arrays on first access, ``==`` compares
     ``weights`` and the attributes listed in ``_eq_fields``, and
-    :meth:`to_dict` writes the arrays without building a point.
+    :meth:`to_dict` writes the arrays without building a point.  Codes and
+    coordinates are checked by :func:`point_arrays`, whose rules the point
+    classes follow too.
     """
 
     _code = "leg"  # field name of the codes in sample documents
     _coords = ("u",)  # coordinate arrays, named as in sample documents
 
     def _store(self, n_codes: int, codes, weights, **coords):
-        """Check and store the arrays; the last coordinate is the distance
-        from the center or spine, and where it is 0 the code becomes 0.
-
-        Coordinates are read by :func:`json_numbers` and must be in
-        ``0..MAX_COORD``, and a point off the center needs a code in
-        ``1..n_codes``; the tests are vectorised and
-        :class:`InvalidSampleError` names the first bad field.
-        """
-        raw, codes = codes, np.asarray(codes)
-        # codes past int64 are clipped, still out of range, so that the
-        # range check names their point and reports them as given
-        if codes.dtype.kind not in "iu":  # Python ints past int64 read as floats or objects
-            if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in raw):
-                raise InvalidSampleError(f"{self._code} codes must be integers")
-            codes = np.array([min(max(c, 0), n_codes + 1) for c in raw], dtype=np.int64)
-        elif codes.dtype.kind == "u":
-            codes = np.minimum(codes, n_codes + 1)
-        codes = codes.astype(np.int64, copy=False)
-        coords = {name: json_numbers(c, f"points[{{}}].{name}".format)
-                  for name, c in coords.items()}
-        if any(c.shape != (codes.size,) for c in (codes, *coords.values())):
-            raise InvalidSampleError("codes and coordinates must be 1-D arrays of one length")
-        for name, c in coords.items():
-            # min/max are NaN when a NaN is present, so NaN fails too
-            if c.size and not (_min(c) >= 0 and _max(c) <= MAX_COORD):
-                i = int(np.argmax(~((c >= 0) & (c <= MAX_COORD))))
-                raise InvalidSampleError(
-                    f"points[{i}].{name} must be finite and in 0..{MAX_COORD:g}, got {c[i]}")
-        name, dist = next(reversed(coords.items()))
-        off = dist != 0.0
-        off_codes = np.where(off, codes, 1)  # codes of the points off the center
-        if codes.size and not (_min(off_codes) >= 1 and _max(off_codes) <= n_codes):
-            i = int(np.argmax((off_codes < 1) | (off_codes > n_codes)))
-            raise InvalidSampleError(
-                f"points[{i}].{self._code} must be in 1..{n_codes} where {name} > 0, got {raw[i]}"
-            )
-        self._keep(np.where(off, codes, 0), weights, **coords)
+        """Check the arrays by :func:`point_arrays` and store them."""
+        codes, coords = point_arrays(n_codes, self._code, codes, **coords)
+        self._keep(codes, weights, **coords)
 
     def _keep(self, codes, weights, **arrays):
         """Store the arrays read-only, and the weights once checked."""
@@ -225,17 +246,13 @@ class ArraySample:
 
     @classmethod
     def _json_columns(cls, obj, *coords: str) -> list[list]:
-        """Code and coordinate columns of a sample document's points.
-
-        A missing or null code is 0 and a missing coordinate 0.0; codes are
-        integers, and the coordinates are read by :meth:`_store`.
-        """
+        """Code and coordinate columns of a sample document's points, read
+        by :meth:`_store`; a missing or null code is 0 and a missing
+        coordinate 0.0."""
         points = json_points(obj)
         codes = [o.get(cls._code) for o in points]
-        if not {*map(type, codes)} <= {int, type(None)}:
-            i, x = next((i, x) for i, x in enumerate(codes) if type(x) not in (int, type(None)))
-            raise InvalidSampleError(f"points[{i}].{cls._code} must be an integer, got {x!r}")
-        return [[x or 0 for x in codes], *([o.get(name, 0.0) for o in points] for name in coords)]
+        return [[0 if x is None else x for x in codes],
+                *([o.get(name, 0.0) for o in points] for name in coords)]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -281,22 +298,19 @@ class ArraySample:
 class SpiderPoint:
     """A point of a spider: leg index (1-based) and distance to the center.
 
-    The center is canonical: ``u == 0`` forces ``leg = None``.
+    The center is canonical: ``u == 0`` forces ``leg = None``.  The point
+    is checked as a sample of one point on ``MAX_LEGS`` legs, by
+    :func:`point_arrays`.
     """
 
     leg: int | None
     u: float
 
     def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        if not 0 <= self.u <= MAX_COORD:  # NaN fails too
-            raise InvalidSampleError(f"u must be finite and in 0..{MAX_COORD:g}, got {self.u}")
-        if self.u == 0.0:
-            object.__setattr__(self, "leg", None)
-        elif self.leg is None:
-            raise InvalidSampleError("leg: center points must have u == 0")
-        elif not isinstance(self.leg, int) or self.leg < 1:
-            raise InvalidSampleError(f"leg must be a 1-based integer, got {self.leg!r}")
+        codes, coords = point_arrays(MAX_LEGS, "leg", [0 if self.leg is None else self.leg],
+                                     at="", u=[self.u])
+        object.__setattr__(self, "leg", int(codes[0]) or None)
+        object.__setattr__(self, "u", float(coords["u"][0]))
 
     @property
     def is_center(self) -> bool:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
-from .spider import MAX_COORD, ArraySample, json_number, json_numbers, json_points
+from .spider import MAX_COORD, ArraySample, coordinates, json_numbers, json_points
 
 __all__ = [
     "Quadrant",
@@ -78,16 +78,7 @@ def _split_key(split: frozenset):
 
 def all_splits(labels) -> list[frozenset]:
     """The 10 clusters (6 pairs + 4 triples) over four leaf labels."""
-    labels = tuple(sorted(labels))
-    if len(labels) != 4 or len(set(labels)) != 4:
-        raise ValueError("exactly four distinct labels required")
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(frozenset((labels[i], labels[j])))
-    for i in range(4):
-        out.append(frozenset(labels) - {labels[i]})
-    return sorted(out, key=_split_key)
+    return list(_geometry(labels).splits)
 
 
 def compatible(a: frozenset, b: frozenset) -> bool:
@@ -113,7 +104,7 @@ class Quadrant:
 
 def enumerate_quadrants(labels=(1, 2, 3, 4)) -> list[Quadrant]:
     """All 15 quadrants; every split is an axis of exactly 3 of them."""
-    return [Quadrant(q) for q in _geometry(tuple(sorted(labels))).quadrants]
+    return [Quadrant(q) for q in _geometry(labels).quadrants]
 
 
 class _Geometry:
@@ -121,7 +112,8 @@ class _Geometry:
 
     def __init__(self, labels: tuple):
         self.labels = labels
-        self.splits = all_splits(labels)
+        pairs = [frozenset((a, b)) for i, a in enumerate(labels) for b in labels[i + 1:]]
+        self.splits = sorted(pairs + [frozenset(labels) - {x} for x in labels], key=_split_key)
         self.adjacency = {
             s: tuple(t for t in self.splits if t != s and compatible(s, t))
             for s in self.splits
@@ -155,8 +147,37 @@ class _Geometry:
         none = len(self.splits)
         self.pairs = np.array([([self.index[s] for s in sup] + [none, none])[:2]
                                for sup in self.supports])
-        self.class_of = np.full((none + 1, none + 1), -1)  # -1: no point has that support
+        # -1: no point has that support; index 11 stands for a cluster that is no split
+        self.class_of = np.full((_NOT_A_SPLIT + 1,) * 2, -1)
         self.class_of[tuple(self.pairs.T)] = np.arange(len(self.supports))
+
+    def support(self, split, lengths, field, got):
+        """Support classes and (n, 2) coordinates of points from (n, w) split
+        indices and lengths, by the one support rule: lengths follow
+        :func:`~treestats.spider.coordinates`, those of 0 are dropped, and at
+        most two distinct compatible splits stay, in canonical order.  Errors
+        name ``field(i)`` of the first bad point, a bad length before a bad
+        support, and then ``got(i, kept)``, ``kept`` its nonzero lengths."""
+        none, split = len(self.splits), np.asarray(split)
+        n, w = split.shape
+        flat = lengths.ravel() if isinstance(lengths, np.ndarray) else [
+            x for row in lengths for x in row]
+        x = np.zeros((n, max(w, 3)))  # a third split, when kept, is refused
+        x[:, :w] = json_numbers(flat, lambda k: f"{field(k // w)}: length").reshape(n, w)
+        s = np.full(x.shape, none)
+        s[:, :w] = split
+        zero = x == 0.0  # NaN is kept, and refused below
+        x[zero], s[zero] = 0.0, none  # -0.0 is stored as 0.0
+        order = s.argsort(axis=1)  # the kept splits first, in canonical order
+        rows = np.arange(n)[:, None]
+        top = s[rows, order]
+        codes = self.class_of[top[:, 0], top[:, 1]]
+        wrong = (codes < 0) | (top[:, 2] != none)
+        i = int(np.argmax(wrong)) if wrong.any() else n
+        coordinates(x[:i + 1, :w], lambda k: f"{field(k // w)}: length")
+        if i < n:
+            raise InvalidSampleError(f"{field(i)}: {_SUPPORT_RULE}, got {got(i, ~zero[i, :w])}")
+        return codes, x[rows, order[:, :2]]
 
     @cached_property
     def image_tables(self) -> list[np.ndarray]:  # built when a distance needs them
@@ -190,11 +211,19 @@ class _Geometry:
         ])
 
 
-@lru_cache(maxsize=None)
-def _geometry(labels: tuple) -> _Geometry:
-    return _Geometry(labels)
+_GEOMETRIES: dict[tuple, _Geometry] = {}
 
 
+def _geometry(labels) -> _Geometry:
+    """The geometry of a label universe in any order, built once, by the
+    one labels rule: four distinct labels, else :class:`InvalidSampleError`."""
+    key = tuple(sorted(labels))
+    if len(key) != 4 or len(set(key)) != 4:
+        raise InvalidSampleError(f"labels must name four distinct leaves, got {list(labels)}")
+    return _GEOMETRIES.get(key) or _GEOMETRIES.setdefault(key, _Geometry(key))
+
+
+_NOT_A_SPLIT = 11  # the split index of a cluster that is no split; 10 is none
 _SUPPORT_RULE = "a four-leaf tree has at most two distinct compatible splits of 2 or 3 leaves"
 
 
@@ -202,30 +231,21 @@ class T4Point:
     """A tree-space point: at most two compatible splits with positive lengths.
 
     Zero lengths are dropped, so the empty coordinate map is the star tree
-    (origin).  ``labels`` fixes the leaf universe and is kept sorted.
+    (origin).  ``labels`` fixes the leaf universe and is kept sorted.  It
+    is checked as a sample of one point: see ``_Geometry.support``.
     """
 
     __slots__ = ("labels", "_items")
 
     def __init__(self, labels, coords=None):
-        labels = tuple(sorted(labels))
-        if len(labels) != 4 or len(set(labels)) != 4:
-            raise InvalidSampleError("labels: exactly four distinct labels required")
-        items = []
-        pairs = coords.items() if hasattr(coords, "items") else (coords or ())
-        for cluster, length in pairs:
-            length = json_number(length, "splits: length")
-            if not 0 <= length <= MAX_COORD:  # NaN fails too
-                raise InvalidSampleError(
-                    f"splits: length must be finite and in 0..{MAX_COORD:g}, got {length}")
-            if length != 0.0:
-                items.append((frozenset(cluster), length))
         geom = _geometry(labels)
-        items.sort(key=lambda cl: geom.index.get(cl[0], -1))  # canonical order
-        if tuple(c for c, _ in items) not in geom.support_class:
-            raise InvalidSampleError(f"splits: {_SUPPORT_RULE}, got {[set(c) for c, _ in items]}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_items", tuple(items))
+        pairs = list(coords.items() if hasattr(coords, "items") else coords or ())
+        split = [[geom.index.get(frozenset(c), _NOT_A_SPLIT) for c, _ in pairs]]
+        (code,), (xy,) = geom.support(
+            split, [[x for _, x in pairs]], lambda i: "splits",
+            lambda i, kept: [set(c) for (c, _), k in zip(pairs, kept) if k])
+        object.__setattr__(self, "labels", geom.labels)
+        object.__setattr__(self, "_items", tuple(zip(geom.supports[code], xy.tolist())))
 
     @property
     def support(self) -> tuple[frozenset, ...]:
@@ -286,61 +306,36 @@ class T4Sample(ArraySample):
     quadrant: ``_Geometry.supports``), and ``coords`` (n, 2), the lengths of
     its support's splits in canonical order, 0 past them.
     ``T4Sample(labels, points, weights)`` takes :class:`T4Point` objects,
-    :meth:`from_splits` split bitmasks and lengths.
+    whose supports and lengths it reads as they are, and :meth:`from_splits`
+    split bitmasks and lengths, which it checks by the points' rules.
     """
 
     _eq_fields = ("labels", "codes", "coords")
 
     def __init__(self, labels, points=(), weights=None):
-        points, labels = tuple(points), tuple(sorted(labels))
-        if any(pt.labels != labels for pt in points):
-            raise ValueError("all points must share the sample's labels")
-        rows = [[*pt._items, ((), 0.0), ((), 0.0)][:2] for pt in points]
-        masks = [[sum(1 << labels.index(x) for x in c) for c, _ in row] for row in rows]
-        lengths = [[length for _, length in row] for row in rows]
-        self._set(labels, np.reshape(masks, (-1, 2)), np.reshape(lengths, (-1, 2)), weights)
-        self.__dict__["points"] = points
-
-    def _set(self, labels, masks, lengths, weights):
-        """Check (n, w) arrays of split bitmasks and lengths and store them as
-        support classes and coordinates; bit i of a mask is ``labels[i]``."""
-        geom = _geometry(tuple(sorted(labels)))
-        none = len(geom.splits)
-        split_of = np.array([  # bit 4 and above name no label
-            geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), none)
-            for m in range(16)] + [none] * 16)
-        pad = ((0, 0), (0, max(0, 2 - np.shape(masks)[1])))  # two columns at least
-        masks, lengths = np.pad(masks, pad).astype(np.int64), np.pad(lengths, pad).astype(float)
-        bad = ~((lengths >= 0) & (lengths <= MAX_COORD))  # NaN fails too
-        kept = (lengths != 0) & ~bad
-        split = np.where(kept, split_of[np.clip(masks, 0, 31)], none)
-        bad |= kept & (split == none)
-        first = np.argsort(split, axis=1)[:, :2]  # the kept splits, in canonical order
-        s = np.take_along_axis(split, first, axis=1)
-        xy = np.where(s < none, np.take_along_axis(lengths, first, axis=1), 0.0)
-        codes = geom.class_of[s[:, 0], s[:, 1]]
-        wrong = bad.any(axis=1) | (kept.sum(axis=1) > 2) | (codes < 0)
-        if wrong.any():
-            i = int(np.argmax(wrong))
-            j = int(np.argmax(bad[i] & ~kept[i]))
-            raise InvalidSampleError(f"points[{i}].splits: " + (
-                f"length must be finite and in 0..{MAX_COORD:g}, got {lengths[i, j]}"
-                if bad[i, j] and not kept[i, j]
-                else f"{_SUPPORT_RULE}, got bitmasks {masks[i][kept[i]].tolist()} of {list(labels)}"))
-        self.__dict__["labels"] = geom.labels
-        self._keep(codes, weights, coords=xy)
+        points, geom = tuple(points), _geometry(labels)
+        if any(pt.labels != geom.labels for pt in points):
+            raise InvalidSampleError("all points must share the sample's labels")
+        codes = np.array([geom.support_class[pt.support] for pt in points], dtype=np.int64)
+        coords = np.reshape([[*(x for _, x in pt._items), 0.0, 0.0][:2] for pt in points], (-1, 2))
+        self.__dict__.update(labels=geom.labels, points=points)
+        self._keep(codes, weights, coords=coords)
 
     @classmethod
     def from_splits(cls, labels, masks, lengths, weights=None) -> "T4Sample":
-        """Build a sample from (n, w) arrays of split bitmasks and lengths.
-
-        Bit i of a mask stands for ``labels[i]``.  As in :class:`T4Point`,
-        splits of length 0 are dropped, and a point keeps at most two
-        distinct compatible splits of two or three leaves, with lengths
-        finite and >= 0; :class:`InvalidSampleError` names the first bad point.
-        """
-        sample = cls.__new__(cls)
-        sample._set(labels, masks, lengths, weights)
+        """Build a sample from (n, w) arrays of split bitmasks, bit i standing
+        for ``labels[i]``, and lengths, checked by the rules :class:`T4Point`
+        follows; :class:`InvalidSampleError` names the first bad point."""
+        geom, sample = _geometry(labels), cls.__new__(cls)
+        split_of = np.array([  # bit 4 and above name no label
+            geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NOT_A_SPLIT)
+            for m in range(16)] + [_NOT_A_SPLIT] * 16)
+        masks = np.asarray(masks).astype(np.int64, copy=False)
+        codes, xy = geom.support(
+            split_of[np.clip(masks, 0, 31)], lengths, "points[{}].splits".format,
+            lambda i, kept: f"bitmasks {masks[i][kept].tolist()} of {list(labels)}")
+        sample.__dict__["labels"] = geom.labels
+        sample._keep(codes, weights, coords=xy)
         return sample
 
     @cached_property
@@ -360,8 +355,9 @@ class T4Sample(ArraySample):
     @classmethod
     def from_dict(cls, obj: dict) -> "T4Sample":
         labels = obj.get("labels")
-        if not _is_labels(labels) or len(set(labels)) != 4 or len(labels) != 4:
+        if not _is_labels(labels):
             raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
+        _geometry(labels)
         rows = [o.get("splits") for o in json_points(obj)]
         splits = [s for row in rows if type(row) is list for s in row]
         clusters = [s.get("cluster") if type(s) is dict else None for s in splits]
@@ -723,7 +719,7 @@ def book_partners(axis: frozenset, labels) -> tuple[frozenset, ...]:
     is the spine.
     """
     axis = frozenset(axis)
-    geom = _geometry(tuple(sorted(labels)))
+    geom = _geometry(labels)
     if axis not in geom.adjacency:
         raise InvalidParameterError(
             f"axis {sorted(axis, key=str)} is not a split over {sorted(labels, key=str)}"

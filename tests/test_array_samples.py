@@ -27,7 +27,17 @@ from treestats.t4space import PetersenProjection, T4Point, T4Sample, t4_mean
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
-bad_coordinate = st.one_of(coordinate, st.sampled_from([-1.0, math.nan, math.inf, 1e200]))
+bad_coordinate = st.one_of(
+    coordinate, st.sampled_from([-1.0, math.nan, math.inf, 1e200, "1.5", True, False]))
+
+
+def any_code(ints):
+    """Integer codes, also as numpy integers, and booleans, which are no codes."""
+    return st.one_of(ints, ints.map(np.int64), st.booleans())
+
+
+# four distinct labels in two orders, and label lists that are not four distinct
+four_leaf_labels = st.sampled_from(["abcd", "dbca", "abca", "abc", "abcde"])
 
 
 def weights_for(n):
@@ -55,14 +65,14 @@ def book_data(draw, codes=st.integers(1, 3), coords=coordinate):
 
 
 def spider_from_points(p, legs, u, weights):
-    pts = [SpiderPoint(leg or None, x) for leg, x in zip(legs, u)]
+    pts = [SpiderPoint(leg, x) for leg, x in zip(legs, u)]
     if any(pt.leg is not None and pt.leg > p for pt in pts):
         raise InvalidSampleError("leg exceeds p")  # stated here, not taken from the sample
     return SpiderSample(p, pts, weights)
 
 
 def book_from_points(leaves, x1, x2, weights):
-    pts = [OpenBookPoint(leaf or None, a, b) for leaf, a, b in zip(leaves, x1, x2)]
+    pts = [OpenBookPoint(leaf, a, b) for leaf, a, b in zip(leaves, x1, x2)]
     return OpenBookSample(pts, weights)
 
 
@@ -98,28 +108,53 @@ class TestArraysEqualPoints:
         assert openbook_mean(arrays) == openbook_mean(points)
 
     @settings(max_examples=300, deadline=None)
-    @given(spider_data(codes=lambda p: st.integers(-1, p + 2), coords=bad_coordinate))
+    @given(spider_data(codes=lambda p: any_code(st.integers(-1, p + 2)), coords=bad_coordinate))
     def test_spider_checks_agree(self, data):
         by_arrays = outcome(SpiderSample.from_arrays, *data)
         by_points = outcome(spider_from_points, *data)
         assert (by_arrays == "rejected") == (by_points == "rejected")
 
     @settings(max_examples=300, deadline=None)
-    @given(book_data(codes=st.integers(-1, 5), coords=bad_coordinate))
+    @given(book_data(codes=any_code(st.integers(-1, 5)), coords=bad_coordinate))
     def test_openbook_checks_agree(self, data):
         by_arrays = outcome(OpenBookSample.from_arrays, *data)
         by_points = outcome(book_from_points, *data)
         assert (by_arrays == "rejected") == (by_points == "rejected")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(-1, 5), bad_coordinate, bad_coordinate)
+    @given(any_code(st.integers(-1, 5)), bad_coordinate, bad_coordinate)
     def test_point_checks_agree(self, code, a, b):
         # a point alone keeps the bounds of a sample of that one point
         for point, sample in (
-            ((SpiderPoint, code or None, a), (SpiderSample.from_arrays, 5, [code], [a])),
-            ((OpenBookPoint, code or None, a, b), (OpenBookSample.from_arrays, [code], [a], [b])),
+            ((SpiderPoint, code, a), (SpiderSample.from_arrays, 5, [code], [a])),
+            ((OpenBookPoint, code, a, b), (OpenBookSample.from_arrays, [code], [a], [b])),
         ):
             assert (outcome(*point) == "rejected") == (outcome(*sample) == "rejected")
+
+    @settings(max_examples=300, deadline=None)
+    @given(four_leaf_labels, four_leaf_labels,
+           st.lists(st.tuples(st.integers(0, 15), bad_coordinate), max_size=3))
+    def test_t4_point_checks_agree(self, labels, other, splits):
+        # a four-leaf point alone is refused where a sample of it is
+        clusters = [frozenset(lb for i, lb in enumerate(labels) if m >> i & 1) for m, _ in splits]
+        point = outcome(T4Point, labels, [(c, x) for c, (_, x) in zip(clusters, splits)])
+        sample = outcome(T4Sample.from_splits, labels, [[m for m, _ in splits]],
+                         [[x for _, x in splits]])
+        assert (point == "rejected") == (sample == "rejected")
+        if point != "rejected":
+            assert sample.points == (point,)
+            # and joins a sample only over its own labels
+            joined = outcome(T4Sample, other, [point])
+            assert (joined == "rejected") == (sorted(other) != sorted(labels))
+
+    @pytest.mark.parametrize("values", [np.array([True]), np.array(["1.5"])], ids=["bool", "str"])
+    def test_number_arrays_hold_numbers(self, values):
+        # a numpy array of bools or strings is read entry by entry, as a list is
+        for build, *args in ((SpiderSample.from_arrays, 3, [1], values),
+                             (OpenBookSample.from_arrays, [1], values, [1.0]),
+                             (T4Sample.from_splits, "abcd", [[3]], values[:, None])):
+            with pytest.raises(InvalidSampleError, match="must be a number"):
+                build(*args)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     def test_means_at_the_coordinate_bound(self, n):

@@ -22,7 +22,8 @@ def test_demo_runs(demo, tmp_path):
     shutil.copy(demo, script)
     src = str(Path(treestats.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, cwd=tmp_path, timeout=300,
+    # the warning filter pytest applies through pyproject.toml
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr

@@ -361,6 +361,12 @@ class TestNewick:
         assert inner.length == 0.5
         assert sorted(inner.leaf_labels()) == ["a", "b"]
 
+    def test_repr_never_raises(self):
+        # neither a lone leaf nor a label Newick cannot carry is a Newick tree
+        assert repr(TreeNode("a")) == "TreeNode('a', 0.0, children=0)"
+        tree = TreeNode(children=[TreeNode("a b", 1.0), TreeNode("c", 1.0)])
+        assert repr(tree) == "TreeNode(None, 0.0, children=2)"
+
     def test_star_defaults_to_zero_lengths(self):
         t = parse_newick("(a,b,c);")
         assert [c.length for c in t.children] == [0.0, 0.0, 0.0]
