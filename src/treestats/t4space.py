@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def _split_key(split: frozenset):
 
 def all_splits(labels) -> list[frozenset]:
     """The 10 clusters (6 pairs + 4 triples) over four leaf labels."""
-    return list(_geometry(labels).splits)
+    return list(_geometry(tuple(labels)).splits)
 
 
 def compatible(a: frozenset, b: frozenset) -> bool:
@@ -104,7 +104,7 @@ class Quadrant:
 
 def enumerate_quadrants(labels=(1, 2, 3, 4)) -> list[Quadrant]:
     """All 15 quadrants; every split is an axis of exactly 3 of them."""
-    return [Quadrant(q) for q in _geometry(labels).quadrants]
+    return [Quadrant(q) for q in _geometry(tuple(labels)).quadrants]
 
 
 class _Geometry:
@@ -211,16 +211,14 @@ class _Geometry:
         ])
 
 
-_GEOMETRIES: dict[tuple, _Geometry] = {}
-
-
-def _geometry(labels) -> _Geometry:
-    """The geometry of a label universe in any order, built once, by the
+@lru_cache(maxsize=None)
+def _geometry(labels: tuple) -> _Geometry:
+    """The geometry of ``labels``, a tuple in any order, built once, by the
     one labels rule: four distinct labels, else :class:`InvalidSampleError`."""
     key = tuple(sorted(labels))
     if len(key) != 4 or len(set(key)) != 4:
         raise InvalidSampleError(f"labels must name four distinct leaves, got {list(labels)}")
-    return _GEOMETRIES.get(key) or _GEOMETRIES.setdefault(key, _Geometry(key))
+    return _Geometry(key) if key == labels else _geometry(key)
 
 
 _NOT_A_SPLIT = 11  # the split index of a cluster that is no split; 10 is none
@@ -235,21 +233,22 @@ class T4Point:
     is checked as a sample of one point: see ``_Geometry.support``.
     """
 
-    __slots__ = ("labels", "_items")
+    __slots__ = ("labels", "_items", "_support")
 
     def __init__(self, labels, coords=None):
-        geom = _geometry(labels)
+        geom = _geometry(tuple(labels))
         pairs = list(coords.items() if hasattr(coords, "items") else coords or ())
         split = [[geom.index.get(frozenset(c), _NOT_A_SPLIT) for c, _ in pairs]]
         (code,), (xy,) = geom.support(
             split, [[x for _, x in pairs]], lambda i: "splits",
             lambda i, kept: [set(c) for (c, _), k in zip(pairs, kept) if k])
         object.__setattr__(self, "labels", geom.labels)
-        object.__setattr__(self, "_items", tuple(zip(geom.supports[code], xy.tolist())))
+        object.__setattr__(self, "_support", geom.supports[code])
+        object.__setattr__(self, "_items", tuple(zip(self._support, xy.tolist())))
 
     @property
     def support(self) -> tuple[frozenset, ...]:
-        return tuple(c for c, _ in self._items)
+        return self._support
 
     @property
     def coords(self) -> dict:
@@ -313,7 +312,7 @@ class T4Sample(ArraySample):
     _eq_fields = ("labels", "codes", "coords")
 
     def __init__(self, labels, points=(), weights=None):
-        points, geom = tuple(points), _geometry(labels)
+        points, geom = tuple(points), _geometry(tuple(labels))
         if any(pt.labels != geom.labels for pt in points):
             raise InvalidSampleError("all points must share the sample's labels")
         codes = np.array([geom.support_class[pt.support] for pt in points], dtype=np.int64)
@@ -326,7 +325,7 @@ class T4Sample(ArraySample):
         """Build a sample from (n, w) arrays of split bitmasks, bit i standing
         for ``labels[i]``, and lengths, checked by the rules :class:`T4Point`
         follows; :class:`InvalidSampleError` names the first bad point."""
-        geom, sample = _geometry(labels), cls.__new__(cls)
+        geom, sample = _geometry(tuple(labels)), cls.__new__(cls)
         split_of = np.array([  # bit 4 and above name no label
             geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NOT_A_SPLIT)
             for m in range(16)] + [_NOT_A_SPLIT] * 16)
@@ -357,7 +356,7 @@ class T4Sample(ArraySample):
         labels = obj.get("labels")
         if not _is_labels(labels):
             raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
-        _geometry(labels)
+        _geometry(tuple(labels))
         rows = [o.get("splits") for o in json_points(obj)]
         splits = [s for row in rows if type(row) is list for s in row]
         clusters = [s.get("cluster") if type(s) is dict else None for s in splits]
@@ -719,7 +718,7 @@ def book_partners(axis: frozenset, labels) -> tuple[frozenset, ...]:
     is the spine.
     """
     axis = frozenset(axis)
-    geom = _geometry(labels)
+    geom = _geometry(tuple(labels))
     if axis not in geom.adjacency:
         raise InvalidParameterError(
             f"axis {sorted(axis, key=str)} is not a split over {sorted(labels, key=str)}"
