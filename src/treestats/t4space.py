@@ -151,7 +151,7 @@ class _Geometry:
         self.class_of = np.full((_NOT_A_SPLIT + 1,) * 2, -1)
         self.class_of[tuple(self.pairs.T)] = np.arange(len(self.supports))
 
-    def support(self, split, lengths, field, got):
+    def support_classes(self, split, lengths, field, got):
         """Support classes and (n, 2) coordinates of points from (n, w) split
         indices and lengths, by the one support rule: lengths follow
         :func:`~treestats.spider.coordinates`, those of 0 are dropped, and at
@@ -230,7 +230,7 @@ class T4Point:
 
     Zero lengths are dropped, so the empty coordinate map is the star tree
     (origin).  ``labels`` fixes the leaf universe and is kept sorted.  It
-    is checked as a sample of one point: see ``_Geometry.support``.
+    is checked as a sample of one point: see ``_Geometry.support_classes``.
     """
 
     __slots__ = ("labels", "_items", "_support")
@@ -239,7 +239,7 @@ class T4Point:
         geom = _geometry(tuple(labels))
         pairs = list(coords.items() if hasattr(coords, "items") else coords or ())
         split = [[geom.index.get(frozenset(c), _NOT_A_SPLIT) for c, _ in pairs]]
-        (code,), (xy,) = geom.support(
+        (code,), (xy,) = geom.support_classes(
             split, [[x for _, x in pairs]], lambda i: "splits",
             lambda i, kept: [set(c) for (c, _), k in zip(pairs, kept) if k])
         object.__setattr__(self, "labels", geom.labels)
@@ -330,7 +330,7 @@ class T4Sample(ArraySample):
             geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NOT_A_SPLIT)
             for m in range(16)] + [_NOT_A_SPLIT] * 16)
         masks = np.asarray(masks).astype(np.int64, copy=False)
-        codes, xy = geom.support(
+        codes, xy = geom.support_classes(
             split_of[np.clip(masks, 0, 31)], lengths, "points[{}].splits".format,
             lambda i, kept: f"bitmasks {masks[i][kept].tolist()} of {list(labels)}")
         sample.__dict__["labels"] = geom.labels
