@@ -54,7 +54,7 @@ class OpenBookPoint:
 
     def __post_init__(self):
         codes, coords = point_arrays(N_LEAVES, "leaf", [0 if self.leaf is None else self.leaf],
-                                     at="", x1=[self.x1], x2=[self.x2])
+                                     at="", given=[self.leaf], x1=[self.x1], x2=[self.x2])
         object.__setattr__(self, "leaf", int(codes[0]) or None)
         for name, c in coords.items():
             object.__setattr__(self, name, float(c[0]))

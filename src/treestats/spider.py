@@ -192,13 +192,14 @@ def _codes(codes, n_codes: int, entry) -> np.ndarray:
     return codes.astype(np.int64, copy=False)
 
 
-def point_arrays(n_codes: int, code: str, codes, at: str = "points[{}].", **coords):
+def point_arrays(n_codes: int, code: str, codes, at: str = "points[{}].", given=None, **coords):
     """Checked codes and a dict of coordinate arrays of spider or open-book
     points, by :func:`_codes` and :func:`coordinates`.  The last coordinate
     is the distance from the center or spine: where it is 0 the code becomes
     0, elsewhere it must be in ``1..n_codes``.  Errors name the first bad
-    field, of point ``i`` as ``at.format(i)`` and the field's name."""
-    raw, codes = codes, _codes(codes, n_codes, f"{at}{code}".format)
+    field, of point ``i`` as ``at.format(i)`` and the field's name, and show
+    a bad code as listed in ``given``, by default ``codes``."""
+    raw, codes = codes if given is None else given, _codes(codes, n_codes, f"{at}{code}".format)
     coords = {name: coordinates(c, f"{at}{name}".format) for name, c in coords.items()}
     if any(c.shape != (codes.size,) for c in (codes, *coords.values())):
         raise InvalidSampleError("codes and coordinates must be 1-D arrays of one length")
@@ -308,7 +309,7 @@ class SpiderPoint:
 
     def __post_init__(self):
         codes, coords = point_arrays(MAX_LEGS, "leg", [0 if self.leg is None else self.leg],
-                                     at="", u=[self.u])
+                                     at="", given=[self.leg], u=[self.u])
         object.__setattr__(self, "leg", int(codes[0]) or None)
         object.__setattr__(self, "u", float(coords["u"][0]))
 

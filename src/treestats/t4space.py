@@ -147,18 +147,18 @@ class _Geometry:
         none = len(self.splits)
         self.pairs = np.array([([self.index[s] for s in sup] + [none, none])[:2]
                                for sup in self.supports])
-        # -1: no point has that support; index 11 stands for a cluster that is no split
-        self.class_of = np.full((_NOT_A_SPLIT + 1,) * 2, -1)
+        self.class_of = np.full((none + 1, none + 1), -1)  # -1: no point has that support
         self.class_of[tuple(self.pairs.T)] = np.arange(len(self.supports))
 
     def support_classes(self, split, lengths, field, got):
         """Support classes and (n, 2) coordinates of points from (n, w) split
         indices and lengths, by the one support rule: lengths follow
         :func:`~treestats.spider.coordinates`, those of 0 are dropped, and at
-        most two distinct compatible splits stay, in canonical order.  Errors
-        name ``field(i)`` of the first bad point, a bad length before a bad
+        most two distinct compatible splits stay, in canonical order; index
+        10 (``_NO_SPLIT``) is a cluster that is no split.  Errors name
+        ``field(i)`` of the first bad point, a bad length before a bad
         support, and then ``got(i, kept)``, ``kept`` its nonzero lengths."""
-        none, split = len(self.splits), np.asarray(split)
+        none, split = _NO_SPLIT, np.asarray(split)
         n, w = split.shape
         flat = lengths.ravel() if isinstance(lengths, np.ndarray) else [
             x for row in lengths for x in row]
@@ -167,12 +167,13 @@ class _Geometry:
         s = np.full(x.shape, none)
         s[:, :w] = split
         zero = x == 0.0  # NaN is kept, and refused below
+        not_split = ((s == none) & ~zero).any(axis=1)  # a kept cluster that is no split
         x[zero], s[zero] = 0.0, none  # -0.0 is stored as 0.0
         order = s.argsort(axis=1)  # the kept splits first, in canonical order
         rows = np.arange(n)[:, None]
         top = s[rows, order]
         codes = self.class_of[top[:, 0], top[:, 1]]
-        wrong = (codes < 0) | (top[:, 2] != none)
+        wrong = not_split | (codes < 0) | (top[:, 2] != none)
         i = int(np.argmax(wrong)) if wrong.any() else n
         coordinates(x[:i + 1, :w], lambda k: f"{field(k // w)}: length")
         if i < n:
@@ -221,7 +222,7 @@ def _geometry(labels: tuple) -> _Geometry:
     return _Geometry(key) if key == labels else _geometry(key)
 
 
-_NOT_A_SPLIT = 11  # the split index of a cluster that is no split; 10 is none
+_NO_SPLIT = 10  # the split index of a cluster that is no split, and of an empty slot
 _SUPPORT_RULE = "a four-leaf tree has at most two distinct compatible splits of 2 or 3 leaves"
 
 
@@ -238,7 +239,7 @@ class T4Point:
     def __init__(self, labels, coords=None):
         geom = _geometry(tuple(labels))
         pairs = list(coords.items() if hasattr(coords, "items") else coords or ())
-        split = [[geom.index.get(frozenset(c), _NOT_A_SPLIT) for c, _ in pairs]]
+        split = [[geom.index.get(frozenset(c), _NO_SPLIT) for c, _ in pairs]]
         (code,), (xy,) = geom.support_classes(
             split, [[x for _, x in pairs]], lambda i: "splits",
             lambda i, kept: [set(c) for (c, _), k in zip(pairs, kept) if k])
@@ -327,8 +328,8 @@ class T4Sample(ArraySample):
         follows; :class:`InvalidSampleError` names the first bad point."""
         geom, sample = _geometry(tuple(labels)), cls.__new__(cls)
         split_of = np.array([  # bit 4 and above name no label
-            geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NOT_A_SPLIT)
-            for m in range(16)] + [_NOT_A_SPLIT] * 16)
+            geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NO_SPLIT)
+            for m in range(16)] + [_NO_SPLIT] * 16)
         masks = np.asarray(masks).astype(np.int64, copy=False)
         codes, xy = geom.support_classes(
             split_of[np.clip(masks, 0, 31)], lengths, "points[{}].splits".format,
@@ -354,9 +355,8 @@ class T4Sample(ArraySample):
     @classmethod
     def from_dict(cls, obj: dict) -> "T4Sample":
         labels = obj.get("labels")
-        if not _is_labels(labels):
+        if not (_is_labels(labels) and len(labels) == len(set(labels)) == 4):
             raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
-        _geometry(tuple(labels))
         rows = [o.get("splits") for o in json_points(obj)]
         splits = [s for row in rows if type(row) is list for s in row]
         clusters = [s.get("cluster") if type(s) is dict else None for s in splits]

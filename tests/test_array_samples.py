@@ -133,7 +133,7 @@ class TestArraysEqualPoints:
 
     @settings(max_examples=300, deadline=None)
     @given(four_leaf_labels, four_leaf_labels,
-           st.lists(st.tuples(st.integers(0, 15), bad_coordinate), max_size=3))
+           st.lists(st.tuples(st.integers(0, 15), bad_coordinate), max_size=5))
     def test_t4_point_checks_agree(self, labels, other, splits):
         # a four-leaf point alone is refused where a sample of it is
         clusters = [frozenset(lb for i, lb in enumerate(labels) if m >> i & 1) for m, _ in splits]
@@ -146,6 +146,24 @@ class TestArraysEqualPoints:
             # and joins a sample only over its own labels
             joined = outcome(T4Sample, other, [point])
             assert (joined == "rejected") == (sorted(other) != sorted(labels))
+
+    def test_point_code_shown_as_given(self):
+        for build, *args in ((SpiderPoint, None, 1.0), (OpenBookPoint, None, 1.0, 1.0)):
+            with pytest.raises(InvalidSampleError, match="> 0, got None$"):
+                build(*args)
+
+    @pytest.mark.parametrize("masks, lengths", [
+        ([15, 0, 0, 0], [1.0, 0.0, 0.0, 0.0]),  # all four leaves: no split
+        ([3, 15, 5, 9], [1.0, 1.0, 0.0, 0.0]),
+        ([3, 17, 5, 9], [1.0, 2.0, 0.0, 0.0]),  # a leaf outside the four
+    ])
+    def test_t4_cluster_that_is_no_split_is_refused(self, masks, lengths):
+        # however many zero-length clusters come with it
+        clusters = [frozenset(lb for i, lb in enumerate("abcde") if m >> i & 1) for m in masks]
+        for build, *args in ((T4Point, "abcd", list(zip(clusters, lengths))),
+                             (T4Sample.from_splits, "abcd", [masks], [lengths])):
+            with pytest.raises(InvalidSampleError, match="at most two distinct compatible"):
+                build(*args)
 
     @pytest.mark.parametrize("values", [np.array([True]), np.array(["1.5"])], ids=["bool", "str"])
     def test_number_arrays_hold_numbers(self, values):

@@ -725,6 +725,19 @@ class TestBadSampleExit2:
             assert f"points[{i}].{field} must be in 1..{n} where" in err
             assert err.rstrip().endswith(f"got {code}")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({**T4_DOC, "labels": ["a", "b", "c", "c"]}, "labels must be four distinct strings"),
+        ({**T4_DOC, "points": [*T4_DOC["points"], {"splits": [
+            {"cluster": c, "length": x}
+            for c, x in ((["a", "b"], 1), (["a", "e"], 2), (["a", "c"], 0), (["a", "d"], 0))]}]},
+         "points[1].splits: a four-leaf tree has at most two distinct compatible splits"),
+    ])
+    def test_t4_message(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mean", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_t4_negative_length(self, toy, tmp_path, capsys):
         fasta, _, groups4 = toy
         sample = tmp_path / "s4.json"
