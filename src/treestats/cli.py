@@ -10,8 +10,8 @@ identical inputs and seed give byte-identical JSON output.
 Exit codes: 0 success, 1 internal error, 2 bad input or configuration.
 
 Only what ``dist`` and ``nj`` run is imported at module level; every other
-command imports its modules when it runs, so a process loads only the
-modules of its own subcommand.
+command imports its modules when it runs, so a process loads the modules
+of ``dist`` and ``nj`` plus those of its own subcommand.
 """
 
 from __future__ import annotations
@@ -48,15 +48,24 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _seed(text: str) -> int:
-    """The argparse type of ``--seed``: an integer >= 0, as numpy seeds are."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
-    return seed
+def _int_from(lo: int, hi: int | None = None):
+    """An argparse type: an integer in ``lo..hi``, or ``>= lo`` without ``hi``."""
+    bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {value}")
+        return value
+    return parse
+
+
+_seed = _int_from(0)  # numpy seeds are integers >= 0
+# 17 significant digits write every double so that it reads back exactly
+_precision = _int_from(1, 17)
 
 
 def _gap_mode(args) -> GapMode:
@@ -85,7 +94,7 @@ def cmd_sample_trees(args) -> int:
     sample = pipeline.sample_trees(
         block, groups, args.k, args.reps, args.seed, _gap_mode(args), args.strict_n
     )
-    _write(pipeline.canonical_json(sample.to_dict()), args.output)
+    _write(sample.to_json(), args.output)
     return 0
 
 
@@ -183,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nj", help="neighbor-joining tree from a distance CSV")
     p.add_argument("matrix", help="distance matrix CSV")
-    p.add_argument("--precision", type=int, default=6,
-                   help="significant digits of branch lengths (default 6)")
+    p.add_argument("--precision", type=_precision, default=6,
+                   help="significant digits of branch lengths, 1..17 (default 6)")
     add_output(p)
     p.set_defaults(func=cmd_nj)
 

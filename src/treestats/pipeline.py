@@ -22,7 +22,6 @@ commands never load it.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -38,14 +37,7 @@ from .njtree import (
 from .seqio import AlignedBlock, GapMode, mismatch_distance
 from . import openbook as ob
 from . import spider as sp
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
-
-    NaN and infinities are refused (``ValueError``): they are not JSON.
-    """
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+from .spider import canonical_json  # noqa: F401  the writer of the commands' reports
 
 
 def load_groups(text: str) -> dict[str, str]:

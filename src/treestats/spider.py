@@ -21,8 +21,10 @@ At most one ``theta_a`` can be positive when all ``v_a`` are nonnegative.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -81,6 +83,33 @@ def validate_weights(weights, count: int | None = None) -> tuple[float, ...]:
     if abs(sum(w) - 1.0) > 1e-9:
         raise InvalidWeightsError("weights must sum to 1")
     return w
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    NaN and infinities are refused (``ValueError``): they are not JSON.
+    Every document and report is written by it, or to its bytes
+    (:meth:`ArraySample.to_json`).
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# The line of a key whose value is the number 0.0, in canonical_json's text.
+# A line that lists a string (a label) cannot match: a quote inside a
+# string is escaped.
+# Compiled on first use, by re's cache, so that commands that write no
+# sample document do not pay for it.
+_ZERO_LINE = r'(?m)^( *"[^"\\]*": )0\.0(,?)$'
+
+
+def _fill_list(doc: str, key: str, items: list[str]) -> str:
+    """``doc``, canonical_json's text of an object whose ``key`` holds an
+    empty list, with the JSON texts ``items`` in that list."""
+    if not items:
+        return doc
+    return doc.replace(f'\n  "{key}": []',
+                       f'\n  "{key}": [\n    ' + ",\n    ".join(items) + "\n  ]", 1)
 
 
 # Readers of JSON documents.  They check structure and types only, and
@@ -222,9 +251,9 @@ class ArraySample:
     weights with uniform ones filled in.  ``points`` (of the class
     ``_point``) is built from the arrays on first access, ``==`` compares
     ``weights`` and the attributes listed in ``_eq_fields``, and
-    :meth:`to_dict` writes the arrays without building a point.  Codes and
-    coordinates are checked by :func:`point_arrays`, whose rules the point
-    classes follow too.
+    :meth:`to_dict` and :meth:`to_json` write the arrays without building
+    a point.  Codes and coordinates are checked by :func:`point_arrays`,
+    whose rules the point classes follow too.
     """
 
     _code = "leg"  # field name of the codes in sample documents
@@ -271,28 +300,58 @@ class ArraySample:
     def __repr__(self):
         return f"{type(self).__name__}(n={len(self)}, weights={self.weights})"
 
-    def _rows(self):
-        """Each point's code (``None`` for 0) and coordinates, as Python numbers."""
-        codes = [c or None for c in self.codes.tolist()]
-        return zip(codes, *(getattr(self, name).tolist() for name in self._coords))
-
     @cached_property
     def points(self) -> tuple:
-        return tuple(self._point(*row) for row in self._rows())
+        rows = zip(self.codes.tolist(), self._numbers().tolist())
+        return tuple(self._point(code or None, *numbers) for code, numbers in rows)
 
     def normalized_weights(self) -> np.ndarray:
         return self._w
 
-    def _point_dicts(self) -> list[dict]:
-        """The points of a sample document, as the point classes' ``to_dict`` write them."""
-        names = (self._code, *self._coords)
-        return [dict(zip(names, row)) for row in self._rows()]
+    def _header(self) -> dict:
+        """The fields of the sample document besides ``points`` and ``weights``."""
+        return {}
+
+    def _numbers(self) -> np.ndarray:
+        """Each point's numbers, (n, k), in the order the document lists them."""
+        return np.column_stack([getattr(self, name) for name in self._coords])
+
+    def _point_dict(self, code: int, numbers) -> dict:
+        """A point of the sample document, as the point classes' ``to_dict`` write it."""
+        return dict(zip((self._code, *self._coords), (code or None, *numbers)))
 
     def to_dict(self) -> dict:
-        out = {"points": self._point_dicts()}
+        points = zip(self.codes.tolist(), self._numbers().tolist())
+        out = {**self._header(), "points": [self._point_dict(*pt) for pt in points]}
         if self.weights is not None:
             out["weights"] = list(self.weights)
         return out
+
+    def to_json(self) -> str:
+        """The sample document, to the byte ``canonical_json(self.to_dict())``,
+        written from the arrays.
+
+        Each code's point is written once by :func:`canonical_json`, with
+        numbers 0.0, and each 0.0 becomes a ``%r`` slot; ``%.0r`` slots,
+        which write nothing, take the numbers a code does not list (the
+        second length of a four-leaf point on an axis).  Every point then
+        fills its code's template: ``%r`` of a float is ``float.__repr__``,
+        which is what ``json`` writes.
+        """
+        numbers, weights = self._numbers(), self.weights or ()
+        if not (np.isfinite(numbers).all() and all(map(math.isfinite, weights))):
+            return canonical_json(self.to_dict())  # which refuses them
+        codes, k = self.codes.tolist(), numbers.shape[1]
+        templates = {}
+        for code in set(codes):  # np.unique would import numpy.ma, some ms per process
+            text = canonical_json(self._point_dict(code, [0.0] * k)).replace("%", "%%")
+            text, slots = re.subn(_ZERO_LINE, r"\1%r\2", text[:-1])
+            templates[code] = text.replace("\n", "\n    ") + "%.0r" * (k - slots)
+        doc = canonical_json({**self._header(), "points": [],
+                              **({} if self.weights is None else {"weights": []})})
+        points = zip(codes, zip(*numbers.T.tolist()))
+        doc = _fill_list(doc, "points", [templates[code] % row for code, row in points])
+        return _fill_list(doc, "weights", list(map(float.__repr__, weights)))
 
 
 @dataclass(frozen=True)
@@ -361,8 +420,8 @@ class SpiderSample(ArraySample):
         sample._set(p, leg_codes, u, weights)
         return sample
 
-    def to_dict(self) -> dict:
-        return {"p": self.p, **super().to_dict()}
+    def _header(self) -> dict:
+        return {"p": self.p}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderSample":

@@ -140,6 +140,8 @@ class _Geometry:
         # support classes of points: the origin, the 10 axes, the 15 quadrants
         self.supports = [()] + [(s,) for s in self.splits] + self.quadrants
         self.support_class = {s: c for c, s in enumerate(self.supports)}
+        # each class's clusters, sorted, as documents list them
+        self.clusters = [[sorted(s) for s in sup] for sup in self.supports]
         # the frame of each class: the first quadrant that holds its support
         self.frames = [next(q for q, axes in enumerate(self.quadrants) if set(sup) <= set(axes))
                        for sup in self.supports]
@@ -215,10 +217,14 @@ class _Geometry:
 @lru_cache(maxsize=None)
 def _geometry(labels: tuple) -> _Geometry:
     """The geometry of ``labels``, a tuple in any order, built once, by the
-    one labels rule: four distinct labels, else :class:`InvalidSampleError`."""
-    key = tuple(sorted(labels))
+    one labels rule: four distinct labels that sort, else :class:`InvalidSampleError`."""
+    try:
+        key = tuple(sorted(labels))
+    except TypeError:  # labels of types that do not order, such as 1 and 'a'
+        key = ()
     if len(key) != 4 or len(set(key)) != 4:
-        raise InvalidSampleError(f"labels must name four distinct leaves, got {list(labels)}")
+        raise InvalidSampleError(
+            f"labels must name four distinct leaves that sort, got {list(labels)}")
     return _Geometry(key) if key == labels else _geometry(key)
 
 
@@ -327,6 +333,12 @@ class T4Sample(ArraySample):
         for ``labels[i]``, and lengths, checked by the rules :class:`T4Point`
         follows; :class:`InvalidSampleError` names the first bad point."""
         geom, sample = _geometry(tuple(labels)), cls.__new__(cls)
+        try:
+            same = np.ndim(masks) == 2 and np.shape(masks) == np.shape(lengths)
+        except ValueError:  # rows of different lengths
+            same = False
+        if not same:
+            raise InvalidSampleError("masks and lengths must be 2-D arrays of one shape")
         split_of = np.array([  # bit 4 and above name no label
             geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NO_SPLIT)
             for m in range(16)] + [_NO_SPLIT] * 16)
@@ -344,13 +356,15 @@ class T4Sample(ArraySample):
         return tuple(T4Point(self.labels, dict(zip(supports[code], xy)))
                      for code, xy in zip(self.codes.tolist(), self.coords.tolist()))
 
-    def _point_dicts(self) -> list[dict]:
-        clusters = [[sorted(s) for s in support] for support in _geometry(self.labels).supports]
-        return [{"splits": [{"cluster": list(c), "length": x} for c, x in zip(clusters[code], xy)]}
-                for code, xy in zip(self.codes.tolist(), self.coords.tolist())]
+    def _header(self) -> dict:
+        return {"labels": list(self.labels)}
 
-    def to_dict(self) -> dict:
-        return {"labels": list(self.labels), **super().to_dict()}
+    def _numbers(self) -> np.ndarray:
+        return self.coords
+
+    def _point_dict(self, code: int, numbers) -> dict:
+        clusters = _geometry(self.labels).clusters[code]
+        return {"splits": [{"cluster": list(c), "length": x} for c, x in zip(clusters, numbers)]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "T4Sample":

@@ -22,8 +22,9 @@ from treestats import mcsim, openbook, spider
 from treestats.cli import main
 from treestats.errors import InvalidSampleError
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
-from treestats.spider import ArraySample, SpiderPoint, SpiderSample, intrinsic_mean
-from treestats.t4space import PetersenProjection, T4Point, T4Sample, t4_mean
+from treestats.spider import (ArraySample, SpiderPoint, SpiderSample, canonical_json,
+                              intrinsic_mean)
+from treestats.t4space import PetersenProjection, T4Point, T4Sample, _geometry, t4_mean
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
@@ -165,6 +166,21 @@ class TestArraysEqualPoints:
             with pytest.raises(InvalidSampleError, match="at most two distinct compatible"):
                 build(*args)
 
+    @pytest.mark.parametrize("labels", [(1, "a", 2, 3), ("a", "b", None, "c")])
+    def test_t4_labels_that_do_not_sort_are_refused(self, labels):
+        for build, *args in ((T4Point, labels), (T4Sample.from_splits, labels, [[3]], [[1.0]])):
+            with pytest.raises(InvalidSampleError, match="four distinct leaves that sort"):
+                build(*args)
+
+    @pytest.mark.parametrize("masks, lengths", [
+        ([[3, 5]], [[1.0]]),
+        ([3, 5], [1.0, 2.0]),  # 1-D
+        ([[3, 7], [3, 7]], [[1.0], [2.0, 3.0, 4.0]]),  # rows of other lengths, four in all
+    ])
+    def test_t4_masks_and_lengths_of_other_shapes(self, masks, lengths):
+        with pytest.raises(InvalidSampleError, match="must be 2-D arrays of one shape"):
+            T4Sample.from_splits("abcd", masks, lengths)
+
     @pytest.mark.parametrize("values", [np.array([True]), np.array(["1.5"])], ids=["bool", "str"])
     def test_number_arrays_hold_numbers(self, values):
         # a numpy array of bools or strings is read entry by entry, as a list is
@@ -197,6 +213,66 @@ class TestArraysEqualPoints:
         a = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0])
         b = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0], (0.25, 0.75))
         assert a != b
+
+
+# numbers from the least double to the coordinate bound, with 0.0 and -0.0
+# (the center, the spine, a dropped split), which the rules accept
+document_number = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0, spider.MAX_COORD]),
+    st.floats(5e-324, spider.MAX_COORD))
+# labels that JSON escapes, that templates could read as slots, and that look like numbers
+document_label = st.one_of(
+    st.sampled_from(['"', "\\", "é", "中", "%", "%r", "%.0r", "{}", "{0}", "0.0", "-0.0",
+                     "1e+150", '"u": 0.0', ": 0.0,", "\n", "\x00"]),
+    st.text(max_size=4))
+
+
+@st.composite
+def document_samples(draw):
+    """A t3, open-book or t4 sample, with or without weights."""
+    kind = draw(st.sampled_from(["t3", "openbook", "t4"]))
+    n = draw(st.integers(0, 12))
+    weights = draw(weights_for(n)) if n else None
+    numbers = st.lists(document_number, min_size=n, max_size=n)
+    if kind == "t3":
+        p = draw(st.integers(1, 5))
+        legs = draw(st.lists(st.integers(1, p), min_size=n, max_size=n))  # 0 where u is 0
+        return SpiderSample.from_arrays(p, legs, draw(numbers), weights)
+    if kind == "openbook":
+        leaves = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        return OpenBookSample.from_arrays(leaves, draw(numbers), draw(numbers), weights)
+    labels = draw(st.lists(document_label, min_size=4, max_size=4, unique=True))
+    supports = _geometry(tuple(labels)).supports  # the star tree, the axes, the quadrants
+    bit = {lb: 1 << i for i, lb in enumerate(labels)}
+    rows = draw(st.lists(st.sampled_from(supports), min_size=n, max_size=n))
+    masks = np.reshape([[sum(bit[lb] for lb in c) for c in (*sup, (), ())[:2]] for sup in rows],
+                       (n, 2))
+    lengths = np.reshape(draw(st.lists(document_number, min_size=2 * n, max_size=2 * n)), (n, 2))
+    # an empty slot has no length; a split of length 0 is dropped
+    return T4Sample.from_splits(labels, masks, np.where(masks > 0, lengths, 0.0), weights)
+
+
+class TestDocumentWriter:
+    """``to_json`` writes the bytes of ``canonical_json(to_dict())``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(document_samples())
+    def test_writer_equals_canonical_json(self, sample):
+        assert sample.to_json() == canonical_json(sample.to_dict())
+
+    @pytest.mark.parametrize("number", [math.nan, math.inf])
+    def test_writer_refuses_what_json_refuses(self, number):
+        # arrays past the checks, as no constructor builds them
+        for cls, arrays in ((SpiderSample, {"u": [number]}),
+                            (OpenBookSample, {"x1": [1.0], "x2": [number]}),
+                            (T4Sample, {"coords": [[number, 0.0]]})):
+            sample = cls.__new__(cls)
+            sample.__dict__.update(p=1, labels=tuple("abcd"))
+            sample._keep(np.ones(1, dtype=np.int64), None,
+                          **{k: np.array(v) for k, v in arrays.items()})
+            for write in (sample.to_json, lambda: canonical_json(sample.to_dict())):
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    write()
 
 
 class TestHotPath:

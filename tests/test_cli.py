@@ -239,6 +239,18 @@ class TestNj:
         tree = parse_newick(newick)
         assert sorted(tree.leaf_labels()) == [f"s{i:02d}" for i in range(1, 13)]
 
+    @pytest.mark.parametrize("precision", ["-1", "0", "18", str(2**31)])
+    def test_precision_out_of_range(self, toy, tmp_path, capsys, precision):
+        # 1..17: seventeen significant digits already write every double exactly
+        fasta, _, _ = toy
+        csv_path = tmp_path / "d.csv"
+        main(["dist", str(fasta), "-o", str(csv_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["nj", str(csv_path), "--precision", precision])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "--precision: must be an integer in 1..17" in err
+
 
 class TestSampleTrees:
     def test_three_groups_ten_reps(self, toy, tmp_path):

@@ -82,6 +82,7 @@ def test_sample_trees_matches_golden(k, seed, gap_mode, strict_n, suffix):
     sample = sample_trees(block, groups, k, 40, seed, gap_mode, strict_n)
     expected = (GOLDEN / f"sample_trees_k{k}_seed{seed}{suffix}.json").read_text()
     assert canonical_json(sample.to_dict()) == expected
+    assert sample.to_json() == expected
 
 
 def plot_outputs(sample: Path, out: Path) -> dict[str, str]:
