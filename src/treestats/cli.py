@@ -140,8 +140,7 @@ def cmd_simulate(args) -> int:
         report = mcsim.simulate(law, args.n, args.reps, args.seed)
     else:
         report = mcsim.simulate_openbook(law, args.n, args.reps, args.seed)
-    # runtime is the one nondeterministic field; keep the JSON byte-stable
-    _write(pipeline.canonical_json(report.to_dict(include_runtime=False)), args.output)
+    _write(pipeline.canonical_json(report.to_dict()), args.output)
     print(f"simulate: {report.replications} replicates in "
           f"{report.runtime_seconds:.2f}s", file=sys.stderr)
     return 0

@@ -394,8 +394,9 @@ class SimReport:
 
     ``stick_fraction`` is the share of replicates whose sample mean is
     exactly the center (or spine).  KS fields are ``None`` where the
-    regime predicts a point mass or the law is degenerate.  ``runtime``
-    is excluded from equality so seeded reruns compare equal.
+    regime predicts a point mass or the law is degenerate.  ``runtime_seconds``
+    is left out of equality and of :meth:`to_dict`, so seeded reruns
+    compare equal and write the same bytes.
     """
 
     space: str
@@ -411,8 +412,8 @@ class SimReport:
     degenerate: bool = False
     runtime_seconds: float = field(default=0.0, compare=False)
 
-    def to_dict(self, include_runtime: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "space": self.space,
             "regime": self.regime.value,
             "n": self.n,
@@ -425,9 +426,6 @@ class SimReport:
             "ks_pvalue_secondary": self.ks_pvalue_secondary,
             "degenerate": self.degenerate,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 _SQRT2, _SQRT_HALF = math.sqrt(2.0), math.sqrt(0.5)

@@ -59,10 +59,6 @@ class OpenBookPoint:
         for name, c in coords.items():
             object.__setattr__(self, name, float(c[0]))
 
-    @property
-    def on_spine(self) -> bool:
-        return self.leaf is None
-
     def to_dict(self) -> dict:
         return {"leaf": self.leaf, "x1": self.x1, "x2": self.x2}
 

@@ -186,7 +186,7 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None, size: int = 480)
             f'fill-opacity="0.55"><title>radius={_G(r)}</title></circle>'
         )
     if mean is not None:
-        splits, s, _ = _projection(mean.support, tuple(mean.coords.values()))
+        splits, s, _ = _projection(mean.support, mean.lengths)
         out.append(_cross(*at(splits, s), 8, 2.5))
         if not splits:
             out.append(

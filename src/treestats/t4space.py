@@ -46,7 +46,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
-from .spider import MAX_COORD, ArraySample, coordinates, json_numbers, json_points
+from .spider import MAX_COORD, ArraySample, _codes, coordinates, json_numbers, json_points
 
 __all__ = [
     "Quadrant",
@@ -139,7 +139,6 @@ class _Geometry:
         ]
         # support classes of points: the origin, the 10 axes, the 15 quadrants
         self.supports = [()] + [(s,) for s in self.splits] + self.quadrants
-        self.support_class = {s: c for c, s in enumerate(self.supports)}
         # each class's clusters, sorted, as documents list them
         self.clusters = [[sorted(s) for s in sup] for sup in self.supports]
         # the frame of each class: the first quadrant that holds its support
@@ -214,18 +213,25 @@ class _Geometry:
         ])
 
 
-@lru_cache(maxsize=None)
 def _geometry(labels: tuple) -> _Geometry:
     """The geometry of ``labels``, a tuple in any order, built once, by the
-    one labels rule: four distinct labels that sort, else :class:`InvalidSampleError`."""
+    one labels rule: four distinct labels that hash and sort, else
+    :class:`InvalidSampleError`."""
     try:
-        key = tuple(sorted(labels))
-    except TypeError:  # labels of types that do not order, such as 1 and 'a'
-        key = ()
+        return _geometries(labels)
+    except TypeError:  # labels that do not hash, or do not order, such as 1 and 'a'
+        raise InvalidSampleError(_LABELS_RULE.format(list(labels))) from None
+
+
+@lru_cache(maxsize=None)
+def _geometries(labels: tuple) -> _Geometry:
+    key = tuple(sorted(labels))
     if len(key) != 4 or len(set(key)) != 4:
-        raise InvalidSampleError(
-            f"labels must name four distinct leaves that sort, got {list(labels)}")
-    return _Geometry(key) if key == labels else _geometry(key)
+        raise InvalidSampleError(_LABELS_RULE.format(list(labels)))
+    return _Geometry(key) if key == labels else _geometries(key)
+
+
+_LABELS_RULE = "labels must name four distinct leaves that sort, got {}"
 
 
 _NO_SPLIT = 10  # the split index of a cluster that is no split, and of an empty slot
@@ -236,11 +242,13 @@ class T4Point:
     """A tree-space point: at most two compatible splits with positive lengths.
 
     Zero lengths are dropped, so the empty coordinate map is the star tree
-    (origin).  ``labels`` fixes the leaf universe and is kept sorted.  It
+    (origin).  ``labels`` fixes the leaf universe and is kept sorted.  The
+    point holds its row of a :class:`T4Sample`: ``code``, its support class,
+    and ``lengths``, those of its support's splits in canonical order.  It
     is checked as a sample of one point: see ``_Geometry.support_classes``.
     """
 
-    __slots__ = ("labels", "_items", "_support")
+    __slots__ = ("labels", "code", "lengths")
 
     def __init__(self, labels, coords=None):
         geom = _geometry(tuple(labels))
@@ -250,54 +258,41 @@ class T4Point:
             split, [[x for _, x in pairs]], lambda i: "splits",
             lambda i, kept: [set(c) for (c, _), k in zip(pairs, kept) if k])
         object.__setattr__(self, "labels", geom.labels)
-        object.__setattr__(self, "_support", geom.supports[code])
-        object.__setattr__(self, "_items", tuple(zip(self._support, xy.tolist())))
+        object.__setattr__(self, "code", int(code))
+        object.__setattr__(self, "lengths", tuple(xy.tolist()[:len(geom.supports[code])]))
 
     @property
     def support(self) -> tuple[frozenset, ...]:
-        return self._support
+        return _geometry(self.labels).supports[self.code]
 
     @property
     def coords(self) -> dict:
-        return {c: l for c, l in self._items}
+        return dict(zip(self.support, self.lengths))
 
     def get(self, split: frozenset) -> float:
-        for c, l in self._items:
-            if c == split:
-                return l
-        return 0.0
+        return self.coords.get(split, 0.0)
 
     def norm(self) -> float:
-        return math.sqrt(sum(l * l for _, l in self._items))
+        return math.sqrt(sum(l * l for l in self.lengths))
 
     @property
     def is_origin(self) -> bool:
-        return not self._items
+        return not self.code
 
     def __eq__(self, other):
-        return (
-            isinstance(other, T4Point)
-            and self.labels == other.labels
-            and self._items == other._items
-        )
+        return isinstance(other, T4Point) and (self.labels, self.code, self.lengths) == (
+            other.labels, other.code, other.lengths)
 
     def __hash__(self):
-        return hash((self.labels, self._items))
+        return hash((self.labels, self.code, self.lengths))
 
     def __repr__(self):
-        if not self._items:
-            return "T4Point(origin)"
         parts = ", ".join(
-            "{%s}:%g" % ("|".join(map(str, sorted(c))), l) for c, l in self._items
-        )
-        return f"T4Point({parts})"
+            "{%s}:%g" % ("|".join(map(str, sorted(c))), l) for c, l in self.coords.items())
+        return f"T4Point({parts or 'origin'})"
 
     def to_dict(self) -> dict:
-        return {
-            "splits": [
-                {"cluster": sorted(c), "length": l} for c, l in self._items
-            ]
-        }
+        return {"splits": [{"cluster": sorted(c), "length": l} for c, l in self.coords.items()]}
 
 
 def _is_labels(x) -> bool:
@@ -322,8 +317,8 @@ class T4Sample(ArraySample):
         points, geom = tuple(points), _geometry(tuple(labels))
         if any(pt.labels != geom.labels for pt in points):
             raise InvalidSampleError("all points must share the sample's labels")
-        codes = np.array([geom.support_class[pt.support] for pt in points], dtype=np.int64)
-        coords = np.reshape([[*(x for _, x in pt._items), 0.0, 0.0][:2] for pt in points], (-1, 2))
+        codes = np.array([pt.code for pt in points], dtype=np.int64)
+        coords = np.reshape([[*pt.lengths, 0.0, 0.0][:2] for pt in points], (-1, 2))
         self.__dict__.update(labels=geom.labels, points=points)
         self._keep(codes, weights, coords=coords)
 
@@ -342,7 +337,9 @@ class T4Sample(ArraySample):
         split_of = np.array([  # bit 4 and above name no label
             geom.index.get(frozenset(lb for i, lb in enumerate(labels) if m >> i & 1), _NO_SPLIT)
             for m in range(16)] + [_NO_SPLIT] * 16)
-        masks = np.asarray(masks).astype(np.int64, copy=False)
+        n, w = np.shape(masks)
+        flat = masks.ravel() if isinstance(masks, np.ndarray) else [m for row in masks for m in row]
+        masks = _codes(flat, 31, lambda k: f"points[{k // w}].splits: bitmask").reshape(n, w)
         codes, xy = geom.support_classes(
             split_of[np.clip(masks, 0, 31)], lengths, "points[{}].splits".format,
             lambda i, kept: f"bitmasks {masks[i][kept].tolist()} of {list(labels)}")
@@ -410,9 +407,9 @@ def _frame(x: T4Point, labels, classes, coords, weights):
     if x.labels != labels:
         raise ValueError("points live over different label universes")
     geom = _geometry(labels)
-    q = geom.frames[geom.support_class[x.support]]
+    q = geom.frames[x.code]
     e, f = geom.quadrants[q]
-    exp = math.frexp(max([coords.max(initial=0.0), *(length for _, length in x._items)]))[1]
+    exp = math.frexp(max([coords.max(initial=0.0), *x.lengths]))[1]
     images = _QuadrantImages(geom.image_tables[q], classes, np.ldexp(coords, -exp), weights)
     return images, (e, f), (math.ldexp(x.get(e), -exp), math.ldexp(x.get(f), -exp)), exp
 
@@ -422,8 +419,8 @@ def _one_point(y: T4Point):
     lengths and weight, the arguments of :func:`_frame` after ``x``."""
     geom = _geometry(y.labels)
     coords = np.zeros((1, len(geom.splits)))
-    coords[0, [geom.index[c] for c in y.support]] = [length for _, length in y._items]
-    return y.labels, [geom.support_class[y.support]], coords, np.ones(1)
+    coords[0, geom.pairs[y.code, :len(y.lengths)]] = y.lengths
+    return y.labels, [y.code], coords, np.ones(1)
 
 
 def t4_distance(x: T4Point, y: T4Point) -> float:
@@ -452,8 +449,8 @@ def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
     if not on_image[0]:  # the cone path through the origin
         s = t * (rx + ry)
         if s <= rx:
-            return T4Point(labels, {e: (rx - s) / rx * length for e, length in x._items})
-        return T4Point(labels, {e: (s - rx) / ry * length for e, length in y._items})
+            return T4Point(labels, {e: (rx - s) / rx * length for e, length in x.coords.items()})
+        return T4Point(labels, {e: (s - rx) / ry * length for e, length in y.coords.items()})
     k = int(slot[0])
     sx, sy, turns, clockwise = images.slots[0, k].tolist()
     splits = _geometry(labels).splits
@@ -671,7 +668,7 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     labels, wts = sample.labels, sample.normalized_weights()
     geom = _geometry(labels)
     classes, coords = sample.codes, _split_coords(sample, geom)
-    union = {e for c in np.unique(classes).tolist() for e in geom.supports[c]}
+    union = {e for c in set(classes.tolist()) for e in geom.supports[c]}
     if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
         # a plain running sum per split, which a fused dot product is not:
         # equal points then average to themselves exactly; a weighted mean of
@@ -717,12 +714,7 @@ class Stratum(Enum):
 
 def stratum_of(x: T4Point) -> Stratum:
     """Which stratum a point belongs to, by its number of active splits."""
-    k = len(x.support)
-    if k == 2:
-        return Stratum.TOP2D
-    if k == 1:
-        return Stratum.ONE_D
-    return Stratum.ORIGIN
+    return (Stratum.ORIGIN, Stratum.ONE_D, Stratum.TOP2D)[len(x.lengths)]
 
 
 def book_partners(axis: frozenset, labels) -> tuple[frozenset, ...]:
@@ -798,24 +790,17 @@ def petersen_projection(x: T4Point) -> PetersenProjection:
     """Project a nonzero point radially onto the Petersen graph."""
     if x.is_origin:
         raise UndefinedProjectionError("the origin has no radial projection")
-    return PetersenProjection(*_projection(x.support, [length for _, length in x._items]))
+    return PetersenProjection(*_projection(x.support, x.lengths))
 
 
-def tree_type_newick(labels, splits) -> str:
-    """Newick-style topology string (no lengths) of a split set.
+def tree_type_newick(labels, point: T4Point) -> str:
+    """Newick-style topology string (no lengths) of a point's splits.
 
-    ``splits`` may be a :class:`T4Point`, a mapping, or an iterable of
-    clusters.  Example: clusters {a,b} and {a,b,c} give
-    ``(((a,b),c),d)``; no clusters give the star ``(a,b,c,d)``.
+    Example: splits {a,b} and {a,b,c} give ``(((a,b),c),d)``; the origin
+    gives the star ``(a,b,c,d)``.
     """
-    if isinstance(splits, T4Point):
-        clusters = list(splits.support)
-    elif hasattr(splits, "keys"):
-        clusters = [frozenset(c) for c in splits.keys()]
-    else:
-        clusters = [frozenset(c) for c in splits]
     groups = [(frozenset([lb]), str(lb)) for lb in sorted(labels)]
-    for cluster in sorted(clusters, key=len):
+    for cluster in point.support:  # canonical order: pairs before triples
         inside = [g for g in groups if g[0] <= cluster]
         outside = [g for g in groups if not g[0] <= cluster]
         merged_set = frozenset().union(*(g[0] for g in inside))

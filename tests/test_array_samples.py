@@ -166,11 +166,26 @@ class TestArraysEqualPoints:
             with pytest.raises(InvalidSampleError, match="at most two distinct compatible"):
                 build(*args)
 
-    @pytest.mark.parametrize("labels", [(1, "a", 2, 3), ("a", "b", None, "c")])
+    @pytest.mark.parametrize("labels", [
+        (1, "a", 2, 3), ("a", "b", None, "c"),
+        (["a"], "b", "c", "d"), (["a"], ["b"], ["c"], ["d"]),  # lists do not hash
+    ])
     def test_t4_labels_that_do_not_sort_are_refused(self, labels):
         for build, *args in ((T4Point, labels), (T4Sample.from_splits, labels, [[3]], [[1.0]])):
             with pytest.raises(InvalidSampleError, match="four distinct leaves that sort"):
                 build(*args)
+
+    @pytest.mark.parametrize("masks", [
+        [[3.7]], [["3"]], [[True]], [[3.0]], np.array([[3.0]]), np.array([[True]]),
+        np.array([["3"]]), [[3], [np.float64(5.0)]], [[3, 0], [5, False]],
+    ])
+    def test_t4_masks_are_integers(self, masks):
+        # by the rule spider and open-book codes follow; the bad point is named
+        i = len(masks) - 1
+        lengths = np.ones(np.shape(masks))
+        with pytest.raises(InvalidSampleError,
+                           match=rf"^points\[{i}\]\.splits: bitmask must be an integer, got"):
+            T4Sample.from_splits("abcd", masks, lengths)
 
     @pytest.mark.parametrize("masks, lengths", [
         ([[3, 5]], [[1.0]]),

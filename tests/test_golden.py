@@ -18,6 +18,8 @@ underflow, a star-tree mean, spiders with one and five legs), recorded
 while the plots still built a point object per sample point.  Pixel
 coordinates print with two decimals, so they pin the float expressions
 of the layout and the projection only on these inputs.
+The ``means/`` fixtures are what ``mean`` wrote for the same samples, recorded
+while a four-leaf point still kept its splits as (cluster, length) pairs.
 """
 
 import json
@@ -40,6 +42,7 @@ LAWS = {
 }
 N, REPS = 60, 150
 PLOTS = GOLDEN / "plots"
+MEANS = GOLDEN / "means"
 PLOT_SAMPLES = {
     "k3_seed7": GOLDEN / "sample_trees_k3_seed7.json",
     "k4_seed7": GOLDEN / "sample_trees_k4_seed7.json",
@@ -61,7 +64,7 @@ def test_simulate_matches_golden(name, seed):
     else:
         report = mcsim.simulate_openbook(law, N, REPS, seed)
     expected = (GOLDEN / f"simulate_{name}_seed{seed}.json").read_text()
-    assert canonical_json(report.to_dict(include_runtime=False)) == expected
+    assert canonical_json(report.to_dict()) == expected
 
 
 def test_spine_coverage_matches_golden():
@@ -100,6 +103,13 @@ def plot_outputs(sample: Path, out: Path) -> dict[str, str]:
         texts[kind] = out.read_text().replace(f"<!-- treestats {__version__} -->",
                                               "<!-- treestats VERSION -->", 1)
     return texts
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SAMPLES))
+def test_mean_matches_golden(name, tmp_path):
+    out = tmp_path / "mean.json"
+    assert main(["mean", str(PLOT_SAMPLES[name]), "-o", str(out)]) == 0
+    assert out.read_text() == (MEANS / f"{name}.json").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(PLOT_SAMPLES))

@@ -278,7 +278,7 @@ def oracle_simulate(law, n, reps, seed) -> str:
         ks1, ks2 = (None, None) if degenerate else ks(spine - mu1, "norm", var1), ks1
     report = SimReport("openbook" if book else "spider", regime, n, reps, stuck / reps, th,
                        *ks1, *ks2, degenerate=degenerate)
-    return canonical_json(report.to_dict(include_runtime=False))
+    return canonical_json(report.to_dict())
 
 
 def oracle_coverage(law, n, reps, confidence, seed) -> float:
@@ -376,14 +376,14 @@ class TestStagesMatchOracle:
     @settings(max_examples=120, deadline=None)
     @given(spider_laws(), sizes)
     def test_simulate(self, law, size):
-        assert canonical_json(simulate(law, *size).to_dict(include_runtime=False)) \
+        assert canonical_json(simulate(law, *size).to_dict()) \
             == oracle_simulate(law, *size)
 
     @settings(max_examples=120, deadline=None)
     @given(book_laws(), sizes)
     def test_simulate_openbook(self, law, size):
         report = simulate_openbook(law, *size)
-        assert canonical_json(report.to_dict(include_runtime=False)) \
+        assert canonical_json(report.to_dict()) \
             == oracle_simulate(law, *size)
 
     @settings(max_examples=120, deadline=None)
@@ -410,7 +410,7 @@ class TestStagesMatchOracle:
     def test_boundary_law_is_reached(self):
         law = SpiderLaw((0.5, 0.3, 0.2), (Uniform(0.0, 2.0),) * 3)
         assert classify_law(law)[0] is Regime.BOUNDARY
-        assert canonical_json(simulate(law, 30, 20, 4).to_dict(include_runtime=False)) \
+        assert canonical_json(simulate(law, 30, 20, 4).to_dict()) \
             == oracle_simulate(law, 30, 20, 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -460,7 +460,7 @@ class TestReplicateSeeding:
         # draw blocks of 3 replicates of 10 draws, seeding chunks of 4
         monkeypatch.setattr(mcsim, "_BLOCK", 30)
         for law in (SYMMETRIC, symmetric_book()):
-            assert canonical_json(simulate(law, 10, 11, seed).to_dict(include_runtime=False)) \
+            assert canonical_json(simulate(law, 10, 11, seed).to_dict()) \
                 == oracle_simulate(law, 10, 11, seed)
         monkeypatch.setattr(mcsim, "_SEED_CHUNK", 4)
         states = list(mcsim._replicate_states(mcsim._seed_words(seed), 11))

@@ -544,8 +544,8 @@ class TestDistanceProperties:
 def point_doc_rows(sample):
     """The split bitmasks (bit i = sample.labels[i]) and lengths of each point."""
     width = max([2, *(len(pt.support) for pt in sample.points)])
-    rows = [[(sum(1 << sample.labels.index(x) for x in c), length) for c, length in pt._items]
-            + [(0, 0.0)] * (width - len(pt._items)) for pt in sample.points]
+    rows = [[(sum(1 << sample.labels.index(x) for x in c), length) for c, length in pt.coords.items()]
+            + [(0, 0.0)] * (width - len(pt.lengths)) for pt in sample.points]
     return np.array([[m for m, _ in r] for r in rows]), np.array([[x for _, x in r] for r in rows])
 
 
