@@ -20,6 +20,12 @@ coordinates print with two decimals, so they pin the float expressions
 of the layout and the projection only on these inputs.
 The ``means/`` fixtures are what ``mean`` wrote for the same samples, recorded
 while a four-leaf point still kept its splits as (cluster, length) pairs.
+The ``sticky/`` fixtures are what ``sticky`` wrote for two spider summaries
+(one with ``p`` and ``w0``, one with neither), a three-leaf sample, an
+open-book sample (with and without a tolerance) and two four-leaf samples
+with an axis; ``means/openbook_sample.json`` is ``mean`` on that open-book
+sample.  They were recorded while ``pipeline`` still chose the space in
+each of its report functions.
 """
 
 import json
@@ -48,6 +54,17 @@ PLOT_SAMPLES = {
     "k4_seed7": GOLDEN / "sample_trees_k4_seed7.json",
     "k4_seed42_mismatch_strict": GOLDEN / "sample_trees_k4_seed42_mismatch_strict.json",
     **{path.stem: path for path in PLOTS.glob("*.json")},
+}
+MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.json"}
+STICKY = GOLDEN / "sticky"
+STICKY_CASES = {  # fixture name: argv after ``sticky``
+    "summary_w0_p": [GOLDEN / "summary_w0_p.json"],
+    "summary_legs4": [GOLDEN / "summary_legs4.json"],
+    "k3_seed7": [GOLDEN / "sample_trees_k3_seed7.json"],
+    "openbook_sample": [GOLDEN / "openbook_sample.json"],
+    "openbook_sample_tol0.5": [GOLDEN / "openbook_sample.json", "--tolerance", "0.5"],
+    "t4_axis_mean_ab": [PLOTS / "t4_axis_mean.json", "--axis", "a,b"],
+    "t4_underflow_abc": [PLOTS / "t4_underflow.json", "--axis", "a,b,c"],
 }
 
 
@@ -105,11 +122,18 @@ def plot_outputs(sample: Path, out: Path) -> dict[str, str]:
     return texts
 
 
-@pytest.mark.parametrize("name", sorted(PLOT_SAMPLES))
+@pytest.mark.parametrize("name", sorted(MEAN_SAMPLES))
 def test_mean_matches_golden(name, tmp_path):
     out = tmp_path / "mean.json"
-    assert main(["mean", str(PLOT_SAMPLES[name]), "-o", str(out)]) == 0
+    assert main(["mean", str(MEAN_SAMPLES[name]), "-o", str(out)]) == 0
     assert out.read_text() == (MEANS / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(STICKY_CASES))
+def test_sticky_matches_golden(name, tmp_path):
+    out = tmp_path / "sticky.json"
+    assert main(["sticky", *map(str, STICKY_CASES[name]), "-o", str(out)]) == 0
+    assert out.read_text() == (STICKY / f"{name}.json").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(PLOT_SAMPLES))
