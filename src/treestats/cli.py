@@ -7,11 +7,14 @@ means and stickiness verdicts), ``simulate`` (limit-law checks), and
 ``plot`` (SVG/CSV exports).  All randomness sits behind ``--seed``;
 identical inputs and seed give byte-identical JSON output.
 
-Exit codes: 0 success, 1 internal error, 2 bad input or configuration.
+Exit codes: 0 success, 1 internal error, 2 bad input or configuration
+(a run too large for memory included).
 
-Only what ``dist`` and ``nj`` run is imported at module level; every other
-command imports its modules when it runs, so a process loads the modules
-of ``dist`` and ``nj`` plus those of its own subcommand.
+Commands parse options and read or write files; the dispatch on the sample
+space or law kind lives in ``pipeline`` and ``mcsim``.  Only what ``dist``
+and ``nj`` run is imported at module level; every other command imports
+its modules when it runs, so a process loads the modules of ``dist`` and
+``nj`` plus those of its own subcommand.
 """
 
 from __future__ import annotations
@@ -68,13 +71,9 @@ _seed = _int_from(0)  # numpy seeds are integers >= 0
 _precision = _int_from(1, 17)
 
 
-def _gap_mode(args) -> GapMode:
-    return GapMode(args.gaps)
-
-
 def cmd_dist(args) -> int:
     block = parse_fasta(_read(args.fasta))
-    dm = mismatch_distance(block, _gap_mode(args), args.strict_n)
+    dm = mismatch_distance(block, GapMode(args.gaps), args.strict_n)
     _write(dm.to_csv(), args.output)
     return 0
 
@@ -92,7 +91,7 @@ def cmd_sample_trees(args) -> int:
     block = parse_fasta(_read(args.fasta))
     groups = pipeline.load_groups(_read(args.groups))
     sample = pipeline.sample_trees(
-        block, groups, args.k, args.reps, args.seed, _gap_mode(args), args.strict_n
+        block, groups, args.k, args.reps, args.seed, GapMode(args.gaps), args.strict_n
     )
     _write(sample.to_json(), args.output)
     return 0
@@ -109,16 +108,10 @@ def cmd_mean(args) -> int:
     if args.plot and space == "openbook":
         raise ConfigError("--plot supports t3 and t4 samples")
     sample = pipeline.load_sample(obj, space)
-    estimate = pipeline.mean_estimate(sample, space, args.tolerance)
-    _write(pipeline.canonical_json(pipeline.mean_report(sample, space, estimate)), args.output)
+    estimate, report = pipeline.mean_report(sample, space, args.tolerance)
+    _write(pipeline.canonical_json(report), args.output)
     if args.plot:
-        from . import plots
-
-        if space == "t3":
-            svg = plots.spider_svg(sample, estimate)
-        else:
-            svg = plots.petersen_svg(sample, estimate.mean)
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        _write(pipeline.plot_text(sample, space, "svg", estimate), args.plot)
     return 0
 
 
@@ -136,10 +129,7 @@ def cmd_simulate(args) -> int:
     from . import mcsim, pipeline
 
     law = mcsim.law_from_dict(_load_json(args.law))
-    if isinstance(law, mcsim.SpiderLaw):
-        report = mcsim.simulate(law, args.n, args.reps, args.seed)
-    else:
-        report = mcsim.simulate_openbook(law, args.n, args.reps, args.seed)
+    report = mcsim.simulate(law, args.n, args.reps, args.seed)
     _write(pipeline.canonical_json(report.to_dict()), args.output)
     print(f"simulate: {report.replications} replicates in "
           f"{report.runtime_seconds:.2f}s", file=sys.stderr)
@@ -147,25 +137,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from . import pipeline, plots
+    from . import pipeline
 
     obj = _load_json(args.sample)
     space = pipeline.detect_space(obj)
     sample = pipeline.load_sample(obj, space)
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if args.output and args.output.endswith(".csv") else "svg"
-    if space == "t3":
-        if fmt != "svg":
-            raise ConfigError("spider samples only plot to SVG")
-        _write(plots.spider_svg(sample), args.output)
-    elif space == "t4":
-        if fmt == "svg":
-            _write(plots.petersen_svg(sample), args.output)
-        else:
-            _write(plots.petersen_csv(sample), args.output)
-    else:
-        raise ConfigError("plotting supports t3 and t4 samples")
+    fmt = args.format or ("csv" if (args.output or "").endswith(".csv") else "svg")
+    _write(pipeline.plot_text(sample, space, fmt), args.output)
     return 0
 
 
@@ -248,7 +226,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TreeStatsError, OSError) as exc:
+    # MemoryError: a run too large to fit in memory is bad configuration
+    except (TreeStatsError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - genuine bugs

@@ -634,9 +634,9 @@ def _segment_sums(t, lengths, wts):
 
 
 def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = False):
-    """Stage 1, the one replicate loop of ``simulate``, ``simulate_openbook``
-    and ``spine_coverage``: draw each replicate and reduce it to the numbers
-    its mean and verdict need.
+    """Stage 1, the one replicate loop of ``simulate`` and ``spine_coverage``:
+    draw each replicate and reduce it to the numbers its mean and verdict
+    need.
 
     Returns ``(mass, moment, spine, sd)``: the per-leg masses and
     transverse first moments (``(replications, p)`` arrays, the sums
@@ -704,11 +704,17 @@ def _ks(values, law: str, n: int, sigma: float):
     return kstest(math.sqrt(n) * values / sigma, law)
 
 
-def _simulate(law, n: int, replications: int, seed: int) -> SimReport:
-    """Behind ``simulate`` and ``simulate_openbook``: stage 1 reduces the
-    replicates to per-leg sums, stage 2 turns all of them at once into
-    moment gaps and verdicts and those into the folded transverse
-    statistic; the open book also tests its spine coordinate ``x1_star``.
+def simulate(law, n: int, replications: int, seed: int = 0) -> SimReport:
+    """Replicate samples of a spider or open-book law and test the predicted
+    limit law of the transverse coordinate: in regime ``i`` the folded
+    coordinate of the mean against N(0,1), in regime ``ii`` its magnitude
+    against the half-normal, in regime ``iii`` the stick fraction only (the
+    share of means on the center or spine).  On an open book these become
+    the secondary KS fields, and the primary test is of the spine coordinate
+    ``x1_star``, a Euclidean mean: against N(0,1) in every regime.
+
+    Stage 1 reduces the replicates to per-leg sums; stage 2 turns all of
+    them at once into moment gaps, verdicts and the folded statistic.
     """
     t0 = time.perf_counter()
     mass, moment, spine, _ = _replicate_sums(law, n, replications, seed)
@@ -751,30 +757,7 @@ def _simulate(law, n: int, replications: int, seed: int) -> SimReport:
     )
 
 
-def simulate(law: SpiderLaw, n: int, replications: int, seed: int = 0) -> SimReport:
-    """Replicate spider samples and test the predicted limit law.
-
-    Regime ``i``: KS of the standardized folded coordinate of the
-    intrinsic sample mean against N(0,1).  Regime ``ii``: KS of the
-    scaled magnitude of the folded sample mean against the half-normal.
-    Regime ``iii``: stickiness frequency only.
-    """
-    return _simulate(law, n, replications, seed)
-
-
-def simulate_openbook(
-    law: OpenBookLaw, n: int, replications: int, seed: int = 0
-) -> SimReport:
-    """Replicate O3 samples; KS the spine coordinate, and the leaf
-    coordinate where the regime keeps the mean off the spine.
-
-    ``stick_fraction`` counts replicates whose mean lands on the spine.
-    The spine coordinate of the mean is an ordinary Euclidean mean, so
-    its standardized fluctuations are tested against N(0,1) in every
-    regime; the transverse coordinate is tested against N(0,1) in regime
-    ``i`` and the half-normal in regime ``ii`` (the secondary KS fields).
-    """
-    return _simulate(law, n, replications, seed)
+simulate_openbook = simulate  # the same function, kept for existing callers
 
 
 def spine_coverage(

@@ -16,8 +16,10 @@ Group labels are sorted; for 3 groups the spider legs are numbered
 which in letter notation (a, b, c for the sorted groups) reads
 ``((a,b),c)``, ``((a,c),b)``, ``((b,c),a)``.
 
-``t4space`` is imported on the four-leaf paths only, so three-leaf
-commands never load it.
+Each command decides its space here once: ``load_sample``, ``mean_report``,
+``sticky_report`` and ``plot_text`` each hold the one branch on it.
+``t4space`` is imported on the four-leaf paths only (``_t4``), so
+three-leaf commands never load it, and ``plots`` only when a command plots.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ def load_groups(text: str) -> dict[str, str]:
     if not mapping:
         raise ConfigError("empty group file")
     return mapping
+
+
+def _t4():
+    """``t4space``, imported on the first four-leaf call."""
+    from . import t4space
+
+    return t4space
 
 
 def spider_tree_type(leg: int | None) -> str:
@@ -114,9 +123,7 @@ def sample_trees(
     picks = draw_picks([index.nodes(members[g]) for g in group_names], reps, seed)
     if k == 3:
         return sp.SpiderSample.from_arrays(3, *restrict_to_triplet(index, picks))
-    from . import t4space as t4
-
-    return t4.T4Sample.from_splits(group_names, *restrict_to_quartet(index, picks))
+    return _t4().T4Sample.from_splits(group_names, *restrict_to_quartet(index, picks))
 
 
 # --------------------------------------------------------------------------
@@ -141,46 +148,34 @@ def load_sample(obj: dict, space: str):
     if space == "t3":
         return sp.SpiderSample.from_dict(obj)
     if space == "t4":
-        from . import t4space as t4
-
-        return t4.T4Sample.from_dict(obj)
+        return _t4().T4Sample.from_dict(obj)
     if space == "openbook":
         return ob.OpenBookSample.from_dict(obj)
     raise ConfigError(f"unknown space {space!r}")
 
 
-def mean_estimate(sample, space: str, tolerance: float = 0.0):
-    """The mean of a sample in its space, as the space's solver reports it."""
+def mean_report(sample, space: str, tolerance: float = 0.0):
+    """The mean of a sample in its space, as the space's solver reports it,
+    and its report as a JSON-ready dictionary: ``(estimate, report)``.  A
+    t3 ``sample`` may also be a spider summary."""
     if space == "t3":
-        return sp.intrinsic_mean(sample, tolerance)
-    if space == "openbook":
-        return ob.openbook_mean(sample, tolerance)
-    if space == "t4":
-        from . import t4space as t4
-
-        sp.check_tolerance(tolerance)  # unused by the t4 mean, still checked
-        return t4.t4_mean(sample)
-    raise ConfigError(f"unknown space {space!r}")
-
-
-def mean_report(sample, space: str, estimate) -> dict:
-    """Space-appropriate report, as a JSON-ready dictionary, of the
-    sample's :func:`mean_estimate` (for t3, also of a summary's)."""
-    if space == "t3":  # the letter notation names the trees of a 3-spider only
+        estimate = sp.intrinsic_mean(sample, tolerance)
+        # the letter notation names the trees of a 3-spider only
         tree_type = spider_tree_type(estimate.mean.leg) if estimate.p == 3 else None
-        return {"space": "t3", "tree_type": tree_type, **estimate.to_dict()}
-    if space == "openbook":
-        return {"space": "openbook", **estimate.to_dict()}
-    from . import t4space as t4
-
-    return {
-        "space": "t4",
-        "n": len(sample),
-        "labels": list(sample.labels),
-        "tree_type": t4.tree_type_newick(sample.labels, estimate.mean),
-        "intrinsic_sd": math.sqrt(estimate.frechet_value),
-        **estimate.to_dict(),
-    }
+        fields = {"space": "t3", "tree_type": tree_type}
+    elif space == "openbook":
+        estimate = ob.openbook_mean(sample, tolerance)
+        fields = {"space": "openbook"}
+    elif space == "t4":
+        t4 = _t4()
+        sp.check_tolerance(tolerance)  # unused by the t4 mean, still checked
+        estimate = t4.t4_mean(sample)
+        fields = {"space": "t4", "n": len(sample), "labels": list(sample.labels),
+                  "tree_type": t4.tree_type_newick(sample.labels, estimate.mean),
+                  "intrinsic_sd": math.sqrt(estimate.frechet_value)}
+    else:
+        raise ConfigError(f"unknown space {space!r}")
+    return estimate, {**fields, **estimate.to_dict()}
 
 
 def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
@@ -194,23 +189,32 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
         w = obj["w"]
         p = obj.get("p", len(w) if isinstance(w, list) else None)  # checked by the summary
         summary = sp.SpiderMeasureSummary(p, obj.get("w0", 0.0), w, obj["nu"])
-        report = sp.intrinsic_mean(summary, tolerance)
-        return {"input": "summary", **mean_report(summary, "t3", report)}
+        return {"input": "summary", **mean_report(summary, "t3", tolerance)[1]}
     space = detect_space(obj)
     sample = load_sample(obj, space)
     if space in ("t3", "openbook"):
-        return mean_report(sample, space, mean_estimate(sample, space, tolerance))
+        return mean_report(sample, space, tolerance)[1]
     if axis is None:
         raise ConfigError("tree-space stickiness needs --axis (the spine cluster)")
-    from . import t4space as t4
-
+    t4 = _t4()
     cluster = frozenset(axis)
     report = t4.spine_stickiness_t4(sample, cluster, tolerance)
     partners = t4.book_partners(cluster, sample.labels)
-    out = {
-        "space": "t4",
-        "axis": sorted(cluster),
-        "book_leaves": [sorted(s) for s in partners],
-    }
-    out.update(report.to_dict())
-    return out
+    return {"space": "t4", "axis": sorted(cluster),
+            "book_leaves": [sorted(s) for s in partners], **report.to_dict()}
+
+
+def plot_text(sample, space: str, fmt: str = "svg", estimate=None) -> str:
+    """The plot of a sample in ``fmt`` (``svg``, or ``csv`` for four-leaf
+    samples), with the mean of ``estimate`` (from :func:`mean_report`) marked."""
+    from . import plots
+
+    if space == "t3":
+        if fmt != "svg":
+            raise ConfigError("spider samples only plot to SVG")
+        return plots.spider_svg(sample, estimate)
+    if space != "t4":
+        raise ConfigError("plotting supports t3 and t4 samples")
+    if fmt == "csv":
+        return plots.petersen_csv(sample)
+    return plots.petersen_svg(sample, None if estimate is None else estimate.mean)

@@ -242,6 +242,11 @@ def point_arrays(n_codes: int, code: str, codes, at: str = "points[{}].", given=
     return np.where(off, codes, 0), coords
 
 
+def _immutable(self, *_):
+    """``__setattr__`` and ``__delattr__`` of an object that is never changed."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class ArraySample:
     """Base of the spider, open-book and tree-space samples: read-only arrays.
 
@@ -284,8 +289,7 @@ class ArraySample:
         return [[0 if x is None else x for x in codes],
                 *([o.get(name, 0.0) for o in points] for name in coords)]
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -46,7 +46,8 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
-from .spider import MAX_COORD, ArraySample, _codes, coordinates, json_numbers, json_points
+from .spider import (
+    MAX_COORD, ArraySample, _codes, _immutable, coordinates, json_numbers, json_points)
 
 __all__ = [
     "Quadrant",
@@ -260,6 +261,11 @@ class T4Point:
         object.__setattr__(self, "labels", geom.labels)
         object.__setattr__(self, "code", int(code))
         object.__setattr__(self, "lengths", tuple(xy.tolist()[:len(geom.supports[code])]))
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):  # copy and pickle rebuild the point through the constructor
+        return type(self), (self.labels, self.coords)
 
     @property
     def support(self) -> tuple[frozenset, ...]:

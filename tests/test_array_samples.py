@@ -224,6 +224,19 @@ class TestArraysEqualPoints:
         with pytest.raises(AttributeError):
             s.p = 4
 
+    @pytest.mark.parametrize("sample, name", [
+        (SpiderSample.from_arrays(3, [1], [1.0]), "p"),
+        (SpiderSample.from_arrays(3, [1], [1.0]), "codes"),
+        (OpenBookSample.from_arrays([1], [1.0], [1.0]), "x1"),
+        (T4Sample.from_splits("abcd", [[3]], [[1.0]]), "labels"),
+        (T4Sample.from_splits("abcd", [[3]], [[1.0]]), "weights"),
+    ], ids=["spider_p", "spider_codes", "openbook_x1", "t4_labels", "t4_weights"])
+    def test_attributes_cannot_be_deleted(self, sample, name):
+        kept = getattr(sample, name)
+        with pytest.raises(AttributeError, match=f"{type(sample).__name__} is immutable"):
+            delattr(sample, name)
+        assert getattr(sample, name) is kept
+
     def test_weights_differ(self):
         a = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0])
         b = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0], (0.25, 0.75))

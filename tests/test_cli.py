@@ -489,6 +489,19 @@ class TestSeedAndSizeBounds:
         err = capsys.readouterr().err
         assert "internal error" not in err and "replications" in err
 
+    # sizes past the 64-bit address space, which no host can allocate
+    @pytest.mark.parametrize("argv", [
+        ["simulate", DATA / "law_dominant.json", "--n", str(10**17), "--reps", "1"],
+        ["simulate", DATA / "law_openbook_symmetric.json", "--n", str(10**17), "--reps", "1"],
+        ["sample-trees", DATA / "toy_alignment.fasta", "--groups", DATA / "toy_groups3.csv",
+         "--k", "3", "--reps", str(10**16)],
+    ], ids=["simulate_spider", "simulate_openbook", "sample_trees"])
+    def test_run_too_large_for_memory(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        assert main([*map(str, argv), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["mean"], ["sticky"]])
     @pytest.mark.parametrize("p", [10**400, spider.MAX_LEGS + 1])
     def test_leg_count_bound(self, tmp_path, capsys, command, p):

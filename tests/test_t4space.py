@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 from collections import deque
 
@@ -135,6 +137,37 @@ class TestPointValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             P({(1, 2): -0.5})
+
+
+class TestPointImmutable:
+    """A point keeps the row it was checked as: it can be neither changed nor
+    emptied, and copies and pickles are equal points."""
+
+    POINT = T4Point("abcd", {frozenset("ab"): 1.0, frozenset("abc"): 0.5})
+
+    @pytest.mark.parametrize("change", [
+        lambda p: setattr(p, "code", 7),
+        lambda p: setattr(p, "lengths", (2.0, 1.0)),
+        lambda p: setattr(p, "labels", ("a", "b", "c", "e")),
+        lambda p: delattr(p, "lengths"),
+        lambda p: delattr(p, "code"),
+    ], ids=["set_code", "set_lengths", "set_labels", "del_lengths", "del_code"])
+    def test_guarded(self, change):
+        p = T4Point("abcd", {frozenset("ab"): 1.0})
+        with pytest.raises(AttributeError, match="T4Point is immutable"):
+            change(p)
+        assert (p.code, p.lengths, repr(p)) == (1, (1.0,), "T4Point({a|b}:1)")
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("point", [POINT, T4Point("abcd"),
+                                       T4Point("wxyz", {frozenset("yz"): 1e-300})],
+                             ids=["quadrant", "origin", "axis"])
+    def test_round_trip(self, copy_of, point):
+        q = copy_of(point)
+        assert type(q) is T4Point and q == point and hash(q) == hash(point)
+        assert (q.labels, q.code, q.lengths) == (point.labels, point.code, point.lengths)
 
 
 class TestDistance:
