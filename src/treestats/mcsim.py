@@ -704,7 +704,7 @@ def _ks(values, law: str, n: int, sigma: float):
     return kstest(math.sqrt(n) * values / sigma, law)
 
 
-def simulate(law, n: int, replications: int, seed: int = 0) -> SimReport:
+def simulate(law: SpiderLaw | OpenBookLaw, n: int, replications: int, seed: int = 0) -> SimReport:
     """Replicate samples of a spider or open-book law and test the predicted
     limit law of the transverse coordinate: in regime ``i`` the folded
     coordinate of the mean against N(0,1), in regime ``ii`` its magnitude

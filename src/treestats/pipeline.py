@@ -204,7 +204,7 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
             "book_leaves": [sorted(s) for s in partners], **report.to_dict()}
 
 
-def plot_text(sample, space: str, fmt: str = "svg", estimate=None) -> str:
+def plot_text(sample, space: str, fmt: str, estimate=None) -> str:
     """The plot of a sample in ``fmt`` (``svg``, or ``csv`` for four-leaf
     samples), with the mean of ``estimate`` (from :func:`mean_report`) marked."""
     from . import plots
