@@ -27,8 +27,9 @@ It does so in two stages.  Replicates are drawn in blocks of at most
 ``_BLOCK`` draws per coordinate, and each block is reduced to the
 per-leg sums of its replicates: the mass and weighted transverse sum of
 every leg (``spider.leg_sums``, the reduction the sample means use) and,
-on the open book, the weighted ``x1`` sum.  No sample object is built.
-The moment gaps, verdicts and folded statistics of all replicates are
+on the open book, the weighted ``x1`` sum.  No sample object is built,
+and a law whose coordinates are all uniform is drawn for the whole block
+at once from one stream read per replicate.  The moment gaps, verdicts and folded statistics of all replicates are
 then computed in one array pass through ``spider.gaps`` and
 ``spider.verdict``.  The output is bit for bit that of one
 ``intrinsic_mean`` / ``openbook_mean`` per replicate sample.
@@ -563,8 +564,54 @@ def _draw(cdf, coordinates, n: int, rng, out) -> tuple[np.ndarray, np.ndarray]:
     return legs, counts
 
 
-def _draw_sample(law, n: int, rng):
-    """The spider or open-book sample of one draw (checked by ``from_arrays``).
+def _uniform_bounds(law):
+    """``(lo, hi - lo)`` of every coordinate distribution, ``(p, dims)``
+    arrays, when each is exactly :class:`Uniform` (a subclass may draw
+    differently); otherwise ``None``."""
+    if not all(type(d) is Uniform for dists in law.coordinates for d in dists):
+        return None
+    lo = np.array([[d.lo for d in dists] for dists in law.coordinates], dtype=float)
+    hi = np.array([[d.hi for d in dists] for dists in law.coordinates], dtype=float)
+    return lo, hi - lo
+
+
+def _draw_uniform(u, cdf, lo, width, counts, x, legs) -> None:
+    """``_draw`` for a block of replicates of a law whose coordinates are all
+    exactly uniform, from the doubles of their streams.
+
+    Row ``i`` of ``u`` holds the n * (1 + dims) doubles that ``_draw``
+    reads for replicate ``i``: the n leg draws, then leg by leg a run of k
+    doubles per coordinate, each mapped to ``lo + (hi - lo) * u`` as
+    ``Generator.uniform`` maps it.  Writes what ``_draw`` gives: the
+    per-leg ``counts``, the leg-sorted coordinates into ``x`` and, unless
+    ``legs`` is ``None``, the leg of each point.
+    """
+    rows, n, dims = u.shape[0], x.shape[-1], lo.shape[1]
+    v = u[:, :n]
+    # the points on legs 0..a are the leg draws below cut a (searchsorted, side="right")
+    ends = np.full((rows, cdf.size), n)
+    for a, cut in enumerate(cdf[:-1].tolist()):
+        ends[:, a] = np.count_nonzero(v < cut, axis=1)
+    counts[:] = np.diff(ends, axis=1, prepend=0)
+    if legs is not None:
+        legs[:] = 0
+        for cut in cdf[:-1].tolist():
+            legs += v >= cut
+    place = np.repeat(np.tile(np.arange(cdf.size), rows), counts.reshape(-1)).reshape(rows, n)
+    if dims == 1:  # a spider's coordinate runs follow the leg draws in leg order
+        runs = [u[:, n:]]
+    else:  # leg a's run of coordinate j starts at n + dims * start_a + j * k_a
+        k = np.take_along_axis(counts, place, 1)
+        start = np.take_along_axis(ends, place, 1) - k
+        first = n + np.arange(n) + (dims - 1) * start
+        runs = [np.take_along_axis(u, first + j * k, 1) for j in range(dims)]
+    for j, run in enumerate(runs):
+        x[j] = lo[:, j].take(place) + width[:, j].take(place) * run
+
+
+def draw_sample(law, n: int, rng):
+    """One i.i.d. sample of size n from a spider or open-book law, drawn
+    from ``rng`` (checked by ``from_arrays``).
 
     A stable sort of the legs gives the point of each leg-sorted place, so
     the columns come back in point order.
@@ -578,14 +625,7 @@ def _draw_sample(law, n: int, rng):
     return sp.SpiderSample.from_arrays(law.p, legs + 1, *columns)
 
 
-def draw_spider_sample(law: SpiderLaw, n: int, rng) -> sp.SpiderSample:
-    """One i.i.d. sample of size n from a spider law."""
-    return _draw_sample(law, n, rng)
-
-
-def draw_openbook_sample(law: OpenBookLaw, n: int, rng) -> ob.OpenBookSample:
-    """One i.i.d. sample of size n from an open-book law."""
-    return _draw_sample(law, n, rng)
+draw_spider_sample = draw_openbook_sample = draw_sample  # kept for existing callers
 
 
 # Replicate index ``rep`` is one uint32 word of the seed entropy.
@@ -633,6 +673,24 @@ def _segment_sums(t, lengths, wts):
     return mass, moment
 
 
+def _check_draws(book: bool, drawn, counts, r0: int) -> None:
+    """Raise :class:`InvalidParameterError` unless every coordinate of the
+    block ``drawn`` (leg-sorted, ``counts`` points per leg and row) is in
+    ``0..MAX_COORD``, as ``from_arrays`` would hold a sample's; NaN fails
+    too.  The error names the law field that drew the first bad value
+    (``legs[a]`` or ``leaves[a].x1``), the value and its replicate."""
+    if sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) <= sp.MAX_COORD:
+        return
+    bad = ~((drawn >= 0) & (drawn <= sp.MAX_COORD))
+    row = int(np.argmax(bad.any(axis=(0, 2))))
+    place, j = divmod(int(np.argmax(bad[:, row].T)), drawn.shape[0])
+    leg = int(np.searchsorted(np.cumsum(counts[row]), place, side="right"))
+    field = f"leaves[{leg}].{('x1', 'x2')[j]}" if book else f"legs[{leg}]"
+    raise InvalidParameterError(
+        f"{field} draws must be finite and in 0..{sp.MAX_COORD:g}, "
+        f"got {float(drawn[j, row, place])!r} in replicate {r0 + row}")
+
+
 def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = False):
     """Stage 1, the one replicate loop of ``simulate`` and ``spine_coverage``:
     draw each replicate and reduce it to the numbers its mean and verdict
@@ -645,16 +703,26 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     standard deviation of ``x1`` (``(replications,)`` arrays).
 
     Replicate ``rep`` draws from PCG64 seeded by ``SeedSequence([seed,
-    rep])`` (``_replicate_states``).  The loop only draws: ``_draw`` writes
-    each replicate's leg-sorted coordinates into the rows of a block, and
-    each block is then checked (as ``from_arrays`` checks) and reduced in
-    one array pass.
+    rep])`` (``_replicate_states``).  The loop only draws the leg-sorted
+    coordinates of each replicate into the rows of a block; each block is
+    then checked (``_check_draws``) and reduced in one array pass.
+
+    A law whose coordinates are all exactly :class:`Uniform` reads each
+    replicate's stream with one ``rng.random`` call, the n * (1 + dims)
+    doubles that the leg draw and the per-leg ``uniform`` calls of
+    ``_draw`` would read, and ``_draw_uniform`` finds the legs and
+    coordinates of the whole block from them.  Any other law is drawn
+    replicate by replicate with ``_draw``: a point mass reads no double,
+    and the ziggurat behind ``Generator.exponential`` reads a variable
+    number of words, so where a coordinate's run lies in the stream is
+    known only by drawing it.
     """
     _check_sizes(n, replications)
     states = _replicate_states(_seed_words(seed), replications)
     book = isinstance(law, OpenBookLaw)
     cdf, coordinates = _leg_cdf(law.weights), law.coordinates
-    p = cdf.size
+    p, dims = cdf.size, len(coordinates[0])
+    uniform = _uniform_bounds(law)
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
     mass, moment = np.empty((replications, p)), np.empty((replications, p))
@@ -662,23 +730,24 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     m = max(1, min(replications, _BLOCK // n))
     legs = np.empty((m, n) if book else 0, np.uint8)  # the open book's, to sort x1 by
     counts = np.empty((m, p), np.int64)
-    x = np.empty((len(coordinates[0]), m, n))  # per coordinate, leg-sorted rows
+    x = np.empty((dims, m, n))  # per coordinate, leg-sorted rows
+    streams = np.empty((m, n * (1 + dims)) if uniform else 0)
     wts = np.full(n, 1.0 / n)
     for r0 in range(0, replications, m):
         rows = min(m, replications - r0)
-        block = [next(states) for _ in range(rows)]
-        for i, state in enumerate(block):
+        for i, state in zip(range(rows), states):
             bitgen.state = state
-            row_legs, counts[i] = _draw(cdf, coordinates, n, rng, x[:, i])
-            if book:
-                legs[i] = row_legs
+            if uniform:
+                rng.random(out=streams[i])
+            else:
+                row_legs, counts[i] = _draw(cdf, coordinates, n, rng, x[:, i])
+                if book:
+                    legs[i] = row_legs
+        if uniform:
+            _draw_uniform(streams[:rows], cdf, *uniform, counts[:rows], x[:, :rows],
+                          legs[:rows] if book else None)
         drawn = x[:, :rows]
-        if not (sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) <= sp.MAX_COORD):
-            # NaN fails too; redraw the first bad replicate into a sample,
-            # which raises naming the point and field
-            bad = ~((drawn >= 0) & (drawn <= sp.MAX_COORD)).all(axis=(0, 2))
-            bitgen.state = block[int(np.argmax(bad))]
-            _draw_sample(law, n, rng)
+        _check_draws(book, drawn, counts[:rows], r0)
         t, lengths = drawn[-1].reshape(-1), counts[:rows].reshape(-1)
         if sp._min(t) == 0:  # transverse coordinate 0: the point is on no leg
             nonzero = t != 0

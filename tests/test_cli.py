@@ -850,6 +850,25 @@ class TestBadLawExit2:
         assert field in err
 
 
+class TestDrawsOutOfBoundExit2:
+    """A valid law whose draws leave 0..1e150 exits 2 naming the law field
+    that drew the value, the value and its replicate."""
+
+    @pytest.mark.parametrize("law, message", [
+        (_law(SPIDER, "legs", 0, "hi", value=1e152),
+         "legs[0] draws must be finite and in 0..1e+150, got "),
+        (_law(BOOK, "leaves", 0, "x1", value={"kind": "point_mass", "u": 5e150}),
+         "leaves[0].x1 draws must be finite and in 0..1e+150, got 5e+150 in replicate 0"),
+    ], ids=["uniform_leg", "point_mass_x1"])
+    def test_exit_2_names_law_field(self, tmp_path, capsys, law, message):
+        path = tmp_path / "law.json"
+        path.write_text(law)
+        assert main(["simulate", str(path), "--n", "20", "--reps", "10"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "in replicate " in err
+        assert "points[" not in err and "internal error" not in err
+
+
 class TestGroupCanonicalization:
     def test_merged_split_canonical_in_group_space(self):
         # picks that straddle exactly two of the root's children with a

@@ -7,6 +7,11 @@ float expressions of the moment gaps shows up here as a byte difference.
 Their ``ks_*`` fields were re-recorded when the KS test moved from
 ``scipy.stats.kstest`` to ``treestats.kolmogorov``; they moved by at most
 2.3e-15 relative, all other fields stayed byte for byte.
+``law_openbook_uniform.json`` is an open book whose coordinates are all
+uniform, with a different law per leaf and coordinate, so that each
+replicate's ``x1`` and ``x2`` runs are told apart; its ``simulate`` and
+``spine_coverage`` fixtures were recorded while every law was still drawn
+replicate by replicate through per-leg ``uniform`` calls.
 The ``sample_trees_*`` fixtures were written by ``sample-trees`` on the toy
 data (40 repetitions) while restriction still pruned a tree copy per
 repetition; 5 and 8 of their k=4 repetitions hit the merged
@@ -45,6 +50,7 @@ LAWS = {
     "symmetric": DATA / "law_symmetric.json",
     "openbook_symmetric": DATA / "law_openbook_symmetric.json",
     "boundary": GOLDEN / "law_boundary.json",
+    "openbook_uniform": GOLDEN / "law_openbook_uniform.json",
 }
 N, REPS = 60, 150
 PLOTS = GOLDEN / "plots"
@@ -84,11 +90,19 @@ def test_simulate_matches_golden(name, seed):
     assert canonical_json(report.to_dict()) == expected
 
 
-def test_spine_coverage_matches_golden():
-    law = load_law("openbook_symmetric")
-    expected = json.loads((GOLDEN / "spine_coverage_openbook_symmetric.json").read_text())
+def check_spine_coverage(name):
+    law = load_law(name)
+    expected = json.loads((GOLDEN / f"spine_coverage_{name}.json").read_text())
     for seed in (3, 11):
         assert mcsim.spine_coverage(law, N, REPS, 0.95, seed) == expected[str(seed)]
+
+
+def test_spine_coverage_matches_golden():
+    check_spine_coverage("openbook_symmetric")
+
+
+def test_spine_coverage_uniform_matches_golden():
+    check_spine_coverage("openbook_uniform")
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -422,9 +422,15 @@ class TestStagesMatchOracle:
         else:
             leaf = (broken, ok) if where == "x1" else (ok, broken)
             law, run = OpenBookLaw((0.2, 0.3, 0.5), ((ok, ok), (ok, ok), leaf)), simulate_openbook
+        # a sample drawn from the law names the point; the replicate loop,
+        # which builds no sample, names the law field that drew the value
+        sampled = outcome(oracle_simulate, law, 20, 3, 1)
+        assert sampled[0].__name__ == "InvalidSampleError"
+        assert f".{where} must be finite" in sampled[1]
+        field = "legs[1]" if where == "u" else f"leaves[2].{where}"
         got = outcome(run, law, 20, 3, 1)
-        assert got == outcome(oracle_simulate, law, 20, 3, 1)
-        assert got[0].__name__ == "InvalidSampleError" and f".{where} must be finite" in got[1]
+        assert got == (InvalidParameterError, f"{field} draws must be finite and in "
+                       f"0..1e+150, got {bad!r} in replicate 0")
         if where != "u":
             assert got == outcome(spine_coverage, law, 20, 3, 0.9, 1)
 
@@ -496,3 +502,65 @@ class TestBlocks:
         kept = 4 if isinstance(law, OpenBookLaw) else 2  # a spider has no spine
         for a, b in zip(whole[:kept], blocked[:kept]):
             assert np.array_equal(a, b)
+
+
+# --------------------------------------------------------------------------
+# laws of exactly uniform coordinates: one stream read per replicate
+# --------------------------------------------------------------------------
+
+_exact_uniform = st.one_of(_uniform, _tiny)
+
+
+@st.composite
+def uniform_laws(draw):
+    if draw(st.booleans()):
+        return OpenBookLaw(draw(weights(3)),
+                           tuple((draw(_exact_uniform), draw(_exact_uniform)) for _ in range(3)))
+    p = draw(st.integers(1, 5))
+    return SpiderLaw(draw(weights(p)), tuple(draw(_exact_uniform) for _ in range(p)))
+
+
+class TestUniformRoute:
+    """A law of exactly uniform coordinates is read one stream per
+    replicate and drawn for the whole block at once; that gives bit for
+    bit what ``_draw`` gives replicate by replicate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(uniform_laws(),
+           st.tuples(st.integers(1, 40), st.integers(1, 12),
+                     st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))),
+           st.integers(1, 60))
+    def test_block_route_is_draw_per_replicate(self, law, size, block):
+        assert mcsim._uniform_bounds(law) is not None
+        spread = size[0] > 1  # one point has no standard deviation
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_BLOCK", block)  # replicates split across blocks
+            fast = mcsim._replicate_sums(law, *size, spread=spread)
+            patch.setattr(mcsim, "_uniform_bounds", lambda law: None)
+            per_replicate = mcsim._replicate_sums(law, *size, spread=spread)
+        kept = (4 if spread else 3) if isinstance(law, OpenBookLaw) else 2  # a spider has no spine
+        for a, b in zip(fast[:kept], per_replicate[:kept]):
+            assert np.array_equal(a, b)
+
+    def test_only_exact_uniforms_take_it(self):
+        assert mcsim._uniform_bounds(SpiderLaw((0.5, 0.5), (Uniform(0, 1), Uniform(1, 3)))) \
+            is not None
+        for odd in (HoledUniform(0.0, 1.0), Exponential(1.0), PointMass(1.0)):
+            assert mcsim._uniform_bounds(SpiderLaw((0.5, 0.5), (Uniform(0, 1), odd))) is None
+        assert mcsim._uniform_bounds(symmetric_book()) is None
+
+    @pytest.mark.parametrize("block", [10, 1 << 16])
+    def test_first_bad_draw_names_its_replicate(self, monkeypatch, block):
+        # leg 1 is drawn rarely, and half its draws leave the bound
+        monkeypatch.setattr(mcsim, "_BLOCK", block)
+        law = SpiderLaw((0.99, 0.01), (Uniform(0.0, 1.0), Uniform(0.0, 2e150)))
+        n, seed = 5, 2**40 + 1
+        for rep in range(100_000):
+            sampled = outcome(draw_spider_sample, law, n, replicate_rng(seed, rep))
+            if isinstance(sampled, tuple):
+                break
+        value = sampled[1].rsplit("got ", 1)[1]
+        assert rep > 10
+        assert outcome(simulate, law, n, rep + 5, seed) == (
+            InvalidParameterError,
+            f"legs[1] draws must be finite and in 0..1e+150, got {value} in replicate {rep}")
