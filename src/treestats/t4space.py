@@ -624,7 +624,8 @@ def _start(images: _QuadrantImages, start, star: float):
         else:
             return None
     _, v, k, _ = found
-    return v * (k / (2.0 * (v @ v)))
+    x = v * (k / (2.0 * (v @ v)))
+    return x if x.any() else None  # a step that underflows does not descend
 
 
 _NEWTON_STEPS = 100
@@ -651,7 +652,9 @@ def _quadrant_minimum(images: _QuadrantImages, start, star: float):
         d = -np.linalg.solve(hess, grad) if free.all() else -pg / np.diag(hess)
         for lam in 0.5 ** np.arange(30):
             trial = np.maximum(x + lam * d, 0.0)
-            if images.value(trial) <= value + 1e-4 * grad @ (trial - x):
+            # the origin is the star tree, which x beats: a step onto it only
+            # looks no worse when the descent of x is below rounding
+            if trial.any() and images.value(trial) <= value + 1e-4 * grad @ (trial - x):
                 break
         else:  # no measurable decrease is left
             break

@@ -456,6 +456,9 @@ class TestMeanProperties:
     # equal points: the Euclidean path must return the point itself
     @example(T4Sample(L, (P({(1, 3): 1.0, (1, 3, 4): 1.625}),) * 2,
                       (0.5714285714285714, 0.42857142857142855)))
+    # a ray whose descent is below rounding: Newton must not step onto the origin
+    @example(T4Sample(L, (P({}), P({(1, 3): 0.12282768208439435, (2, 4): 1.5}),
+                          P({(1, 2): 0.0, (1, 2, 3): 1.5}))))
     def test_no_worse_than_inductive_polish_and_no_descent(self, sample):
         est = t4_mean(sample)
         _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
