@@ -15,14 +15,11 @@ to end.
 import numpy as np
 
 from treestats import (
-    CENTER,
     SpiderMeasureSummary,
     SpiderPoint,
     SpiderSample,
     clt_interval,
     intrinsic_mean,
-    net_moment,
-    summarize,
 )
 
 REGIONS = {
@@ -54,11 +51,11 @@ points += [SpiderPoint(2, float(u)) for u in rng.uniform(0.1, 0.9, size=6)]
 points += [SpiderPoint(3, float(u)) for u in rng.uniform(0.1, 0.9, size=6)]
 sample = SpiderSample(3, tuple(points))
 
-summary = summarize(sample)
-print("leg masses      :", [round(w, 3) for w in summary.w])
-print("conditional mean:", [round(nu, 3) for nu in summary.nu])
-
+# the fields `treestats sticky` and `treestats mean` report for a t3 sample
 rep = intrinsic_mean(sample)
+print("leg masses w    :", [round(w, 3) for w in rep.w])
+print("leg means nu    :", [round(nu, 3) for nu in rep.nu])
+print("moment gaps     :", [round(t, 4) for t in rep.theta])
 print("verdict         :", rep.verdict)
 print("mean            :", rep.mean)
 print("intrinsic sd    :", round(rep.intrinsic_sd, 4))
@@ -67,7 +64,6 @@ ci = clt_interval(sample, confidence=0.95)
 print(f"95% CI on leg {ci.leg}: [{ci.lo:.4f}, {ci.hi:.4f}]")
 
 print()
-print("Net moments at the center (positive for every leg <=> sticky):")
-for leg in (1, 2, 3):
-    print(f"  toward leg {leg}: {net_moment(sample, CENTER, leg):+.4f}")
-print("Here leg 1 pulls the mean off the center, so one net moment is negative.")
+print("The net moment toward a leg at the center is minus its gap; the mean")
+print("sticks exactly when every net moment is positive, every gap negative.")
+print("Here leg 1's gap is positive: it pulls the mean off the center.")

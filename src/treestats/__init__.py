@@ -31,23 +31,20 @@ _EXPORTS = {
     ),
     "spider": (
         "CENTER", "SpiderMeasureSummary", "SpiderPoint", "SpiderSample", "StickinessReport",
-        "Verdict", "clt_interval", "intrinsic_mean", "net_moment", "spider_distance",
-        "summarize", "theta", "thetas",
+        "Verdict", "clt_interval", "intrinsic_mean", "spider_distance",
     ),
     "openbook": (
         "OpenBookPoint", "OpenBookSample", "SpineStickinessReport", "openbook_distance",
         "openbook_mean", "spine_clt",
     ),
     "t4space": (
-        "PetersenProjection", "Quadrant", "Stratum", "T4MeanEstimate", "T4Point", "T4Sample",
-        "all_splits", "book_partners", "compatible", "enumerate_quadrants", "geodesic_point",
-        "petersen_projection", "spine_stickiness_t4", "stratum_of", "t4_distance", "t4_mean",
+        "Stratum", "T4MeanEstimate", "T4Point", "T4Sample", "all_splits", "book_partners",
+        "compatible", "spine_stickiness_t4", "stratum_of", "t4_distance", "t4_mean",
         "tree_type_newick",
     ),
     "mcsim": (
         "Exponential", "OpenBookLaw", "PointMass", "Regime", "SimReport", "SpiderLaw",
-        "Uniform", "classify_law", "classify_openbook_law", "simulate", "simulate_openbook",
-        "spine_coverage",
+        "Uniform", "classify_law", "simulate", "simulate_openbook", "spine_coverage",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -94,10 +94,6 @@ class NotInBookError(TreeStatsError):
     """A point lies outside the three quadrants of the requested spine."""
 
 
-class UndefinedProjectionError(TreeStatsError):
-    """The origin has no central projection onto the Petersen graph."""
-
-
 # --- CLI / configuration ----------------------------------------------------
 
 class ConfigError(TreeStatsError):

@@ -29,10 +29,11 @@ per-leg sums of its replicates: the mass and weighted transverse sum of
 every leg (``spider.leg_sums``, the reduction the sample means use) and,
 on the open book, the weighted ``x1`` sum.  No sample object is built,
 and a law whose coordinates are all uniform is drawn for the whole block
-at once from one stream read per replicate.  The moment gaps, verdicts and folded statistics of all replicates are
-then computed in one array pass through ``spider.gaps`` and
-``spider.verdict``.  The output is bit for bit that of one
-``intrinsic_mean`` / ``openbook_mean`` per replicate sample.
+at once from one stream read per replicate.  The moment gaps, verdicts
+and folded statistics of all replicates are then computed in one array
+pass through ``spider.gaps`` and ``spider.verdict``.  The output is bit
+for bit that of one ``intrinsic_mean`` / ``openbook_mean`` per replicate
+sample.
 
 The KS statistic is taken over the sorted values, with the normal CDF
 from ``math.erfc`` and the half-normal from ``math.erf``; its p-value is
@@ -65,7 +66,6 @@ __all__ = [
     "OpenBookLaw",
     "SimReport",
     "classify_law",
-    "classify_openbook_law",
     "simulate",
     "simulate_openbook",
     "spine_coverage",
@@ -362,7 +362,9 @@ def law_from_dict(obj: dict):
 # Moment gaps of a law are computed in floating point, so a law that is
 # exactly on the boundary can come out a few ulps of sum(v) off zero (at
 # most 0.75 * epsilon * sum(v) over 4000 laws with weights (0.5, x, 0.5 - x)).
-# A largest gap within this relative tolerance is the boundary regime.
+# A largest gap within this relative tolerance is the boundary regime.  A
+# limit variance (second moment minus squared mean) within it of the second
+# moment is 0: ``simulate`` then reports the law as degenerate, at any scale.
 _BOUNDARY_RTOL = 8 * sys.float_info.epsilon
 
 
@@ -382,9 +384,6 @@ def classify_law(law) -> tuple[Regime, tuple[float, ...]]:
     return _regime_of(tuple(w * d.mean() for w, d in zip(law.weights, law.transverse)))
 
 
-classify_openbook_law = classify_law
-
-
 # --------------------------------------------------------------------------
 # simulation reports
 # --------------------------------------------------------------------------
@@ -395,9 +394,11 @@ class SimReport:
 
     ``stick_fraction`` is the share of replicates whose sample mean is
     exactly the center (or spine).  KS fields are ``None`` where the
-    regime predicts a point mass or the law is degenerate.  ``runtime_seconds``
-    is left out of equality and of :meth:`to_dict`, so seeded reruns
-    compare equal and write the same bytes.
+    regime predicts a point mass or the law is ``degenerate``: the limit
+    variance of the tested coordinate (on an open book, the spine's) is 0
+    to within ``_BOUNDARY_RTOL`` of its second moment, so a law and its
+    rescalings agree.  ``runtime_seconds`` is left out of equality and of
+    :meth:`to_dict`, so seeded reruns compare equal and write the same bytes.
     """
 
     space: str
@@ -791,7 +792,8 @@ def simulate(law: SpiderLaw | OpenBookLaw, n: int, replications: int, seed: int 
     regime, th = classify_law(law)
     a_star = int(np.argmax(th))
     theta_star = th[a_star]
-    var = _moment(law.weights, law.transverse, "second_moment") - theta_star * theta_star
+    second = _moment(law.weights, law.transverse, "second_moment")
+    var = second - theta_star * theta_star
 
     # the open book's leaf moments are the sums themselves (openbook_mean)
     gaps = sp.gaps(moment if book else sp.leg_means(mass, moment)[1])
@@ -807,16 +809,17 @@ def simulate(law: SpiderLaw | OpenBookLaw, n: int, replications: int, seed: int 
         stats = gaps[:, a_star]
 
     ks = ks2 = (None, None)
-    if var > 1e-15 and regime is Regime.NONSTICKY:
+    degenerate = var <= _BOUNDARY_RTOL * second
+    if not degenerate and regime is Regime.NONSTICKY:
         ks = _ks(stats, "norm", n, math.sqrt(var))
-    elif var > 1e-15 and regime is Regime.BOUNDARY:
+    elif not degenerate and regime is Regime.BOUNDARY:
         ks = _ks(np.abs(stats), "halfnorm", n, math.sqrt(var))
-    degenerate = var <= 1e-15
     if book:
         # the spine coordinate is a Euclidean mean: N(0,1) in every regime
         mu1 = _moment(law.weights, law.spine, "mean")
-        var1 = _moment(law.weights, law.spine, "second_moment") - mu1 * mu1
-        degenerate = var1 <= 1e-15
+        second1 = _moment(law.weights, law.spine, "second_moment")
+        var1 = second1 - mu1 * mu1
+        degenerate = var1 <= _BOUNDARY_RTOL * second1
         spine_ks = (None, None) if degenerate else _ks(spine - mu1, "norm", n, math.sqrt(var1))
         ks, ks2 = spine_ks, ks
     return SimReport(

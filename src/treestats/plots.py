@@ -4,8 +4,9 @@ Everything here is hand-rendered SVG with fixed layouts and fixed float
 formatting, so a given sample always produces byte-identical output
 (modulo the version comment in the header).  Plots read the sample's
 arrays (``codes`` with ``u`` or ``coords``) and build no point object per
-sample point; tree-space points are projected by the same function as
-:func:`~treestats.t4space.petersen_projection`.
+sample point.  Tree-space points and means are projected centrally onto
+the Petersen graph by ``t4space._projection``; :func:`petersen_csv` writes
+each projection as a row (kind, splits, angular fraction, radius).
 """
 
 from __future__ import annotations

@@ -47,10 +47,7 @@ __all__ = [
     "StickinessReport",
     "SpiderInterval",
     "spider_distance",
-    "summarize",
     "frechet_function",
-    "theta",
-    "thetas",
     "leg_sums",
     "leg_means",
     "gaps",
@@ -60,7 +57,6 @@ __all__ = [
     "verdict",
     "intrinsic_mean",
     "clt_interval",
-    "net_moment",
 ]
 
 
@@ -435,12 +431,12 @@ class SpiderSample(ArraySample):
 
 @dataclass(frozen=True)
 class SpiderMeasureSummary:
-    """Per-leg masses, conditional means, and (optionally) second moments.
+    """Per-leg masses and conditional means of a spider measure.
 
     ``w[a-1]`` is the mass on leg ``a``, ``nu[a-1]`` its conditional mean
     coordinate, and ``v = w * nu`` the leg moments the verdicts are built
-    from.  ``m2`` holds conditional second moments when the summary comes
-    from a sample; without them Frechet values are unavailable.
+    from.  A summary carries no second moments, so its Frechet values, and
+    the ``intrinsic_sd`` of its report, are unavailable.
 
     Masses normally sum to 1 but the constructor does not enforce it, so
     summaries quoted from published tables can be fed in verbatim.
@@ -450,17 +446,16 @@ class SpiderMeasureSummary:
     w0: float
     w: tuple[float, ...]
     nu: tuple[float, ...]
-    m2: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "w0", json_number(self.w0, "summary w0"))
-        for name in ("w", "nu") if self.m2 is None else ("w", "nu", "m2"):
+        for name in ("w", "nu"):
             values = json_list(getattr(self, name), f"summary {name}")
             object.__setattr__(self, name, tuple(
                 json_numbers(values, f"summary {name}[{{}}]".format).tolist()))
         _check_p(self.p, "summary p")
-        if any(len(x) != self.p for x in (self.w, self.nu, self.m2 or self.w)):
-            raise InvalidSampleError(f"summary w, nu and m2 need one entry per leg (p={self.p})")
+        if any(len(x) != self.p for x in (self.w, self.nu)):
+            raise InvalidSampleError(f"summary w and nu need one entry per leg (p={self.p})")
         for name, values in (("w0", (self.w0,)), ("w", self.w), ("nu", self.nu)):
             for i, x in enumerate(values):
                 field = name if name == "w0" else f"{name}[{i}]"
@@ -472,8 +467,6 @@ class SpiderMeasureSummary:
             if not v <= MAX_COORD:
                 raise InvalidSampleError(
                     f"summary w[{i}] * nu[{i}] must be in 0..{MAX_COORD:g}, got {v}")
-        if not all(map(math.isfinite, self.m2 or ())):
-            raise InvalidWeightsError("summary m2 must be finite")
 
     @property
     def v(self) -> tuple[float, ...]:
@@ -504,22 +497,13 @@ def leg_means(w, s):
 
 
 def _moments(sample: SpiderSample):
-    """Center mass, per-leg masses and first moments of a sample, plus
-    the point weights and coordinates of each leg for second moments."""
+    """Center mass, per-leg masses and first moments of a sample."""
     if not len(sample):
         raise EmptySampleError("cannot summarize an empty sample")
     codes, u, wts = sample.codes, sample.u, sample._w
-    legs = [(wts[mask], u[mask]) for mask in (codes == a for a in range(1, sample.p + 1))]
-    w, s = np.array([leg_sums(*leg) for leg in legs]).T
-    return float(_sum(wts[codes == 0])), w, s, legs
-
-
-def summarize(sample: SpiderSample) -> SpiderMeasureSummary:
-    """Decompose a sample into center mass plus per-leg masses and moments."""
-    w0, w, s, legs = _moments(sample)
-    m2 = (float(_sum(wa_i * ua * ua)) / wa if wa > 0 else 0.0
-          for wa, (wa_i, ua) in zip(w.tolist(), legs))
-    return SpiderMeasureSummary(sample.p, w0, w, leg_means(w, s)[0], tuple(m2))
+    legs = (codes == a for a in range(1, sample.p + 1))
+    w, s = np.array([leg_sums(wts[mask], u[mask]) for mask in legs]).T
+    return float(_sum(wts[codes == 0])), w, s
 
 
 def gaps(v) -> np.ndarray:
@@ -578,41 +562,14 @@ def verdict(th, tolerance: float = 0.0):
     return Verdict(kind) if kind == "sticky" else Verdict(kind, int(best) + 1)
 
 
-def thetas(summary: SpiderMeasureSummary) -> tuple[float, ...]:
-    """All per-leg moment gaps ``theta_a = v_a - sum(v_b, b != a)``."""
-    return tuple(gaps(summary.v).tolist())
-
-
-def theta(summary: SpiderMeasureSummary, leg: int) -> float:
-    """Moment gap of one leg; positive means the mean lies on that leg."""
-    if not 1 <= leg <= summary.p:
-        raise ValueError(f"leg {leg} out of range 1..{summary.p}")
-    return thetas(summary)[leg - 1]
-
-
-def frechet_function(x: SpiderPoint, data) -> float:
-    """Mean squared distance from ``x`` to the sample or summarized measure.
-
-    Accepts a :class:`SpiderSample` (computed point by point) or a
-    :class:`SpiderMeasureSummary` carrying second moments.
-    """
-    if isinstance(data, SpiderSample):
-        if not len(data):
-            raise EmptySampleError("empty sample")
-        codes, u, wts = data.codes, data.u, data._w
-        x_code = 0 if x.leg is None else x.leg
-        dist = np.where(codes == x_code, np.abs(u - x.u), u + x.u)
-        return float(_sum(wts * dist * dist))
-    summary = data
-    if summary.m2 is None:
-        raise ValueError("summary carries no second moments; use a sample")
-    const = sum(wa * ma for wa, ma in zip(summary.w, summary.m2))
-    if x.leg is None:
-        return const
-    v = summary.v
-    total_mass = summary.w0 + sum(summary.w)
-    drift = sum(v) - 2 * v[x.leg - 1]
-    return total_mass * x.u * x.u + 2 * x.u * drift + const
+def frechet_function(x: SpiderPoint, sample: SpiderSample) -> float:
+    """Weighted mean squared distance from ``x`` to the sample."""
+    if not len(sample):
+        raise EmptySampleError("empty sample")
+    codes, u, wts = sample.codes, sample.u, sample._w
+    x_code = 0 if x.leg is None else x.leg
+    dist = np.where(codes == x_code, np.abs(u - x.u), u + x.u)
+    return float(_sum(wts * dist * dist))
 
 
 @dataclass(frozen=True)
@@ -666,12 +623,12 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     with all gaps below ``-tolerance`` the mean sticks to the center; in
     between the verdict is the boundary case (mean reported at the
     center).  ``intrinsic_sd`` is the square root of the minimized
-    Frechet value, population convention; it is NaN for summaries
-    without second moments.
+    Frechet value, population convention; it is NaN for a summary, which
+    carries no second moments.
     """
     is_sample = isinstance(data, SpiderSample)
-    if is_sample:  # a sample skips the summary object and its second moments
-        w0, w, s, _ = _moments(data)
+    if is_sample:
+        w0, w, s = _moments(data)
         nu, v = leg_means(w, s)
     else:
         w0, w, nu = data.w0, np.array(data.w), np.array(data.nu)
@@ -680,7 +637,7 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     vd = verdict(th, tolerance)
     # a weighted mean of coordinates up to MAX_COORD may round past it
     mean = SpiderPoint(vd.leg, min(th[vd.leg - 1], MAX_COORD)) if vd.kind == "non_sticky" else CENTER
-    sd = math.sqrt(frechet_function(mean, data)) if is_sample or data.m2 is not None else math.nan
+    sd = math.sqrt(frechet_function(mean, data)) if is_sample else math.nan
     n = len(data) if is_sample else None
     return StickinessReport(data.p, w0, tuple(w.tolist()), tuple(nu.tolist()), th, vd,
                             mean, sd, n)
@@ -749,17 +706,3 @@ def clt_interval(
         leg, 0.0, hi, m, se, confidence, report.verdict,
         note="boundary case: folded half-normal interval",
     )
-
-
-def net_moment(sample: SpiderSample, candidate: SpiderPoint, leg: int) -> float:
-    """First-moment balance toward a leg, evaluated at the center.
-
-    ``E[d(X, center) * eps]`` with ``eps = -1`` on the target leg (distance
-    shrinks as the candidate moves onto it) and ``+1`` elsewhere.  Equals
-    ``-theta(leg)`` exactly; positivity for every leg certifies a sticky
-    mean.  Only the center is a vertex of a spider, so only the center is
-    accepted as candidate.
-    """
-    if not candidate.is_center:
-        raise ValueError("net moments are evaluated at the spider's center")
-    return -theta(summarize(sample), leg)

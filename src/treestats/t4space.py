@@ -23,10 +23,13 @@ The distance is the minimum of
 
 Unfoldings of four or more quadrants always span at least pi, so the cone
 path dominates them; the short paths are exact.  ``_Geometry.image_tables``
-holds these images, one table per frame; distances, geodesics, the
-Frechet function and the mean all evaluate them through
-``_QuadrantImages``, with the lengths divided by a power of two above the
-largest: exact in binary, and no squared length underflows.
+holds these images, one table per frame; distances, the Frechet function
+and the mean all evaluate them through ``_QuadrantImages``, with the
+lengths divided by a power of two above the largest: exact in binary, and
+no squared length underflows.
+
+``_projection`` is the central projection onto the Petersen graph that
+:mod:`treestats.plots` draws and writes as CSV.
 """
 
 from __future__ import annotations
@@ -43,30 +46,24 @@ from .errors import (
     InvalidParameterError,
     InvalidSampleError,
     NotInBookError,
-    UndefinedProjectionError,
 )
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
 from .spider import (
     MAX_COORD, ArraySample, _codes, _immutable, coordinates, json_numbers, json_points)
 
 __all__ = [
-    "Quadrant",
     "T4Point",
     "T4Sample",
     "T4MeanEstimate",
     "Stratum",
-    "PetersenProjection",
     "all_splits",
     "compatible",
-    "enumerate_quadrants",
     "t4_distance",
-    "geodesic_point",
     "frechet_function",
     "t4_mean",
     "stratum_of",
     "book_partners",
     "spine_stickiness_t4",
-    "petersen_projection",
     "tree_type_newick",
 ]
 
@@ -85,27 +82,6 @@ def all_splits(labels) -> list[frozenset]:
 def compatible(a: frozenset, b: frozenset) -> bool:
     """Splits are compatible when their clusters are nested or disjoint."""
     return a <= b or b <= a or not (a & b)
-
-
-@dataclass(frozen=True)
-class Quadrant:
-    """A top-dimensional stratum: an unordered compatible pair of splits."""
-
-    axes: tuple[frozenset, frozenset]
-
-    def __post_init__(self):
-        a, b = sorted(self.axes, key=_split_key)
-        if a == b or not compatible(a, b):
-            raise ValueError("a quadrant needs two distinct compatible splits")
-        object.__setattr__(self, "axes", (a, b))
-
-    def __contains__(self, split: frozenset) -> bool:
-        return split in self.axes
-
-
-def enumerate_quadrants(labels=(1, 2, 3, 4)) -> list[Quadrant]:
-    """All 15 quadrants; every split is an axis of exactly 3 of them."""
-    return [Quadrant(q) for q in _geometry(tuple(labels)).quadrants]
 
 
 class _Geometry:
@@ -409,7 +385,7 @@ def _frame(x: T4Point, labels, classes, coords, weights):
     """Points of support classes ``classes`` and (n, 10) split lengths
     ``coords`` unfolded into the frame of ``x``: the first quadrant (e, f)
     that holds it, with all lengths divided by ``2**exp``, which is above
-    the largest.  Returns the images, (e, f), x's coordinates there and exp."""
+    the largest.  Returns the images, x's coordinates there and exp."""
     if x.labels != labels:
         raise ValueError("points live over different label universes")
     geom = _geometry(labels)
@@ -417,7 +393,7 @@ def _frame(x: T4Point, labels, classes, coords, weights):
     e, f = geom.quadrants[q]
     exp = math.frexp(max([coords.max(initial=0.0), *x.lengths]))[1]
     images = _QuadrantImages(geom.image_tables[q], classes, np.ldexp(coords, -exp), weights)
-    return images, (e, f), (math.ldexp(x.get(e), -exp), math.ldexp(x.get(f), -exp)), exp
+    return images, (math.ldexp(x.get(e), -exp), math.ldexp(x.get(f), -exp)), exp
 
 
 def _one_point(y: T4Point):
@@ -431,51 +407,8 @@ def _one_point(y: T4Point):
 
 def t4_distance(x: T4Point, y: T4Point) -> float:
     """Geodesic distance; never exceeds the cone-path bound ``|x| + |y|``."""
-    images, _, at, exp = _frame(x, *_one_point(y))
+    images, at, exp = _frame(x, *_one_point(y))
     return math.ldexp(math.sqrt(images.value(at)), exp)
-
-
-def geodesic_point(x: T4Point, y: T4Point, t: float) -> T4Point:
-    """Point at arclength fraction ``t`` along the geodesic from x to y.
-
-    Unless the cone path wins, the geodesic is the straight segment to y's
-    nearest valid image in the frame of x, in the unfolding of its path:
-    the frame's first pair, then the image's pair.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if t == 0.0:
-        return x
-    if t == 1.0:
-        return y
-    images, first, (a, b), exp = _frame(x, *_one_point(y))
-    _, on_image, slot = images._terms((a, b))
-    labels = x.labels
-    rx, ry = math.sqrt(a * a + b * b), float(images.norms[0])  # at the frame's scale
-    if not on_image[0]:  # the cone path through the origin
-        s = t * (rx + ry)
-        if s <= rx:
-            return T4Point(labels, {e: (rx - s) / rx * length for e, length in x.coords.items()})
-        return T4Point(labels, {e: (s - rx) / ry * length for e, length in y.coords.items()})
-    k = int(slot[0])
-    sx, sy, turns, clockwise = images.slots[0, k].tolist()
-    splits = _geometry(labels).splits
-    path = list(first[::-1] if clockwise else first)  # path[j] lies at angle j pi/2
-    path[turns:] = splits[sx], splits[sy]
-    px, py = (1.0 - t) * a + t * images.qx[0, k], (1.0 - t) * b + t * images.qy[0, k]
-    if clockwise:  # to the unfolding's own coordinates, the frame's mirror image
-        (a, b), (px, py) = (b, a), (py, px)
-    ang = math.atan2(py, px)
-    if ang < 0.0:  # unfolded wedges may span past pi; unwrap
-        ang += 2.0 * math.pi
-    alpha, beta = math.atan2(b, a), images.beta[0, k]
-    # a geodesic inside the frame may run from a larger angle to a smaller
-    ang = min(max(ang, min(alpha, beta)), max(alpha, beta))
-    j = min(int(ang // _HALF_PI), turns)
-    c1, c2 = _turn(-j, px, py)  # the point in the quadrant (path[j], path[j + 1])
-    eps = 1e-12 * max(rx, ry)  # above the rounding of px and py
-    return T4Point(labels, {e: math.ldexp(float(c), exp)
-                            for e, c in ((path[j], c1), (path[j + 1], c2)) if c > eps})
 
 
 def frechet_function(x: T4Point, sample: T4Sample) -> float:
@@ -483,7 +416,7 @@ def frechet_function(x: T4Point, sample: T4Sample) -> float:
     if not len(sample):
         raise EmptySampleError("empty sample")
     coords = _split_coords(sample, _geometry(sample.labels))
-    images, _, at, exp = _frame(x, sample.labels, sample.codes, coords, sample.normalized_weights())
+    images, at, exp = _frame(x, sample.labels, sample.codes, coords, sample.normalized_weights())
     return math.ldexp(images.value(at), 2 * exp)
 
 
@@ -522,8 +455,8 @@ def _split_coords(sample: T4Sample, geom: _Geometry) -> np.ndarray:
 
 
 def _turn(k, x, y):
-    """``(x, y)`` turned by ``k`` quarter turns (arrays or scalars), by swap
-    and sign: exact where cos and sin of the angle round."""
+    """``(x, y)`` turned by ``k`` quarter turns (arrays), by swap and sign:
+    exact where cos and sin of the angle round."""
     k = np.asarray(k) % 4
     cos_k, sin_k = np.choose(k, (1, 0, -1, 0)), np.choose(k, (0, 1, 0, -1))
     return cos_k * x - sin_k * y, sin_k * x + cos_k * y
@@ -532,17 +465,16 @@ def _turn(k, x, y):
 class _QuadrantImages:
     """Points unfolded into the frame of one quadrant (e at 0, f at pi/2).
 
-    Each point has the image slots of ``_Geometry._image_table`` (kept as
-    ``slots``), at its own radius.  From ``x`` in the closed quadrant an
-    image is valid while its angle ``beta`` stays less than pi past
-    ``x``'s; the straight segment to it is then a path in the space (an
-    invalid one under-estimates).  The squared distance to a point is the
+    Each point has the image slots of ``_Geometry._image_table``, at its
+    own radius.  From ``x`` in the closed quadrant an image is valid while
+    its angle ``beta`` stays less than pi past ``x``'s; the straight
+    segment to it is then a path in the space (an invalid one
+    under-estimates).  The squared distance to a point is the
     least valid image distance, else the cone term ``(|x| + |p|)**2``.
     """
 
     def __init__(self, table: np.ndarray, classes, coords, weights):
-        self.slots = table[classes]
-        sx, sy, turns, clockwise = np.moveaxis(self.slots, -1, 0)
+        sx, sy, turns, clockwise = np.moveaxis(table[classes], -1, 0)
         lx = np.take_along_axis(coords, sx, axis=1)
         ly = np.take_along_axis(coords, sy, axis=1)
         self.beta = turns * _HALF_PI + np.arctan2(ly, lx)
@@ -768,38 +700,16 @@ def spine_stickiness_t4(
     return openbook_mean(book, tolerance)
 
 
-@dataclass(frozen=True)
-class PetersenProjection:
-    """Central projection of a point onto the Petersen graph.
-
-    ``splits`` holds one split for a vertex hit, two for an edge hit;
-    ``s`` is the angular fraction from the first split toward the second
-    (0 at a vertex), and ``radius`` the distance to the origin.
-    """
-
-    splits: tuple
-    s: float
-    radius: float
-
-    @property
-    def kind(self) -> str:
-        return "vertex" if len(self.splits) == 1 else "edge"
-
-
 def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
-    """The fields of :class:`PetersenProjection` for the point whose splits
-    ``support`` (canonical order) have ``lengths``; splits are ``()`` at the origin."""
+    """Central projection onto the Petersen graph of the point whose splits
+    ``support`` (canonical order) have ``lengths``: ``(splits, s, radius)``.
+    ``splits`` holds one split for a vertex hit, two for an edge hit and none
+    at the origin; ``s`` is the angular fraction from the first split toward
+    the second (0 at a vertex), and ``radius`` the distance to the origin."""
     r = math.sqrt(sum(length * length for length in lengths))
     if len(support) < 2:
         return support, 0.0, r
     return support, math.atan2(lengths[1], lengths[0]) / _HALF_PI, r
-
-
-def petersen_projection(x: T4Point) -> PetersenProjection:
-    """Project a nonzero point radially onto the Petersen graph."""
-    if x.is_origin:
-        raise UndefinedProjectionError("the origin has no radial projection")
-    return PetersenProjection(*_projection(x.support, x.lengths))
 
 
 def tree_type_newick(labels, point: T4Point) -> str:

@@ -342,6 +342,14 @@ def route_frechet_function(x, sample):
 # four-leaf tree space: Dijkstra on a discretized complex
 # --------------------------------------------------------------------------
 
+def compatible_pairs(labels) -> list[tuple[frozenset, frozenset]]:
+    """The 15 quadrants over four labels: the pairs of distinct compatible
+    splits, each pair and the list in the canonical order of
+    :func:`all_splits`."""
+    splits = all_splits(labels)
+    return [(e, f) for i, e in enumerate(splits) for f in splits[i + 1:] if compatible(e, f)]
+
+
 def t4_shortest_path(x, y, h=0.02):
     """Shortest-path distance on the discretized two-complex.
 
@@ -378,11 +386,7 @@ def t4_shortest_path(x, y, h=0.02):
             ids,
             np.full(m, h),
         )
-    quadrants = []
-    for i, e in enumerate(splits):
-        for f in splits[i + 1 :]:
-            if compatible(e, f):
-                quadrants.append((e, f))
+    quadrants = compatible_pairs(labels)
     index = {s: i for i, s in enumerate(splits)}
     for e, f in quadrants:
         ide = axis_node(index[e], 0) + np.arange(m)

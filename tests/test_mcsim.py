@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from treestats.mcsim import (
     SpiderLaw,
     Uniform,
     classify_law,
-    classify_openbook_law,
     distribution_from_dict,
     draw_openbook_sample,
     draw_spider_sample,
@@ -69,7 +69,7 @@ class TestClassifyLaw:
             law = SpiderLaw(weights, (dist,) * 3)
             assert classify_law(law)[0] is Regime.BOUNDARY
             book = OpenBookLaw(weights, ((dist, dist),) * 3)
-            assert classify_openbook_law(book)[0] is Regime.BOUNDARY
+            assert classify_law(book)[0] is Regime.BOUNDARY
 
     def test_rejects_center_atom(self):
         with pytest.raises(ValueError):
@@ -204,9 +204,32 @@ class TestSimulateOpenBook:
         assert report.ks_statistic is None
 
     def test_classify_openbook(self):
-        regime, th2 = classify_openbook_law(symmetric_book())
+        regime, th2 = classify_law(symmetric_book())
         assert regime is Regime.STICKY
         assert th2 == pytest.approx((-1 / 3, -1 / 3, -1 / 3))
+
+
+# laws as functions of a power of two c, by which every coordinate scales
+SCALED_LAWS = {
+    "dominant": lambda c: SpiderLaw((0.6, 0.2, 0.2), (Uniform(0.0, 2.0 * c),) * 3),
+    "symmetric_exponential": lambda c: SpiderLaw((1 / 3,) * 3, (Exponential(1.0 / c),) * 3),
+    "boundary": lambda c: SpiderLaw((0.5, 0.25, 0.25), (Uniform(0.0, 2.0 * c),) * 3),
+    "openbook": lambda c: OpenBookLaw(
+        (1 / 3,) * 3, ((Uniform(0.0, 2.0 * c), Exponential(1.0 / c)),) * 3),
+}
+
+
+class TestScale:
+    """A law scaled by a power of two gives the same report, with its gaps
+    scaled exactly: the regime and degeneracy rules are relative."""
+
+    @pytest.mark.parametrize("name", sorted(SCALED_LAWS))
+    def test_scaled_law_same_report(self, name):
+        law = SCALED_LAWS[name]
+        base = simulate(law(1.0), n=60, replications=150, seed=3).to_dict()
+        small = simulate(law(2.0**-30), n=60, replications=150, seed=3).to_dict()
+        assert small == {**base, "theta": [math.ldexp(t, -30) for t in base["theta"]]}
+        assert not base["degenerate"]
 
 
 class TestSpineCoverage:
@@ -246,8 +269,8 @@ def oracle_simulate(law, n, reps, seed) -> str:
     regime, th = classify_law(law)
     a_star = int(np.argmax(th))
     theta_star = th[a_star]
-    var = sum(w * d.second_moment() for w, d in zip(law.weights, law.transverse)) \
-        - theta_star * theta_star
+    second = sum(w * d.second_moment() for w, d in zip(law.weights, law.transverse))
+    var = second - theta_star * theta_star
     stats, spine, stuck = np.empty(reps), np.empty(reps), 0
     for rep in range(reps):
         report = mean(draw(law, n, replicate_rng(seed, rep)))
@@ -265,16 +288,18 @@ def oracle_simulate(law, n, reps, seed) -> str:
     def ks(values, name, variance):
         return kstest(math.sqrt(n) * values / math.sqrt(variance), name)
 
+    # a variance within 8 ulps of the second moment it comes from is 0
     ks1 = ks2 = (None, None)
-    if var > 1e-15 and regime is Regime.NONSTICKY:
+    degenerate = var <= 8 * sys.float_info.epsilon * second
+    if not degenerate and regime is Regime.NONSTICKY:
         ks1 = ks(stats, "norm", var)
-    elif var > 1e-15 and regime is Regime.BOUNDARY:
+    elif not degenerate and regime is Regime.BOUNDARY:
         ks1 = ks(np.abs(stats), "halfnorm", var)
-    degenerate = var <= 1e-15
     if book:
         mu1 = sum(w * d.mean() for w, d in zip(law.weights, law.spine))
-        var1 = sum(w * d.second_moment() for w, d in zip(law.weights, law.spine)) - mu1 * mu1
-        degenerate = var1 <= 1e-15
+        second1 = sum(w * d.second_moment() for w, d in zip(law.weights, law.spine))
+        var1 = second1 - mu1 * mu1
+        degenerate = var1 <= 8 * sys.float_info.epsilon * second1
         ks1, ks2 = (None, None) if degenerate else ks(spine - mu1, "norm", var1), ks1
     report = SimReport("openbook" if book else "spider", regime, n, reps, stuck / reps, th,
                        *ks1, *ks2, degenerate=degenerate)

@@ -8,6 +8,7 @@ from treestats.errors import (
     EmptySampleError,
     InsufficientDataError,
     InvalidParameterError,
+    InvalidSampleError,
     InvalidWeightsError,
     TreeStatsError,
 )
@@ -22,11 +23,7 @@ from treestats.spider import (
     clt_interval,
     frechet_function,
     intrinsic_mean,
-    net_moment,
     spider_distance,
-    summarize,
-    theta,
-    thetas,
 )
 
 # summaries quoted from the four published stickiness tables
@@ -80,33 +77,41 @@ class TestDistance:
             assert spider_distance(x, z) <= spider_distance(x, y) + spider_distance(y, z) + 1e-12
 
 
+def leg_moments(rep):
+    """The leg moments ``v = w * nu`` of a report."""
+    return tuple(w * nu for w, nu in zip(rep.w, rep.nu))
+
+
 class TestSummarize:
+    """The per-leg masses and means that ``intrinsic_mean`` reports."""
+
     def test_uniform_three_points(self):
         s = uniform_sample(SpiderPoint(1, 3), SpiderPoint(2, 1), SpiderPoint(3, 1))
-        summ = summarize(s)
-        assert summ.w == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-        assert summ.nu == pytest.approx((3.0, 1.0, 1.0))
-        assert summ.v == pytest.approx((1.0, 1 / 3, 1 / 3))
+        rep = intrinsic_mean(s)
+        assert rep.w == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        assert rep.nu == pytest.approx((3.0, 1.0, 1.0))
+        assert leg_moments(rep) == pytest.approx((1.0, 1 / 3, 1 / 3))
 
     def test_all_center(self):
         s = uniform_sample(CENTER, CENTER)
-        summ = summarize(s)
-        assert summ.w0 == 1.0
-        assert summ.v == (0.0, 0.0, 0.0)
+        rep = intrinsic_mean(s)
+        assert rep.w0 == 1.0
+        assert leg_moments(rep) == (0.0, 0.0, 0.0)
 
     def test_table_values_pass_through(self):
-        assert TABLE_1.w == pytest.approx((25 / 59, 16 / 59, 18 / 59))
-        assert TABLE_1.nu == pytest.approx((2.3938, 2.1342, 2.8401))
+        rep = intrinsic_mean(TABLE_1)
+        assert rep.w == pytest.approx((25 / 59, 16 / 59, 18 / 59))
+        assert rep.nu == pytest.approx((2.3938, 2.1342, 2.8401))
 
     def test_empty(self):
         with pytest.raises(EmptySampleError):
-            summarize(SpiderSample(3, ()))
+            intrinsic_mean(SpiderSample(3, ()))
 
     def test_weighted(self):
         s = SpiderSample(3, (SpiderPoint(1, 2.0), SpiderPoint(2, 1.0)), (0.75, 0.25))
-        summ = summarize(s)
-        assert summ.w == pytest.approx((0.75, 0.25, 0.0))
-        assert summ.v == pytest.approx((1.5, 0.25, 0.0))
+        rep = intrinsic_mean(s)
+        assert rep.w == pytest.approx((0.75, 0.25, 0.0))
+        assert leg_moments(rep) == pytest.approx((1.5, 0.25, 0.0))
 
 
 class TestFrechetFunction:
@@ -123,20 +128,15 @@ class TestFrechetFunction:
         assert frechet_function(SpiderPoint(1, 1 / 3), s) == pytest.approx(32 / 9)
 
     def test_summary_matches_sample(self):
+        # the summary of a sample's masses and means has the sample's gaps,
+        # verdict and mean, and so its Frechet value
         rng = np.random.default_rng(2)
         for _ in range(25):
             s = random_sample(rng)
-            summ = summarize(s)
-            for _ in range(3):
-                leg = int(rng.integers(1, s.p + 1))
-                x = SpiderPoint(leg, float(rng.uniform(0, 2)))
-                assert frechet_function(x, summ) == pytest.approx(
-                    frechet_function(x, s), rel=1e-10, abs=1e-12
-                )
-
-    def test_bare_summary_rejected(self):
-        with pytest.raises(ValueError):
-            frechet_function(CENTER, TABLE_1)
+            rep = intrinsic_mean(s)
+            summ = intrinsic_mean(SpiderMeasureSummary(s.p, rep.w0, rep.w, rep.nu))
+            assert (summ.theta, summ.verdict, summ.mean) == (rep.theta, rep.verdict, rep.mean)
+            assert math.sqrt(frechet_function(summ.mean, s)) == rep.intrinsic_sd
 
 
 class TestIntrinsicMean:
@@ -197,19 +197,23 @@ class TestIntrinsicMean:
 
 
 class TestTheta:
+    """The per-leg moment gaps that ``intrinsic_mean`` reports."""
+
     def test_table_3_leg_3(self):
-        assert theta(TABLE_3, 3) == pytest.approx(0.63, abs=0.05)
+        assert intrinsic_mean(TABLE_3).theta[2] == pytest.approx(0.63, abs=0.05)
 
     def test_table_4_leg_2(self):
-        assert theta(TABLE_4, 2) == pytest.approx(-1.74, abs=0.05)
+        assert intrinsic_mean(TABLE_4).theta[1] == pytest.approx(-1.74, abs=0.05)
 
     def test_balance_is_zero(self):
         summ = SpiderMeasureSummary(3, 0.0, (0.5, 0.25, 0.25), (2.0, 2.0, 2.0))
-        assert theta(summ, 1) == 0.0
+        assert intrinsic_mean(summ).theta[0] == 0.0
 
     def test_leg_out_of_range(self):
-        with pytest.raises(ValueError):
-            theta(TABLE_1, 4)
+        # a summary lists each of its p legs once, no more
+        with pytest.raises(InvalidSampleError,
+                           match=r"summary w and nu need one entry per leg \(p=3\)"):
+            SpiderMeasureSummary(3, 0.0, (0.25,) * 4, (1.0,) * 4)
 
 
 class TestCltInterval:
@@ -265,36 +269,36 @@ class TestCltInterval:
 
 
 class TestNetMoment:
+    """The net moment toward a leg at the center, ``E[d(X, center) eps]``
+    with ``eps = -1`` on the leg and ``+1`` elsewhere, is ``-theta`` of
+    that leg: positive toward every leg exactly when the mean sticks."""
+
     def test_symmetric(self):
         s = uniform_sample(SpiderPoint(1, 1), SpiderPoint(2, 1), SpiderPoint(3, 1))
-        for leg in (1, 2, 3):
-            assert net_moment(s, CENTER, leg) == pytest.approx(1 / 3)
+        assert [-t for t in intrinsic_mean(s).theta] == pytest.approx([1 / 3] * 3)
 
     def test_equals_minus_theta_exactly(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = random_sample(rng)
-            summ = summarize(s)
+            rep = intrinsic_mean(s)
             for leg in range(1, s.p + 1):
-                assert net_moment(s, CENTER, leg) == -theta(summ, leg)
+                eps = np.where(s.codes == leg, -1.0, 1.0)
+                net = float(np.sum(s.normalized_weights() * s.u * eps))
+                assert net == pytest.approx(-rep.theta[leg - 1], rel=1e-12, abs=1e-15)
 
     def test_single_leg_sample(self):
         s = uniform_sample(SpiderPoint(2, 1.5), SpiderPoint(2, 0.5))
-        assert net_moment(s, CENTER, 2) == pytest.approx(-1.0)
-
-    def test_rejects_off_center_candidate(self):
-        s = uniform_sample(SpiderPoint(1, 1), SpiderPoint(2, 1), SpiderPoint(3, 1))
-        with pytest.raises(ValueError):
-            net_moment(s, SpiderPoint(1, 0.5), 1)
+        assert -intrinsic_mean(s).theta[1] == pytest.approx(-1.0)
 
     def test_table_1_leg_1(self):
-        # net moment from a synthetic sample realizing the table moments
+        # a synthetic sample realizing the table moments
         pts, weights = [], []
         for leg, (w, nu) in enumerate(zip(TABLE_1.w, TABLE_1.nu), start=1):
             pts.append(SpiderPoint(leg, nu))
             weights.append(w)
         s = SpiderSample(3, tuple(pts), tuple(weights))
-        assert net_moment(s, CENTER, 1) == pytest.approx(0.43, abs=0.05)
+        assert -intrinsic_mean(s).theta[0] == pytest.approx(0.43, abs=0.05)
 
 
 class TestThetasInvariant:
@@ -305,7 +309,7 @@ class TestThetasInvariant:
             w = rng.dirichlet(np.ones(p))
             nu = rng.uniform(0, 3, size=p)
             summ = SpiderMeasureSummary(p, 0.0, tuple(w), tuple(nu))
-            assert sum(1 for t in thetas(summ) if t > 0) <= 1
+            assert sum(1 for t in intrinsic_mean(summ).theta if t > 0) <= 1
 
 
 # every weighted container, as a function of a weight tuple of its own size

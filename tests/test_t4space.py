@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    compatible_pairs,
     route_distance,
     route_frechet_function,
     route_geodesic_point,
@@ -23,10 +24,9 @@ from treestats.errors import (
     InvalidParameterError,
     InvalidSampleError,
     NotInBookError,
-    UndefinedProjectionError,
 )
+from treestats.plots import petersen_csv
 from treestats.t4space import (
-    Quadrant,
     Stratum,
     T4Point,
     T4Sample,
@@ -36,10 +36,7 @@ from treestats.t4space import (
     all_splits,
     book_partners,
     compatible,
-    enumerate_quadrants,
     frechet_function,
-    geodesic_point,
-    petersen_projection,
     spine_stickiness_t4,
     stratum_of,
     t4_distance,
@@ -55,8 +52,7 @@ def P(coords):
 
 
 def random_point(rng, quadrants, scale=2.0, axis_prob=0.25):
-    q = quadrants[int(rng.integers(0, len(quadrants)))]
-    e, f = q.axes
+    e, f = quadrants[int(rng.integers(0, len(quadrants)))]
     a = float(rng.uniform(0.05, scale))
     b = float(rng.uniform(0.05, scale))
     r = rng.random()
@@ -69,7 +65,7 @@ def random_point(rng, quadrants, scale=2.0, axis_prob=0.25):
 
 @pytest.fixture(scope="module")
 def quadrants():
-    return enumerate_quadrants(L)
+    return compatible_pairs(L)
 
 
 class TestCombinatorics:
@@ -83,8 +79,7 @@ class TestCombinatorics:
 
     def test_incidences_of_a_pair(self, quadrants):
         touching = [q for q in quadrants if frozenset({1, 2}) in q]
-        partners = {q.axes[0] if q.axes[1] == frozenset({1, 2}) else q.axes[1]
-                    for q in touching}
+        partners = {q[0] if q[1] == frozenset({1, 2}) else q[1] for q in touching}
         assert partners == {
             frozenset({3, 4}), frozenset({1, 2, 3}), frozenset({1, 2, 4})
         }
@@ -92,8 +87,7 @@ class TestCombinatorics:
     def test_girth_five(self, quadrants):
         # Petersen graph: shortest cycle through any vertex has length 5
         adj = {s: set() for s in all_splits(L)}
-        for q in quadrants:
-            a, b = q.axes
+        for a, b in quadrants:
             adj[a].add(b)
             adj[b].add(a)
 
@@ -232,27 +226,23 @@ class TestDistance:
 
 
 class TestGeodesicPoint:
-    def test_endpoints(self):
-        x = P({(1, 2): 1.0})
-        y = P({(1, 3): 1.0})
-        assert geodesic_point(x, y, 0.0) == x
-        assert geodesic_point(x, y, 1.0) == y
+    """Points along geodesics, named or from the route oracle, lie at the
+    fraction of ``t4_distance`` that their arclength gives."""
 
     def test_adjacent_quadrant_midpoint_on_shared_axis(self):
         x = P({(1, 2): 1.0, (1, 2, 3): 1.0})
         y = P({(1, 2): 1.0, (1, 2, 4): 1.0})
-        mid = geodesic_point(x, y, 0.5)
-        assert mid == P({(1, 2): 1.0})
-
-    def test_t_out_of_range(self):
-        x, y = P({(1, 2): 1.0}), P({(1, 3): 1.0})
-        with pytest.raises(ValueError):
-            geodesic_point(x, y, 1.5)
+        mid = P({(1, 2): 1.0})
+        half = 0.5 * t4_distance(x, y)
+        assert t4_distance(x, mid) == pytest.approx(half)
+        assert t4_distance(mid, y) == pytest.approx(half)
 
     def test_cone_midpoint_at_origin(self):
         x = P({(1, 2): 1.0})
         y = P({(1, 3): 1.0})
-        assert geodesic_point(x, y, 0.5).is_origin
+        half = 0.5 * t4_distance(x, y)
+        assert t4_distance(x, P({})) == pytest.approx(half)
+        assert t4_distance(P({}), y) == pytest.approx(half)
 
     @pytest.mark.parametrize("s", [1e-150, 1e-50, 1e100])
     @pytest.mark.parametrize("x, y", [
@@ -262,14 +252,12 @@ class TestGeodesicPoint:
         ({(1, 2): 1.0}, {(1, 3): 1.0}),  # the cone path
     ])
     def test_scale_invariance(self, x, y, s):
+        # scales that are no power of two, unlike TestPowerOfTwoScale's
         def scaled(coords, by):
             return P({c: by * v for c, v in coords.items()})
 
-        expected = geodesic_point(scaled(x, 1.0), scaled(y, 1.0), 0.3)
-        g = geodesic_point(scaled(x, s), scaled(y, s), 0.3)
-        assert g.support == expected.support
-        for c in expected.support:
-            assert g.get(c) == pytest.approx(s * expected.get(c), rel=1e-12)
+        expected = t4_distance(scaled(x, 1.0), scaled(y, 1.0))
+        assert t4_distance(scaled(x, s), scaled(y, s)) == pytest.approx(s * expected, rel=1e-12)
 
     def test_arclength_consistency(self, quadrants):
         rng = np.random.default_rng(34)
@@ -277,7 +265,7 @@ class TestGeodesicPoint:
             x = random_point(rng, quadrants)
             y = random_point(rng, quadrants)
             t = float(rng.uniform(0, 1))
-            g = geodesic_point(x, y, t)
+            g = route_geodesic_point(x, y, t)
             d = t4_distance(x, y)
             assert t4_distance(x, g) == pytest.approx(t * d, abs=1e-9)
             assert t4_distance(g, y) == pytest.approx((1 - t) * d, abs=1e-9)
@@ -288,7 +276,7 @@ class TestGeodesicPoint:
             x = random_point(rng, quadrants)
             y = random_point(rng, quadrants)
             z = random_point(rng, quadrants)
-            m = geodesic_point(x, y, 0.5)
+            m = route_geodesic_point(x, y, 0.5)
             lhs = t4_distance(z, m) ** 2
             rhs = (
                 0.5 * t4_distance(z, x) ** 2
@@ -315,10 +303,6 @@ class TestPowerOfTwoScale:
 
         (x1, y1), (xk, yk) = (scaled(x, 0), scaled(y, 0)), (scaled(x, k), scaled(y, k))
         assert t4_distance(xk, yk) == math.ldexp(t4_distance(x1, y1), k)
-        for t in (0.25, 0.5, 0.75):
-            expected = geodesic_point(x1, y1, t).coords
-            assert geodesic_point(xk, yk, t).coords == {
-                c: math.ldexp(v, k) for c, v in expected.items()}
         assert frechet_function(xk, T4Sample(L, (xk, yk))) == math.ldexp(
             frechet_function(x1, T4Sample(L, (x1, y1))), 2 * k)
 
@@ -418,7 +402,7 @@ class TestMean:
         assert est.method == "euclidean" and built == [est.mean]
 
 
-QUADRANTS = enumerate_quadrants(L)
+QUADRANTS = compatible_pairs(L)
 lengths = st.floats(0.05, 2.0)
 
 
@@ -427,7 +411,7 @@ def t4_points(draw, home):
     """A point of the home quadrant or of any quadrant: inside, on either
     axis, or the origin."""
     q = draw(st.one_of(st.just(home), st.integers(0, 14)))
-    e, f = QUADRANTS[q].axes
+    e, f = QUADRANTS[q]
     where = draw(st.sampled_from(["inside", "axis_e", "axis_f", "origin"]))
     a, b = draw(lengths), draw(lengths)
     coords = {"inside": {e: a, f: b}, "axis_e": {e: a}, "axis_f": {f: b},
@@ -539,7 +523,7 @@ class TestDistanceProperties:
     @given(t4_triples)
     def test_cat0_midpoint_inequality(self, xyz):
         x, y, z = xyz
-        m = geodesic_point(x, y, 0.5)
+        m = route_geodesic_point(x, y, 0.5)
         assert t4_distance(z, m) ** 2 <= (
             0.5 * t4_distance(z, x) ** 2 + 0.5 * t4_distance(z, y) ** 2
             - 0.25 * t4_distance(x, y) ** 2 + 1e-9)
@@ -554,16 +538,6 @@ class TestDistanceProperties:
             assert t4_distance(x, y) == pytest.approx(route_distance(x, y), rel=1e-12)
             assert t4_distance(y, x) == pytest.approx(route_distance(y, x), rel=1e-12)
 
-    @settings(max_examples=300, deadline=None)
-    @given(t4_pairs, fractions)
-    def test_geodesic_point_equals_route(self, xy, t):
-        x, y = xy
-        g, expected = geodesic_point(x, y, t), route_geodesic_point(x, y, t)
-        assert route_distance(g, expected) <= 1e-9
-        d = route_distance(x, y)
-        assert route_distance(x, g) == pytest.approx(t * d, abs=1e-9)
-        assert route_distance(g, y) == pytest.approx((1 - t) * d, abs=1e-9)
-
     @settings(max_examples=20, deadline=None)
     @given(t4_pairs, fractions)
     def test_against_shortest_path_oracle(self, xy, t):
@@ -573,8 +547,8 @@ class TestDistanceProperties:
             oracle = t4_shortest_path(x, y, h=h)
             assert d <= oracle + 1e-9  # oracle paths are realizable
             assert abs(d - oracle) <= 2 * h
-        for g in (geodesic_point(x, y, t), route_geodesic_point(x, y, t)):
-            assert abs(t4_shortest_path(x, g, h=h) - t * d) <= 2 * h
+        g = route_geodesic_point(x, y, t)
+        assert abs(t4_shortest_path(x, g, h=h) - t * d) <= 2 * h
 
 
 def point_doc_rows(sample):
@@ -713,27 +687,27 @@ class TestSpineStickiness:
 
 
 class TestPetersenProjection:
+    """The central projection, as the rows of ``plot --format csv``."""
+
+    @staticmethod
+    def row(point):
+        row = petersen_csv(T4Sample(L, (point,))).splitlines()[1]
+        kind, split1, split2, s, radius = row.split(",")
+        return kind, (split1, split2), float(s), float(radius)
+
     def test_axis_point_is_vertex(self):
-        proj = petersen_projection(P({(1, 2): 2.0}))
-        assert proj.kind == "vertex"
-        assert proj.splits == (frozenset({1, 2}),)
-        assert proj.radius == pytest.approx(2.0)
+        assert self.row(P({(1, 2): 2.0})) == ("vertex", ("{1;2}", ""), 0.0, 2.0)
 
     def test_diagonal_of_pair_pair_quadrant(self):
-        proj = petersen_projection(P({(1, 2): 1.0, (3, 4): 1.0}))
-        assert proj.kind == "edge"
-        assert proj.s == pytest.approx(0.5)
-        assert proj.radius == pytest.approx(math.sqrt(2))
+        kind, _, s, radius = self.row(P({(1, 2): 1.0, (3, 4): 1.0}))
+        assert (kind, s) == ("edge", 0.5)
+        assert radius == pytest.approx(math.sqrt(2), rel=1e-8)
 
     def test_angular_fraction(self):
-        proj = petersen_projection(P({(1, 2): 1.0, (1, 2, 3): math.sqrt(3)}))
-        assert proj.splits == (frozenset({1, 2}), frozenset({1, 2, 3}))
-        assert proj.s == pytest.approx(2 / 3)
-        assert proj.radius == pytest.approx(2.0)
-
-    def test_origin_rejected(self):
-        with pytest.raises(UndefinedProjectionError):
-            petersen_projection(P({}))
+        _, splits, s, radius = self.row(P({(1, 2): 1.0, (1, 2, 3): math.sqrt(3)}))
+        assert splits == ("{1;2}", "{1;2;3}")
+        assert s == pytest.approx(2 / 3, rel=1e-8)
+        assert radius == 2.0
 
 
 class TestTreeType:
@@ -748,13 +722,3 @@ class TestTreeType:
 
     def test_complementary_quadrant(self):
         assert tree_type_newick(L, P({(1, 3): 0.4, (2, 4): 0.1})) == "((1,3),(2,4))"
-
-
-class TestQuadrantType:
-    def test_canonical_order(self):
-        q = Quadrant((frozenset({1, 2, 3}), frozenset({1, 2})))
-        assert q.axes == (frozenset({1, 2}), frozenset({1, 2, 3}))
-
-    def test_incompatible_rejected(self):
-        with pytest.raises(ValueError):
-            Quadrant((frozenset({1, 2}), frozenset({2, 3})))
