@@ -175,8 +175,8 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None, size: int = 480)
             f"{_split_label(s)}</text>"
         )
     projections = _projections(sample)
-    # a radius is 0 off the origin too when the squares of its lengths underflow
-    max_r = max((r for _, _, r in projections), default=0.0) or 1.0
+    # each point off the origin has a radius > 0, so max_r > 0 wherever it divides
+    max_r = max((r for _, _, r in projections), default=0.0)
     for splits, s, r in projections:
         if not splits:
             continue

@@ -255,7 +255,7 @@ class T4Point:
         return self.coords.get(split, 0.0)
 
     def norm(self) -> float:
-        return math.sqrt(sum(l * l for l in self.lengths))
+        return math.hypot(*self.lengths)
 
     @property
     def is_origin(self) -> bool:
@@ -706,7 +706,7 @@ def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
     ``splits`` holds one split for a vertex hit, two for an edge hit and none
     at the origin; ``s`` is the angular fraction from the first split toward
     the second (0 at a vertex), and ``radius`` the distance to the origin."""
-    r = math.sqrt(sum(length * length for length in lengths))
+    r = math.hypot(*lengths)
     if len(support) < 2:
         return support, 0.0, r
     return support, math.atan2(lengths[1], lengths[0]) / _HALF_PI, r

@@ -22,7 +22,12 @@ small edge samples beside them (origins only, lengths whose squares
 underflow, a star-tree mean, spiders with one and five legs), recorded
 while the plots still built a point object per sample point.  Pixel
 coordinates print with two decimals, so they pin the float expressions
-of the layout and the projection only on these inputs.
+of the layout and the projection only on these inputs.  The ``t4_mixed``
+and ``t4_underflow`` plots were re-recorded when the projection radius
+became ``math.hypot`` of the lengths: the radius of each point whose
+lengths are below 1e-154 went from 0 to its value (1e-172,
+3.16227766e-172), with the dot sizes that follow from it; nothing else
+changed.
 The ``means/`` fixtures are what ``mean`` wrote for the same samples, recorded
 while a four-leaf point still kept its splits as (cluster, length) pairs.
 The ``sticky/`` fixtures are what ``sticky`` wrote for two spider summaries
