@@ -389,7 +389,7 @@ def classify_law(law) -> tuple[Regime, tuple[float, ...]]:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(sp.Record):
     """Outcome of a replicated sampling experiment.
 
     ``stick_fraction`` is the share of replicates whose sample mean is
@@ -397,8 +397,9 @@ class SimReport:
     regime predicts a point mass or the law is ``degenerate``: the limit
     variance of the tested coordinate (on an open book, the spine's) is 0
     to within ``_BOUNDARY_RTOL`` of its second moment, so a law and its
-    rescalings agree.  ``runtime_seconds`` is left out of equality and of
-    :meth:`to_dict`, so seeded reruns compare equal and write the same bytes.
+    rescalings agree.  ``runtime_seconds`` has ``compare=False``, so
+    equality and :meth:`~treestats.spider.Record.to_dict` leave it out:
+    seeded reruns compare equal and write the same bytes.
     """
 
     space: str
@@ -413,21 +414,6 @@ class SimReport:
     ks_pvalue_secondary: float | None = None
     degenerate: bool = False
     runtime_seconds: float = field(default=0.0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "regime": self.regime.value,
-            "n": self.n,
-            "replications": self.replications,
-            "stick_fraction": self.stick_fraction,
-            "theta": list(self.theta),
-            "ks_statistic": self.ks_statistic,
-            "ks_pvalue": self.ks_pvalue,
-            "ks_statistic_secondary": self.ks_statistic_secondary,
-            "ks_pvalue_secondary": self.ks_pvalue_secondary,
-            "degenerate": self.degenerate,
-        }
 
 
 _SQRT2, _SQRT_HALF = math.sqrt(2.0), math.sqrt(0.5)

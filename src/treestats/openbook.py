@@ -17,12 +17,12 @@ degree of freedom, where ordinary normal asymptotics hold.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySampleError, WrongRegimeError
-from .spider import (MAX_COORD, ArraySample, Verdict, _sum, check_interval, gaps, leg_sums,
+from .spider import (MAX_COORD, ArraySample, Record, Verdict, _sum, check_interval, gaps, leg_sums,
                      point_arrays, verdict)
 
 __all__ = [
@@ -41,7 +41,7 @@ N_LEAVES = 3
 
 
 @dataclass(frozen=True)
-class OpenBookPoint:
+class OpenBookPoint(Record):
     """Point of O3; ``x2 == 0`` is canonicalized to the spine (leaf None).
 
     The point is checked as a sample of one point, by
@@ -58,9 +58,6 @@ class OpenBookPoint:
         object.__setattr__(self, "leaf", int(codes[0]) or None)
         for name, c in coords.items():
             object.__setattr__(self, name, float(c[0]))
-
-    def to_dict(self) -> dict:
-        return {"leaf": self.leaf, "x1": self.x1, "x2": self.x2}
 
 
 def openbook_distance(x: OpenBookPoint, y: OpenBookPoint) -> float:
@@ -116,7 +113,7 @@ def frechet_function(x: OpenBookPoint, sample: OpenBookSample) -> float:
 
 
 @dataclass(frozen=True)
-class SpineStickinessReport:
+class SpineStickinessReport(Record):
     """Mean of an O3 sample with the spine-stickiness verdict.
 
     ``x1_star`` is the spine coordinate of the mean (always the weighted
@@ -132,17 +129,6 @@ class SpineStickinessReport:
     spine_sd: float
     w: tuple[float, float, float]
     n: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "x1_star": self.x1_star,
-            "theta2": list(self.theta2),
-            "verdict": self.verdict.to_dict(),
-            "mean": self.mean.to_dict(),
-            "spine_sd": self.spine_sd,
-            "w": list(self.w),
-            "n": self.n,
-        }
 
 
 def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineStickinessReport:
@@ -186,7 +172,7 @@ def spine_bounds(x1_star, sd, n: int, confidence: float):
 
 
 @dataclass(frozen=True)
-class SpineInterval:
+class SpineInterval(Record):
     """Normal confidence interval for the spine coordinate of a stuck mean."""
 
     lo: float
@@ -195,9 +181,6 @@ class SpineInterval:
     se: float
     confidence: float
     n: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def spine_clt(

@@ -2,7 +2,9 @@
 
 The module deliberately stays small: FASTA blocks of pre-aligned sequences
 come in, pairwise mismatch-fraction matrices and rooted trees with branch
-lengths go out.  Comparison rules (what counts as a mismatch) are:
+lengths go out.  Newick trees of any depth are read and written: both
+walk the tree with a stack of their own, not Python's.  Comparison rules
+(what counts as a mismatch) are:
 
 * ``U`` and ``T`` are identified, so RNA and DNA sources mix freely.
 * ``N`` compares equal to every base by default; ``strict_n=True`` makes it
@@ -334,6 +336,7 @@ def parse_newick(text: str) -> TreeNode:
 
     Missing branch lengths read as 0.  A root with a single child is
     collapsed into that child, so every returned root has degree >= 2.
+    The open subtrees are kept on a stack, so a tree of any depth is read.
     """
     s = text.strip()
     if not s:
@@ -350,12 +353,12 @@ def parse_newick(text: str) -> TreeNode:
         while pos < len(body) and body[pos].isspace():
             pos += 1
 
-    def read_label() -> str | None:
+    def read_token() -> str:
         nonlocal pos
         start = pos
         while pos < len(body) and body[pos] not in _RESERVED and not body[pos].isspace():
             pos += 1
-        return body[start:pos] if pos > start else None
+        return body[start:pos]
 
     def read_length() -> float:
         nonlocal pos
@@ -364,10 +367,7 @@ def parse_newick(text: str) -> TreeNode:
             return 0.0
         pos += 1
         skip_ws()
-        start = pos
-        while pos < len(body) and body[pos] not in _RESERVED and not body[pos].isspace():
-            pos += 1
-        tok = body[start:pos]
+        tok = read_token()
         try:
             val = float(tok)
         except ValueError:
@@ -378,33 +378,33 @@ def parse_newick(text: str) -> TreeNode:
             raise NegativeLengthError(f"negative branch length {tok!r}")
         return val
 
-    def parse_subtree() -> TreeNode:
-        nonlocal pos
+    open_children: list[list[TreeNode]] = []  # the children read so far of each open "("
+    node = None
+    while node is None:
         skip_ws()
         if pos >= len(body):
             raise NewickSyntaxError("unexpected end of Newick string")
         if body[pos] == "(":
             pos += 1
-            children = [parse_subtree()]
+            open_children.append([])
+            continue
+        label = read_token()
+        if not label:
+            raise NewickSyntaxError(f"expected a label at position {pos}")
+        node = TreeNode(label, read_length())
+        while open_children:  # close the subtrees that end here
+            open_children[-1].append(node)
             skip_ws()
-            while pos < len(body) and body[pos] == ",":
+            if pos < len(body) and body[pos] == ",":
                 pos += 1
-                children.append(parse_subtree())
-                skip_ws()
+                node = None
+                break
             if pos >= len(body) or body[pos] != ")":
                 raise NewickSyntaxError("unbalanced parentheses")
             pos += 1
             skip_ws()
-            node = TreeNode(label=read_label(), children=children)
-        else:
-            label = read_label()
-            if label is None:
-                raise NewickSyntaxError(f"expected a label at position {pos}")
-            node = TreeNode(label=label)
-        node.length = read_length()
-        return node
-
-    root = parse_subtree()
+            node = TreeNode(read_token() or None, read_length(), open_children.pop())
+    root = node
     skip_ws()
     if pos != len(body):
         raise NewickSyntaxError(f"trailing data before ';': {body[pos:][:20]!r}")
@@ -416,38 +416,35 @@ def parse_newick(text: str) -> TreeNode:
         root = child
     if root.is_leaf():
         raise NewickSyntaxError("a tree needs at least two leaves")
-    labels = root.leaf_labels()
-    if any(lb is None for lb in labels):
-        raise NewickSyntaxError("every leaf needs a label")
+    labels = root.leaf_labels()  # every leaf has one: an empty one is refused above
     if len(set(labels)) != len(labels):
         raise NewickSyntaxError("duplicate leaf labels")
     return root
 
 
 def serialize_newick(tree: TreeNode, precision: int = 6) -> str:
-    """Serialize a rooted tree to Newick with the given significant digits;
-    :class:`NewickSyntaxError` names the labels :func:`parse_newick` would
-    not read back (a leaf's missing one, any holding ``():;,`` or blanks)."""
+    """Serialize a rooted tree of any depth to Newick with the given
+    significant digits; :class:`NewickSyntaxError` names the labels
+    :func:`parse_newick` would not read back (a leaf's missing one, any
+    holding ``():;,`` or blanks)."""
     bad = [n.label for n in tree.walk() if (n.label or n.is_leaf()) and (
         not n.label or any(c in _RESERVED or c.isspace() for c in n.label))]
     if bad:
         raise NewickSyntaxError(f"Newick cannot carry the labels {bad!r}: "
                                 "a label holds no whitespace and none of ():;,")
-
-    def fmt(x: float) -> str:
-        return f"{x:.{precision}g}"
-
-    def render(node: TreeNode) -> str:
-        if node.is_leaf():
-            return f"{node.label}:{fmt(node.length)}"
-        inner = ",".join(render(c) for c in node.children)
-        label = node.label or ""
-        return f"({inner}){label}:{fmt(node.length)}"
-
     if tree.is_leaf():
         raise NewickSyntaxError("cannot serialize a single leaf as a tree")
-    inner = ",".join(render(c) for c in tree.children)
-    label = tree.label or ""
-    if tree.length:
-        return f"({inner}){label}:{fmt(tree.length)};"
-    return f"({inner}){label};"
+    out, todo = [], [tree]  # todo: nodes to write and text to copy, last first
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        length = f":{node.length:.{precision}g}" if node.length or node is not tree else ""
+        if node.is_leaf():
+            out.append(f"{node.label}{length}")
+            continue
+        out.append("(")
+        items = [x for child in node.children for x in (",", child)][1:]
+        todo += [f"){node.label or ''}{length}", *reversed(items)]
+    return "".join(out) + ";"

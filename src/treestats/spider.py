@@ -25,7 +25,8 @@ import json
 import math
 import numbers
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +40,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Record",
     "SpiderPoint",
     "CENTER",
     "SpiderSample",
@@ -89,6 +91,26 @@ def canonical_json(obj) -> str:
     (:meth:`ArraySample.to_json`).
     """
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class Record:
+    """Base of the result dataclasses: :meth:`to_dict` writes each field
+    with ``compare=True`` by one rule.  A value with a ``to_dict`` of its
+    own is written by it, an ``Enum`` as its ``value``, a ``frozenset`` as
+    a sorted list, a tuple as a list item by item, anything else as it is."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.compare}
+
+
+def _plain(x):
+    if hasattr(x, "to_dict"):
+        return x.to_dict()
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, frozenset):
+        return sorted(x)
+    return [_plain(v) for v in x] if isinstance(x, tuple) else x
 
 
 # The line of a key whose value is the number 0.0, in canonical_json's text.
@@ -355,7 +377,7 @@ class ArraySample:
 
 
 @dataclass(frozen=True)
-class SpiderPoint:
+class SpiderPoint(Record):
     """A point of a spider: leg index (1-based) and distance to the center.
 
     The center is canonical: ``u == 0`` forces ``leg = None``.  The point
@@ -371,13 +393,6 @@ class SpiderPoint:
                                      at="", given=[self.leg], u=[self.u])
         object.__setattr__(self, "leg", int(codes[0]) or None)
         object.__setattr__(self, "u", float(coords["u"][0]))
-
-    @property
-    def is_center(self) -> bool:
-        return self.leg is None
-
-    def to_dict(self) -> dict:
-        return {"leg": self.leg, "u": self.u}
 
 
 CENTER = SpiderPoint(None, 0.0)
@@ -430,7 +445,7 @@ class SpiderSample(ArraySample):
 
 
 @dataclass(frozen=True)
-class SpiderMeasureSummary:
+class SpiderMeasureSummary(Record):
     """Per-leg masses and conditional means of a spider measure.
 
     ``w[a-1]`` is the mass on leg ``a``, ``nu[a-1]`` its conditional mean
@@ -471,9 +486,6 @@ class SpiderMeasureSummary:
     @property
     def v(self) -> tuple[float, ...]:
         return tuple(wa * na for wa, na in zip(self.w, self.nu))
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "w0": self.w0, "w": list(self.w), "nu": list(self.nu)}
 
 
 def leg_sums(w, x):
@@ -573,7 +585,7 @@ def frechet_function(x: SpiderPoint, sample: SpiderSample) -> float:
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Stickiness classification: kind plus the leg it points at, if any."""
 
     kind: str  # "non_sticky" | "boundary" | "sticky" | "stuck_to_spine"
@@ -583,13 +595,12 @@ class Verdict:
         name = "".join(part.capitalize() for part in self.kind.split("_"))  # NonSticky
         return f"{name}(leg {self.leg})" if self.leg is not None else name
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "leg": self.leg}
-
 
 @dataclass(frozen=True)
-class StickinessReport:
-    """Verdict, mean location, moment gaps, and spread of a spider sample."""
+class StickinessReport(Record):
+    """Verdict, mean location, moment gaps, and spread of a spider sample
+    or summary.  ``intrinsic_sd`` is ``None`` for a summary (no second
+    moments), in the library as in JSON; ``n`` is ``None`` there too."""
 
     p: int
     w0: float
@@ -598,22 +609,8 @@ class StickinessReport:
     theta: tuple[float, ...]
     verdict: Verdict
     mean: SpiderPoint
-    intrinsic_sd: float
+    intrinsic_sd: float | None
     n: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "w0": self.w0,
-            "w": list(self.w),
-            "nu": list(self.nu),
-            "theta": list(self.theta),
-            "verdict": self.verdict.to_dict(),
-            "mean": self.mean.to_dict(),
-            # NaN (no second moments) is not JSON: written as null
-            "intrinsic_sd": None if math.isnan(self.intrinsic_sd) else self.intrinsic_sd,
-        }
 
 
 def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
@@ -623,8 +620,8 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     with all gaps below ``-tolerance`` the mean sticks to the center; in
     between the verdict is the boundary case (mean reported at the
     center).  ``intrinsic_sd`` is the square root of the minimized
-    Frechet value, population convention; it is NaN for a summary, which
-    carries no second moments.
+    Frechet value, population convention; it is ``None`` for a summary,
+    which carries no second moments.
     """
     is_sample = isinstance(data, SpiderSample)
     if is_sample:
@@ -637,14 +634,14 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     vd = verdict(th, tolerance)
     # a weighted mean of coordinates up to MAX_COORD may round past it
     mean = SpiderPoint(vd.leg, min(th[vd.leg - 1], MAX_COORD)) if vd.kind == "non_sticky" else CENTER
-    sd = math.sqrt(frechet_function(mean, data)) if is_sample else math.nan
+    sd = math.sqrt(frechet_function(mean, data)) if is_sample else None
     n = len(data) if is_sample else None
     return StickinessReport(data.p, w0, tuple(w.tolist()), tuple(nu.tolist()), th, vd,
                             mean, sd, n)
 
 
 @dataclass(frozen=True)
-class SpiderInterval:
+class SpiderInterval(Record):
     """Confidence interval for the mean, as a sub-segment of the spider.
 
     ``leg`` is ``None`` for the degenerate center interval.  ``lo``/``hi``
@@ -660,9 +657,6 @@ class SpiderInterval:
     confidence: float
     verdict: Verdict
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def clt_interval(

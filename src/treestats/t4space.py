@@ -49,7 +49,7 @@ from .errors import (
 )
 from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
 from .spider import (
-    MAX_COORD, ArraySample, _codes, _immutable, coordinates, json_numbers, json_points)
+    MAX_COORD, ArraySample, Record, _codes, _immutable, coordinates, json_numbers, json_points)
 
 __all__ = [
     "T4Point",
@@ -365,16 +365,20 @@ class T4Sample(ArraySample):
         # a point keeps the last length of a repeated cluster, as T4Point reads it
         keys = list(map(frozenset, clusters))
         kept = sorted({(i, c): k for k, (i, c) in enumerate(zip(owner.tolist(), keys))}.values())
-        # any label outside the four sets bit 4, which names no split
-        bit = {lb: 1 << i for i, lb in enumerate(labels)}
-        mask = {c: sum({bit.get(lb, 16) for lb in c}) for c in set(keys)}
         point = owner[kept]
         col = np.arange(len(kept)) - np.searchsorted(point, point)  # place in its point
         shape = (len(rows), int(col.max(initial=-1)) + 1)
-        masks, coords = np.zeros(shape, dtype=np.int64), np.zeros(shape)
-        masks[point, col] = [mask[keys[k]] for k in kept]
+        geom, split, coords = _geometry(tuple(labels)), np.full(shape, _NO_SPLIT), np.zeros(shape)
+        split[point, col] = [geom.index.get(keys[k], _NO_SPLIT) for k in kept]
         coords[point, col] = lengths[kept]
-        return cls.from_splits(labels, masks, coords, obj.get("weights"))
+        # a bad point's kept clusters are named as the document lists them
+        codes, xy = geom.support_classes(
+            split, coords, "points[{}].splits".format, lambda i, nonzero: "clusters {}".format(
+                [c for c, z in zip([clusters[k] for k in kept if owner[k] == i], nonzero) if z]))
+        sample = cls.__new__(cls)
+        sample.__dict__["labels"] = geom.labels
+        sample._keep(codes, obj.get("weights"), coords=xy)
+        return sample
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +429,7 @@ def frechet_function(x: T4Point, sample: T4Sample) -> float:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class T4MeanEstimate:
+class T4MeanEstimate(Record):
     """Mean point and Frechet value, and how the solver reached them.
 
     ``quadrant`` holds the axes of the closed quadrant the mean was found in
@@ -441,10 +445,6 @@ class T4MeanEstimate:
     quadrant: tuple[frozenset, ...] = ()
     iterations: int = 0
     projected_gradient_norm: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "mean": self.mean.to_dict(),
-                "quadrant": [sorted(c) for c in self.quadrant]}
 
 
 def _split_coords(sample: T4Sample, geom: _Geometry) -> np.ndarray:

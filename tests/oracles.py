@@ -16,7 +16,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.stats import binom
 
-from treestats.errors import InvalidMatrixError, NoComparableSitesError
+from treestats.errors import (
+    InvalidMatrixError,
+    NegativeLengthError,
+    NewickSyntaxError,
+    NoComparableSitesError,
+)
 from treestats.njtree import induced_subtree
 from treestats.seqio import DistanceMatrix, GapMode, TreeNode
 from treestats.t4space import (
@@ -569,6 +574,134 @@ def t4_descent(sample, mean, value, step=1e-3):
             })
             worst = max(worst, value - frechet_function(moved, sample))
     return worst
+
+
+# --------------------------------------------------------------------------
+# Newick: the recursive reader and writer
+# --------------------------------------------------------------------------
+
+_RESERVED = set("():,;")
+
+
+def parse_newick_recursive(text: str) -> TreeNode:
+    """``seqio.parse_newick`` by recursive descent, one call per subtree:
+    the same trees and the same errors, for trees within Python's
+    recursion limit."""
+    s = text.strip()
+    if not s:
+        raise NewickSyntaxError("empty Newick string")
+    if ";" not in s:
+        raise NewickSyntaxError("missing terminating ';'")
+    body, _, tail = s.partition(";")
+    if tail.strip():
+        raise NewickSyntaxError(f"trailing data after ';': {tail.strip()[:20]!r}")
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(body) and body[pos].isspace():
+            pos += 1
+
+    def read_label() -> str | None:
+        nonlocal pos
+        start = pos
+        while pos < len(body) and body[pos] not in _RESERVED and not body[pos].isspace():
+            pos += 1
+        return body[start:pos] if pos > start else None
+
+    def read_length() -> float:
+        nonlocal pos
+        skip_ws()
+        if pos >= len(body) or body[pos] != ":":
+            return 0.0
+        pos += 1
+        skip_ws()
+        start = pos
+        while pos < len(body) and body[pos] not in _RESERVED and not body[pos].isspace():
+            pos += 1
+        tok = body[start:pos]
+        try:
+            val = float(tok)
+        except ValueError:
+            raise NewickSyntaxError(f"bad branch length {tok!r}") from None
+        if not np.isfinite(val):
+            raise NewickSyntaxError(f"non-finite branch length {tok!r}")
+        if val < 0:
+            raise NegativeLengthError(f"negative branch length {tok!r}")
+        return val
+
+    def parse_subtree() -> TreeNode:
+        nonlocal pos
+        skip_ws()
+        if pos >= len(body):
+            raise NewickSyntaxError("unexpected end of Newick string")
+        if body[pos] == "(":
+            pos += 1
+            children = [parse_subtree()]
+            skip_ws()
+            while pos < len(body) and body[pos] == ",":
+                pos += 1
+                children.append(parse_subtree())
+                skip_ws()
+            if pos >= len(body) or body[pos] != ")":
+                raise NewickSyntaxError("unbalanced parentheses")
+            pos += 1
+            skip_ws()
+            node = TreeNode(label=read_label(), children=children)
+        else:
+            label = read_label()
+            if label is None:
+                raise NewickSyntaxError(f"expected a label at position {pos}")
+            node = TreeNode(label=label)
+        node.length = read_length()
+        return node
+
+    root = parse_subtree()
+    skip_ws()
+    if pos != len(body):
+        raise NewickSyntaxError(f"trailing data before ';': {body[pos:][:20]!r}")
+    while len(root.children) == 1:
+        child = root.children[0]
+        child.length += root.length
+        if root.label and not child.label:
+            child.label = root.label
+        root = child
+    if root.is_leaf():
+        raise NewickSyntaxError("a tree needs at least two leaves")
+    labels = root.leaf_labels()
+    if any(lb is None for lb in labels):
+        raise NewickSyntaxError("every leaf needs a label")
+    if len(set(labels)) != len(labels):
+        raise NewickSyntaxError("duplicate leaf labels")
+    return root
+
+
+def serialize_newick_recursive(tree: TreeNode, precision: int = 6) -> str:
+    """``seqio.serialize_newick`` by one nested call per subtree: the same
+    bytes and errors, for trees within Python's recursion limit."""
+    bad = [n.label for n in tree.walk() if (n.label or n.is_leaf()) and (
+        not n.label or any(c in _RESERVED or c.isspace() for c in n.label))]
+    if bad:
+        raise NewickSyntaxError(f"Newick cannot carry the labels {bad!r}: "
+                                "a label holds no whitespace and none of ():;,")
+
+    def fmt(x: float) -> str:
+        return f"{x:.{precision}g}"
+
+    def render(node: TreeNode) -> str:
+        if node.is_leaf():
+            return f"{node.label}:{fmt(node.length)}"
+        inner = ",".join(render(c) for c in node.children)
+        label = node.label or ""
+        return f"({inner}){label}:{fmt(node.length)}"
+
+    if tree.is_leaf():
+        raise NewickSyntaxError("cannot serialize a single leaf as a tree")
+    inner = ",".join(render(c) for c in tree.children)
+    label = tree.label or ""
+    if tree.length:
+        return f"({inner}){label}:{fmt(tree.length)};"
+    return f"({inner}){label};"
 
 
 # --------------------------------------------------------------------------

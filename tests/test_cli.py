@@ -18,9 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treestats
+from oracles import serialize_newick_recursive
 from treestats import pipeline, spider
 from treestats.cli import main
 from treestats.errors import ConfigError
+from treestats.njtree import neighbor_joining
 from treestats.seqio import DistanceMatrix, GapMode, parse_fasta, parse_newick
 from treestats.spider import SpiderSample, intrinsic_mean
 
@@ -249,6 +251,24 @@ class TestNj:
 
         tree = parse_newick(newick)
         assert sorted(tree.leaf_labels()) == [f"s{i:02d}" for i in range(1, 13)]
+
+    def test_identical_sequences_give_a_deep_tree(self, tmp_path, capsys):
+        # neighbor joining turns ties into a caterpillar, one level per taxon
+        fasta, csv_path = tmp_path / "same.fasta", tmp_path / "d.csv"
+        fasta.write_text("".join(f">s{i}\nACGTACGTAC\n" for i in range(500)))
+        assert main(["dist", str(fasta), "-o", str(csv_path)]) == 0
+        assert main(["nj", str(csv_path)]) == 0
+        newick = capsys.readouterr().out
+        assert newick.startswith("(" * 400)
+        assert sorted(parse_newick(newick).leaf_labels()) == sorted(f"s{i}" for i in range(500))
+        # the bytes of the recursive writer, given the stack depth it needs
+        tree = neighbor_joining(DistanceMatrix.from_csv(csv_path.read_text()))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)
+        try:
+            assert newick == serialize_newick_recursive(tree) + "\n"
+        finally:
+            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize("precision", ["-1", "0", "18", str(2**31)])
     def test_precision_out_of_range(self, toy, tmp_path, capsys, precision):
@@ -767,6 +787,15 @@ class TestBadSampleExit2:
             {"cluster": c, "length": x}
             for c, x in ((["a", "b"], 1), (["a", "e"], 2), (["a", "c"], 0), (["a", "d"], 0))]}]},
          "points[1].splits: a four-leaf tree has at most two distinct compatible splits"),
+        # the clusters as the document lists them, never split bitmasks
+        ({**T4_DOC, "points": [*T4_DOC["points"], {"splits": [
+            {"cluster": ["b", "a"], "length": 1}, {"cluster": ["c", "d"], "length": 0},
+            {"cluster": ["a", "c"], "length": 2}]}]},
+         "points[1].splits: a four-leaf tree has at most two distinct compatible splits of 2 "
+         "or 3 leaves, got clusters [['b', 'a'], ['a', 'c']]\n"),
+        ({**T4_DOC, "points": [{"splits": [{"cluster": ["a", "x"], "length": 1}]}]},
+         "points[0].splits: a four-leaf tree has at most two distinct compatible splits of 2 "
+         "or 3 leaves, got clusters [['a', 'x']]\n"),
     ])
     def test_t4_message(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
@@ -843,12 +872,13 @@ class TestBadLawExit2:
         (json.dumps({"weights": [0.5, 0.5000000001],
                      "legs": [{"kind": "point_mass", "u": 1.3407807929942596e154}] * 2}),
          [], "legs: the law's second moment"),
+        (_law(BOOK, "leaves", 2), [], "leaves: an open-book law has exactly three, got 2"),
     ], ids=["rate_negative", "rate_infinite", "kind_unknown", "hi_missing", "extra_key",
             "hi_string", "hi_overflow", "legs_missing", "x1_missing", "weights_extra",
             "weights_strings", "point_mass_at_center", "n_zero", "reps_zero",
             "second_moment_overflow", "hi_near_max", "mean_overflow", "rate_squared_subnormal",
             "rate_squared_zero", "rate_huge_int", "weights_huge_int", "x1_second_moment",
-            "mixture_second_moment"])
+            "mixture_second_moment", "two_leaves"])
     def test_exit_2_names_field(self, tmp_path, capsys, law, args, field):
         path = tmp_path / "law.json"
         path.write_text(law)

@@ -39,11 +39,15 @@ each of its report functions.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from treestats import __version__, mcsim
+from treestats import openbook as ob
+from treestats import spider as sp
+from treestats.t4space import T4MeanEstimate, T4Point
 from treestats.cli import main
 from treestats.pipeline import canonical_json, load_groups, sample_trees
 from treestats.seqio import GapMode, parse_fasta
@@ -159,3 +163,66 @@ def test_sticky_matches_golden(name, tmp_path):
 def test_plots_match_golden(name, tmp_path):
     for kind, text in plot_outputs(PLOT_SAMPLES[name], tmp_path / "out").items():
         assert text == (PLOTS / f"{name}.{kind}").read_text(), kind
+
+
+_VERDICT = sp.Verdict("boundary", 1)
+_AB, _ABC = frozenset("ab"), frozenset("abc")
+# each result record, and the document its hand-written to_dict wrote
+RECORDS = {
+    "Verdict": (sp.Verdict("stuck_to_spine"), {"kind": "stuck_to_spine", "leg": None}),
+    "SpiderPoint": (sp.SpiderPoint(2, 0.5), {"leg": 2, "u": 0.5}),
+    "SpiderMeasureSummary": (
+        sp.SpiderMeasureSummary(3, 0.1, (0.5, 0.2, 0.2), (1.0, 2.0, 3.0)),
+        {"p": 3, "w0": 0.1, "w": [0.5, 0.2, 0.2], "nu": [1.0, 2.0, 3.0]}),
+    "StickinessReport": (
+        sp.StickinessReport(3, 0.0, (0.5, 0.25, 0.25), (2.0, 1.0, 1.0), (0.5, -1.0, -1.0),
+                            sp.Verdict("non_sticky", 1), sp.SpiderPoint(1, 0.5), 1.25, 4),
+        {"p": 3, "n": 4, "w0": 0.0, "w": [0.5, 0.25, 0.25], "nu": [2.0, 1.0, 1.0],
+         "theta": [0.5, -1.0, -1.0], "verdict": {"kind": "non_sticky", "leg": 1},
+         "mean": {"leg": 1, "u": 0.5}, "intrinsic_sd": 1.25}),
+    "StickinessReport_summary": (
+        sp.StickinessReport(2, 0.0, (0.5, 0.5), (1.0, 1.0), (0.0, 0.0), _VERDICT, sp.CENTER,
+                            None),
+        {"p": 2, "n": None, "w0": 0.0, "w": [0.5, 0.5], "nu": [1.0, 1.0],
+         "theta": [0.0, 0.0], "verdict": {"kind": "boundary", "leg": 1},
+         "mean": {"leg": None, "u": 0.0}, "intrinsic_sd": None}),
+    "SpiderInterval": (
+        sp.SpiderInterval(1, 0.0, 1.5, 0.0, 0.75, 0.95, _VERDICT, "boundary case"),
+        {"leg": 1, "lo": 0.0, "hi": 1.5, "folded_mean": 0.0, "folded_se": 0.75,
+         "confidence": 0.95, "verdict": {"kind": "boundary", "leg": 1},
+         "note": "boundary case"}),
+    "OpenBookPoint": (ob.OpenBookPoint(3, 0.5, 2.0), {"leaf": 3, "x1": 0.5, "x2": 2.0}),
+    "SpineStickinessReport": (
+        ob.SpineStickinessReport(0.5, (-0.5, -1.0, -1.0), sp.Verdict("stuck_to_spine"),
+                                 ob.OpenBookPoint(None, 0.5, 0.0), 0.25, (0.5, 0.25, 0.25), 8),
+        {"x1_star": 0.5, "theta2": [-0.5, -1.0, -1.0],
+         "verdict": {"kind": "stuck_to_spine", "leg": None},
+         "mean": {"leaf": None, "x1": 0.5, "x2": 0.0}, "spine_sd": 0.25,
+         "w": [0.5, 0.25, 0.25], "n": 8}),
+    "SpineInterval": (ob.SpineInterval(0.0, 1.0, 0.5, 0.25, 0.9, 8),
+                      {"lo": 0.0, "hi": 1.0, "x1_star": 0.5, "se": 0.25, "confidence": 0.9,
+                       "n": 8}),
+    "T4MeanEstimate": (
+        T4MeanEstimate(T4Point("abcd", {_ABC: 0.5, _AB: 1.0}), 0.25, "newton", (_AB, _ABC),
+                       3, 1e-12),
+        {"mean": {"splits": [{"cluster": ["a", "b"], "length": 1.0},
+                             {"cluster": ["a", "b", "c"], "length": 0.5}]},
+         "frechet_value": 0.25, "method": "newton", "quadrant": [["a", "b"], ["a", "b", "c"]],
+         "iterations": 3, "projected_gradient_norm": 1e-12}),
+    "SimReport": (
+        mcsim.SimReport("openbook", mcsim.Regime.BOUNDARY, 60, 150, 0.25, (0.0, -1.0, -1.0),
+                        0.05, 0.5, 0.1, None, True, runtime_seconds=2.5),
+        {"space": "openbook", "regime": "ii", "n": 60, "replications": 150,
+         "stick_fraction": 0.25, "theta": [0.0, -1.0, -1.0], "ks_statistic": 0.05,
+         "ks_pvalue": 0.5, "ks_statistic_secondary": 0.1, "ks_pvalue_secondary": None,
+         "degenerate": True}),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_documents(name):
+    # one rule writes every result record: its compared fields, nothing else
+    record, expected = RECORDS[name]
+    doc = record.to_dict()
+    assert list(doc) == [f.name for f in fields(record) if f.compare]
+    assert canonical_json(doc) == canonical_json(expected)

@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_csv_float_cells, distance_csv_per_cell, mismatch_distance_loop
+from oracles import (
+    distance_csv_float_cells,
+    distance_csv_per_cell,
+    mismatch_distance_loop,
+    parse_newick_recursive,
+    serialize_newick_recursive,
+)
 from treestats import seqio
 from treestats.errors import (
     AlignmentLengthError,
@@ -409,3 +417,95 @@ class TestNewick:
         t = parse_newick("((a:1,b:2):0.5);")
         assert sorted(t.leaf_labels()) == ["a", "b"]
         assert len(t.children) == 2
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("", NewickSyntaxError, "empty Newick string"),
+    (" \n\t", NewickSyntaxError, "empty Newick string"),
+    ("(a,b)", NewickSyntaxError, "missing terminating ';'"),
+    ("(a,b); junk", NewickSyntaxError, "trailing data after ';': 'junk'"),
+    ("(a,b);(c,d);", NewickSyntaxError, "trailing data after ';': '(c,d);'"),
+    ("(a:x,b);", NewickSyntaxError, "bad branch length 'x'"),
+    ("(a:,b);", NewickSyntaxError, "bad branch length ''"),
+    ("(a:inf,b);", NewickSyntaxError, "non-finite branch length 'inf'"),
+    ("(a:nan,b);", NewickSyntaxError, "non-finite branch length 'nan'"),
+    ("(a:-1,b:1);", NegativeLengthError, "negative branch length '-1'"),
+    ("(a,;", NewickSyntaxError, "unexpected end of Newick string"),
+    ("((;", NewickSyntaxError, "unexpected end of Newick string"),
+    ("((a,b),c;", NewickSyntaxError, "unbalanced parentheses"),
+    ("(a,b c);", NewickSyntaxError, "unbalanced parentheses"),
+    ("(,a);", NewickSyntaxError, "expected a label at position 1"),
+    ("(a, :1);", NewickSyntaxError, "expected a label at position 4"),
+    ("(a,b)c d;", NewickSyntaxError, "trailing data before ';': 'd'"),
+    ("(a,b)),c;", NewickSyntaxError, "trailing data before ';': '),c'"),
+    ("a;", NewickSyntaxError, "a tree needs at least two leaves"),
+    ("((a:1):2);", NewickSyntaxError, "a tree needs at least two leaves"),
+    ("(a,a);", NewickSyntaxError, "duplicate leaf labels"),
+    ("((a,b),(c,a));", NewickSyntaxError, "duplicate leaf labels"),
+])
+def test_newick_error_messages(text, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_newick(text)
+
+
+def _outcome(run, arg):
+    """What ``run(arg)`` gives: a Newick text, a tree's nested (label,
+    length, children) tuples, or the error's type and message."""
+    def shape(node):
+        return (node.label, node.length, tuple(map(shape, node.children)))
+    try:
+        out = run(arg)
+    except (NewickSyntaxError, NegativeLengthError) as exc:
+        return type(exc), str(exc)
+    return out if isinstance(out, str) else shape(out)
+
+
+_trees = st.recursive(
+    st.builds(TreeNode, st.sampled_from(["a", "b", "c", "d", "e", "", "a b"]),
+              st.sampled_from([0.0, 0.5, 1e-7, 2.0 / 3, 1e21])),
+    lambda kids: st.builds(TreeNode, st.sampled_from([None, "", "n", "x:"]),
+                           st.sampled_from([0.0, 0.25, 1.0 / 3]),
+                           st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=12)
+_newick_chars = st.sampled_from([*"(),:; \tab1.-e", "inf", "1e400"])
+
+
+class TestNewickAgainstRecursive:
+    """The stack-based reader and writer against the recursive pair in
+    ``oracles``: the same bytes, the same trees, the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees, st.sampled_from([1, 6, 17]))
+    def test_writer(self, tree, precision):
+        assert _outcome(lambda t: serialize_newick(t, precision), tree) == _outcome(
+            lambda t: serialize_newick_recursive(t, precision), tree)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.lists(_newick_chars, max_size=30).map("".join),
+                     st.tuples(_trees, st.lists(st.tuples(st.integers(0, 200), _newick_chars),
+                                                max_size=3))
+                     .map(lambda t: _edit_newick(t[0], t[1]))))
+    def test_reader(self, text):
+        assert _outcome(parse_newick, text) == _outcome(parse_newick_recursive, text)
+
+    def test_deep_caterpillar_round_trips(self):
+        tree = TreeNode("x0", 0.5)
+        for i in range(1, 5000):
+            tree = TreeNode(None, 0.25, [tree, TreeNode(f"x{i}", 1.0 / i)])
+        tree.length = 0.0
+        text = serialize_newick(tree, 17)
+        assert text.startswith("(" * 4999 + "x0:0.5,x1:1):0.25,x2:0.5):0.25,")
+        back = parse_newick(text)
+        assert serialize_newick(back, 17) == text
+        assert sum(1 for _ in back.walk()) == 9999
+
+
+def _edit_newick(tree, edits):
+    """The Newick text of ``tree`` (or its error message) with each
+    ``(place, text)`` of ``edits`` written over one character."""
+    text = _outcome(serialize_newick_recursive, tree)
+    text = text if isinstance(text, str) else "(a,b);"
+    for i, junk in edits:
+        i %= len(text)
+        text = text[:i] + junk + text[i + 1:]
+    return text

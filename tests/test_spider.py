@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestIntrinsicMean:
         rep = intrinsic_mean(TABLE_1)
         assert rep.verdict.kind == "sticky"
         assert rep.theta == pytest.approx((-0.43, -1.30, -0.73), abs=0.05)
-        assert math.isnan(rep.intrinsic_sd)
+        assert rep.intrinsic_sd is None
 
     def test_table_2_nonsticky_leg_1(self):
         rep = intrinsic_mean(TABLE_2)
@@ -232,6 +233,17 @@ class TestCltInterval:
         ci = clt_interval(s)
         assert ci.leg is None and ci.lo == ci.hi == 0.0
         assert "sticky" in ci.note
+
+    def test_boundary_half_normal(self):
+        # leg 1 holds half the mass: theta_1 = 0.5 - 0.5 = 0 exactly
+        s = uniform_sample(*(SpiderPoint(leg, 1.0) for leg in (1, 1, 2, 3)))
+        ci = clt_interval(s, 0.95)
+        z = NormalDist().inv_cdf(0.975)
+        assert ci.verdict.kind == "boundary" and ci.leg == 1
+        assert ci.folded_mean == 0.0
+        assert ci.folded_se == pytest.approx(math.sqrt(1 / 3), rel=1e-12)
+        assert ci.lo == 0.0 and ci.hi == z * ci.folded_se
+        assert ci.note == "boundary case: folded half-normal interval"
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
