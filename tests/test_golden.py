@@ -36,6 +36,11 @@ open-book sample (with and without a tolerance) and two four-leaf samples
 with an axis; ``means/openbook_sample.json`` is ``mean`` on that open-book
 sample.  They were recorded while ``pipeline`` still chose the space in
 each of its report functions.
+``spider_weighted_p5.json`` is a weighted spider sample: five legs, leg 3
+empty (three points name it at ``u`` 0, so they sit at the center), five
+center points and 37 points on leg 1, in mixed point order.  Its ``mean``
+and ``sticky`` fixtures were recorded while each leg's sums were still
+taken over a boolean mask of the sample.
 """
 
 import json
@@ -70,7 +75,8 @@ PLOT_SAMPLES = {
     "k4_seed42_mismatch_strict": GOLDEN / "sample_trees_k4_seed42_mismatch_strict.json",
     **{path.stem: path for path in PLOTS.glob("*.json")},
 }
-MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.json"}
+MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.json",
+                "spider_weighted_p5": GOLDEN / "spider_weighted_p5.json"}
 STICKY = GOLDEN / "sticky"
 STICKY_CASES = {  # fixture name: argv after ``sticky``
     "summary_w0_p": [GOLDEN / "summary_w0_p.json"],
@@ -78,6 +84,7 @@ STICKY_CASES = {  # fixture name: argv after ``sticky``
     "k3_seed7": [GOLDEN / "sample_trees_k3_seed7.json"],
     "openbook_sample": [GOLDEN / "openbook_sample.json"],
     "openbook_sample_tol0.5": [GOLDEN / "openbook_sample.json", "--tolerance", "0.5"],
+    "spider_weighted_p5": [GOLDEN / "spider_weighted_p5.json"],
     "t4_axis_mean_ab": [PLOTS / "t4_axis_mean.json", "--axis", "a,b"],
     "t4_underflow_abc": [PLOTS / "t4_underflow.json", "--axis", "a,b,c"],
 }
