@@ -26,7 +26,7 @@ The seed must be an integer >= 0 and there are at most 2**32 replicates
 It does so in two stages.  Replicates are drawn in blocks of at most
 ``_BLOCK`` draws per coordinate, and each block is reduced to the
 per-leg sums of its replicates: the mass and weighted transverse sum of
-every leg (``spider.leg_sums``, the reduction the sample means use) and,
+every leg (``spider.segment_sums``, the sample means' reduction) and,
 on the open book, the weighted ``x1`` sum.  No sample object is built,
 and a law whose coordinates are all uniform is drawn for the whole block
 at once from one stream read per replicate.  The moment gaps, verdicts
@@ -633,33 +633,6 @@ def _check_sizes(n: int, replications: int) -> None:
 _BLOCK = 1 << 16
 
 
-def _segment_sums(t, lengths, wts):
-    """Mass and first moment (``spider.leg_sums``, point weights ``wts``) of
-    each segment of ``t``, the consecutive runs of the given ``lengths``.
-
-    Segments of one length k are reduced together as one ``(count, k)``
-    array; ``add.reduce`` along its rows is the pairwise sum of the 1-D
-    call, bit for bit, and the mass depends on k only.
-    """
-    starts = np.cumsum(lengths) - lengths
-    mass, moment = np.zeros(lengths.size), np.zeros(lengths.size)
-    order = np.argsort(lengths, kind="stable")
-    by_length = lengths[order]
-    cuts = [0, *(np.flatnonzero(np.diff(by_length)) + 1).tolist(), lengths.size]
-    for a, b in zip(cuts, cuts[1:]):
-        k = int(by_length[a])
-        if not k:
-            continue
-        if b - a == 1:  # one segment: reduce it in place
-            s = int(starts[order[a]])
-            rows = order[a], t[s:s + k]
-        else:
-            group = order[a:b]
-            rows = group, t[starts[group, None] + np.arange(k)]
-        mass[rows[0]], moment[rows[0]] = sp.leg_sums(wts[:k], rows[1])
-    return mass, moment
-
-
 def _check_draws(book: bool, drawn, counts, r0: int) -> None:
     """Raise :class:`InvalidParameterError` unless every coordinate of the
     block ``drawn`` (leg-sorted, ``counts`` points per leg and row) is in
@@ -684,15 +657,16 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     need.
 
     Returns ``(mass, moment, spine, sd)``: the per-leg masses and
-    transverse first moments (``(replications, p)`` arrays, the sums
-    ``spider.leg_sums`` gives a sample); for an open book the spine
+    transverse first moments (``(replications, p)`` arrays, by
+    ``spider.segment_sums`` as a sample's); for an open book the spine
     coordinate ``x1_star`` of each mean and, with ``spread``, the sample
     standard deviation of ``x1`` (``(replications,)`` arrays).
 
     Replicate ``rep`` draws from PCG64 seeded by ``SeedSequence([seed,
     rep])`` (``_replicate_states``).  The loop only draws the leg-sorted
     coordinates of each replicate into the rows of a block; each block is
-    then checked (``_check_draws``) and reduced in one array pass.
+    then checked (``_check_draws``) and its legs' runs, points on no leg
+    left out, reduced by one ``spider.segment_sums`` call.
 
     A law whose coordinates are all exactly :class:`Uniform` reads each
     replicate's stream with one ``rng.random`` call, the n * (1 + dims)
@@ -719,7 +693,7 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     counts = np.empty((m, p), np.int64)
     x = np.empty((dims, m, n))  # per coordinate, leg-sorted rows
     streams = np.empty((m, n * (1 + dims)) if uniform else 0)
-    wts = np.full(n, 1.0 / n)
+    wts = np.full(m * n, 1.0 / n)  # the block's point weights
     for r0 in range(0, replications, m):
         rows = min(m, replications - r0)
         for i, state in zip(range(rows), states):
@@ -742,14 +716,15 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
                                   minlength=lengths.size)
             t = t[nonzero]
         out = slice(r0, r0 + rows)
-        mass[out], moment[out] = (s.reshape(rows, p) for s in _segment_sums(t, lengths, wts))
+        sums = sp.segment_sums(wts[:t.size], t, lengths)
+        mass[out], moment[out] = (s.reshape(rows, p) for s in sums)
         if book:
             # back to point order: a stable sort of the legs (small ints, a
             # radix sort) gives the point of each leg-sorted place
             x1 = np.empty((rows, n))
             np.put_along_axis(x1, np.argsort(legs[:rows], axis=1, kind="stable"),
                               drawn[0], axis=1)
-            spine[out] = sp._sum(wts * x1, axis=1)
+            spine[out] = sp._sum(wts[:n] * x1, axis=1)
             if spread:
                 sd[out] = x1.std(ddof=1, axis=1)
     return mass, moment, spine, sd

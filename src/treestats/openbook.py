@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySampleError, WrongRegimeError
-from .spider import (MAX_COORD, ArraySample, Record, Verdict, _sum, check_interval, gaps, leg_sums,
+from .spider import (MAX_COORD, ArraySample, Record, Verdict, _sum, check_interval, code_sums, gaps,
                      point_arrays, verdict)
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "openbook_distance",
     "openbook_mean",
     "spine_bounds",
-    "frechet_function",
     "spine_clt",
 ]
 
@@ -101,17 +100,6 @@ class OpenBookSample(ArraySample):
         return cls.from_arrays(codes, x1, x2, obj.get("weights"))
 
 
-def frechet_function(x: OpenBookPoint, sample: OpenBookSample) -> float:
-    """Weighted mean squared distance from ``x`` to the sample."""
-    if not len(sample):
-        raise EmptySampleError("empty sample")
-    codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
-    x_code = 0 if x.leaf is None else x.leaf
-    same = (codes == x_code) | (codes == 0) | (x_code == 0)
-    d2 = (x1 - x.x1) ** 2 + np.where(same, x2 - x.x2, x2 + x.x2) ** 2
-    return float((wts * d2).sum())
-
-
 @dataclass(frozen=True)
 class SpineStickinessReport(Record):
     """Mean of an O3 sample with the spine-stickiness verdict.
@@ -143,8 +131,7 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
         raise EmptySampleError("cannot average an empty sample")
     codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
     x1_star = float(_sum(wts * x1))
-    w, s2 = np.array([leg_sums(wts[mask], x2[mask])
-                      for mask in (codes == a for a in range(1, N_LEAVES + 1))]).T
+    w, s2 = (sums[1:] for sums in code_sums(codes, N_LEAVES, wts, x2))
     th2 = tuple(gaps(s2).tolist())
     vd = verdict(th2, tolerance)
     # off the spine only when non-sticky: x2 == 0 puts the mean on the spine;

@@ -183,14 +183,16 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
 
     Spider summaries are given as ``{"p": 3, "w": [...], "nu": [...]}``
     (optionally ``w0``); tree-space samples need ``axis`` (a cluster) to
-    pick the open-book spine.
+    pick the open-book spine, and any other document refuses ``axis``.
     """
-    if "w" in obj and "nu" in obj:
+    space = "summary" if "w" in obj and "nu" in obj else detect_space(obj)
+    if axis is not None and space != "t4":
+        raise ConfigError(f"--axis applies to four-leaf samples only (this document: {space})")
+    if space == "summary":
         w = obj["w"]
         p = obj.get("p", len(w) if isinstance(w, list) else None)  # checked by the summary
         summary = sp.SpiderMeasureSummary(p, obj.get("w0", 0.0), w, obj["nu"])
         return {"input": "summary", **mean_report(summary, "t3", tolerance)[1]}
-    space = detect_space(obj)
     sample = load_sample(obj, space)
     if space in ("t3", "openbook"):
         return mean_report(sample, space, tolerance)[1]

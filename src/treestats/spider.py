@@ -17,6 +17,8 @@ mean coordinate of leg ``a``:
   onto the negative half-line the scaled mean has a half-normal limit.
 
 At most one ``theta_a`` can be positive when all ``v_a`` are nonnegative.
+
+Every sample's leg sums come from one reduction, :func:`segment_sums`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ __all__ = [
     "SpiderInterval",
     "spider_distance",
     "frechet_function",
-    "leg_sums",
+    "segment_sums",
+    "code_sums",
     "leg_means",
     "gaps",
     "check_tolerance",
@@ -488,16 +491,45 @@ class SpiderMeasureSummary(Record):
         return tuple(wa * na for wa, na in zip(self.w, self.nu))
 
 
-def leg_sums(w, x):
-    """Mass and first moment of one leg: the pairwise sums of the leg's
-    point weights ``w`` and of ``w * x``, both in point order, along the
-    last axis (``x`` may hold one row per leg of equal length).
+def segment_sums(w, x, lengths):
+    """Mass and first moment of each run of a leg-sorted sample: the pairwise
+    sums of the point weights ``w`` and of ``w * x`` over each run of
+    ``lengths`` consecutive points, in point order.
 
-    The one per-leg reduction: spider and open-book samples and the
-    replicates of the simulation all call it, so their sums agree bit for
-    bit.
+    The one per-leg reduction, so spider and open-book means (through
+    :func:`code_sums`) and simulated replicates agree bit for bit.  Runs
+    of one length k are gathered into one ``(count, k)`` array, whose
+    ``add.reduce`` along the rows is the pairwise sum of each run alone; a
+    lone run is reduced in place.  The cost does not grow with the number
+    of legs, only with the number of points and of distinct run lengths.
     """
-    return _sum(w, axis=-1), _sum(w * x, axis=-1)
+    starts = np.cumsum(lengths) - lengths
+    wx = w * x
+    mass, moment = np.zeros(lengths.size), np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")
+    by_length = lengths[order]
+    cuts = [0, *(np.flatnonzero(np.diff(by_length)) + 1).tolist(), lengths.size]
+    for a, b in zip(cuts, cuts[1:]):
+        k = int(by_length[a])
+        if not k:
+            continue
+        if b - a == 1:  # one run: reduce it in place
+            s = int(starts[order[a]])
+            rows, w_runs, wx_runs = order[a], w[s:s + k], wx[s:s + k]
+        else:
+            rows = order[a:b]
+            at = starts[rows, None] + np.arange(k)
+            w_runs, wx_runs = w.take(at), wx.take(at)
+        mass[rows], moment[rows] = _sum(w_runs, axis=-1), _sum(wx_runs, axis=-1)
+    return mass, moment
+
+
+def code_sums(codes, n_codes: int, w, x):
+    """:func:`segment_sums` of a sample in point order, one segment per code
+    ``0..n_codes``: a stable sort of the codes puts each code's points in
+    point order, the points a mask of that code would pick."""
+    order = np.argsort(codes, kind="stable")
+    return segment_sums(w[order], x[order], np.bincount(codes, minlength=n_codes + 1))
 
 
 def leg_means(w, s):
@@ -506,16 +538,6 @@ def leg_means(w, s):
     along the last axis."""
     nu = np.divide(s, w, out=np.zeros(np.shape(s)), where=w > 0)
     return nu, w * nu
-
-
-def _moments(sample: SpiderSample):
-    """Center mass, per-leg masses and first moments of a sample."""
-    if not len(sample):
-        raise EmptySampleError("cannot summarize an empty sample")
-    codes, u, wts = sample.codes, sample.u, sample._w
-    legs = (codes == a for a in range(1, sample.p + 1))
-    w, s = np.array([leg_sums(wts[mask], u[mask]) for mask in legs]).T
-    return float(_sum(wts[codes == 0])), w, s
 
 
 def gaps(v) -> np.ndarray:
@@ -625,8 +647,11 @@ def intrinsic_mean(data, tolerance: float = 0.0) -> StickinessReport:
     """
     is_sample = isinstance(data, SpiderSample)
     if is_sample:
-        w0, w, s = _moments(data)
-        nu, v = leg_means(w, s)
+        if not len(data):
+            raise EmptySampleError("cannot summarize an empty sample")
+        mass, moment = code_sums(data.codes, data.p, data._w, data.u)
+        w0, w = float(mass[0]), mass[1:]
+        nu, v = leg_means(w, moment[1:])
     else:
         w0, w, nu = data.w0, np.array(data.w), np.array(data.nu)
         v = w * nu

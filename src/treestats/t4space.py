@@ -233,7 +233,8 @@ class T4Point:
         split = [[geom.index.get(frozenset(c), _NO_SPLIT) for c, _ in pairs]]
         (code,), (xy,) = geom.support_classes(
             split, [[x for _, x in pairs]], lambda i: "splits",
-            lambda i, kept: [set(c) for (c, _), k in zip(pairs, kept) if k])
+            lambda i, kept: "clusters {}".format(
+                [sorted(c, key=str) for (c, _), k in zip(pairs, kept) if k]))
         object.__setattr__(self, "labels", geom.labels)
         object.__setattr__(self, "code", int(code))
         object.__setattr__(self, "lengths", tuple(xy.tolist()[:len(geom.supports[code])]))

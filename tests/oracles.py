@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.stats import binom
 
 from treestats.errors import (
+    EmptySampleError,
     InvalidMatrixError,
     NegativeLengthError,
     NewickSyntaxError,
@@ -203,6 +204,19 @@ def spider_grid_minimum(sample, step=1e-4):
 
 
 # --------------------------------------------------------------------------
+# spider and open book: per-leg sums by one boolean mask per leg
+# --------------------------------------------------------------------------
+
+def leg_sums_by_mask(codes, n_codes, w, x):
+    """Mass and first moment of each code ``0..n_codes`` of a sample in
+    point order: the pairwise sums of the weights ``w`` and of ``w * x``
+    that a boolean mask of the code picks, in point order."""
+    masks = [codes == a for a in range(n_codes + 1)]
+    return (np.array([w[m].sum() for m in masks]),
+            np.array([(w[m] * x[m]).sum() for m in masks]))
+
+
+# --------------------------------------------------------------------------
 # open book: 2D grid minimization
 # --------------------------------------------------------------------------
 
@@ -237,6 +251,18 @@ def openbook_grid_minimum(sample, step=1e-3):
             leaf = a if g2[j] > 0 else None
             best = (leaf, float(g1[i]), float(g2[j]))
     return best, best_val
+
+
+def openbook_frechet_function(x, sample):
+    """Weighted mean squared distance from the open-book point ``x`` to the
+    sample, by the reflection metric."""
+    if not len(sample):
+        raise EmptySampleError("empty sample")
+    codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
+    x_code = 0 if x.leaf is None else x.leaf
+    same = (codes == x_code) | (codes == 0) | (x_code == 0)
+    d2 = (x1 - x.x1) ** 2 + np.where(same, x2 - x.x2, x2 + x.x2) ** 2
+    return float((wts * d2).sum())
 
 
 # --------------------------------------------------------------------------

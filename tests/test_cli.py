@@ -701,6 +701,17 @@ T4_DOC = {"labels": ["a", "b", "c", "d"],
 BOOK_DOC = {"points": [{"leaf": 1, "x1": 1, "x2": 1}, {"leaf": 2, "x1": 0.5, "x2": 0}]}
 
 
+@pytest.mark.parametrize("doc, space", [
+    (T3_DOC, "t3"), (BOOK_DOC, "openbook"),
+    ({"p": 3, "w": [0.2, 0.5, 0.3], "nu": [1, 1, 1]}, "summary")])
+def test_sticky_axis_refused_off_four_leaf(doc, space, tmp_path, capsys):
+    sample = tmp_path / "doc.json"
+    sample.write_text(json.dumps(doc))
+    assert main(["sticky", str(sample), "--axis", "a,b"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --axis applies to four-leaf samples only (this document: {space})\n")
+
+
 class TestBadSampleExit2:
     """Malformed samples and summaries are bad input: exit 2, field named."""
 
@@ -1070,7 +1081,8 @@ class TestSampleDocumentFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "doc.json"
             path.write_text(json.dumps(doc))
-            for argv in (["mean"], ["sticky", "--axis", "a,b"], ["plot"]):
+            axis = ["--axis", "a,b"] if "labels" in doc else []  # other documents refuse it
+            for argv in (["mean"], ["sticky", *axis], ["plot"]):
                 out, err = io.StringIO(), io.StringIO()
                 with redirect_stdout(out), redirect_stderr(err):
                     code = main([*argv, str(path)])

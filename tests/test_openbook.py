@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import openbook_grid_minimum
+from oracles import openbook_frechet_function, openbook_grid_minimum
 from treestats.errors import EmptySampleError, InsufficientDataError, WrongRegimeError
 from treestats.openbook import (
     OpenBookPoint,
     OpenBookSample,
-    frechet_function,
     openbook_distance,
     openbook_mean,
     spine_clt,
@@ -117,7 +116,7 @@ class TestOpenbookMean:
             if abs(max(rep.theta2)) > 1e-3:  # resolvable at grid step
                 assert (rep.mean.leaf is None) == (leaf is None)
             assert openbook_distance(rep.mean, pt(leaf, x1, x2)) < 2e-3
-            assert frechet_function(rep.mean, s) <= val + 1e-9
+            assert openbook_frechet_function(rep.mean, s) <= val + 1e-9
 
 
 class TestSpineClt:

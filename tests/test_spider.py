@@ -3,8 +3,10 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import spider_grid_minimum
+from oracles import leg_sums_by_mask, spider_grid_minimum
 from treestats.errors import (
     EmptySampleError,
     InsufficientDataError,
@@ -22,6 +24,7 @@ from treestats.spider import (
     SpiderPoint,
     SpiderSample,
     clt_interval,
+    code_sums,
     frechet_function,
     intrinsic_mean,
     spider_distance,
@@ -113,6 +116,29 @@ class TestSummarize:
         rep = intrinsic_mean(s)
         assert rep.w == pytest.approx((0.75, 0.25, 0.0))
         assert leg_moments(rep) == pytest.approx((1.5, 0.25, 0.0))
+
+
+class TestSegmentSums:
+    """The one per-leg reduction, against a boolean mask per leg."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 64), n=st.integers(0, 400), weighted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_mask_oracle_bit_for_bit(self, p, n, weighted, seed):
+        # some codes present (the center among them or not), the rest empty,
+        # with skewed shares so that some legs hold long runs
+        rng = np.random.default_rng(seed)
+        present = rng.choice(p + 1, size=int(rng.integers(1, p + 2)), replace=False)
+        codes = rng.choice(present, size=n, p=rng.dirichlet(np.full(present.size, 0.3)))
+        x = rng.exponential(size=n) * 10.0 ** rng.integers(-3, 4)
+        w = rng.uniform(0.1, 2.0, n) if weighted else np.full(n, 1.0 / max(n, 1))
+        got, expected = code_sums(codes, p, w, x), leg_sums_by_mask(codes, p, w, x)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+    def test_empty_sample_message(self):
+        with pytest.raises(EmptySampleError, match="^cannot summarize an empty sample$"):
+            intrinsic_mean(SpiderSample(4, ()))
 
 
 class TestFrechetFunction:

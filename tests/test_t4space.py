@@ -1,14 +1,19 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import treestats
 from oracles import (
     compatible_pairs,
     route_distance,
@@ -123,6 +128,23 @@ class TestPointValidation:
     def test_incompatible_rejected(self):
         with pytest.raises(ValueError):
             P({(1, 2): 1.0, (2, 3): 1.0})
+
+    def test_bad_support_text_is_the_same_under_every_hash_seed(self):
+        # the clusters print as sorted lists, not in a set's hash order
+        script = ("from treestats.t4space import T4Point\n"
+                  "try:\n"
+                  "    T4Point('abcd', {frozenset('ab'): 1.0, frozenset('ac'): 2.0})\n"
+                  "except ValueError as e:\n"
+                  "    print(e)\n")
+        src = str(Path(treestats.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        for seed in ("1", "2", "3"):
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                                  timeout=120)
+            assert done.stdout == (
+                "splits: a four-leaf tree has at most two distinct compatible splits of 2 or 3 "
+                "leaves, got clusters [['a', 'b'], ['a', 'c']]\n"), done.stderr
 
     def test_three_splits_rejected(self):
         with pytest.raises(ValueError):
