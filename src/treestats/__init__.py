@@ -52,14 +52,27 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = ["errors", *_MODULE_OF]
 
 
+def _lazy(namespace: dict, module_of: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: each name of ``module_of`` is imported from its treestats
+    submodule on first access and bound in ``namespace``, so later lookups
+    skip the hook and a rebinding of the attribute is what they find."""
+    def __getattr__(name):
+        if name not in module_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{module_of[name]}"), name)
+        namespace[name] = value
+        return value
+    return __getattr__
+
+
+_export = _lazy(globals(), _MODULE_OF)
+
+
 def __getattr__(name):
     if name in _EXPORTS:  # the submodules themselves, such as treestats.errors
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+    return _export(name)
 
 
 def __dir__():

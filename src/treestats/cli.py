@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 internal error, 2 bad input or configuration
 (a run too large for memory included).
 
 Commands parse options and read or write files; the dispatch on the sample
-space or law kind lives in ``pipeline`` and ``mcsim``.  Only what ``dist``
-and ``nj`` run is imported at module level; every other command imports
-its modules when it runs, so a process loads the modules of ``dist`` and
-``nj`` plus those of its own subcommand.
+space or law kind lives in ``pipeline`` and ``mcsim``.  No treestats module
+beyond ``errors`` is imported at module level, so ``--version``, ``--help``
+and usage errors load no numpy, and each command loads only the modules it
+runs.  The ``seqio`` and ``njtree`` names below stay attributes of this
+module, bound on first access; commands call them through ``_self``, so
+that a rebinding of the attribute (the layer tracer's wrappers) is what runs.
 """
 
 from __future__ import annotations
@@ -24,10 +26,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _lazy
 from .errors import ConfigError, TreeStatsError
-from .seqio import DistanceMatrix, GapMode, mismatch_distance, parse_fasta, serialize_newick
-from .njtree import neighbor_joining
+
+__getattr__ = _lazy(globals(), {
+    "DistanceMatrix": "seqio", "GapMode": "seqio", "mismatch_distance": "seqio",
+    "parse_fasta": "seqio", "serialize_newick": "seqio", "neighbor_joining": "njtree",
+})
+_self = sys.modules[__name__]
 
 
 def _read(path: str) -> str:
@@ -72,26 +78,26 @@ _precision = _int_from(1, 17)
 
 
 def cmd_dist(args) -> int:
-    block = parse_fasta(_read(args.fasta))
-    dm = mismatch_distance(block, GapMode(args.gaps), args.strict_n)
+    block = _self.parse_fasta(_read(args.fasta))
+    dm = _self.mismatch_distance(block, _self.GapMode(args.gaps), args.strict_n)
     _write(dm.to_csv(), args.output)
     return 0
 
 
 def cmd_nj(args) -> int:
-    dm = DistanceMatrix.from_csv(_read(args.matrix))
-    tree = neighbor_joining(dm)
-    _write(serialize_newick(tree, args.precision) + "\n", args.output)
+    dm = _self.DistanceMatrix.from_csv(_read(args.matrix))
+    tree = _self.neighbor_joining(dm)
+    _write(_self.serialize_newick(tree, args.precision) + "\n", args.output)
     return 0
 
 
 def cmd_sample_trees(args) -> int:
     from . import pipeline
 
-    block = parse_fasta(_read(args.fasta))
+    block = _self.parse_fasta(_read(args.fasta))
     groups = pipeline.load_groups(_read(args.groups))
     sample = pipeline.sample_trees(
-        block, groups, args.k, args.reps, args.seed, GapMode(args.gaps), args.strict_n
+        block, groups, args.k, args.reps, args.seed, args.gaps, args.strict_n
     )
     _write(sample.to_json(), args.output)
     return 0
@@ -126,11 +132,11 @@ def cmd_sticky(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import mcsim, pipeline
+    from . import mcsim, spider
 
     law = mcsim.law_from_dict(_load_json(args.law))
     report = mcsim.simulate(law, args.n, args.reps, args.seed)
-    _write(pipeline.canonical_json(report.to_dict()), args.output)
+    _write(spider.canonical_json(report.to_dict()), args.output)
     print(f"simulate: {report.replications} replicates in "
           f"{report.runtime_seconds:.2f}s", file=sys.stderr)
     return 0

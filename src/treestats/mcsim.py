@@ -53,7 +53,6 @@ from enum import Enum
 import numpy as np
 
 from . import kolmogorov
-from . import openbook as ob
 from . import spider as sp
 from .errors import InvalidParameterError
 
@@ -608,7 +607,9 @@ def draw_sample(law, n: int, rng):
     columns = np.empty_like(out)
     columns[:, np.argsort(legs, kind="stable")] = out
     if isinstance(law, OpenBookLaw):
-        return ob.OpenBookSample.from_arrays(legs + 1, *columns)
+        from .openbook import OpenBookSample
+
+        return OpenBookSample.from_arrays(legs + 1, *columns)
     return sp.SpiderSample.from_arrays(law.p, legs + 1, *columns)
 
 
@@ -806,11 +807,13 @@ def spine_coverage(
     mean escapes the spine count as misses) and checked against the
     population spine coordinate.
     """
+    from .openbook import spine_bounds
+
     _check_sizes(n, replications)
     sp.check_interval(confidence, n)
     mu1 = _moment(law.weights, law.spine, "mean")
     _, moment, x1_star, sd = _replicate_sums(law, n, replications, seed, spread=True)
     kind, _ = sp.verdict(sp.gaps(moment))
-    lo, hi, _ = ob.spine_bounds(x1_star, sd, n, confidence)
+    lo, hi, _ = spine_bounds(x1_star, sd, n, confidence)
     hits = (kind != 0) & (lo <= mu1) & (mu1 <= hi)  # a mean off the spine is a miss
     return int(np.count_nonzero(hits)) / replications

@@ -18,28 +18,38 @@ which in letter notation (a, b, c for the sorted groups) reads
 
 Each command decides its space here once: ``load_sample``, ``mean_report``,
 ``sticky_report`` and ``plot_text`` each hold the one branch on it.
-``t4space`` is imported on the four-leaf paths only (``_t4``), so
-three-leaf commands never load it, and ``plots`` only when a command plots.
+Only ``spider`` is imported at module level: ``seqio`` and ``njtree`` load
+when ``sample_trees`` runs, ``t4space`` on the four-leaf paths, ``openbook``
+on the open-book paths and ``plots`` when a command plots, so ``mean`` and
+``sticky`` never load the sequence layers.  The ``seqio`` and ``njtree``
+names below stay attributes of this module, bound on first access, and
+``sample_trees`` calls them through ``_self``, so that a rebinding of the
+attribute (the layer tracer's wrappers) is what runs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _lazy
 from .errors import ConfigError
-from .njtree import (
-    induced_subtree,  # noqa: F401  not called; kept bound for the layer tracer, which wraps it by name
-    neighbor_joining,
-    restrict_to_quartet,
-    restrict_to_triplet,
-    tree_index,
-)
-from .seqio import AlignedBlock, GapMode, mismatch_distance
-from . import openbook as ob
 from . import spider as sp
 from .spider import canonical_json  # noqa: F401  the writer of the commands' reports
+
+if TYPE_CHECKING:
+    from .seqio import AlignedBlock, GapMode
+
+# induced_subtree is not called: it stays bound for the layer tracer, which wraps it by name
+__getattr__ = _lazy(globals(), {
+    "GapMode": "seqio", "mismatch_distance": "seqio",
+    "induced_subtree": "njtree", "neighbor_joining": "njtree",
+    "restrict_to_quartet": "njtree", "restrict_to_triplet": "njtree", "tree_index": "njtree",
+})
+_self = sys.modules[__name__]
 
 
 def load_groups(text: str) -> dict[str, str]:
@@ -60,13 +70,6 @@ def load_groups(text: str) -> dict[str, str]:
     if not mapping:
         raise ConfigError("empty group file")
     return mapping
-
-
-def _t4():
-    """``t4space``, imported on the first four-leaf call."""
-    from . import t4space
-
-    return t4space
 
 
 def spider_tree_type(leg: int | None) -> str:
@@ -93,13 +96,14 @@ def sample_trees(
     k: int,
     reps: int,
     seed: int,
-    gap_mode: GapMode = GapMode.IGNORE,
+    gap_mode: GapMode | str = "ignore",
     strict_n: bool = False,
 ):
     """Resample grouped taxa into a SpiderSample (k=3) or T4Sample (k=4).
 
     One neighbor-joining tree is built from the full alignment; each
-    repetition restricts it to one seeded pick per group.
+    repetition restricts it to one seeded pick per group.  ``gap_mode`` is
+    a :class:`~treestats.seqio.GapMode` or its value.
     """
     if k not in (3, 4):
         raise ConfigError("k must be 3 or 4")
@@ -117,13 +121,16 @@ def sample_trees(
     for g in group_names:  # none is empty: a group exists once a taxon names it
         members[g].sort()
 
-    index = tree_index(neighbor_joining(mismatch_distance(block, gap_mode, strict_n)))
+    dm = _self.mismatch_distance(block, _self.GapMode(gap_mode), strict_n)
+    index = _self.tree_index(_self.neighbor_joining(dm))
     # picks in sorted-group order, so that the restriction's merge rule is
     # the same in group space on every repetition
     picks = draw_picks([index.nodes(members[g]) for g in group_names], reps, seed)
     if k == 3:
-        return sp.SpiderSample.from_arrays(3, *restrict_to_triplet(index, picks))
-    return _t4().T4Sample.from_splits(group_names, *restrict_to_quartet(index, picks))
+        return sp.SpiderSample.from_arrays(3, *_self.restrict_to_triplet(index, picks))
+    from . import t4space as t4
+
+    return t4.T4Sample.from_splits(group_names, *_self.restrict_to_quartet(index, picks))
 
 
 # --------------------------------------------------------------------------
@@ -148,8 +155,12 @@ def load_sample(obj: dict, space: str):
     if space == "t3":
         return sp.SpiderSample.from_dict(obj)
     if space == "t4":
-        return _t4().T4Sample.from_dict(obj)
+        from . import t4space as t4
+
+        return t4.T4Sample.from_dict(obj)
     if space == "openbook":
+        from . import openbook as ob
+
         return ob.OpenBookSample.from_dict(obj)
     raise ConfigError(f"unknown space {space!r}")
 
@@ -164,10 +175,13 @@ def mean_report(sample, space: str, tolerance: float = 0.0):
         tree_type = spider_tree_type(estimate.mean.leg) if estimate.p == 3 else None
         fields = {"space": "t3", "tree_type": tree_type}
     elif space == "openbook":
+        from . import openbook as ob
+
         estimate = ob.openbook_mean(sample, tolerance)
         fields = {"space": "openbook"}
     elif space == "t4":
-        t4 = _t4()
+        from . import t4space as t4
+
         sp.check_tolerance(tolerance)  # unused by the t4 mean, still checked
         estimate = t4.t4_mean(sample)
         fields = {"space": "t4", "n": len(sample), "labels": list(sample.labels),
@@ -198,7 +212,8 @@ def sticky_report(obj: dict, tolerance: float = 0.0, axis=None) -> dict:
         return mean_report(sample, space, tolerance)[1]
     if axis is None:
         raise ConfigError("tree-space stickiness needs --axis (the spine cluster)")
-    t4 = _t4()
+    from . import t4space as t4
+
     cluster = frozenset(axis)
     report = t4.spine_stickiness_t4(sample, cluster, tolerance)
     partners = t4.book_partners(cluster, sample.labels)

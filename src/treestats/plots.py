@@ -12,10 +12,13 @@ each projection as a row (kind, splits, angular fraction, radius).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .spider import SpiderSample, StickinessReport
-from .t4space import T4Point, T4Sample, _geometry, _projection, all_splits
+
+if TYPE_CHECKING:
+    from .t4space import T4Point, T4Sample
 
 _F = "{:.2f}".format  # pixel coordinates
 _G = "{:.9g}".format  # data values
@@ -111,6 +114,8 @@ def petersen_layout(labels, size: int = 480) -> dict:
 
     Returns split -> (x, y) pixel positions.
     """
+    from .t4space import all_splits  # here and below: spider plots never load t4space
+
     labels = tuple(sorted(labels))
     cx = cy = size / 2.0
     r_out, r_in = size / 2.0 - 60.0, (size / 2.0 - 60.0) * 0.5
@@ -133,6 +138,8 @@ def _split_label(split: frozenset) -> str:
 def _projections(sample: T4Sample) -> list[tuple]:
     """``(splits, s, radius)`` of every point, as :func:`_projection` gives
     them; ``splits`` is empty at the origin."""
+    from .t4space import _geometry, _projection
+
     supports = _geometry(sample.labels).supports
     return [_projection(supports[code], xy)
             for code, xy in zip(sample.codes.tolist(), sample.coords.tolist())]
@@ -145,6 +152,8 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None, size: int = 480)
     angular fraction); dot area tracks the point's distance to the
     origin.  Origin points cannot be projected and are skipped.
     """
+    from .t4space import _geometry, _projection
+
     labels = sample.labels
     pos = petersen_layout(labels, size)
 

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,9 +48,11 @@ from .errors import (
     InvalidSampleError,
     NotInBookError,
 )
-from .openbook import OpenBookSample, SpineStickinessReport, openbook_mean
 from .spider import (
     MAX_COORD, ArraySample, Record, _codes, _immutable, coordinates, json_numbers, json_points)
+
+if TYPE_CHECKING:
+    from .openbook import SpineStickinessReport
 
 __all__ = [
     "T4Point",
@@ -697,6 +700,8 @@ def spine_stickiness_t4(
         raise NotInBookError(f"{pt!r} lies outside the open book around {sorted(axis)}")
     lengths = _split_coords(sample, geom)[:, [geom.index[e] for e in (axis, *partners)]]
     x2 = np.where(leaves > 0, lengths[np.arange(len(leaves)), leaves], 0.0)
+    from .openbook import OpenBookSample, openbook_mean  # the only open-book path
+
     book = OpenBookSample.from_arrays(leaves, lengths[:, 0], x2, sample.weights)
     return openbook_mean(book, tolerance)
 

@@ -28,6 +28,7 @@ from treestats.spider import SpiderSample, intrinsic_mean
 
 
 DATA = resources.files("treestats") / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _reject_constant(name):
@@ -101,10 +102,14 @@ def run_without_scipy(script: str) -> None:
 
 
 # treestats submodules each subcommand's process loads (README, Conventions)
-CLI_MODULES = {"cli", "errors", "njtree", "seqio"}
-T3_MODULES = CLI_MODULES | {"openbook", "pipeline", "spider"}
+CLI_MODULES = {"cli", "errors"}
+DIST_MODULES = CLI_MODULES | {"seqio"}
+NJ_MODULES = DIST_MODULES | {"njtree"}
+T3_MODULES = CLI_MODULES | {"pipeline", "spider"}
 T4_MODULES = T3_MODULES | {"t4space"}
-SIMULATE_MODULES = T3_MODULES | {"kolmogorov", "mcsim"}
+SAMPLE_T3_MODULES = T3_MODULES | NJ_MODULES
+SAMPLE_T4_MODULES = T4_MODULES | NJ_MODULES
+SIMULATE_MODULES = CLI_MODULES | {"kolmogorov", "mcsim", "spider"}
 
 
 class TestModulesPerCommand:
@@ -116,7 +121,9 @@ class TestModulesPerCommand:
         fasta, groups3, groups4 = toy
         files = {"fasta": fasta, "groups3": groups3, "groups4": groups4,
                  "law": DATA / "law_dominant.json",
-                 "book_law": DATA / "law_openbook_symmetric.json"}
+                 "book_law": DATA / "law_openbook_symmetric.json",
+                 "book.json": GOLDEN / "openbook_sample.json",
+                 "axis.json": GOLDEN / "plots" / "t4_axis_mean.json"}
         for name in ("d.csv", "s3.json", "s4.json"):
             files[name] = tmp_path / name
         main(["dist", str(fasta), "-o", str(files["d.csv"])])
@@ -125,36 +132,44 @@ class TestModulesPerCommand:
                   "--k", str(k), "--reps", "20", "-o", str(files[f"s{k}.json"])])
         return files
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["--version"], CLI_MODULES),
-        (["dist", "fasta"], CLI_MODULES),
-        (["nj", "d.csv"], CLI_MODULES),
-        (["sample-trees", "fasta", "--groups", "groups3", "--k", "3"], T3_MODULES),
-        (["mean", "s3.json"], T3_MODULES),
-        (["sticky", "s3.json"], T3_MODULES),
-        (["sample-trees", "fasta", "--groups", "groups4", "--k", "4"], T4_MODULES),
-        (["mean", "s4.json"], T4_MODULES),
-        (["simulate", "law", "--n", "20", "--reps", "10"], SIMULATE_MODULES),
-        (["simulate", "book_law", "--n", "20", "--reps", "10"], SIMULATE_MODULES),
-    ], ids=["version", "dist", "nj", "sample_trees_k3", "mean_t3", "sticky_t3",
-            "sample_trees_k4", "mean_t4", "simulate_spider", "simulate_openbook"])
-    def test_loaded_modules(self, inputs, tmp_path, argv, expected):
+    @pytest.mark.parametrize("argv, code, expected", [
+        (["--version"], 0, CLI_MODULES),
+        (["--help"], 0, CLI_MODULES),
+        (["simulate", "law", "--reps", "10"], 2, CLI_MODULES),  # no --n
+        (["dist", "fasta"], 0, DIST_MODULES),
+        (["nj", "d.csv"], 0, NJ_MODULES),
+        (["sample-trees", "fasta", "--groups", "groups3", "--k", "3"], 0, SAMPLE_T3_MODULES),
+        (["mean", "s3.json"], 0, T3_MODULES),
+        (["sticky", "s3.json"], 0, T3_MODULES),
+        (["plot", "s3.json"], 0, T3_MODULES | {"plots"}),
+        (["mean", "book.json"], 0, T3_MODULES | {"openbook"}),
+        (["sample-trees", "fasta", "--groups", "groups4", "--k", "4"], 0, SAMPLE_T4_MODULES),
+        (["mean", "s4.json"], 0, T4_MODULES),
+        (["sticky", "axis.json", "--axis", "a,b"], 0, T4_MODULES | {"openbook"}),
+        (["simulate", "law", "--n", "20", "--reps", "10"], 0, SIMULATE_MODULES),
+        (["simulate", "book_law", "--n", "20", "--reps", "10"], 0, SIMULATE_MODULES),
+    ], ids=["version", "help", "usage_error", "dist", "nj", "sample_trees_k3", "mean_t3",
+            "sticky_t3", "plot_t3", "mean_openbook", "sample_trees_k4", "mean_t4",
+            "sticky_t4_axis", "simulate_spider", "simulate_openbook"])
+    def test_loaded_modules(self, inputs, tmp_path, argv, code, expected):
         argv = [str(inputs.get(a, a)) for a in argv]
-        if argv[0] != "--version":
+        if not argv[0].startswith("--"):
             argv += ["-o", str(tmp_path / "out")]
         out = run_fresh(f"""
 import sys
 from treestats.cli import main
 try:
     code = main({argv!r})
-except SystemExit as exc:  # --version
+except SystemExit as exc:  # --version, --help and usage errors
     code = exc.code
 print(code, *sorted(m for m in sys.modules
-                   if m.startswith(("treestats.", "statistics")) or m == "numpy.ma"))
+                   if m.startswith(("treestats.", "statistics")) or m in ("numpy", "numpy.ma")))
 """)
-        code, *loaded = out.splitlines()[-1].split()
-        assert code == "0"
-        assert set(loaded) == {f"treestats.{m}" for m in expected}
+        printed, *loaded = out.splitlines()[-1].split()
+        assert printed == str(code)
+        assert set(loaded) - {"numpy"} == {f"treestats.{m}" for m in expected}
+        # argparse answers these before any command runs: no numpy
+        assert ("numpy" in loaded) is (expected != CLI_MODULES)
 
     def test_import_treestats_loads_nothing(self):
         out = run_fresh("""
