@@ -41,6 +41,11 @@ empty (three points name it at ``u`` 0, so they sit at the center), five
 center points and 37 points on leg 1, in mixed point order.  Its ``mean``
 and ``sticky`` fixtures were recorded while each leg's sums were still
 taken over a boolean mask of the sample.
+``t4_bisection.json`` is a three-point four-leaf sample on which the start
+of one quadrant's search bisects its chord (``t4space._start`` probes
+midpoints); ``means/t4_bisection.json`` is what ``mean`` wrote for it, the
+star tree at Frechet value 15.333333333333332, before the law writers and
+the other uncalled code of the library were deleted.
 """
 
 import json
@@ -76,7 +81,8 @@ PLOT_SAMPLES = {
     **{path.stem: path for path in PLOTS.glob("*.json")},
 }
 MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.json",
-                "spider_weighted_p5": GOLDEN / "spider_weighted_p5.json"}
+                "spider_weighted_p5": GOLDEN / "spider_weighted_p5.json",
+                "t4_bisection": GOLDEN / "t4_bisection.json"}
 STICKY = GOLDEN / "sticky"
 STICKY_CASES = {  # fixture name: argv after ``sticky``
     "summary_w0_p": [GOLDEN / "summary_w0_p.json"],
