@@ -46,6 +46,10 @@ of one quadrant's search bisects its chord (``t4space._start`` probes
 midpoints); ``means/t4_bisection.json`` is what ``mean`` wrote for it, the
 star tree at Frechet value 15.333333333333332, before the law writers and
 the other uncalled code of the library were deleted.
+``t4_bisection_descent.json`` is a three-point sample whose bisection finds a
+descending ray, so that its mean lies inside the bisected quadrant
+(``{a|b}``, ``{c|d}``) and below the star tree; its ``means/`` fixture was
+recorded at the same time.
 """
 
 import json
@@ -82,7 +86,8 @@ PLOT_SAMPLES = {
 }
 MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.json",
                 "spider_weighted_p5": GOLDEN / "spider_weighted_p5.json",
-                "t4_bisection": GOLDEN / "t4_bisection.json"}
+                "t4_bisection": GOLDEN / "t4_bisection.json",
+                "t4_bisection_descent": GOLDEN / "t4_bisection_descent.json"}
 STICKY = GOLDEN / "sticky"
 STICKY_CASES = {  # fixture name: argv after ``sticky``
     "summary_w0_p": [GOLDEN / "summary_w0_p.json"],
