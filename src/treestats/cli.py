@@ -37,7 +37,7 @@ _self = sys.modules[__name__]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # drop a leading BOM
 
 
 def _write(text: str, output: str | None) -> None:

@@ -127,9 +127,6 @@ class PointMass(_Distribution):
     def draw(self, rng, size: int) -> np.ndarray:
         return np.full(size, float(self.u))
 
-    def to_dict(self) -> dict:
-        return {"kind": "point_mass", "u": self.u}
-
 
 @dataclass(frozen=True)
 class Uniform(_Distribution):
@@ -149,9 +146,6 @@ class Uniform(_Distribution):
     def draw(self, rng, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
 
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class Exponential(_Distribution):
@@ -168,9 +162,6 @@ class Exponential(_Distribution):
 
     def draw(self, rng, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
-
-    def to_dict(self) -> dict:
-        return {"kind": "exponential", "rate": self.rate}
 
 
 _DIST_KINDS = {"point_mass": PointMass, "uniform": Uniform, "exponential": Exponential}
@@ -274,13 +265,6 @@ class SpiderLaw:
         """Per leg, the distributions of its coordinates: here only ``u``."""
         return tuple((d,) for d in self.legs)
 
-    def to_dict(self) -> dict:
-        return {
-            "space": "spider",
-            "weights": list(self.weights),
-            "legs": [d.to_dict() for d in self.legs],
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "SpiderLaw":
         legs = sp.json_list(obj.get("legs"), "legs", InvalidParameterError)
@@ -320,15 +304,6 @@ class OpenBookLaw:
     def coordinates(self) -> tuple:
         """Per leaf, the distributions of its coordinates ``(x1, x2)``."""
         return self.leaves
-
-    def to_dict(self) -> dict:
-        return {
-            "space": "openbook",
-            "weights": list(self.weights),
-            "leaves": [
-                {"x1": a.to_dict(), "x2": b.to_dict()} for a, b in self.leaves
-            ],
-        }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OpenBookLaw":

@@ -53,8 +53,9 @@ _self = sys.modules[__name__]
 
 
 def load_groups(text: str) -> dict[str, str]:
-    """Parse a taxon,group CSV (optional header) into a mapping."""
+    """Parse a taxon,group CSV (optional header on the first non-blank line)."""
     mapping: dict[str, str] = {}
+    first = next((n for n, raw in enumerate(text.splitlines(), 1) if raw.strip()), 0)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -62,7 +63,7 @@ def load_groups(text: str) -> dict[str, str]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ConfigError(f"bad group line {lineno}: {raw!r}")
-        if lineno == 1 and parts == ["taxon", "group"]:
+        if lineno == first and parts == ["taxon", "group"]:
             continue
         if parts[0] in mapping:
             raise ConfigError(f"taxon {parts[0]!r} assigned twice")
@@ -158,11 +159,9 @@ def load_sample(obj: dict, space: str):
         from . import t4space as t4
 
         return t4.T4Sample.from_dict(obj)
-    if space == "openbook":
-        from . import openbook as ob
+    from . import openbook as ob
 
-        return ob.OpenBookSample.from_dict(obj)
-    raise ConfigError(f"unknown space {space!r}")
+    return ob.OpenBookSample.from_dict(obj)
 
 
 def mean_report(sample, space: str, tolerance: float = 0.0):
@@ -179,7 +178,7 @@ def mean_report(sample, space: str, tolerance: float = 0.0):
 
         estimate = ob.openbook_mean(sample, tolerance)
         fields = {"space": "openbook"}
-    elif space == "t4":
+    else:
         from . import t4space as t4
 
         sp.check_tolerance(tolerance)  # unused by the t4 mean, still checked
@@ -187,8 +186,6 @@ def mean_report(sample, space: str, tolerance: float = 0.0):
         fields = {"space": "t4", "n": len(sample), "labels": list(sample.labels),
                   "tree_type": t4.tree_type_newick(sample.labels, estimate.mean),
                   "intrinsic_sd": math.sqrt(estimate.frechet_value)}
-    else:
-        raise ConfigError(f"unknown space {space!r}")
     return estimate, {**fields, **estimate.to_dict()}
 
 

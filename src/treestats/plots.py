@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 
 _F = "{:.2f}".format  # pixel coordinates
 _G = "{:.9g}".format  # data values
+_SPIDER_SIZE, _PETERSEN_SIZE = 420, 480  # square canvases, in pixels
 
 
 def _svg_header(size: int, title: str, layout_note: str) -> list[str]:
@@ -48,10 +49,9 @@ def _cross(x: float, y: float, arm: float, width: float) -> str:
 # 3-spider scatter
 # --------------------------------------------------------------------------
 
-def spider_svg(
-    sample: SpiderSample, report: StickinessReport | None = None, size: int = 420
-) -> str:
+def spider_svg(sample: SpiderSample, report: StickinessReport | None = None) -> str:
     """Scatter of a spider sample along its legs, with the mean if given."""
+    size = _SPIDER_SIZE
     cx = cy = size / 2.0
     margin = 50.0
     max_u = max([*sample.u.tolist(), 1e-9])
@@ -105,7 +105,7 @@ def spider_svg(
 # Petersen graph projection
 # --------------------------------------------------------------------------
 
-def petersen_layout(labels, size: int = 480) -> dict:
+def petersen_layout(labels) -> dict:
     """Canonical planar layout: outer pentagon of the five splits pairing
     consecutive terminals (leaves 0-3 in sorted order, root=4), inner
     pentagram of the rest.  A split is named by the terminal pair on one
@@ -117,8 +117,8 @@ def petersen_layout(labels, size: int = 480) -> dict:
     from .t4space import all_splits  # here and below: spider plots never load t4space
 
     labels = tuple(sorted(labels))
-    cx = cy = size / 2.0
-    r_out, r_in = size / 2.0 - 60.0, (size / 2.0 - 60.0) * 0.5
+    cx = cy = _PETERSEN_SIZE / 2.0
+    r_out, r_in = cx - 60.0, (cx - 60.0) * 0.5
     at = {}
     for k in range(5):
         ang = math.radians(90.0 + 72.0 * k)
@@ -145,7 +145,7 @@ def _projections(sample: T4Sample) -> list[tuple]:
             for code, xy in zip(sample.codes.tolist(), sample.coords.tolist())]
 
 
-def petersen_svg(sample: T4Sample, mean: T4Point | None = None, size: int = 480) -> str:
+def petersen_svg(sample: T4Sample, mean: T4Point | None = None) -> str:
     """Central projection of a tree-space sample onto the Petersen graph.
 
     Dots sit on the vertex/edge hit by each projected point (placed by
@@ -154,8 +154,8 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None, size: int = 480)
     """
     from .t4space import _geometry, _projection
 
-    labels = sample.labels
-    pos = petersen_layout(labels, size)
+    labels, size = sample.labels, _PETERSEN_SIZE
+    pos = petersen_layout(labels)
 
     def at(splits: tuple, s: float) -> tuple[float, float]:
         if len(splits) < 2:  # the origin sits at the centre

@@ -65,7 +65,7 @@ class AlignedBlock:
         _check_unique_taxa(self.taxa)
         length = len(self.rows[0])
         if length < 1:
-            raise AlignmentLengthError("aligned rows must have length >= 1")
+            raise AlignmentLengthError(f"row for {self.taxa[0]!r} has length 0, expected >= 1")
         for taxon, row in zip(self.taxa, self.rows):
             if len(row) != length:
                 raise AlignmentLengthError(
@@ -84,12 +84,6 @@ class AlignedBlock:
     @property
     def n_columns(self) -> int:
         return len(self.rows[0])
-
-    def row(self, taxon: str) -> str:
-        try:
-            return self.rows[self.taxa.index(taxon)]
-        except ValueError:
-            raise KeyError(taxon) from None
 
 
 def parse_fasta(text: str) -> AlignedBlock:
@@ -160,9 +154,6 @@ class DistanceMatrix:
         np.fill_diagonal(m, 0.0)
         m.flags.writeable = False
         object.__setattr__(self, "d", m)
-
-    def __len__(self) -> int:
-        return len(self.taxa)
 
     def value(self, a: str, b: str) -> float:
         i, j = self.taxa.index(a), self.taxa.index(b)

@@ -598,6 +598,30 @@ class TestGroupsParsing:
         assert pipeline.load_groups("taxon,group\nx,a\n") == {"x": "a"}
         assert pipeline.load_groups("x,a\n") == {"x": "a"}
 
+    def test_header_after_blank_lines(self):
+        assert pipeline.load_groups("\n \ntaxon,group\nx,a\n") == {"x": "a"}
+        # only the first non-blank line is a header
+        assert pipeline.load_groups("x,a\ntaxon,group\n") == {"x": "a", "taxon": "group"}
+
+    def test_blank_first_line_sample_trees(self, toy, tmp_path):
+        fasta, groups3, _ = toy
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n" + groups3.read_text())
+        assert groups3.read_text().startswith("taxon,group\n")
+        outs = [tmp_path / "plain.json", tmp_path / "blank.json"]
+        for groups, out in zip((groups3, blank), outs):
+            assert main(["sample-trees", str(fasta), "--groups", str(groups), "--k", "3",
+                         "--reps", "10", "--seed", "7", "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("text", ["taxon,group\n", "\ntaxon,group\n\n"])
+    def test_header_only_exit_2(self, toy, tmp_path, capsys, text):
+        fasta, _, _ = toy
+        groups = tmp_path / "header.csv"
+        groups.write_text(text)
+        assert main(["sample-trees", str(fasta), "--groups", str(groups), "--k", "3"]) == 2
+        assert capsys.readouterr().err == "error: empty group file\n"
+
     def test_duplicate_taxon(self):
         with pytest.raises(ConfigError):
             pipeline.load_groups("x,a\nx,b\n")
@@ -708,6 +732,64 @@ class TestMoreCliEdges:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["mean", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command, name, text, message", [
+        (["mean"], "list.json", "[1]", "{}: expected a JSON object, got list"),
+        (["simulate", "--n", "5", "--reps", "5"], "law.json",
+         '{"space": "spider", "weights": [1.0], "legs": [3]}',
+         "legs[0] must be a distribution object, got 3"),
+        (["plot", "--format", "csv"], "t3.json", '{"p": 3, "points": [{"leg": 1, "u": 3}]}',
+         "spider samples only plot to SVG"),
+        (["mean"], "no_p.json", '{"points": [{"leg": 1, "u": 0.5}]}',
+         f"p must be an integer in 1..{spider.MAX_LEGS}, got None"),
+        (["nj"], "empty.csv", "", "empty distance CSV"),
+        (["dist"], "first.fasta", ">a\n>b\nAC\n", "row for 'a' has length 0, expected >= 1"),
+        (["dist"], "last.fasta", ">a\nAC\n>b\n", "row for 'b' has length 0, expected 2"),
+    ], ids=["json_list", "law_leg_number", "t3_plot_csv", "spider_without_p", "nj_empty",
+            "fasta_first_record_empty", "fasta_last_record_empty"])
+    def test_bad_input_exit_2(self, tmp_path, capsys, command, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+
+    def test_seed_not_an_integer_usage_error(self, toy, capsys):
+        fasta, groups3, _ = toy
+        with pytest.raises(SystemExit) as exc:
+            main(["sample-trees", str(fasta), "--groups", str(groups3), "--k", "3",
+                  "--seed", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: treestats sample-trees")
+        assert "argument --seed: invalid int value: 'abc'" in err
+
+
+class TestByteOrderMark:
+    """An input that starts with a UTF-8 byte order mark reads as the same
+    text without it: every command writes the same bytes for both."""
+
+    @pytest.mark.parametrize("argv, source", [
+        (["dist", "{}"], DATA / "toy_alignment.fasta"),
+        (["nj", "{}"], None),  # the distance CSV that dist writes for the toy alignment
+        (["sample-trees", str(DATA / "toy_alignment.fasta"), "--groups", "{}", "--k", "3",
+          "--reps", "10", "--seed", "7"], DATA / "toy_groups3.csv"),
+        (["mean", "{}"], GOLDEN / "sample_trees_k4_seed7.json"),
+        (["simulate", "{}", "--n", "20", "--reps", "10", "--seed", "3"],
+         DATA / "law_dominant.json"),
+    ], ids=["fasta", "distance_csv", "group_csv", "sample_json", "law_json"])
+    def test_same_output_with_and_without(self, tmp_path, argv, source):
+        if source is None:
+            source = tmp_path / "toy.csv"
+            assert main(["dist", str(DATA / "toy_alignment.fasta"), "-o", str(source)]) == 0
+        text = source.read_text(encoding="utf-8")
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            path, out = tmp_path / f"input{len(prefix)}", tmp_path / f"output{len(prefix)}"
+            path.write_text(prefix + text, encoding="utf-8")
+            assert main([a.format(path) for a in argv] + ["-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert "\ufeff".encode() not in outputs[1]
 
 
 T3_DOC = {"p": 3, "points": [{"leg": 1, "u": 3}, {"leg": 2, "u": 1}, {"leg": 3, "u": 1}]}

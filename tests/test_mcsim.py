@@ -89,14 +89,21 @@ class TestDistributions:
         assert PointMass(3.0).second_moment() == 9.0
 
     def test_round_trip_dicts(self):
-        for d in (PointMass(1.5), Uniform(0.5, 2.0), Exponential(0.7)):
-            assert distribution_from_dict(d.to_dict()) == d
+        # read from hand-written documents: no command writes a law
+        for doc, d in (({"kind": "point_mass", "u": 1.5}, PointMass(1.5)),
+                       ({"kind": "uniform", "lo": 0.5, "hi": 2.0}, Uniform(0.5, 2.0)),
+                       ({"kind": "exponential", "rate": 0.7}, Exponential(0.7))):
+            assert distribution_from_dict(doc) == d
 
     def test_law_round_trip(self):
-        law = SpiderLaw((0.6, 0.4), (Uniform(0, 1), Exponential(2.0)))
-        assert law_from_dict(law.to_dict()) == law
-        book = symmetric_book()
-        assert law_from_dict(book.to_dict()) == book
+        law = {"space": "spider", "weights": [0.6, 0.4],
+               "legs": [{"kind": "uniform", "lo": 0, "hi": 1},
+                        {"kind": "exponential", "rate": 2.0}]}
+        assert law_from_dict(law) == SpiderLaw((0.6, 0.4), (Uniform(0, 1), Exponential(2.0)))
+        leaf = {"x1": {"kind": "uniform", "lo": 0.0, "hi": 2.0},
+                "x2": {"kind": "exponential", "rate": 1.0}}
+        book = {"space": "openbook", "weights": [1 / 3, 1 / 3, 1 / 3], "leaves": [leaf] * 3}
+        assert law_from_dict(book) == symmetric_book()
 
 
 class TestSimulateSpider:

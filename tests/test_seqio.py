@@ -418,6 +418,11 @@ class TestNewick:
         assert sorted(t.leaf_labels()) == ["a", "b"]
         assert len(t.children) == 2
 
+    def test_unary_root_label_moves_to_the_collapsed_root(self):
+        t = parse_newick("((a,b))y;")
+        assert t.label == "y"
+        assert sorted(t.leaf_labels()) == ["a", "b"]
+
 
 @pytest.mark.parametrize("text, error, message", [
     ("", NewickSyntaxError, "empty Newick string"),

@@ -38,6 +38,7 @@ from treestats.t4space import (
     _QuadrantImages,
     _geometry,
     _split_coords,
+    _start,
     all_splits,
     book_partners,
     compatible,
@@ -503,6 +504,62 @@ def frames_and_points(draw):
     if not pts:
         pts.append(T4Point(L, {}))
     return qi, (a, b), T4Sample(L, tuple(pts))
+
+
+class _CountingImages(_QuadrantImages):
+    calls = 0
+
+    def derivatives(self, x):
+        self.calls += 1
+        return super().derivatives(x)
+
+
+def quadrant_starts(sample):
+    """``_start`` on each quadrant as ``t4_mean`` calls it: quadrant ->
+    (start point or None, number of ``derivatives`` calls)."""
+    geom = _geometry(sample.labels)
+    wts, coords = sample.normalized_weights(), _split_coords(sample, geom)
+    coords = np.ldexp(coords, -math.frexp(coords.max())[1])
+    star = float(wts @ (coords * coords).sum(axis=1))
+    out = {}
+    for (e, f), table in zip(geom.quadrants, geom.image_tables):
+        start = wts @ coords[:, [geom.index[e], geom.index[f]]]
+        if start.any():
+            images = _CountingImages(table, sample.codes, coords, wts)
+            out[e, f] = _start(images, start, star), images.calls
+    return out
+
+
+def sample_of(*points):
+    labels = tuple("abcd")
+    return T4Sample(labels, tuple(
+        T4Point(labels, {frozenset(c): v for c, v in pt.items()}) for pt in points))
+
+
+class TestStartBisection:
+    """Samples whose ray through a quadrant's start does not descend, so
+    that ``_start`` bisects the chord: it probes midpoints after its first
+    three ``derivatives`` calls.  Both are pinned under ``golden/``."""
+
+    def test_bisection_ends_at_the_star_tree(self):
+        sample = sample_of({"ac": 4, "abc": 3}, {"cd": 4, "bcd": 1}, {"acd": 2})
+        assert max(calls for _, calls in quadrant_starts(sample).values()) > 3
+        est = t4_mean(sample)
+        assert est.mean.support == ()
+        assert est.frechet_value == 15.333333333333332
+        assert t4_grid_frechet_minimum(sample, step=0.25)[1] == est.frechet_value
+
+    def test_bisection_finds_a_descending_ray(self):
+        sample = sample_of({"ab": 3}, {"ad": 3}, {"cd": 3, "bcd": 2})
+        quadrant = (frozenset("ab"), frozenset("cd"))
+        x, calls = quadrant_starts(sample)[quadrant]
+        assert calls > 3 and x is not None
+        est = t4_mean(sample)
+        assert est.quadrant == quadrant
+        assert est.frechet_value < frechet_function(T4Point(sample.labels, {}), sample)
+        _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
+        assert est.frechet_value <= oracle_value * (1 + 1e-9)
+        assert t4_descent(sample, est.mean, est.frechet_value, step=1e-3) == 0.0
 
 
 class TestQuadrantImages:
