@@ -28,6 +28,12 @@ and the mean all evaluate them through ``_QuadrantImages``, with the
 lengths divided by a power of two above the largest: exact in binary, and
 no squared length underflows.
 
+Means: the space is a Euclidean cone, so on each ray out of the star tree
+the Frechet function is a parabola in the radius, and a quadrant's minimum
+lies on the ray that maximizes its linear coefficient.  ``_best_ray`` finds
+that ray in closed form, piece by piece between the angles where a point's
+nearest image changes; no iteration is needed.
+
 ``_projection`` is the central projection onto the Petersen graph that
 :mod:`treestats.plots` draws and writes as CSV.
 """
@@ -35,6 +41,7 @@ no squared length underflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -174,15 +181,19 @@ class _Geometry:
         indices of the splits read as the image's local coordinates (the
         path's last edge), the quarter turns of the unfolding, and 1 for a
         clockwise one (first pair (f, e)).  Padding slots turn four quarters,
-        past pi from any x, so they are never valid.
+        past pi from any x, so they are never valid.  A row's slots are in
+        the order of their angles in the frame: by quarter turns, counted
+        negative clockwise (each turn spans its own quarter of the circle;
+        the slots of one class with equal turns are images of one axis
+        point, at one angle).
         """
         rows = [
-            [(e, f, 0, 0)] if set(support) <= {e, f} else [
-                (path[-2], path[-1], len(path) - 2, int(first == (f, e)))
-                for first in ((e, f), (f, e))
-                for path in self.paths_by_first[first]
-                if set(support) <= {path[-2], path[-1]}
-            ]
+            [(e, f, 0, 0)] if set(support) <= {e, f} else sorted(
+                ((path[-2], path[-1], len(path) - 2, int(first == (f, e)))
+                 for first in ((e, f), (f, e))
+                 for path in self.paths_by_first[first]
+                 if set(support) <= {path[-2], path[-1]}),
+                key=lambda slot: -slot[2] if slot[3] else slot[2])
             for support in self.supports
         ]
         width = max(map(len, rows))
@@ -434,21 +445,19 @@ def frechet_function(x: T4Point, sample: T4Sample) -> float:
 
 @dataclass(frozen=True)
 class T4MeanEstimate(Record):
-    """Mean point and Frechet value, and how the solver reached them.
+    """Mean point and Frechet value, and how they were found.
 
-    ``quadrant`` holds the axes of the closed quadrant the mean was found in
-    (``()`` when the star tree wins; the sample's common support for
-    ``method="euclidean"``), ``iterations`` the Newton steps over all
-    quadrants, and ``projected_gradient_norm`` the first-order optimality
-    residual there (0 for the closed-form Euclidean mean and star tree).
+    ``method`` is ``"euclidean"`` for the coordinate mean of a sample in one
+    closed quadrant and ``"cone"`` for the per-quadrant ray solve of
+    :func:`t4_mean`; ``quadrant`` holds the axes of the closed quadrant the
+    mean was found in (``()`` when the star tree wins; the sample's common
+    support for ``"euclidean"``).
     """
 
     mean: T4Point
     frechet_value: float
     method: str
     quadrant: tuple[frozenset, ...] = ()
-    iterations: int = 0
-    projected_gradient_norm: float = 0.0
 
 
 def _split_coords(sample: T4Sample, geom: _Geometry) -> np.ndarray:
@@ -488,7 +497,7 @@ class _QuadrantImages:
         self.qx = np.where(self.clockwise, uy, ux)
         self.qy = np.where(self.clockwise, ux, uy)
         self.norms = np.sqrt((coords * coords).sum(axis=1))
-        self.weights, self.total = weights, float(weights.sum())
+        self.weights, self.total = weights, math.fsum(weights)
         self.rows = np.arange(len(classes))
 
     def _terms(self, x):
@@ -504,109 +513,100 @@ class _QuadrantImages:
         """Frechet function at ``x = (a, b)``, the point ``a e + b f``."""
         return float(self.weights @ self._terms(x)[0])
 
-    def derivatives(self, x):
-        """Value, gradient and Hessian at ``x``, which is not the origin.
-
-        An image term ``|x - q|**2`` has Hessian 2I; a cone term
-        ``(r + |p|)**2`` has ``2uu' + 2 (r + |p|) / r (I - uu')``.
-        """
+    def assignment(self, x):
+        """Value at ``x``, which is not the origin, and the pull of its
+        image/cone assignment there: ``pull``, the weighted sum of the
+        nearest valid images, and ``cone``, the sum of ``w |p|`` over the
+        points reached through the origin.  Near ``x`` the Frechet function
+        is ``total |x|**2 - 2 x . pull + 2 |x| cone`` plus a constant."""
         d2, on_image, slot = self._terms(x)
         w_image = np.where(on_image, self.weights, 0.0)
         pick = (self.rows, slot)
         pull = np.array([w_image @ self.qx[pick], w_image @ self.qy[pick]])
-        cone = (self.weights - w_image) @ self.norms  # sum of w |p| over cone terms
-        r = math.sqrt(x @ x)
-        u = x / r
-        grad = 2.0 * (self.total * x - pull + cone * u)
-        hess = 2.0 * (self.total * np.eye(2) + cone / r * (np.eye(2) - np.outer(u, u)))
-        return float(self.weights @ d2), grad, hess
+        return float(self.weights @ d2), pull, float((self.weights - w_image) @ self.norms)
 
 
-def _start(images: _QuadrantImages, start, star: float):
-    """Best point of the ray out of the star tree through ``start``, or of
-    another ray when that one does not descend; None when none descends.
+def _best_ray(images: _QuadrantImages) -> tuple[float, float]:
+    """The largest gain ``G`` over the quadrant's rays out of the star tree,
+    and the angle from ``e`` of a ray that reaches it.
 
-    The space is a Euclidean cone: on a ray ``t u`` the Frechet function is
-    exactly ``star - 2 t G(u) + t**2``, best at ``t = G(u)``.  On the chord
-    ``v(s) = scale (1 - s, s)``, ``k(s) = star + |v|**2 - F(v)`` is
-    ``2 |v| G`` of the ray through ``v`` and ``-|v|`` times a directional
-    derivative of a convex function at the star tree, so it is concave in
-    ``s``: bisection on the sign of ``k'`` stops at the first ``k > 0``, or
-    once the tangents at the bracket ends bound ``k`` by 0.
+    The space is a Euclidean cone, so on the ray ``t u`` at angle ``theta``
+    the Frechet function is exactly ``star - 2 t G(theta) + total t**2``,
+    with ``G = sum w |p| c``: ``c`` is the cosine of the angle to the
+    point's nearest valid image, or -1 (the cone path) where none is valid.
+    In the quadrant's frame a slot at angle ``phi`` is the nearest on the
+    window between the midpoints to its neighbours in angle, and valid
+    within pi of ``phi``.  One sweep over the window ends inside the arc
+    sums ``G`` on each piece between them as ``A cos + B sin + C``, largest
+    at the point of the piece nearest ``atan2(B, A)`` round the circle.
+    The gain is then evaluated at that angle from the images themselves.
     """
-    scale = math.sqrt(star)
-
-    def probe(s):  # (s, v, k, dk/ds)
-        v = scale * np.array([1.0 - s, s])
-        value, grad, _ = images.derivatives(v)
-        return s, v, star + v @ v - value, scale * (grad - 2.0 * v) @ (1.0, -1.0)
-
-    found = probe(start[1] / start.sum())
-    if found[2] <= 0.0:
-        lo, hi = probe(0.0), probe(1.0)
-        lo, hi = (found, hi) if found[3] > 0.0 else (lo, found)
-        for _ in range(60):
-            found = max(lo, hi, key=lambda p: p[2])
-            (s0, _, k0, d0), (s1, _, k1, d1) = lo, hi
-            if found[2] > 0.0:
-                break
-            if d0 <= 0.0 or d1 >= 0.0:
-                return None  # k peaks at a bracket end, where it is <= 0
-            top = (k1 - k0 + d0 * s0 - d1 * s1) / (d0 - d1)  # the tangents meet
-            if k0 + d0 * (top - s0) <= 0.0:
-                return None
-            mid = probe(0.5 * (s0 + s1))
-            lo, hi = (mid, hi) if mid[3] > 0.0 else (lo, mid)
-        else:
-            return None
-    _, v, k, _ = found
-    x = v * (k / (2.0 * (v @ v)))
-    return x if x.any() else None  # a step that underflows does not descend
+    phi = np.where(images.clockwise, _HALF_PI - images.beta, images.beta)  # sorted
+    mid = 0.5 * (phi[:, 1:] + phi[:, :-1])
+    edge = np.full((len(phi), 1), np.inf)
+    lo = np.clip(np.maximum(np.hstack([-edge, mid]), phi - math.pi), 0.0, _HALF_PI)
+    hi = np.clip(np.minimum(np.hstack([mid, edge]), phi + math.pi), 0.0, _HALF_PI)
+    w = images.weights[:, None]
+    terms = np.stack(np.broadcast_arrays(  # (A, B, C) of each slot's window
+        w * images.qx, w * images.qy, w * images.norms[:, None]), -1)
+    kept = lo < hi
+    starts, ends = kept & (lo > 0.0), kept & (hi < _HALF_PI)
+    first = terms[kept & ~starts].sum(axis=0) - (0.0, 0.0, images.weights @ images.norms)
+    # window ends before starts, so that no point holds two windows at a tie
+    at = np.concatenate([hi[ends], lo[starts]])
+    order = at.argsort(kind="stable")
+    steps = np.concatenate([-terms[ends], terms[starts]])[order]
+    a, b, c = np.cumsum(np.vstack([first, steps]), axis=0).T
+    bounds = np.concatenate([[0.0], at[order], [_HALF_PI]])
+    left, right = bounds[:-1], bounds[1:]
+    peak = np.arctan2(b, a)
+    peak[peak < 0.5 * (left + right) - math.pi] += 2.0 * math.pi
+    theta = np.clip(peak, left, right)
+    theta = float(theta[np.argmax(a * np.cos(theta) + b * np.sin(theta) + c)])
+    u = _unit(theta)
+    _, pull, cone = images.assignment(u)
+    return float(pull @ u) - cone, theta
 
 
-_NEWTON_STEPS = 100
+def _unit(theta: float) -> np.ndarray:
+    """The quadrant's unit vector at angle ``theta``, exactly on f at pi/2."""
+    return np.array([math.cos(theta), math.sin(theta)] if theta < _HALF_PI else [0.0, 1.0])
 
 
-def _quadrant_minimum(images: _QuadrantImages, start, star: float):
-    """Projected Newton with Armijo backtracking on the closed quadrant.
+# A quadrant beats the star tree only when its gain is above this share of
+# ``sum w |p|``, the scale of G: the relative rule of mcsim's boundary
+# tolerance.  Below it, a ray's descent is rounding.
+_GAIN_RTOL = 8 * sys.float_info.epsilon
 
-    It starts from ``_start``, so every iterate beats the star tree and
-    avoids the origin, where the function is not differentiable.  A
-    coordinate at 0 whose partial derivative points outward stays at 0.
-    Returns ``(x, value, projected-gradient norm, steps)``, or None when
-    the quadrant's minimum is the star tree.
-    """
-    x = _start(images, start, star)
-    if x is None:
-        return None
-    for steps in range(_NEWTON_STEPS + 1):
-        value, grad, hess = images.derivatives(x)
-        free = (x > 0.0) | (grad < 0.0)
-        pg = np.where(free, grad, 0.0)
-        if pg @ pg <= 1e-16 * value or steps == _NEWTON_STEPS:
-            break
-        d = -np.linalg.solve(hess, grad) if free.all() else -pg / np.diag(hess)
-        for lam in 0.5 ** np.arange(30):
-            trial = np.maximum(x + lam * d, 0.0)
-            # the origin is the star tree, which x beats: a step onto it only
-            # looks no worse when the descent of x is below rounding
-            if trial.any() and images.value(trial) <= value + 1e-4 * grad @ (trial - x):
-                break
-        else:  # no measurable decrease is left
-            break
-        x = trial
-    return x, value, math.sqrt(pg @ pg), steps
+
+def _ray_minimum(images: _QuadrantImages, gain: float, theta: float):
+    """``(value, x)``, the quadrant's minimum from its best ray: the ray's
+    optimum ``t = gain / total``, or one closed-form step from the
+    image/cone assignment there when its value is no higher.  The step
+    solves ``total x = pull - cone u`` inside the quadrant, and on an axis
+    along it."""
+    u = _unit(theta)
+    x = u * (gain / images.total)
+    value, pull, cone = images.assignment(x)
+    r = math.hypot(*pull)
+    if 0.0 < theta < _HALF_PI:
+        step = pull * ((1.0 - cone / r) / images.total) if r > cone else None
+    else:
+        step = u * ((pull @ u - cone) / images.total)
+    if step is not None and step.min() >= 0.0 and step.max() > 0.0:
+        value, x = min((images.value(step), step), (value, x), key=lambda vx: vx[0])
+    return value, x
 
 
 def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     """Frechet mean of a tree-space sample (unique: the space is CAT(0)).
 
     When all points share one closed quadrant the mean is the coordinate
-    mean there, computed exactly (``method="euclidean"``).  Otherwise the
-    Frechet function, convex on each closed quadrant, is minimized on each
-    one by projected Newton from the weighted coordinate means, on the
-    sample's images unfolded into its frame; the best of these minima and
-    the star tree wins (``method="newton"``).
+    mean there, computed exactly (``method="euclidean"``).  Otherwise each
+    closed quadrant's minimum lies on its best ray out of the star tree
+    (:func:`_best_ray`), found in closed form on the sample's images
+    unfolded into its frame; the best of these minima and the star tree
+    wins (``method="cone"``).
     """
     if not len(sample):
         raise EmptySampleError("cannot average an empty sample")
@@ -627,24 +627,19 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     # length underflows
     exp = math.frexp(coords.max())[1]
     coords = np.ldexp(coords, -exp)
-    star = float(wts @ (coords * coords).sum(axis=1))
-    best, steps = (star, (), (), 0.0), 0
+    best = (float(wts @ (coords * coords).sum(axis=1)), (), ())  # the star tree
     for (e, f), table in zip(geom.quadrants, geom.image_tables):
-        start = wts @ coords[:, [geom.index[e], geom.index[f]]]
-        if not start.any():
+        if not (wts @ coords[:, [geom.index[e], geom.index[f]]]).any():
             continue  # all images lie in x, y <= 0: the origin is best here
         images = _QuadrantImages(table, classes, coords, wts)
-        found = _quadrant_minimum(images, start, star)
-        if found is None:
-            continue
-        x, value, pg_norm, used = found
-        steps += used
-        if value < best[0]:
-            best = (value, (e, f), x, pg_norm)
-    value, quadrant, x, pg_norm = best
+        gain, theta = _best_ray(images)
+        if gain > _GAIN_RTOL * float(wts @ images.norms):
+            value, x = _ray_minimum(images, gain, theta)
+            if value < best[0]:
+                best = (value, (e, f), x)
+    value, quadrant, x = best
     mean = T4Point(labels, dict(zip(quadrant, np.minimum(np.ldexp(x, exp), MAX_COORD))))
-    return T4MeanEstimate(mean, math.ldexp(value, 2 * exp), "newton", quadrant, steps,
-                          math.ldexp(pg_norm, exp))
+    return T4MeanEstimate(mean, math.ldexp(value, 2 * exp), "cone", quadrant)
 
 
 # --------------------------------------------------------------------------

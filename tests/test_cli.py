@@ -460,8 +460,7 @@ class TestMeanAndSticky:
         rep = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert set(rep) == {
             "space", "n", "labels", "tree_type", "intrinsic_sd", "mean",
-            "frechet_value", "method", "quadrant", "iterations",
-            "projected_gradient_norm",
+            "frechet_value", "method", "quadrant",
         }
         with pytest.raises(SystemExit) as exc:  # the option is gone
             main(["mean", str(sample), "--epochs", "5"])

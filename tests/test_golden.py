@@ -41,15 +41,30 @@ empty (three points name it at ``u`` 0, so they sit at the center), five
 center points and 37 points on leg 1, in mixed point order.  Its ``mean``
 and ``sticky`` fixtures were recorded while each leg's sums were still
 taken over a boolean mask of the sample.
-``t4_bisection.json`` is a three-point four-leaf sample on which the start
-of one quadrant's search bisects its chord (``t4space._start`` probes
-midpoints); ``means/t4_bisection.json`` is what ``mean`` wrote for it, the
-star tree at Frechet value 15.333333333333332, before the law writers and
-the other uncalled code of the library were deleted.
-``t4_bisection_descent.json`` is a three-point sample whose bisection finds a
+``t4_bisection.json`` is a three-point four-leaf sample on which the
+iterative solver that preceded the closed-form ray solve had to bisect one
+quadrant's chord to find its start; ``means/t4_bisection.json`` is what
+``mean`` wrote for it, the star tree at Frechet value 15.333333333333332,
+before the law writers and the other uncalled code of the library were
+deleted.
+``t4_bisection_descent.json`` is a three-point sample whose bisection found a
 descending ray, so that its mean lies inside the bisected quadrant
 (``{a|b}``, ``{c|d}``) and below the star tree; its ``means/`` fixture was
 recorded at the same time.
+The four-leaf ``means/`` fixtures were re-recorded when the per-quadrant ray
+solve replaced the bisection start and projected Newton: ``iterations`` and
+``projected_gradient_norm`` were removed and ``method`` went from
+``"newton"`` to ``"cone"``; numbers moved only in ``t4_mixed`` (the mean's
+lengths became 17/120 and 19/120, correctly rounded) and in
+``t4_bisection_descent`` (Frechet value 10.330407329001142 to
+10.33040732900114, the lengths by at most 4.3e-15 relative).
+``t4_gain_floor.json`` is a two-point sample whose mean is the star tree,
+though one quadrant's best ray gains 5.6e-17 by rounding: below the gain
+floor, so ``mean`` reports the star tree at Frechet value 13.0.
+``t4_near_star.json`` is a four-point sample whose mean,
+``{a|d}: 0.0128``, ``{b|c}: 0.0385``, lies about 0.04 from the star tree,
+where the iterative solver reported the star tree.  Both ``means/``
+fixtures were recorded with the ray solve.
 """
 
 import json
@@ -87,7 +102,9 @@ PLOT_SAMPLES = {
 MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.json",
                 "spider_weighted_p5": GOLDEN / "spider_weighted_p5.json",
                 "t4_bisection": GOLDEN / "t4_bisection.json",
-                "t4_bisection_descent": GOLDEN / "t4_bisection_descent.json"}
+                "t4_bisection_descent": GOLDEN / "t4_bisection_descent.json",
+                "t4_gain_floor": GOLDEN / "t4_gain_floor.json",
+                "t4_near_star": GOLDEN / "t4_near_star.json"}
 STICKY = GOLDEN / "sticky"
 STICKY_CASES = {  # fixture name: argv after ``sticky``
     "summary_w0_p": [GOLDEN / "summary_w0_p.json"],
@@ -221,12 +238,10 @@ RECORDS = {
                       {"lo": 0.0, "hi": 1.0, "x1_star": 0.5, "se": 0.25, "confidence": 0.9,
                        "n": 8}),
     "T4MeanEstimate": (
-        T4MeanEstimate(T4Point("abcd", {_ABC: 0.5, _AB: 1.0}), 0.25, "newton", (_AB, _ABC),
-                       3, 1e-12),
+        T4MeanEstimate(T4Point("abcd", {_ABC: 0.5, _AB: 1.0}), 0.25, "cone", (_AB, _ABC)),
         {"mean": {"splits": [{"cluster": ["a", "b"], "length": 1.0},
                              {"cluster": ["a", "b", "c"], "length": 0.5}]},
-         "frechet_value": 0.25, "method": "newton", "quadrant": [["a", "b"], ["a", "b", "c"]],
-         "iterations": 3, "projected_gradient_norm": 1e-12}),
+         "frechet_value": 0.25, "method": "cone", "quadrant": [["a", "b"], ["a", "b", "c"]]}),
     "SimReport": (
         mcsim.SimReport("openbook", mcsim.Regime.BOUNDARY, 60, 150, 0.25, (0.0, -1.0, -1.0),
                         0.05, 0.5, 0.1, None, True, runtime_seconds=2.5),

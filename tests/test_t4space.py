@@ -36,9 +36,9 @@ from treestats.t4space import (
     T4Point,
     T4Sample,
     _QuadrantImages,
+    _best_ray,
     _geometry,
     _split_coords,
-    _start,
     all_splits,
     book_partners,
     compatible,
@@ -55,6 +55,12 @@ L = (1, 2, 3, 4)
 
 def P(coords):
     return T4Point(L, {frozenset(c): v for c, v in coords.items()})
+
+
+def sample_of(*points):
+    labels = tuple("abcd")
+    return T4Sample(labels, tuple(
+        T4Point(labels, {frozenset(c): v for c, v in pt.items()}) for pt in points))
 
 
 def random_point(rng, quadrants, scale=2.0, axis_prob=0.25):
@@ -373,21 +379,28 @@ class TestMean:
         pts = (P({(1, 2): 1.0, (1, 2, 3): 1.0}), P({(1, 2): 2.0, (1, 2, 3): 1.0}),
                P({(1, 2): 1.0, (1, 2, 3): 2.0}), P({(1, 2): 1.0, (1, 2, 4): 0.5}),
                P({(1, 2, 3): 1.0, (1, 3): 0.5}))
-        est = t4_mean(T4Sample(L, pts))
-        assert est.method == "newton"
+        sample = T4Sample(L, pts)
+        est = t4_mean(sample)
+        assert est.method == "cone"
         assert est.quadrant == (frozenset({1, 2}), frozenset({1, 2, 3}))
         assert len(est.mean.support) == 2
-        assert est.projected_gradient_norm <= 1e-8 * math.sqrt(est.frechet_value)
-        assert set(est.to_dict()) == {
-            "mean", "frechet_value", "method", "quadrant", "iterations",
-            "projected_gradient_norm",
-        }
+        assert t4_descent(sample, est.mean, est.frechet_value, step=1e-3) <= (
+            1e-12 * est.frechet_value)
+        assert set(est.to_dict()) == {"mean", "frechet_value", "method", "quadrant"}
 
     def test_star_tree_wins_with_empty_quadrant(self):
         pts = (P({(1, 2): 1.0}), P({(1, 3): 1.0}), P({(2, 3): 1.0}))
         est = t4_mean(T4Sample(L, pts))
         assert est.mean.is_origin and est.quadrant == ()
         assert est.frechet_value == pytest.approx(1.0)
+
+    def test_gain_below_the_floor_keeps_the_star_tree(self):
+        # quadrant ({a|c}, {a|b|c}) gains 5.6e-17 by rounding, below the floor
+        # 8 eps sum w |p|: without it the mean would be a point 6.7e-16 from
+        # the star tree at 12.999999999999998.  Pinned under golden/.
+        est = t4_mean(sample_of({"ac": 2, "abc": 3}, {"ad": 2, "acd": 3}))
+        assert est.mean.is_origin and est.quadrant == ()
+        assert est.frechet_value == 13.0
 
     def test_empty(self):
         with pytest.raises(EmptySampleError):
@@ -463,9 +476,19 @@ class TestMeanProperties:
     # equal points: the Euclidean path must return the point itself
     @example(T4Sample(L, (P({(1, 3): 1.0, (1, 3, 4): 1.625}),) * 2,
                       (0.5714285714285714, 0.42857142857142855)))
-    # a ray whose descent is below rounding: Newton must not step onto the origin
+    # a ray whose descent is below rounding: the mean must not step onto the origin
     @example(T4Sample(L, (P({}), P({(1, 3): 0.12282768208439435, (2, 4): 1.5}),
                           P({(1, 2): 0.0, (1, 2, 3): 1.5}))))
+    # the bisection start and projected Newton ended in LinAlgError('Singular matrix')
+    @example(sample_of({"ac": 3, "acd": 2}, {"bd": 2, "bcd": 3}))
+    @example(sample_of({"ad": 2, "abd": 3}, {"cd": 3, "bcd": 2}))
+    # ... reported the star tree, though the mean lies in a quadrant near it
+    @example(sample_of({"bd": 1, "bcd": 4}, {"ac": 3}, {"ad": 4, "bc": 3}, {"ad": 1, "bc": 1}))
+    @example(sample_of({"ac": 3}, {"cd": 4}, {"bd": 4, "bcd": 2}))
+    @example(sample_of({"bc": 2}, {"ad": 2, "acd": 4}, {"bc": 3}, {"ab": 2}))
+    @example(sample_of({"cd": 4}, {"bd": 1}, {"bc": 2, "bcd": 4}, {"abd": 4}))
+    # ... and an axis point, though the mean lies inside a quadrant
+    @example(sample_of({"cd": 3}, {"ab": 2, "abc": 3}, {"bc": 4, "bcd": 4}))
     def test_no_worse_than_inductive_polish_and_no_descent(self, sample):
         est = t4_mean(sample)
         _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
@@ -506,44 +529,13 @@ def frames_and_points(draw):
     return qi, (a, b), T4Sample(L, tuple(pts))
 
 
-class _CountingImages(_QuadrantImages):
-    calls = 0
-
-    def derivatives(self, x):
-        self.calls += 1
-        return super().derivatives(x)
-
-
-def quadrant_starts(sample):
-    """``_start`` on each quadrant as ``t4_mean`` calls it: quadrant ->
-    (start point or None, number of ``derivatives`` calls)."""
-    geom = _geometry(sample.labels)
-    wts, coords = sample.normalized_weights(), _split_coords(sample, geom)
-    coords = np.ldexp(coords, -math.frexp(coords.max())[1])
-    star = float(wts @ (coords * coords).sum(axis=1))
-    out = {}
-    for (e, f), table in zip(geom.quadrants, geom.image_tables):
-        start = wts @ coords[:, [geom.index[e], geom.index[f]]]
-        if start.any():
-            images = _CountingImages(table, sample.codes, coords, wts)
-            out[e, f] = _start(images, start, star), images.calls
-    return out
-
-
-def sample_of(*points):
-    labels = tuple("abcd")
-    return T4Sample(labels, tuple(
-        T4Point(labels, {frozenset(c): v for c, v in pt.items()}) for pt in points))
-
-
 class TestStartBisection:
-    """Samples whose ray through a quadrant's start does not descend, so
-    that ``_start`` bisects the chord: it probes midpoints after its first
-    three ``derivatives`` calls.  Both are pinned under ``golden/``."""
+    """Samples on which the bisection start that preceded the closed-form
+    solve had to bisect a quadrant's chord; both are pinned under
+    ``golden/``."""
 
     def test_bisection_ends_at_the_star_tree(self):
         sample = sample_of({"ac": 4, "abc": 3}, {"cd": 4, "bcd": 1}, {"acd": 2})
-        assert max(calls for _, calls in quadrant_starts(sample).values()) > 3
         est = t4_mean(sample)
         assert est.mean.support == ()
         assert est.frechet_value == 15.333333333333332
@@ -552,14 +544,41 @@ class TestStartBisection:
     def test_bisection_finds_a_descending_ray(self):
         sample = sample_of({"ab": 3}, {"ad": 3}, {"cd": 3, "bcd": 2})
         quadrant = (frozenset("ab"), frozenset("cd"))
-        x, calls = quadrant_starts(sample)[quadrant]
-        assert calls > 3 and x is not None
         est = t4_mean(sample)
         assert est.quadrant == quadrant
         assert est.frechet_value < frechet_function(T4Point(sample.labels, {}), sample)
         _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
         assert est.frechet_value <= oracle_value * (1 + 1e-9)
         assert t4_descent(sample, est.mean, est.frechet_value, step=1e-3) == 0.0
+
+
+class TestBestRay:
+    """``_best_ray`` against the gain read off the route oracle by the cone
+    identity ``F(u) = F(0) - 2 G(u) + 1`` on unit vectors ``u``."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(t4_samples(max_size=6), st.integers(0, 14))
+    @example(sample_of({"ac": 2, "abc": 3}, {"ad": 2, "acd": 3}), 1)
+    def test_gain_is_the_largest_on_the_arc(self, sample, q):
+        geom = _geometry(sample.labels)
+        (e, f), wts = geom.quadrants[q], sample.normalized_weights()
+        images = _QuadrantImages(geom.image_tables[q], sample.codes,
+                                 _split_coords(sample, geom), wts)
+        gain, theta = _best_ray(images)
+        star = route_frechet_function(T4Point(sample.labels, {}), sample)
+
+        def oracle_gain(angle):
+            on_f = angle == math.pi / 2
+            u = T4Point(sample.labels, {e: 0.0 if on_f else math.cos(angle),
+                                        f: math.sin(angle)})
+            return (star + 1.0 - route_frechet_function(u, sample)) / 2.0
+
+        tol = 1e-12 * (1.0 + star)  # the oracle's rounding
+        assert 0.0 <= theta <= math.pi / 2
+        assert gain == pytest.approx(oracle_gain(theta), abs=tol)
+        for angle in np.linspace(0.0, math.pi / 2, 41):
+            assert oracle_gain(angle) <= gain + tol
 
 
 class TestQuadrantImages:
