@@ -32,7 +32,7 @@ Means: the space is a Euclidean cone, so on each ray out of the star tree
 the Frechet function is a parabola in the radius, and a quadrant's minimum
 lies on the ray that maximizes its linear coefficient.  ``_best_ray`` finds
 that ray in closed form, piece by piece between the angles where a point's
-nearest image changes; no iteration is needed.
+image turns valid or invalid; no iteration is needed.
 
 ``_projection`` is the central projection onto the Petersen graph that
 :mod:`treestats.plots` draws and writes as CSV.
@@ -177,23 +177,21 @@ class _Geometry:
 
         A point inside the closed quadrant is its own image; any other point
         has one image per path of ``paths_by_first`` that starts with (e, f)
-        or (f, e) and whose last edge holds its support.  A slot holds the
-        indices of the splits read as the image's local coordinates (the
-        path's last edge), the quarter turns of the unfolding, and 1 for a
-        clockwise one (first pair (f, e)).  Padding slots turn four quarters,
-        past pi from any x, so they are never valid.  A row's slots are in
-        the order of their angles in the frame: by quarter turns, counted
-        negative clockwise (each turn spans its own quarter of the circle;
-        the slots of one class with equal turns are images of one axis
-        point, at one angle).
+        or (f, e) and whose last edge, but not the edge before it, holds its
+        support (an axis point on both has the same image on the path one
+        edge shorter).  A slot holds the indices of the splits read as the
+        image's local coordinates (the path's last edge), the quarter turns
+        of the unfolding, and 1 for a clockwise one (first pair (f, e)).
+        Padding slots turn four quarters, past pi from any x, so they are
+        never valid.
         """
         rows = [
-            [(e, f, 0, 0)] if set(support) <= {e, f} else sorted(
-                ((path[-2], path[-1], len(path) - 2, int(first == (f, e)))
-                 for first in ((e, f), (f, e))
-                 for path in self.paths_by_first[first]
-                 if set(support) <= {path[-2], path[-1]}),
-                key=lambda slot: -slot[2] if slot[3] else slot[2])
+            [(e, f, 0, 0)] if set(support) <= {e, f} else [
+                (path[-2], path[-1], len(path) - 2, int(first == (f, e)))
+                for first in ((e, f), (f, e))
+                for path in self.paths_by_first[first]
+                if set(support) <= set(path[-2:]) and not set(support) <= set(path[-3:-1])
+            ]
             for support in self.supports
         ]
         width = max(map(len, rows))
@@ -533,29 +531,27 @@ def _best_ray(images: _QuadrantImages) -> tuple[float, float]:
     The space is a Euclidean cone, so on the ray ``t u`` at angle ``theta``
     the Frechet function is exactly ``star - 2 t G(theta) + total t**2``,
     with ``G = sum w |p| c``: ``c`` is the cosine of the angle to the
-    point's nearest valid image, or -1 (the cone path) where none is valid.
-    In the quadrant's frame a slot at angle ``phi`` is the nearest on the
-    window between the midpoints to its neighbours in angle, and valid
-    within pi of ``phi``.  One sweep over the window ends inside the arc
-    sums ``G`` on each piece between them as ``A cos + B sin + C``, largest
-    at the point of the piece nearest ``atan2(B, A)`` round the circle.
-    The gain is then evaluated at that angle from the images themselves.
+    point's valid image, or -1 (the cone path) where none is valid.  In the
+    quadrant's frame an image at angle ``phi`` is valid within pi of it,
+    and a point's images lie at least 5 pi / 2 apart (a path and the other
+    way round to one support close a cycle of at least five quadrants: the
+    Petersen graph has girth 5), so at most one is valid at any angle.  One
+    sweep over the ends of these windows inside the arc sums ``G`` on each
+    piece between them as ``A cos + B sin + C``, largest at the point of
+    the piece nearest ``atan2(B, A)`` round the circle.  The gain is then
+    evaluated at that angle from the images themselves.
     """
-    phi = np.where(images.clockwise, _HALF_PI - images.beta, images.beta)  # sorted
-    mid = 0.5 * (phi[:, 1:] + phi[:, :-1])
-    edge = np.full((len(phi), 1), np.inf)
-    lo = np.clip(np.maximum(np.hstack([-edge, mid]), phi - math.pi), 0.0, _HALF_PI)
-    hi = np.clip(np.minimum(np.hstack([mid, edge]), phi + math.pi), 0.0, _HALF_PI)
+    phi = np.where(images.clockwise, _HALF_PI - images.beta, images.beta)
+    lo, hi = np.clip(phi - math.pi, 0.0, _HALF_PI), np.clip(phi + math.pi, 0.0, _HALF_PI)
     w = images.weights[:, None]
-    terms = np.stack(np.broadcast_arrays(  # (A, B, C) of each slot's window
+    terms = np.stack(np.broadcast_arrays(  # (A, B, C) of each image's window
         w * images.qx, w * images.qy, w * images.norms[:, None]), -1)
     kept = lo < hi
     starts, ends = kept & (lo > 0.0), kept & (hi < _HALF_PI)
     first = terms[kept & ~starts].sum(axis=0) - (0.0, 0.0, images.weights @ images.norms)
-    # window ends before starts, so that no point holds two windows at a tie
-    at = np.concatenate([hi[ends], lo[starts]])
-    order = at.argsort(kind="stable")
-    steps = np.concatenate([-terms[ends], terms[starts]])[order]
+    at = np.concatenate([lo[starts], hi[ends]])
+    order = at.argsort()
+    steps = np.concatenate([terms[starts], -terms[ends]])[order]
     a, b, c = np.cumsum(np.vstack([first, steps]), axis=0).T
     bounds = np.concatenate([[0.0], at[order], [_HALF_PI]])
     left, right = bounds[:-1], bounds[1:]

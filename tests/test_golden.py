@@ -59,8 +59,8 @@ lengths became 17/120 and 19/120, correctly rounded) and in
 ``t4_bisection_descent`` (Frechet value 10.330407329001142 to
 10.33040732900114, the lengths by at most 4.3e-15 relative).
 ``t4_gain_floor.json`` is a two-point sample whose mean is the star tree,
-though one quadrant's best ray gains 5.6e-17 by rounding: below the gain
-floor, so ``mean`` reports the star tree at Frechet value 13.0.
+at Frechet value 13.0, on which the iterative solver exited 1 with a
+singular Newton step; each quadrant's best-ray gain is at most rounding.
 ``t4_near_star.json`` is a four-point sample whose mean,
 ``{a|d}: 0.0128``, ``{b|c}: 0.0385``, lies about 0.04 from the star tree,
 where the iterative solver reported the star tree.  Both ``means/``

@@ -394,13 +394,20 @@ class TestMean:
         assert est.mean.is_origin and est.quadrant == ()
         assert est.frechet_value == pytest.approx(1.0)
 
-    def test_gain_below_the_floor_keeps_the_star_tree(self):
-        # quadrant ({a|c}, {a|b|c}) gains 5.6e-17 by rounding, below the floor
-        # 8 eps sum w |p|: without it the mean would be a point 6.7e-16 from
-        # the star tree at 12.999999999999998.  Pinned under golden/.
-        est = t4_mean(sample_of({"ac": 2, "abc": 3}, {"ad": 2, "acd": 3}))
+    @pytest.mark.parametrize("points, value", [
+        # the iterative solver exited 1 on this one; pinned under golden/
+        (({"ac": 2, "abc": 3}, {"ad": 2, "acd": 3}), 13.0),
+        # a best ray gains about 1e-16 by rounding, below the floor 8 eps
+        # sum w |p|: without it the mean is a point about 1e-16 from the
+        # star tree, at a value a few ulps below the star tree's
+        (({"ab": 2, "abc": 1}, {"ac": 2, "bd": 3}, {"bc": 1, "bcd": 1}), 6.666666666666667),
+        (({"bc": 4, "bcd": 3}, {"bd": 3, "abd": 1}, {"ab": 2, "cd": 3}), 16.0),
+        (({"cd": 3, "acd": 3}, {"bcd": 3}, {"ab": 3, "abd": 3}), 15.0),
+    ])
+    def test_gain_below_the_floor_keeps_the_star_tree(self, points, value):
+        est = t4_mean(sample_of(*points))
         assert est.mean.is_origin and est.quadrant == ()
-        assert est.frechet_value == 13.0
+        assert est.frechet_value == value
 
     def test_empty(self):
         with pytest.raises(EmptySampleError):
@@ -582,6 +589,21 @@ class TestBestRay:
 
 
 class TestQuadrantImages:
+    def test_images_of_a_point_lie_five_quarter_turns_apart(self):
+        # so at most one is valid from any angle, as _best_ray counts them
+        geom = _geometry(L)
+        codes = np.repeat(np.arange(1, len(geom.supports)), 40)
+        coords = np.zeros((len(codes), len(geom.splits) + 1))
+        np.put_along_axis(coords, geom.pairs[codes],
+                          np.random.default_rng(5).uniform(0.0, 1.0, (len(codes), 2)), axis=1)
+        for table in geom.image_tables:
+            images = _QuadrantImages(table, codes, coords[:, :-1], np.ones(len(codes)))
+            phi = np.where(images.clockwise, math.pi / 2 - images.beta, images.beta)
+            real = table[codes][..., 2] < 4  # not padding
+            pairs = real[:, :, None] & real[:, None, :] & ~np.eye(phi.shape[1], dtype=bool)
+            gaps = np.abs(phi[:, :, None] - phi[:, None, :])[pairs]
+            assert gaps.min() >= 5 * math.pi / 2 - 1e-12
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(frames_and_points())
