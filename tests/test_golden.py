@@ -65,6 +65,11 @@ singular Newton step; each quadrant's best-ray gain is at most rounding.
 ``{a|d}: 0.0128``, ``{b|c}: 0.0385``, lies about 0.04 from the star tree,
 where the iterative solver reported the star tree.  Both ``means/``
 fixtures were recorded with the ray solve.
+``t4_polish_miss.json`` is a four-point sample whose mean,
+``{a|d}: 0.0075``, ``{b|c}: 0.0299``, lies about 0.03 from the star tree;
+the inductive-polish oracle and the grid oracle (step 0.05) both miss it
+and give the star tree.  Its ``means/`` fixture was recorded with the ray
+solve.
 """
 
 import json
@@ -104,7 +109,8 @@ MEAN_SAMPLES = {**PLOT_SAMPLES, "openbook_sample": GOLDEN / "openbook_sample.jso
                 "t4_bisection": GOLDEN / "t4_bisection.json",
                 "t4_bisection_descent": GOLDEN / "t4_bisection_descent.json",
                 "t4_gain_floor": GOLDEN / "t4_gain_floor.json",
-                "t4_near_star": GOLDEN / "t4_near_star.json"}
+                "t4_near_star": GOLDEN / "t4_near_star.json",
+                "t4_polish_miss": GOLDEN / "t4_polish_miss.json"}
 STICKY = GOLDEN / "sticky"
 STICKY_CASES = {  # fixture name: argv after ``sticky``
     "summary_w0_p": [GOLDEN / "summary_w0_p.json"],
