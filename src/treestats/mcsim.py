@@ -19,7 +19,8 @@ limit (population parameters, no estimation), so textbook critical
 values apply.  Replicate ``rep`` draws from PCG64 seeded by
 ``SeedSequence([seed, rep])``, an independent stream, so replicates can
 run in any order.  That seeding is computed in arrays, numpy's mixing on
-uint32 words for many replicates at once, and gives numpy's own streams.
+uint32 words for all replicates of a draw block at once, and gives
+numpy's own streams.
 The seed must be an integer >= 0 and there are at most 2**32 replicates
 (``MAX_REPLICATIONS``): the replicate index is one 32-bit word.
 
@@ -45,7 +46,6 @@ Kolmogorov-Smirnov distribution", J. Stat. Softw. 39(11).
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -333,19 +333,10 @@ def law_from_dict(obj: dict):
     return law.from_dict(obj)
 
 
-# Moment gaps of a law are computed in floating point, so a law that is
-# exactly on the boundary can come out a few ulps of sum(v) off zero (at
-# most 0.75 * epsilon * sum(v) over 4000 laws with weights (0.5, x, 0.5 - x)).
-# A largest gap within this relative tolerance is the boundary regime.  A
-# limit variance (second moment minus squared mean) within it of the second
-# moment is 0: ``simulate`` then reports the law as degenerate, at any scale.
-_BOUNDARY_RTOL = 8 * sys.float_info.epsilon
-
-
 def _regime_of(v: tuple[float, ...]) -> tuple[Regime, tuple[float, ...]]:
     """Regime and moment gaps ``v_a - sum(v_b, b != a)`` of leg moments ``v``."""
     th = tuple(sp.gaps(v).tolist())
-    kind = sp.verdict(th, _BOUNDARY_RTOL * sum(v)).kind  # e.g. "non_sticky" -> NONSTICKY
+    kind = sp.verdict(th, sp.ROUNDING_RTOL * sum(v)).kind  # e.g. "non_sticky" -> NONSTICKY
     return Regime[kind.replace("_", "").upper()], th
 
 
@@ -370,7 +361,7 @@ class SimReport(sp.Record):
     exactly the center (or spine).  KS fields are ``None`` where the
     regime predicts a point mass or the law is ``degenerate``: the limit
     variance of the tested coordinate (on an open book, the spine's) is 0
-    to within ``_BOUNDARY_RTOL`` of its second moment, so a law and its
+    to within ``spider.ROUNDING_RTOL`` of its second moment, so a law and its
     rescalings agree.  ``runtime_seconds`` has ``compare=False``, so
     equality and :meth:`~treestats.spider.Record.to_dict` leave it out:
     seeded reruns compare equal and write the same bytes.
@@ -418,10 +409,6 @@ _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Replicates seeded per kernel call.  A call costs about 0.2 ms for up to a
-# few hundred replicates, so seeding is not tied to the draw blocks, which
-# hold only three replicates at n = 20000.
-_SEED_CHUNK = 1024
 
 
 def _seed_words(seed) -> list[int]:
@@ -487,16 +474,6 @@ def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
-
-
-def _replicate_states(words: list[int], replications: int):
-    """Yield, for rep = 0, 1, ..., the ``PCG64.state`` of
-    ``default_rng(SeedSequence([seed, rep]))``, seeded ``_SEED_CHUNK``
-    replicates at a time."""
-    for r0 in range(0, replications, _SEED_CHUNK):
-        reps = np.arange(r0, min(r0 + _SEED_CHUNK, replications))
-        for state in zip(*_generate_state(words, reps).tolist()):
-            yield _pcg64_state(*state)
 
 
 def _leg_cdf(weights) -> np.ndarray:
@@ -639,10 +616,11 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     standard deviation of ``x1`` (``(replications,)`` arrays).
 
     Replicate ``rep`` draws from PCG64 seeded by ``SeedSequence([seed,
-    rep])`` (``_replicate_states``).  The loop only draws the leg-sorted
-    coordinates of each replicate into the rows of a block; each block is
-    then checked (``_check_draws``) and its legs' runs, points on no leg
-    left out, reduced by one ``spider.segment_sums`` call.
+    rep])``, seeded per draw block by one ``_generate_state`` call.  The
+    loop only draws the leg-sorted coordinates of each replicate into the
+    rows of a block; each block is then checked (``_check_draws``) and its
+    legs' runs, points on no leg left out, reduced by one
+    ``spider.segment_sums`` call.
 
     A law whose coordinates are all exactly :class:`Uniform` reads each
     replicate's stream with one ``rng.random`` call, the n * (1 + dims)
@@ -655,7 +633,7 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     known only by drawing it.
     """
     _check_sizes(n, replications)
-    states = _replicate_states(_seed_words(seed), replications)
+    words = _seed_words(seed)
     book = isinstance(law, OpenBookLaw)
     cdf, coordinates = _leg_cdf(law.weights), law.coordinates
     p, dims = cdf.size, len(coordinates[0])
@@ -672,8 +650,9 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     wts = np.full(m * n, 1.0 / n)  # the block's point weights
     for r0 in range(0, replications, m):
         rows = min(m, replications - r0)
-        for i, state in zip(range(rows), states):
-            bitgen.state = state
+        states = _generate_state(words, np.arange(r0, r0 + rows)).tolist()
+        for i, state in enumerate(zip(*states)):
+            bitgen.state = _pcg64_state(*state)
             if uniform:
                 rng.random(out=streams[i])
             else:
@@ -746,7 +725,7 @@ def simulate(law: SpiderLaw | OpenBookLaw, n: int, replications: int, seed: int 
         stats = gaps[:, a_star]
 
     ks = ks2 = (None, None)
-    degenerate = var <= _BOUNDARY_RTOL * second
+    degenerate = var <= sp.ROUNDING_RTOL * second
     if not degenerate and regime is Regime.NONSTICKY:
         ks = _ks(stats, "norm", n, math.sqrt(var))
     elif not degenerate and regime is Regime.BOUNDARY:
@@ -756,7 +735,7 @@ def simulate(law: SpiderLaw | OpenBookLaw, n: int, replications: int, seed: int 
         mu1 = _moment(law.weights, law.spine, "mean")
         second1 = _moment(law.weights, law.spine, "second_moment")
         var1 = second1 - mu1 * mu1
-        degenerate = var1 <= _BOUNDARY_RTOL * second1
+        degenerate = var1 <= sp.ROUNDING_RTOL * second1
         spine_ks = (None, None) if degenerate else _ks(spine - mu1, "norm", n, math.sqrt(var1))
         ks, ks2 = spine_ks, ks
     return SimReport(

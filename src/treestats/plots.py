@@ -5,7 +5,7 @@ formatting, so a given sample always produces byte-identical output
 (modulo the version comment in the header).  Plots read the sample's
 arrays (``codes`` with ``u`` or ``coords``) and build no point object per
 sample point.  Tree-space points and means are projected centrally onto
-the Petersen graph by ``t4space._projection``; :func:`petersen_csv` writes
+the Petersen graph by :func:`_projection`; :func:`petersen_csv` writes
 each projection as a row (kind, splits, angular fraction, radius).
 """
 
@@ -135,10 +135,22 @@ def _split_label(split: frozenset) -> str:
     return "{" + ";".join(str(x) for x in sorted(split)) + "}"
 
 
+def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
+    """Central projection onto the Petersen graph of the point whose splits
+    ``support`` (canonical order) have ``lengths``: ``(splits, s, radius)``.
+    ``splits`` holds one split for a vertex hit, two for an edge hit and none
+    at the origin; ``s`` is the angular fraction from the first split toward
+    the second (0 at a vertex), and ``radius`` the distance to the origin."""
+    r = math.hypot(*lengths)
+    if len(support) < 2:
+        return support, 0.0, r
+    return support, math.atan2(lengths[1], lengths[0]) / (math.pi / 2.0), r
+
+
 def _projections(sample: T4Sample) -> list[tuple]:
     """``(splits, s, radius)`` of every point, as :func:`_projection` gives
     them; ``splits`` is empty at the origin."""
-    from .t4space import _geometry, _projection
+    from .t4space import _geometry
 
     supports = _geometry(sample.labels).supports
     return [_projection(supports[code], xy)
@@ -152,7 +164,7 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None) -> str:
     angular fraction); dot area tracks the point's distance to the
     origin.  Origin points cannot be projected and are skipped.
     """
-    from .t4space import _geometry, _projection
+    from .t4space import _geometry
 
     labels, size = sample.labels, _PETERSEN_SIZE
     pos = petersen_layout(labels)

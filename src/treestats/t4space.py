@@ -33,15 +33,11 @@ the Frechet function is a parabola in the radius, and a quadrant's minimum
 lies on the ray that maximizes its linear coefficient.  ``_best_ray`` finds
 that ray in closed form, piece by piece between the angles where a point's
 image turns valid or invalid; no iteration is needed.
-
-``_projection`` is the central projection onto the Petersen graph that
-:mod:`treestats.plots` draws and writes as CSV.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -56,7 +52,8 @@ from .errors import (
     NotInBookError,
 )
 from .spider import (
-    MAX_COORD, ArraySample, Record, _codes, _immutable, coordinates, json_numbers, json_points)
+    MAX_COORD, ROUNDING_RTOL, ArraySample, Record, _codes, _immutable, coordinates, json_numbers,
+    json_points)
 
 if TYPE_CHECKING:
     from .openbook import SpineStickinessReport
@@ -569,12 +566,6 @@ def _unit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)] if theta < _HALF_PI else [0.0, 1.0])
 
 
-# A quadrant beats the star tree only when its gain is above this share of
-# ``sum w |p|``, the scale of G: the relative rule of mcsim's boundary
-# tolerance.  Below it, a ray's descent is rounding.
-_GAIN_RTOL = 8 * sys.float_info.epsilon
-
-
 def _ray_minimum(images: _QuadrantImages, gain: float, theta: float):
     """``(value, x)``, the quadrant's minimum from its best ray: the ray's
     optimum ``t = gain / total``, or one closed-form step from the
@@ -629,7 +620,8 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
             continue  # all images lie in x, y <= 0: the origin is best here
         images = _QuadrantImages(table, classes, coords, wts)
         gain, theta = _best_ray(images)
-        if gain > _GAIN_RTOL * float(wts @ images.norms):
+        # beats the star tree only above rounding of sum w |p|, the scale of G
+        if gain > ROUNDING_RTOL * float(wts @ images.norms):
             value, x = _ray_minimum(images, gain, theta)
             if value < best[0]:
                 best = (value, (e, f), x)
@@ -639,7 +631,7 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
 
 
 # --------------------------------------------------------------------------
-# strata, open-book neighborhoods, Petersen projection
+# strata and open-book neighborhoods
 # --------------------------------------------------------------------------
 
 class Stratum(Enum):
@@ -695,18 +687,6 @@ def spine_stickiness_t4(
 
     book = OpenBookSample.from_arrays(leaves, lengths[:, 0], x2, sample.weights)
     return openbook_mean(book, tolerance)
-
-
-def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
-    """Central projection onto the Petersen graph of the point whose splits
-    ``support`` (canonical order) have ``lengths``: ``(splits, s, radius)``.
-    ``splits`` holds one split for a vertex hit, two for an edge hit and none
-    at the origin; ``s`` is the angular fraction from the first split toward
-    the second (0 at a vertex), and ``radius`` the distance to the origin."""
-    r = math.hypot(*lengths)
-    if len(support) < 2:
-        return support, 0.0, r
-    return support, math.atan2(lengths[1], lengths[0]) / _HALF_PI, r
 
 
 def tree_type_newick(labels, point: T4Point) -> str:

@@ -602,6 +602,27 @@ def t4_descent(sample, mean, value, step=1e-3):
     return worst
 
 
+def t4_star_descent(sample, value, step=1e-3):
+    """Largest drop of the Frechet function over short steps out of the
+    star tree, whose Frechet value is ``value``.
+
+    Steps of ``step`` x sqrt(value), as :func:`t4_descent` takes them, go
+    along rays every 15 degrees of every closed quadrant, both axes
+    included, and are valued by :func:`route_frechet_function`.  A mean
+    just off the star tree can lie between :func:`t4_descent`'s compass
+    directions, which see no descent there.
+    """
+    h = step * math.sqrt(value)
+    worst = 0.0
+    for e, f in _geometry(sample.labels).quadrants:
+        for k in range(7):
+            angle = k * _HALF_PI / 6
+            moved = T4Point(sample.labels, {e: h * math.cos(angle) if k < 6 else 0.0,
+                                            f: h * math.sin(angle)})
+            worst = max(worst, value - route_frechet_function(moved, sample))
+    return worst
+
+
 # --------------------------------------------------------------------------
 # Newick: the recursive reader and writer
 # --------------------------------------------------------------------------

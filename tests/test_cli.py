@@ -339,6 +339,14 @@ class TestSampleTrees:
             "sample-trees", str(fasta), "--groups", str(groups3), "--k", "4",
         ]) == 2
 
+    def test_k_other_than_3_or_4_refused(self, toy):
+        # the command line allows only 3 and 4; the library call checks k itself
+        fasta, groups3, _ = toy
+        block = parse_fasta(fasta.read_text())
+        groups = pipeline.load_groups(groups3.read_text())
+        with pytest.raises(ConfigError, match=r"^k must be 3 or 4$"):
+            pipeline.sample_trees(block, groups, k=5, reps=10, seed=1)
+
 
 class TestMeanAndSticky:
     def test_mean_t3_report(self, toy, tmp_path):
@@ -744,8 +752,13 @@ class TestMoreCliEdges:
         (["nj"], "empty.csv", "", "empty distance CSV"),
         (["dist"], "first.fasta", ">a\n>b\nAC\n", "row for 'a' has length 0, expected >= 1"),
         (["dist"], "last.fasta", ">a\nAC\n>b\n", "row for 'b' has length 0, expected 2"),
+        (["dist"], "headless.fasta", "AC\n>a\nAC\n",
+         "sequence data before any header at line 1"),
+        (["sample-trees", "--groups", str(DATA / "toy_groups3.csv"), "--k", "3", "--reps", "0"],
+         "toy.fasta", (DATA / "toy_alignment.fasta").read_text(), "reps must be >= 1"),
     ], ids=["json_list", "law_leg_number", "t3_plot_csv", "spider_without_p", "nj_empty",
-            "fasta_first_record_empty", "fasta_last_record_empty"])
+            "fasta_first_record_empty", "fasta_last_record_empty", "fasta_data_before_header",
+            "sample_trees_reps_zero"])
     def test_bad_input_exit_2(self, tmp_path, capsys, command, name, text, message):
         path = tmp_path / name
         path.write_text(text)
@@ -903,6 +916,11 @@ class TestBadSampleExit2:
         ({**T4_DOC, "points": [{"splits": [{"cluster": ["a", "x"], "length": 1}]}]},
          "points[0].splits: a four-leaf tree has at most two distinct compatible splits of 2 "
          "or 3 leaves, got clusters [['a', 'x']]\n"),
+        *(({**T4_DOC, "points": [point]},
+           "error: points[0].splits must be a list of {cluster, length} objects\n")
+          for point in ({"splits": 5}, {"splits": [{"cluster": "ab", "length": 1}]},
+                        {"splits": [{"cluster": ["a", 1], "length": 1}]}, {"splits": [5]},
+                        {})),
     ])
     def test_t4_message(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
@@ -980,12 +998,13 @@ class TestBadLawExit2:
                      "legs": [{"kind": "point_mass", "u": 1.3407807929942596e154}] * 2}),
          [], "legs: the law's second moment"),
         (_law(BOOK, "leaves", 2), [], "leaves: an open-book law has exactly three, got 2"),
+        (_law(BOOK, "leaves", 0, value=5), [], "leaves[0] must be an object with x1 and x2"),
     ], ids=["rate_negative", "rate_infinite", "kind_unknown", "hi_missing", "extra_key",
             "hi_string", "hi_overflow", "legs_missing", "x1_missing", "weights_extra",
             "weights_strings", "point_mass_at_center", "n_zero", "reps_zero",
             "second_moment_overflow", "hi_near_max", "mean_overflow", "rate_squared_subnormal",
             "rate_squared_zero", "rate_huge_int", "weights_huge_int", "x1_second_moment",
-            "mixture_second_moment", "two_leaves"])
+            "mixture_second_moment", "two_leaves", "leaf_not_object"])
     def test_exit_2_names_field(self, tmp_path, capsys, law, args, field):
         path = tmp_path / "law.json"
         path.write_text(law)

@@ -495,14 +495,17 @@ class TestReplicateSeeding:
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
     def test_states_across_block_and_chunk_edges(self, monkeypatch, seed):
-        # draw blocks of 3 replicates of 10 draws, seeding chunks of 4
+        # draw blocks of 3 replicates of 10 draws; each block is seeded by
+        # one kernel call, so its edges are the seeding edges too; the
+        # uniform book is drawn through the block route
         monkeypatch.setattr(mcsim, "_BLOCK", 30)
-        for law in (SYMMETRIC, symmetric_book()):
+        uniform_book = symmetric_book(Uniform(0.5, 1.5))
+        for law in (SYMMETRIC, symmetric_book(), uniform_book):
             assert canonical_json(simulate(law, 10, 11, seed).to_dict()) \
                 == oracle_simulate(law, 10, 11, seed)
-        monkeypatch.setattr(mcsim, "_SEED_CHUNK", 4)
-        states = list(mcsim._replicate_states(mcsim._seed_words(seed), 11))
-        assert states == [replicate_rng(seed, rep).bit_generator.state for rep in range(11)]
+        for law in (symmetric_book(), uniform_book):
+            assert spine_coverage(law, 10, 11, 0.9, seed) \
+                == oracle_coverage(law, 10, 11, 0.9, seed)
 
     @pytest.mark.parametrize("run", [
         lambda seed: simulate(SYMMETRIC, 10, 5, seed),

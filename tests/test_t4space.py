@@ -2,6 +2,7 @@ import copy
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,7 @@ from oracles import (
     t4_grid_frechet_minimum,
     t4_mean_inductive_polish,
     t4_shortest_path,
+    t4_star_descent,
 )
 from treestats.errors import (
     EmptySampleError,
@@ -496,15 +498,53 @@ class TestMeanProperties:
     @example(sample_of({"cd": 4}, {"bd": 1}, {"bc": 2, "bcd": 4}, {"abd": 4}))
     # ... and an axis point, though the mean lies inside a quadrant
     @example(sample_of({"cd": 3}, {"ab": 2, "abc": 3}, {"bc": 4, "bcd": 4}))
+    # the mean lies 0.03 from the star tree, between the compass directions
+    # of t4_descent; the polish oracle gives the star tree, so only the star
+    # probe would catch a star-tree answer
+    @example(sample_of({"bd": 3}, {"bcd": 3}, {"ad": 4, "bc": 4}, {"ac": 1}))
     def test_no_worse_than_inductive_polish_and_no_descent(self, sample):
         est = t4_mean(sample)
         _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
         assert est.frechet_value <= oracle_value * (1 + 1e-9)
         assert est.frechet_value == pytest.approx(
             frechet_function(est.mean, sample), rel=1e-12, abs=1e-300)
-        if est.frechet_value > 0:
-            drop = t4_descent(sample, est.mean, est.frechet_value, step=1e-3)
-            assert drop <= 1e-12 * est.frechet_value
+        assert_no_descent(sample, est)
+
+
+def assert_no_descent(sample, est):
+    """No short step from the mean descends beyond rounding: along the
+    compass directions of its quadrants, and out of the star tree along
+    rays every 15 degrees when the mean is the star tree."""
+    value = est.frechet_value
+    if value > 0:
+        assert t4_descent(sample, est.mean, value, step=1e-3) <= 1e-12 * value
+        if est.mean.is_origin:
+            assert t4_star_descent(sample, value) <= 1e-12 * value
+
+
+def small_integer_samples(count, seed=5):
+    """Samples of 2 to 4 points, each point of a random non-origin support
+    class (in ``_Geometry.supports`` order) with an integer length 1 to 4
+    per split, drawn from ``random.Random(seed)``."""
+    labels, rng = tuple("abcd"), random.Random(seed)
+    classes = _geometry(labels).supports[1:]
+    for _ in range(count):
+        points = []
+        for _ in range(rng.randint(2, 4)):
+            support = rng.choice(classes)
+            points.append(T4Point(labels, {e: rng.randint(1, 4) for e in support}))
+        yield T4Sample(labels, tuple(points))
+
+
+class TestMeanSweep:
+    def test_no_descent_on_small_integer_samples(self):
+        # the start of a sweep whose later samples (4000 in all) held means
+        # near the star tree that the iterative solver missed or crashed on
+        for sample in small_integer_samples(200):
+            est = t4_mean(sample)
+            assert est.frechet_value == pytest.approx(
+                frechet_function(est.mean, sample), rel=1e-12)
+            assert_no_descent(sample, est)
 
 
 @st.composite
