@@ -30,6 +30,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 __all__ = ["method", "sf"]
 
 
@@ -170,5 +172,5 @@ _SF = {
 def sf(n: int, d: float) -> float:
     """``P(D_n >= d)``: the two-sided KS p-value of statistic d at sample size n."""
     if n < 1 or math.isnan(d):
-        raise ValueError(f"need n >= 1 and a statistic d, got n={n}, d={d}")
+        raise InvalidParameterError(f"need n >= 1 and a statistic d, got n={n}, d={d}")
     return min(1.0, max(0.0, _SF[method(n, d)](n, d)))

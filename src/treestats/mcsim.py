@@ -761,13 +761,12 @@ def spine_coverage(
     mean escapes the spine count as misses) and checked against the
     population spine coordinate.
     """
-    from .openbook import spine_bounds
-
     _check_sizes(n, replications)
     sp.check_interval(confidence, n)
     mu1 = _moment(law.weights, law.spine, "mean")
     _, moment, x1_star, sd = _replicate_sums(law, n, replications, seed, spread=True)
     kind, _ = sp.verdict(sp.gaps(moment))
-    lo, hi, _ = spine_bounds(x1_star, sd, n, confidence)
+    half, _ = sp.normal_half_width(sd, n, confidence)
+    lo, hi = np.maximum(0.0, x1_star - half), x1_star + half
     hits = (kind != 0) & (lo <= mu1) & (mu1 <= hi)  # a mean off the spine is a miss
     return int(np.count_nonzero(hits)) / replications

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewTaxaError, UnknownTaxonError
+from .errors import InvalidParameterError, TooFewTaxaError, UnknownTaxonError
 from .seqio import DistanceMatrix, TreeNode
 
 
@@ -196,7 +196,8 @@ def _restrict(index: TreeIndex, picks, k: int):
     """
     picks = np.asarray(picks)
     if picks.ndim != 2 or picks.shape[1] != k:
-        raise ValueError(f"restriction needs {k} leaves per row, got shape {picks.shape}")
+        raise InvalidParameterError(
+            f"restriction needs {k} leaves per row, got shape {picks.shape}")
     parent, length, end = index.parent, index.length, index.end
     ordered = np.sort(picks, axis=1)  # in preorder
     repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EmptySampleError, WrongRegimeError
+from .errors import EmptySampleError, InvalidWeightsError, WrongRegimeError
 from .spider import (MAX_COORD, ArraySample, Record, Verdict, _sum, check_interval, code_sums, gaps,
-                     point_arrays, verdict)
+                     normal_half_width, point_arrays, verdict)
 
 __all__ = [
     "OpenBookPoint",
@@ -32,7 +30,6 @@ __all__ = [
     "SpineInterval",
     "openbook_distance",
     "openbook_mean",
-    "spine_bounds",
     "spine_clt",
 ]
 
@@ -147,17 +144,6 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
     )
 
 
-def spine_bounds(x1_star, sd, n: int, confidence: float):
-    """Normal interval ``(lo, hi, se)`` for the spine coordinate from the
-    mean ``x1_star`` and sample standard deviation ``sd`` of ``x1`` over
-    ``n`` points, ``lo`` cut at 0; the arguments may be arrays."""
-    from statistics import NormalDist  # loads fractions and decimal: only here
-
-    se = sd / math.sqrt(n)
-    half = NormalDist().inv_cdf(0.5 + confidence / 2.0) * se
-    return np.maximum(0.0, x1_star - half), x1_star + half, se
-
-
 @dataclass(frozen=True)
 class SpineInterval(Record):
     """Normal confidence interval for the spine coordinate of a stuck mean."""
@@ -181,12 +167,10 @@ def spine_clt(
     """
     check_interval(confidence, len(sample))
     if sample.weights is not None:
-        raise ValueError("spine_clt expects an unweighted sample")
+        raise InvalidWeightsError("spine_clt expects an unweighted sample")
     report = openbook_mean(sample, tolerance)
     if report.verdict.kind == "non_sticky":
-        raise WrongRegimeError(
-            "sample mean is off the spine; the spine CLT does not apply"
-        )
-    n = len(sample)
-    lo, hi, se = spine_bounds(report.x1_star, float(sample.x1.std(ddof=1)), n, confidence)
-    return SpineInterval(float(lo), hi, report.x1_star, se, confidence, n)
+        raise WrongRegimeError("sample mean is off the spine; the spine CLT does not apply")
+    n, x1_star = len(sample), report.x1_star
+    half, se = normal_half_width(float(sample.x1.std(ddof=1)), n, confidence)
+    return SpineInterval(max(x1_star - half, 0.0), x1_star + half, x1_star, se, confidence, n)

@@ -12,9 +12,12 @@ each projection as a row (kind, splits, angular fraction, radius).
 from __future__ import annotations
 
 import math
+import re
+from html import escape
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .errors import InvalidSampleError
 from .spider import SpiderSample, StickinessReport
 
 if TYPE_CHECKING:
@@ -30,7 +33,7 @@ def _svg_header(size: int, title: str, layout_note: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f"<!-- treestats {__version__} -->",
-        f"<!-- {title} -->",
+        f"<!-- {re.sub('-(?=-)', '- ', title)} -->",  # a comment holds no "--"
         f"<!-- {layout_note} -->",
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
@@ -193,7 +196,7 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None) -> str:
         out.append(f'<circle cx="{_F(x)}" cy="{_F(y)}" r="3.5" fill="#333"/>')
         out.append(
             f'<text x="{_F(x + 5)}" y="{_F(y - 5)}" font-size="10" fill="#333">'
-            f"{_split_label(s)}</text>"
+            f"{escape(_split_label(s), quote=False)}</text>"
         )
     projections = _projections(sample)
     # each point off the origin has a radius > 0, so max_r > 0 wherever it divides
@@ -220,7 +223,12 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None) -> str:
 
 
 def petersen_csv(sample: T4Sample) -> str:
-    """Projections as CSV rows (kind, split1, split2, s, radius)."""
+    """Projections as CSV rows (kind, split1, split2, s, radius); a split is
+    ``{a;b}``, so labels holding ``,;{}"`` or a line break are refused."""
+    bad = [x for x in sample.labels if any(c in str(x) for c in ',;{}"\n\r')]
+    if bad:
+        raise InvalidSampleError(f"the Petersen CSV cannot carry the labels {bad!r}: a label "
+                                 "holds no comma, semicolon, brace, double quote or line break")
     lines = ["kind,split1,split2,s,radius"]
     for splits, s, r in _projections(sample):
         cells = [*map(_split_label, splits), "", ""][:2]

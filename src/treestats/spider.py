@@ -59,6 +59,7 @@ __all__ = [
     "gaps",
     "check_tolerance",
     "check_interval",
+    "normal_half_width",
     "VERDICT_KINDS",
     "verdict",
     "intrinsic_mean",
@@ -573,12 +574,22 @@ def check_tolerance(tolerance: float) -> None:
 
 def check_interval(confidence: float, n: int) -> None:
     """Raise unless a normal-theory interval at ``confidence`` can be built
-    from ``n`` points: ``ValueError`` for a confidence outside (0, 1),
-    :class:`InsufficientDataError` for ``n < 2``."""
+    from ``n`` points: :class:`InvalidParameterError` for a confidence
+    outside (0, 1), :class:`InsufficientDataError` for ``n < 2``."""
     if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
+        raise InvalidParameterError("confidence must be in (0, 1)")
     if n < 2:
         raise InsufficientDataError("confidence intervals need n >= 2")
+
+
+def normal_half_width(sd, n: int, confidence: float):
+    """``(half, se)`` of the normal interval at ``confidence`` for a mean of
+    ``n`` points with standard deviation ``sd``, a float or an array: ``se =
+    sd / sqrt(n)`` and ``half = z * se``, ``z`` the quantile at 0.5 + confidence / 2."""
+    from statistics import NormalDist  # loads fractions and decimal: only here
+
+    se = sd / math.sqrt(n)
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0) * se, se
 
 
 VERDICT_KINDS = ("non_sticky", "boundary", "sticky")
@@ -708,31 +719,19 @@ def clt_interval(
     """
     check_interval(confidence, len(sample))
     if sample.weights is not None:
-        raise ValueError("clt_interval expects an unweighted sample")
+        raise InvalidWeightsError("clt_interval expects an unweighted sample")
     report = intrinsic_mean(sample, tolerance)
-    n = len(sample)
     if report.verdict.kind == "sticky":
-        return SpiderInterval(
-            None, 0.0, 0.0, 0.0, 0.0, confidence, report.verdict,
-            note="sticky mean: the sample mean is the center a.s. for large n",
-        )
+        return SpiderInterval(None, 0.0, 0.0, 0.0, 0.0, confidence, report.verdict,
+                              note="sticky mean: the sample mean is the center a.s. for large n")
     leg = report.verdict.leg
     s = np.where(sample.codes == leg, sample.u, -sample.u)  # other legs folded negative
     m = float(s.mean())
-    se = float(s.std(ddof=1)) / math.sqrt(n)
-    from statistics import NormalDist  # loads fractions and decimal: only here
-
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    half, se = normal_half_width(float(s.std(ddof=1)), len(sample), confidence)
     if report.verdict.kind == "non_sticky":
-        lo, hi = m - z * se, m + z * se
-        note = ""
-        if lo < 0:
-            lo = 0.0
-            note = "interval truncated at the center"
-        return SpiderInterval(leg, lo, hi, m, se, confidence, report.verdict, note)
+        lo = m - half
+        note = "interval truncated at the center" if lo < 0 else ""
+        return SpiderInterval(leg, max(lo, 0.0), m + half, m, se, confidence, report.verdict, note)
     # boundary: half-normal quantile of the scaled folded mean
-    hi = z * se
-    return SpiderInterval(
-        leg, 0.0, hi, m, se, confidence, report.verdict,
-        note="boundary case: folded half-normal interval",
-    )
+    return SpiderInterval(leg, 0.0, half, m, se, confidence, report.verdict,
+                          note="boundary case: folded half-normal interval")

@@ -401,7 +401,7 @@ def _frame(x: T4Point, labels, classes, coords, weights):
     that holds it, with all lengths divided by ``2**exp``, which is above
     the largest.  Returns the images, x's coordinates there and exp."""
     if x.labels != labels:
-        raise ValueError("points live over different label universes")
+        raise InvalidSampleError("points live over different label universes")
     geom = _geometry(labels)
     q = geom.frames[x.code]
     e, f = geom.quadrants[q]

@@ -10,6 +10,7 @@ point/sample containers.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -272,14 +273,34 @@ def openbook_frechet_function(x, sample):
 _HALF_PI = math.pi / 2.0
 
 
-def _first_pairs(geom, support):
+@lru_cache(maxsize=None)
+def petersen_paths(labels):
+    """The Petersen graph over ``labels`` and its simple paths of 1 to 3
+    edges: ``(adjacency, paths by first edge)``, from :func:`all_splits` and
+    :func:`compatible` alone, so that the route does not read the path
+    table that :mod:`treestats.t4space` builds its images from."""
+    splits = all_splits(labels)
+    adjacency = {s: [t for t in splits if t != s and compatible(s, t)] for s in splits}
+
+    def grow(path):
+        yield path
+        if len(path) < 4:
+            for t in adjacency[path[-1]]:
+                if t not in path:
+                    yield from grow(path + (t,))
+
+    paths = {(e, f): list(grow((e, f))) for e in splits for f in adjacency[e]}
+    return adjacency, paths
+
+
+def _first_pairs(adjacency, support):
     """The first edges of the Petersen paths out of a point's support."""
     if len(support) == 2:
         e, f = support
         return [(e, f), (f, e)]
     (e,) = support
     out = []
-    for t in geom.adjacency[e]:
+    for t in adjacency[e]:
         out.append((e, t))
         out.append((t, e))
     return out
@@ -302,10 +323,10 @@ def _route(x, y):
         return d, "segment", axes
     rx, ry = x.norm(), y.norm()
     best = (rx + ry, "cone", None)
-    geom = _geometry(x.labels)
+    adjacency, paths = petersen_paths(x.labels)
     sy = set(y.support)
-    for first in _first_pairs(geom, x.support):
-        for path in geom.paths_by_first[first]:
+    for first in _first_pairs(adjacency, x.support):
+        for path in paths[first]:
             if not sy <= {path[-2], path[-1]}:
                 continue
             alpha = math.atan2(x.get(path[1]), x.get(path[0]))

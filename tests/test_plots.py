@@ -1,5 +1,12 @@
+import json
 import math
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import pytest
+
+from treestats.cli import main
+from treestats.errors import InvalidSampleError
 from treestats.plots import petersen_csv, petersen_layout, petersen_svg, spider_svg
 from treestats.spider import SpiderPoint, SpiderSample, intrinsic_mean
 from treestats.t4space import T4Point, T4Sample, all_splits
@@ -57,3 +64,69 @@ def test_petersen_csv():
     assert lines[2].startswith("edge,{a;b},{a;b;c},")
     assert lines[3] == "origin,,,,0"
     assert lines[4].startswith("edge,{a;c},{b;d},0.5,")
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "treestats" / "data"
+MARKUP = ("a&b", "c<d", "e>f", "g--h")  # XML text and comment breakers
+
+
+def label_sample(labels) -> T4Sample:
+    L = tuple(sorted(labels))
+    return T4Sample(L, (T4Point(L, {frozenset(L[:2]): 0.5}),
+                        T4Point(L, {frozenset(L[1:]): 0.3, frozenset(L[2:]): 0.4})))
+
+
+def vertex_labels(svg_path) -> list[str]:
+    """The split names written beside the ten vertices, read back by an XML parser."""
+    root = ET.parse(svg_path).getroot()
+    return [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+            if el.text.startswith("{")]
+
+
+def split_names(labels) -> list[str]:
+    return ["{" + ";".join(sorted(s)) + "}" for s in all_splits(tuple(sorted(labels)))]
+
+
+@pytest.mark.parametrize("labels", [MARKUP, ("a&b", "c<d", "e", "f--g"), ("a-", "-b", "c---", "d")])
+def test_svg_carries_any_label(labels, tmp_path):
+    """``plot`` and ``mean --plot`` write well-formed XML whatever the labels hold."""
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(label_sample(labels).to_dict()))
+    assert main(["plot", str(sample), "-o", str(tmp_path / "plot.svg")]) == 0
+    assert main(["mean", str(sample), "--plot", str(tmp_path / "mean.svg"),
+                 "-o", str(tmp_path / "mean.json")]) == 0
+    for name in ("plot.svg", "mean.svg"):
+        assert sorted(vertex_labels(tmp_path / name)) == sorted(split_names(labels))
+
+
+def test_svg_after_sample_trees_with_markup_group(tmp_path):
+    """The whole chain: a group named ``a&<x>`` reaches the plot."""
+    groups = (DATA / "toy_groups4.csv").read_text().replace(",a\n", ",a&<x>\n")
+    (tmp_path / "groups.csv").write_text(groups)
+    sample = tmp_path / "sample.json"
+    assert main(["sample-trees", str(DATA / "toy_alignment.fasta"), "--groups",
+                 str(tmp_path / "groups.csv"), "--k", "4", "--reps", "5", "--seed", "7",
+                 "-o", str(sample)]) == 0
+    labels = json.loads(sample.read_text())["labels"]
+    assert "a&<x>" in labels
+    assert main(["plot", str(sample), "-o", str(tmp_path / "plot.svg")]) == 0
+    assert sorted(vertex_labels(tmp_path / "plot.svg")) == sorted(split_names(labels))
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a;b", "{a", "a}", 'a"b', "a\nb", "a\rb"])
+def test_csv_refuses_labels_that_break_cells(bad, tmp_path, capsys):
+    labels = (bad, "x", "y", "z")
+    with pytest.raises(InvalidSampleError, match="cannot carry the labels"):
+        petersen_csv(label_sample(labels))
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(label_sample(labels).to_dict()))
+    out = tmp_path / "plot.csv"
+    assert main(["plot", str(sample), "--format", "csv", "-o", str(out)]) == 2
+    assert repr(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_carries_markup_labels():
+    lines = petersen_csv(label_sample(MARKUP)).splitlines()
+    assert lines[1] == "vertex,{a&b;c<d},,0,0.5"
+    assert all(line.count(",") == 4 for line in lines)

@@ -15,9 +15,12 @@ from treestats.errors import (
     InvalidWeightsError,
     TreeStatsError,
 )
+from treestats.kolmogorov import sf
 from treestats.mcsim import OpenBookLaw, PointMass, SpiderLaw, Uniform
-from treestats.openbook import OpenBookPoint, OpenBookSample
-from treestats.t4space import T4Point, T4Sample
+from treestats.njtree import restrict_to_triplet, tree_index
+from treestats.openbook import OpenBookPoint, OpenBookSample, spine_clt
+from treestats.seqio import parse_newick
+from treestats.t4space import T4Point, T4Sample, t4_distance
 from treestats.spider import (
     CENTER,
     SpiderMeasureSummary,
@@ -382,3 +385,31 @@ class TestWeightValidation:
     def test_sample_length_mismatch(self):
         with pytest.raises(InvalidWeightsError, match="length must match"):
             SpiderSample(3, (SpiderPoint(1, 1.0),), (0.5, 0.5))
+
+
+_WEIGHTED_BOOK = OpenBookSample((OpenBookPoint(None, 1.0, 0.0), OpenBookPoint(None, 2.0, 0.0)),
+                                (0.7, 0.3))
+_QUARTET_PICKS = np.zeros((2, 4), dtype=int)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sf(0, 0.1), InvalidParameterError, r"need n >= 1 and a statistic d, got n=0, d=0.1"),
+    (lambda: sf(5, math.nan), InvalidParameterError, r"need n >= 1 and a statistic d"),
+    (lambda: restrict_to_triplet(tree_index(parse_newick("((a:1,b:1):1,c:1,d:1);")),
+                                 _QUARTET_PICKS),
+     InvalidParameterError, r"restriction needs 3 leaves per row, got shape \(2, 4\)"),
+    (lambda: clt_interval(uniform_sample(SpiderPoint(1, 1.0), SpiderPoint(2, 1.0)), 1.5),
+     InvalidParameterError, r"confidence must be in \(0, 1\)"),
+    (lambda: clt_interval(SpiderSample(3, (SpiderPoint(1, 1.0), SpiderPoint(2, 2.0)), (0.7, 0.3))),
+     InvalidWeightsError, "clt_interval expects an unweighted sample"),
+    (lambda: spine_clt(_WEIGHTED_BOOK), InvalidWeightsError, "spine_clt expects an unweighted sample"),
+    (lambda: t4_distance(T4Point(tuple("abcd"), {}), T4Point(tuple("abce"), {})),
+     InvalidSampleError, "points live over different label universes"),
+], ids=["sf_n", "sf_nan", "restrict_shape", "confidence", "clt_weighted", "spine_weighted",
+        "label_universes"])
+def test_deliberate_raises_are_treestats_errors(call, error, message):
+    """What the library raises on purpose is a :class:`TreeStatsError`, which
+    ``cli.main`` reports as bad input, and still the ``ValueError`` it was."""
+    with pytest.raises(error, match=f"^{message}") as caught:
+        call()
+    assert isinstance(caught.value, TreeStatsError) and isinstance(caught.value, ValueError)

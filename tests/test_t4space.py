@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import treestats
 from oracles import (
     compatible_pairs,
+    petersen_paths,
     route_distance,
     route_frechet_function,
     route_geodesic_point,
@@ -697,6 +698,21 @@ class TestDistanceProperties:
         for y in sample.points:
             assert t4_distance(x, y) == pytest.approx(route_distance(x, y), rel=1e-12)
             assert t4_distance(y, x) == pytest.approx(route_distance(y, x), rel=1e-12)
+
+    @pytest.mark.parametrize("labels", [L, tuple("abcd")])
+    def test_every_unfolding_is_a_geodesic(self, labels):
+        """Each Petersen path of two or three edges, from the oracle's own
+        enumeration, carries the geodesic from a point of its first quadrant
+        at angle 1.4 to one of its last at angle 0.1: no other path joins
+        the two quadrants (the Petersen graph has girth 5), and its
+        unfolding spans less than pi, so the distance is the chord."""
+        for paths in petersen_paths(labels)[1].values():
+            for path in paths[1:]:  # the first is the one-edge path
+                x = T4Point(labels, {path[0]: math.cos(1.4), path[1]: math.sin(1.4)})
+                y = T4Point(labels, {path[-2]: math.cos(0.1), path[-1]: math.sin(0.1)})
+                chord = 2.0 * math.sin(((len(path) - 2) * math.pi / 2 + 0.1 - 1.4) / 2)
+                assert route_distance(x, y) == pytest.approx(chord, rel=1e-12)
+                assert t4_distance(x, y) == pytest.approx(chord, rel=1e-12), path
 
     @settings(max_examples=20, deadline=None)
     @given(t4_pairs, fractions)
