@@ -28,6 +28,9 @@ became ``math.hypot`` of the lengths: the radius of each point whose
 lengths are below 1e-154 went from 0 to its value (1e-172,
 3.16227766e-172), with the dot sizes that follow from it; nothing else
 changed.
+``t4_markup.json`` is a four-leaf sample whose labels ``a&b``, ``c<d``,
+``e>f`` and ``g--h`` hold XML markup; its plots and ``means/`` fixture were
+recorded once the SVG escaped its text and kept ``--`` out of comments.
 The ``means/`` fixtures are what ``mean`` wrote for the same samples, recorded
 while a four-leaf point still kept its splits as (cluster, length) pairs.
 The ``sticky/`` fixtures are what ``sticky`` wrote for two spider summaries
