@@ -124,9 +124,3 @@ def test_csv_refuses_labels_that_break_cells(bad, tmp_path, capsys):
     assert main(["plot", str(sample), "--format", "csv", "-o", str(out)]) == 2
     assert repr(bad) in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_csv_carries_markup_labels():
-    lines = petersen_csv(label_sample(MARKUP)).splitlines()
-    assert lines[1] == "vertex,{a&b;c<d},,0,0.5"
-    assert all(line.count(",") == 4 for line in lines)
