@@ -37,7 +37,10 @@ _self = sys.modules[__name__]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # drop a leading BOM
+    try:  # and drop a leading BOM
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _write(text: str, output: str | None) -> None:
@@ -52,6 +55,8 @@ def _load_json(path: str) -> dict:
         obj = json.loads(_read(path))
     except ValueError as exc:  # JSONDecodeError, or an int longer than Python converts
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON (nested too deep)") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -115,9 +120,10 @@ def cmd_mean(args) -> int:
         raise ConfigError("--plot supports t3 and t4 samples")
     sample = pipeline.load_sample(obj, space)
     estimate, report = pipeline.mean_report(sample, space, args.tolerance)
+    plot = args.plot and pipeline.plot_text(sample, space, "svg", estimate)  # refused: no file
     _write(pipeline.canonical_json(report), args.output)
-    if args.plot:
-        _write(pipeline.plot_text(sample, space, "svg", estimate), args.plot)
+    if plot:
+        _write(plot, args.plot)
     return 0
 
 

@@ -7,7 +7,7 @@ gaps then predict one of three regimes for the sample mean:
 * ``i``   some gap positive: the mean lives on a leg, scaled fluctuations
   are asymptotically normal;
 * ``ii``  the largest gap is zero (to within a few ulps of the summed
-  leg moments, see ``_regime_of``): after folding the other legs
+  leg moments, see ``classify_law``): after folding the other legs
   onto the negative half-line, the scaled folded mean is half-normal in
   magnitude;
 * ``iii`` all gaps negative: the sample mean equals the center exactly
@@ -333,20 +333,17 @@ def law_from_dict(obj: dict):
     return law.from_dict(obj)
 
 
-def _regime_of(v: tuple[float, ...]) -> tuple[Regime, tuple[float, ...]]:
-    """Regime and moment gaps ``v_a - sum(v_b, b != a)`` of leg moments ``v``."""
-    th = tuple(sp.gaps(v).tolist())
-    kind = sp.verdict(th, sp.ROUNDING_RTOL * sum(v)).kind  # e.g. "non_sticky" -> NONSTICKY
-    return Regime[kind.replace("_", "").upper()], th
-
-
 def classify_law(law) -> tuple[Regime, tuple[float, ...]]:
-    """Population regime and moment gaps, in closed form from the law.
+    """Population regime and moment gaps ``v_a - sum(v_b, b != a)``, in
+    closed form from the law's leg moments ``v``.
 
     On an open book these are the regime and gaps of the transverse
     coordinate ``x2``.
     """
-    return _regime_of(tuple(w * d.mean() for w, d in zip(law.weights, law.transverse)))
+    v = tuple(w * d.mean() for w, d in zip(law.weights, law.transverse))
+    th = tuple(sp.gaps(v).tolist())
+    kind = sp.verdict(th, sp.ROUNDING_RTOL * sum(v)).kind  # e.g. "non_sticky" -> NONSTICKY
+    return Regime[kind.replace("_", "").upper()], th
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +589,7 @@ def _check_draws(book: bool, drawn, counts, r0: int) -> None:
     ``0..MAX_COORD``, as ``from_arrays`` would hold a sample's; NaN fails
     too.  The error names the law field that drew the first bad value
     (``legs[a]`` or ``leaves[a].x1``), the value and its replicate."""
-    if sp._min(drawn, axis=None) >= 0 and sp._max(drawn, axis=None) <= sp.MAX_COORD:
+    if drawn.min() >= 0 and drawn.max() <= sp.MAX_COORD:
         return
     bad = ~((drawn >= 0) & (drawn <= sp.MAX_COORD))
     row = int(np.argmax(bad.any(axis=(0, 2))))
@@ -665,7 +662,7 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
         drawn = x[:, :rows]
         _check_draws(book, drawn, counts[:rows], r0)
         t, lengths = drawn[-1].reshape(-1), counts[:rows].reshape(-1)
-        if sp._min(t) == 0:  # transverse coordinate 0: the point is on no leg
+        if t.min() == 0:  # transverse coordinate 0: the point is on no leg
             nonzero = t != 0
             lengths = np.bincount(np.repeat(np.arange(lengths.size), lengths)[nonzero],
                                   minlength=lengths.size)
@@ -679,7 +676,7 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
             x1 = np.empty((rows, n))
             np.put_along_axis(x1, np.argsort(legs[:rows], axis=1, kind="stable"),
                               drawn[0], axis=1)
-            spine[out] = sp._sum(wts[:n] * x1, axis=1)
+            spine[out] = (wts[:n] * x1).sum(axis=1)
             if spread:
                 sd[out] = x1.std(ddof=1, axis=1)
     return mass, moment, spine, sd

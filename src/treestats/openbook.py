@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptySampleError, InvalidWeightsError, WrongRegimeError
-from .spider import (MAX_COORD, ArraySample, Record, Verdict, _sum, check_interval, code_sums, gaps,
+from .spider import (MAX_COORD, ArraySample, Record, Verdict, check_interval, code_sums, gaps,
                      normal_half_width, point_arrays, verdict)
 
 __all__ = [
@@ -127,7 +127,7 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
     if not len(sample):
         raise EmptySampleError("cannot average an empty sample")
     codes, x1, x2, wts = sample.codes, sample.x1, sample.x2, sample._w
-    x1_star = float(_sum(wts * x1))
+    x1_star = float((wts * x1).sum())
     w, s2 = (sums[1:] for sums in code_sums(codes, N_LEAVES, wts, x2))
     th2 = tuple(gaps(s2).tolist())
     vd = verdict(th2, tolerance)
@@ -137,7 +137,7 @@ def openbook_mean(sample: OpenBookSample, tolerance: float = 0.0) -> SpineSticki
     mean = OpenBookPoint(vd.leg, min(x1_star, MAX_COORD), min(x2_star, MAX_COORD))
     if vd.kind == "sticky":
         vd = Verdict("stuck_to_spine")
-    spine_var = float(_sum(wts * (x1 - x1_star) ** 2))
+    spine_var = float((wts * (x1 - x1_star) ** 2).sum())
     return SpineStickinessReport(
         x1_star, th2, vd, mean, math.sqrt(max(spine_var, 0.0)),
         tuple(w.tolist()), len(sample)

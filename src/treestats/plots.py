@@ -138,6 +138,13 @@ def _split_label(split: frozenset) -> str:
     return "{" + ";".join(str(x) for x in sorted(split)) + "}"
 
 
+def _check_labels(sample: T4Sample, kind: str, chars: str, rule: str) -> None:
+    """Refuse, naming them, the labels that hold a character of the regex class ``chars``."""
+    if bad := [x for x in sample.labels if re.search(f"[{chars}]", str(x))]:
+        raise InvalidSampleError(
+            f"the Petersen {kind} cannot carry the labels {bad!r}: a label holds {rule}")
+
+
 def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:
     """Central projection onto the Petersen graph of the point whose splits
     ``support`` (canonical order) have ``lengths``: ``(splits, s, radius)``.
@@ -169,6 +176,9 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None) -> str:
     """
     from .t4space import _geometry
 
+    _check_labels(sample, "SVG", "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff",
+                  "no character that XML 1.0 excludes even escaped: U+0000-U+0008, U+000B, "
+                  "U+000C, U+000E-U+001F, U+D800-U+DFFF (lone surrogates), U+FFFE, U+FFFF")
     labels, size = sample.labels, _PETERSEN_SIZE
     pos = petersen_layout(labels)
 
@@ -224,11 +234,10 @@ def petersen_svg(sample: T4Sample, mean: T4Point | None = None) -> str:
 
 def petersen_csv(sample: T4Sample) -> str:
     """Projections as CSV rows (kind, split1, split2, s, radius); a split is
-    ``{a;b}``, so labels holding ``,;{}"`` or a line break are refused."""
-    bad = [x for x in sample.labels if any(c in str(x) for c in ',;{}"\n\r')]
-    if bad:
-        raise InvalidSampleError(f"the Petersen CSV cannot carry the labels {bad!r}: a label "
-                                 "holds no comma, semicolon, brace, double quote or line break")
+    ``{a;b}``, so labels holding ``,;{}"``, a line break or a lone surrogate
+    are refused."""
+    _check_labels(sample, "CSV", ',;{}"\n\r\ud800-\udfff', "no comma, semicolon, brace, "
+                  "double quote, line break or lone surrogate")
     lines = ["kind,split1,split2,s,radius"]
     for splits, s, r in _projections(sample):
         cells = [*map(_split_label, splits), "", ""][:2]

@@ -217,11 +217,6 @@ def _check_p(p, what: str) -> None:
         raise InvalidSampleError(f"{what} must be an integer in 1..{MAX_LEGS}, got {p!r}")
 
 
-# What ndarray.sum/min/max call, minus their Python-level wrappers (the
-# same pairwise sum); the per-replicate paths of simulate use them.
-_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
-
-
 # The rules for points, stated once: ArraySample._store checks a sample's
 # arrays by them, and SpiderPoint and OpenBookPoint their one row.
 
@@ -230,7 +225,7 @@ def coordinates(values, entry) -> np.ndarray:
     and in ``0..MAX_COORD``; else :class:`InvalidSampleError` names ``entry(i)``."""
     c = json_numbers(values, entry)
     # min/max are NaN when a NaN is present, so NaN fails too
-    if c.size and not (_min(c, axis=None) >= 0 and _max(c, axis=None) <= MAX_COORD):
+    if c.size and not (c.min() >= 0 and c.max() <= MAX_COORD):
         i = int(np.argmax(~((c >= 0) & (c <= MAX_COORD))))
         raise InvalidSampleError(
             f"{entry(i)} must be finite and in 0..{MAX_COORD:g}, got {c.flat[i]}")
@@ -268,7 +263,7 @@ def point_arrays(n_codes: int, code: str, codes, at: str = "points[{}].", given=
     name, dist = next(reversed(coords.items()))
     off = dist != 0.0
     off_codes = np.where(off, codes, 1)  # codes of the points off the center
-    if codes.size and not (_min(off_codes) >= 1 and _max(off_codes) <= n_codes):
+    if codes.size and not (off_codes.min() >= 1 and off_codes.max() <= n_codes):
         i = int(np.argmax((off_codes < 1) | (off_codes > n_codes)))
         raise InvalidSampleError(
             f"{at.format(i)}{code} must be in 1..{n_codes} where {name} > 0, got {raw[i]}")
@@ -511,9 +506,9 @@ def segment_sums(w, x, lengths):
     The one per-leg reduction, so spider and open-book means (through
     :func:`code_sums`) and simulated replicates agree bit for bit.  Runs
     of one length k are gathered into one ``(count, k)`` array, whose
-    ``add.reduce`` along the rows is the pairwise sum of each run alone; a
-    lone run is reduced in place.  The cost does not grow with the number
-    of legs, only with the number of points and of distinct run lengths.
+    ``sum`` along the rows is the pairwise sum of each run alone, a lone
+    run too.  The cost does not grow with the number of legs, only with
+    the number of points and of distinct run lengths.
     """
     starts = np.cumsum(lengths) - lengths
     wx = w * x
@@ -521,18 +516,10 @@ def segment_sums(w, x, lengths):
     order = np.argsort(lengths, kind="stable")
     by_length = lengths[order]
     cuts = [0, *(np.flatnonzero(np.diff(by_length)) + 1).tolist(), lengths.size]
-    for a, b in zip(cuts, cuts[1:]):
-        k = int(by_length[a])
-        if not k:
-            continue
-        if b - a == 1:  # one run: reduce it in place
-            s = int(starts[order[a]])
-            rows, w_runs, wx_runs = order[a], w[s:s + k], wx[s:s + k]
-        else:
-            rows = order[a:b]
-            at = starts[rows, None] + np.arange(k)
-            w_runs, wx_runs = w.take(at), wx.take(at)
-        mass[rows], moment[rows] = _sum(w_runs, axis=-1), _sum(wx_runs, axis=-1)
+    for a, b in zip(cuts, cuts[1:]):  # runs of length 0 sum to the 0.0 already there
+        rows = order[a:b]
+        at = starts[rows, None] + np.arange(by_length[a])
+        mass[rows], moment[rows] = w.take(at).sum(axis=-1), wx.take(at).sum(axis=-1)
     return mass, moment
 
 
@@ -625,7 +612,7 @@ def frechet_function(x: SpiderPoint, sample: SpiderSample) -> float:
     codes, u, wts = sample.codes, sample.u, sample._w
     x_code = 0 if x.leg is None else x.leg
     dist = np.where(codes == x_code, np.abs(u - x.u), u + x.u)
-    return float(_sum(wts * dist * dist))
+    return float((wts * dist * dist).sum())
 
 
 @dataclass(frozen=True)

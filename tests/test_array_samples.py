@@ -148,6 +148,27 @@ class TestArraysEqualPoints:
             joined = outcome(T4Sample, other, [point])
             assert (joined == "rejected") == (sorted(other) != sorted(labels))
 
+    @pytest.mark.parametrize("build, args", [
+        (SpiderSample.from_arrays, (3, [1, 2], [1.0])),
+        (SpiderSample.from_arrays, (3, [1], np.ones((1, 1)))),
+        (OpenBookSample.from_arrays, ([1], [1.0, 2.0], [1.0])),
+    ], ids=["spider_lengths", "spider_2d", "openbook_lengths"])
+    def test_codes_and_coordinates_of_other_lengths(self, build, args):
+        with pytest.raises(InvalidSampleError,
+                           match="^codes and coordinates must be 1-D arrays of one length$"):
+            build(*args)
+
+    @pytest.mark.parametrize("code", [7, 2**63, 2**64 - 1])
+    def test_uint64_codes_past_the_legs(self, code):
+        # clipped to p + 1 before the int64 cast, and shown as given
+        with pytest.raises(InvalidSampleError) as exc:
+            SpiderSample.from_arrays(3, np.array([code], np.uint64), [1.0])
+        assert str(exc.value) == f"points[0].leg must be in 1..3 where u > 0, got {code}"
+
+    def test_t4_points_of_other_labels(self):
+        with pytest.raises(InvalidSampleError, match="^all points must share the sample's labels$"):
+            T4Sample("abcd", [T4Point("abce", {})])
+
     def test_point_code_shown_as_given(self):
         for build, *args in ((SpiderPoint, None, 1.0), (OpenBookPoint, None, 1.0, 1.0)):
             with pytest.raises(InvalidSampleError, match="> 0, got None$"):

@@ -765,6 +765,33 @@ class TestMoreCliEdges:
         assert main([command[0], str(path), *command[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path)}\n"
 
+    @pytest.mark.parametrize("argv, data, message", [
+        (["dist", "{}"], b">a\nAC\xff\n>b\nACG\n", "not UTF-8 text (byte 5: invalid start byte)"),
+        (["sample-trees", "{}", "--groups", str(DATA / "toy_groups3.csv"), "--k", "3"],
+         b">a\nAC\xff\n>b\nACG\n", "not UTF-8 text (byte 5: invalid start byte)"),
+        (["nj", "{}"], b"a,b\n0,1\n1,0\xff\n", "not UTF-8 text (byte 11: invalid start byte)"),
+        (["sample-trees", str(DATA / "toy_alignment.fasta"), "--groups", "{}", "--k", "3"],
+         b"taxon,group\nt\xff,a\n", "not UTF-8 text (byte 13: invalid start byte)"),
+        *((argv, b"[" * 100000 + b"]" * 100000, "invalid JSON (nested too deep)")
+          for argv in (["mean", "{}"], ["sticky", "{}"], ["plot", "{}"],
+                       ["simulate", "{}", "--n", "5", "--reps", "5"])),
+    ], ids=["dist_fasta", "sample_trees_fasta", "nj_csv", "sample_trees_groups",
+            "mean_deep_json", "sticky_deep_json", "plot_deep_json", "simulate_deep_json"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, argv, data, message):
+        # a file that is not UTF-8, or JSON nested deeper than the parser goes
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        assert main([a.format(path) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_internal_error_exit_1(self, monkeypatch, capsys):
+        # a raise that is no bad input is a bug: exit 1, and the error is shown
+        def broken(args):
+            raise RuntimeError("broken")
+        monkeypatch.setattr("treestats.cli.cmd_dist", broken)
+        assert main(["dist", "any.fasta"]) == 1
+        assert capsys.readouterr().err == "internal error: RuntimeError('broken')\n"
+
     def test_seed_not_an_integer_usage_error(self, toy, capsys):
         fasta, groups3, _ = toy
         with pytest.raises(SystemExit) as exc:

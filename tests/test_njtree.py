@@ -205,6 +205,16 @@ class TestRestrictToTriplet:
         with pytest.raises(UnknownTaxonError):
             restrict3("(a:1,b:1,c:1);", ("a", "b", "a"))
 
+    @pytest.mark.parametrize("labels, message", [
+        (("a", "b", "a"), "repeated labels in ['a', 'b', 'a']"),
+        (("a", "z"), "'z' is not a leaf of the tree"),
+    ])
+    def test_induced_subtree_refuses(self, labels, message):
+        # restrict3 checks its picks first, so these are induced_subtree's own
+        with pytest.raises(UnknownTaxonError) as exc:
+            induced_subtree(parse_newick("(a:1,b:1,c:1);"), labels)
+        assert str(exc.value) == message
+
     def test_path_metric_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -87,7 +87,8 @@ def split_names(labels) -> list[str]:
     return ["{" + ";".join(sorted(s)) + "}" for s in all_splits(tuple(sorted(labels)))]
 
 
-@pytest.mark.parametrize("labels", [MARKUP, ("a&b", "c<d", "e", "f--g"), ("a-", "-b", "c---", "d")])
+@pytest.mark.parametrize("labels", [MARKUP, ("a&b", "c<d", "e", "f--g"), ("a-", "-b", "c---", "d"),
+                                    ("a\tb", "c\x7f", "d\x85", "e\U0001f600\ufffd")])
 def test_svg_carries_any_label(labels, tmp_path):
     """``plot`` and ``mean --plot`` write well-formed XML whatever the labels hold."""
     sample = tmp_path / "sample.json"
@@ -113,7 +114,8 @@ def test_svg_after_sample_trees_with_markup_group(tmp_path):
     assert sorted(vertex_labels(tmp_path / "plot.svg")) == sorted(split_names(labels))
 
 
-@pytest.mark.parametrize("bad", ["a,b", "a;b", "{a", "a}", 'a"b', "a\nb", "a\rb"])
+@pytest.mark.parametrize("bad", ["a,b", "a;b", "{a", "a}", 'a"b', "a\nb", "a\rb", "a\ud800",
+                                 "\udfff"])
 def test_csv_refuses_labels_that_break_cells(bad, tmp_path, capsys):
     labels = (bad, "x", "y", "z")
     with pytest.raises(InvalidSampleError, match="cannot carry the labels"):
@@ -124,3 +126,24 @@ def test_csv_refuses_labels_that_break_cells(bad, tmp_path, capsys):
     assert main(["plot", str(sample), "--format", "csv", "-o", str(out)]) == 2
     assert repr(bad) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["a\x00", "a\x01", "\x08", "a\x0bb", "\x0c", "\x0e", "a\x1f",
+                                 "a\ud800", "\udc00b", "\udfff", "a\ufffe", "\uffff"])
+def test_svg_refuses_labels_that_xml_excludes(bad, tmp_path, capsys):
+    """``plot`` and ``mean --plot`` exit 2 naming the label, and write no file."""
+    labels = (bad, "x", "y", "z")
+    message = (f"the Petersen SVG cannot carry the labels [{bad!r}]: a label holds no character "
+               "that XML 1.0 excludes even escaped: U+0000-U+0008, U+000B, U+000C, "
+               "U+000E-U+001F, U+D800-U+DFFF (lone surrogates), U+FFFE, U+FFFF")
+    with pytest.raises(InvalidSampleError) as exc:
+        petersen_svg(label_sample(labels))
+    assert str(exc.value) == message
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(label_sample(labels).to_dict()))
+    plot, report, mean_plot = (tmp_path / name for name in ("plot.svg", "mean.json", "mean.svg"))
+    assert main(["plot", str(sample), "-o", str(plot)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["mean", str(sample), "--plot", str(mean_plot), "-o", str(report)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not plot.exists() and not report.exists() and not mean_plot.exists()

@@ -69,6 +69,15 @@ class TestParseFasta:
         with pytest.raises(AlignmentLengthError):
             parse_fasta("")
 
+    @pytest.mark.parametrize("taxa, rows, message", [
+        (("a", "b"), ("AC",), "taxa count does not match row count"),
+        ((), (), "empty alignment block"),
+    ])
+    def test_block_refuses(self, taxa, rows, message):
+        with pytest.raises(AlignmentLengthError) as exc:
+            AlignedBlock(taxa, rows)
+        assert str(exc.value) == message
+
 
 class TestMismatchDistance:
     def test_single_mismatch_both_modes(self):
@@ -208,6 +217,15 @@ class TestDistanceMatrixCSV:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InvalidMatrixError):
             DistanceMatrix(("a", "b"), np.array([[0.5, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("d, message", [
+        (np.zeros((3, 3)), "matrix shape (3, 3) does not fit 2 taxa"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "matrix contains non-finite entries"),
+    ], ids=["shape", "nan"])
+    def test_rejects_shape_and_nan(self, d, message):
+        with pytest.raises(InvalidMatrixError) as exc:
+            DistanceMatrix(("a", "b"), d)
+        assert str(exc.value) == message
 
     def test_rejects_duplicate_taxa(self):
         with pytest.raises(DuplicateTaxonError, match="'a'"):

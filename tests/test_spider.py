@@ -149,6 +149,10 @@ class TestFrechetFunction:
         s = uniform_sample(SpiderPoint(1, 1), SpiderPoint(2, 1), SpiderPoint(3, 1))
         assert frechet_function(CENTER, s) == pytest.approx(1.0)
 
+    def test_empty(self):
+        with pytest.raises(EmptySampleError, match="^empty sample$"):
+            frechet_function(CENTER, SpiderSample(3, ()))
+
     def test_on_leg(self):
         s = uniform_sample(SpiderPoint(1, 1), SpiderPoint(2, 1), SpiderPoint(3, 1))
         assert frechet_function(SpiderPoint(1, 1.0), s) == pytest.approx(8 / 3)

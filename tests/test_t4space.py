@@ -415,6 +415,8 @@ class TestMean:
     def test_empty(self):
         with pytest.raises(EmptySampleError):
             t4_mean(T4Sample(L, ()))
+        with pytest.raises(EmptySampleError, match="^empty sample$"):
+            frechet_function(T4Point(L, {}), T4Sample(L, ()))
 
     @pytest.mark.parametrize("s", [1e-160, 1e-200, 1e-300])
     def test_tiny_lengths_scale_the_mean(self, s):
