@@ -116,8 +116,6 @@ def cmd_mean(args) -> int:
     space = args.space or detected
     if space != detected:
         raise ConfigError(f"sample looks like {detected!r}, not {space!r}")
-    if args.plot and space == "openbook":
-        raise ConfigError("--plot supports t3 and t4 samples")
     sample = pipeline.load_sample(obj, space)
     estimate, report = pipeline.mean_report(sample, space, args.tolerance)
     plot = args.plot and pipeline.plot_text(sample, space, "svg", estimate)  # refused: no file

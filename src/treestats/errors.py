@@ -4,6 +4,19 @@ Everything raised on purpose derives from :class:`TreeStatsError`, so CLI
 code can distinguish "bad input" from genuine bugs.
 """
 
+import numbers
+
+SHOWN_WIDTH = 80  # the most characters of a bad value that a message shows
+
+
+def shown(value) -> str:
+    """A bad input value as every message shows it: a number in full (a JSON
+    integer has at most 4300 digits), else its ``repr`` cut to ``SHOWN_WIDTH``."""
+    if isinstance(value, numbers.Number):
+        return str(value)
+    text = repr(value)
+    return text if len(text) <= SHOWN_WIDTH else text[:SHOWN_WIDTH - 3] + "..."
+
 
 class TreeStatsError(Exception):
     """Base class for all errors raised by treestats."""

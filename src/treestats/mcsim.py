@@ -54,7 +54,7 @@ import numpy as np
 
 from . import kolmogorov
 from . import spider as sp
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, shown
 
 __all__ = [
     "PointMass",
@@ -90,7 +90,7 @@ def _check(name: str, value, rule: str, ok) -> None:
     is finite and passes ``ok``; a document's values are numbers already
     (``spider.json_number``)."""
     if not (_finite(lambda: value) and ok(value)):
-        raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
+        raise InvalidParameterError(f"{name} must be {rule}, got {shown(value)}")
 
 
 class _Distribution:
@@ -176,12 +176,12 @@ def distribution_from_dict(obj: dict, where: str = "distribution"):
     if obj is None:
         raise InvalidParameterError(f"{where} is missing")
     if not isinstance(obj, dict):
-        raise InvalidParameterError(f"{where} must be a distribution object, got {obj!r}")
+        raise InvalidParameterError(f"{where} must be a distribution object, got {shown(obj)}")
     kind = obj.get("kind")
     cls = _DIST_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidParameterError(
-            f"{where}.kind must be one of {', '.join(_DIST_KINDS)}, got {kind!r}")
+            f"{where}.kind must be one of {', '.join(_DIST_KINDS)}, got {shown(kind)}")
     args = {k: v for k, v in obj.items() if k != "kind"}
     params = [f.name for f in fields(cls)]
     for key in args:
@@ -329,7 +329,7 @@ def law_from_dict(obj: dict):
     space = obj.get("space", "spider" if "legs" in obj else "openbook")
     law = _LAWS.get(space) if isinstance(space, str) else None
     if law is None:
-        raise InvalidParameterError(f"space must be 'spider' or 'openbook', got {space!r}")
+        raise InvalidParameterError(f"space must be 'spider' or 'openbook', got {shown(space)}")
     return law.from_dict(obj)
 
 
@@ -601,16 +601,16 @@ def _check_draws(book: bool, drawn, counts, r0: int) -> None:
         f"got {float(drawn[j, row, place])!r} in replicate {r0 + row}")
 
 
-def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = False):
+def _replicate_sums(law, n: int, replications: int, seed: int):
     """Stage 1, the one replicate loop of ``simulate`` and ``spine_coverage``:
     draw each replicate and reduce it to the numbers its mean and verdict
     need.
 
     Returns ``(mass, moment, spine, sd)``: the per-leg masses and
     transverse first moments (``(replications, p)`` arrays, by
-    ``spider.segment_sums`` as a sample's); for an open book the spine
-    coordinate ``x1_star`` of each mean and, with ``spread``, the sample
-    standard deviation of ``x1`` (``(replications,)`` arrays).
+    ``spider.segment_sums`` as a sample's); for an open book, else ``None``,
+    the spine coordinate ``x1_star`` of each mean and, when ``n >= 2``, the
+    sample standard deviation of ``x1`` (``(replications,)`` arrays).
 
     Replicate ``rep`` draws from PCG64 seeded by ``SeedSequence([seed,
     rep])``, seeded per draw block by one ``_generate_state`` call.  The
@@ -638,7 +638,8 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
     mass, moment = np.empty((replications, p)), np.empty((replications, p))
-    spine, sd = np.empty(replications), np.empty(replications)
+    spine = np.empty(replications) if book else None
+    sd = np.empty(replications) if book and n >= 2 else None
     m = max(1, min(replications, _BLOCK // n))
     legs = np.empty((m, n) if book else 0, np.uint8)  # the open book's, to sort x1 by
     counts = np.empty((m, p), np.int64)
@@ -677,7 +678,7 @@ def _replicate_sums(law, n: int, replications: int, seed: int, spread: bool = Fa
             np.put_along_axis(x1, np.argsort(legs[:rows], axis=1, kind="stable"),
                               drawn[0], axis=1)
             spine[out] = (wts[:n] * x1).sum(axis=1)
-            if spread:
+            if sd is not None:
                 sd[out] = x1.std(ddof=1, axis=1)
     return mass, moment, spine, sd
 
@@ -761,7 +762,7 @@ def spine_coverage(
     _check_sizes(n, replications)
     sp.check_interval(confidence, n)
     mu1 = _moment(law.weights, law.spine, "mean")
-    _, moment, x1_star, sd = _replicate_sums(law, n, replications, seed, spread=True)
+    _, moment, x1_star, sd = _replicate_sums(law, n, replications, seed)
     kind, _ = sp.verdict(sp.gaps(moment))
     half, _ = sp.normal_half_width(sd, n, confidence)
     lo, hi = np.maximum(0.0, x1_star - half), x1_star + half

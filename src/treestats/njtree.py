@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, TooFewTaxaError, UnknownTaxonError
+from .errors import InvalidParameterError, TooFewTaxaError, UnknownTaxonError, shown
 from .seqio import DistanceMatrix, TreeNode
 
 
@@ -122,7 +122,7 @@ def induced_subtree(tree: TreeNode, labels) -> TreeNode:
     present = set(tree.leaf_labels())
     for lb in wanted:
         if lb not in present:
-            raise UnknownTaxonError(f"{lb!r} is not a leaf of the tree")
+            raise UnknownTaxonError(f"{shown(lb)} is not a leaf of the tree")
     keep = set(wanted)
 
     def prune(node: TreeNode) -> TreeNode | None:
@@ -163,7 +163,7 @@ class TreeIndex:
         try:
             nodes = [self.leaf[lb] for lb in labels.flat]
         except KeyError as exc:
-            raise UnknownTaxonError(f"{exc.args[0]!r} is not a leaf of the tree") from None
+            raise UnknownTaxonError(f"{shown(exc.args[0])} is not a leaf of the tree") from None
         return np.array(nodes, dtype=np.int64).reshape(labels.shape)
 
 

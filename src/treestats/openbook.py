@@ -72,29 +72,21 @@ class OpenBookSample(ArraySample):
     :meth:`from_arrays` the arrays.
     """
 
-    _code = "leaf"
-    _coords = ("x1", "x2")
-    _eq_fields = ("codes", "x1", "x2")
+    _header_fields, _code, _coords = (), "leaf", ("x1", "x2")
     _point = OpenBookPoint
 
     def __init__(self, points=(), weights=None):
         points = tuple(points)
         codes = [0 if pt.leaf is None else pt.leaf for pt in points]
-        self._store(N_LEAVES, codes, weights, x1=[pt.x1 for pt in points],
-                    x2=[pt.x2 for pt in points])
-        self.__dict__["points"] = points
+        codes, coords = point_arrays(N_LEAVES, self._code, codes, x1=[pt.x1 for pt in points],
+                                     x2=[pt.x2 for pt in points])
+        self._keep(codes, weights, points=points, **coords)
 
     @classmethod
     def from_arrays(cls, leaf_codes, x1, x2, weights=None) -> "OpenBookSample":
         """Build a sample from arrays; leaf code 0 means the spine."""
-        sample = cls.__new__(cls)
-        sample._store(N_LEAVES, leaf_codes, weights, x1=x1, x2=x2)
-        return sample
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "OpenBookSample":
-        codes, x1, x2 = cls._json_columns(obj, *cls._coords)
-        return cls.from_arrays(codes, x1, x2, obj.get("weights"))
+        codes, coords = point_arrays(N_LEAVES, cls._code, leaf_codes, x1=x1, x2=x2)
+        return cls.__new__(cls)._keep(codes, weights, **coords)
 
 
 @dataclass(frozen=True)

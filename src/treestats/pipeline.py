@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _lazy
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from . import spider as sp
 from .spider import canonical_json  # noqa: F401  the writer of the commands' reports
 
@@ -62,11 +62,11 @@ def load_groups(text: str) -> dict[str, str]:
             continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ConfigError(f"bad group line {lineno}: {raw!r}")
+            raise ConfigError(f"bad group line {lineno}: {shown(raw)}")
         if lineno == first and parts == ["taxon", "group"]:
             continue
         if parts[0] in mapping:
-            raise ConfigError(f"taxon {parts[0]!r} assigned twice")
+            raise ConfigError(f"taxon {shown(parts[0])} assigned twice")
         mapping[parts[0]] = parts[1]
     if not mapping:
         raise ConfigError("empty group file")
@@ -114,7 +114,7 @@ def sample_trees(
     known = set(block.taxa)
     for taxon, group in groups.items():
         if taxon not in known:
-            raise ConfigError(f"group file references unknown taxon {taxon!r}")
+            raise ConfigError(f"group file references unknown taxon {shown(taxon)}")
         members.setdefault(group, []).append(taxon)
     group_names = sorted(members)
     if len(group_names) != k:

@@ -17,7 +17,7 @@ from html import escape
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import InvalidSampleError
+from .errors import InvalidSampleError, shown
 from .spider import SpiderSample, StickinessReport
 
 if TYPE_CHECKING:
@@ -142,7 +142,7 @@ def _check_labels(sample: T4Sample, kind: str, chars: str, rule: str) -> None:
     """Refuse, naming them, the labels that hold a character of the regex class ``chars``."""
     if bad := [x for x in sample.labels if re.search(f"[{chars}]", str(x))]:
         raise InvalidSampleError(
-            f"the Petersen {kind} cannot carry the labels {bad!r}: a label holds {rule}")
+            f"the Petersen {kind} cannot carry the labels {shown(bad)}: a label holds {rule}")
 
 
 def _projection(support: tuple, lengths) -> tuple[tuple, float, float]:

@@ -27,6 +27,7 @@ from .errors import (
     NegativeLengthError,
     NewickSyntaxError,
     NoComparableSitesError,
+    shown,
 )
 
 ALPHABET = frozenset("ACGTUN-")
@@ -47,7 +48,7 @@ def _check_unique_taxa(taxa) -> None:
     if len(set(taxa)) != len(taxa):
         seen: set[str] = set()
         dup = next(t for t in taxa if t in seen or seen.add(t))
-        raise DuplicateTaxonError(f"duplicate taxon label {dup!r}")
+        raise DuplicateTaxonError(f"duplicate taxon label {shown(dup)}")
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,16 @@ class AlignedBlock:
         _check_unique_taxa(self.taxa)
         length = len(self.rows[0])
         if length < 1:
-            raise AlignmentLengthError(f"row for {self.taxa[0]!r} has length 0, expected >= 1")
+            raise AlignmentLengthError(f"row for {shown(self.taxa[0])} has length 0, expected >= 1")
         for taxon, row in zip(self.taxa, self.rows):
             if len(row) != length:
                 raise AlignmentLengthError(
-                    f"row for {taxon!r} has length {len(row)}, expected {length}"
+                    f"row for {shown(taxon)} has length {len(row)}, expected {length}"
                 )
             bad = set(row) - ALPHABET
             if bad:
                 raise AlphabetError(
-                    f"row for {taxon!r} contains illegal characters {sorted(bad)}"
+                    f"row for {shown(taxon)} contains illegal characters {shown(sorted(bad))}"
                 )
 
     @property
@@ -172,7 +173,7 @@ class DistanceMatrix:
         bad = [t for t in self.taxa
                if not t or t != t.strip() or "," in t or len(t.splitlines()) != 1]
         if bad:
-            raise InvalidMatrixError(f"the distance CSV cannot carry the taxon labels {bad!r}: "
+            raise InvalidMatrixError(f"the distance CSV cannot carry the taxon labels {shown(bad)}: "
                                      "a label is one line, without commas or blanks at its ends")
         bits, inverse = np.unique(self.d.view(np.int64), return_inverse=True)
         text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
@@ -273,7 +274,7 @@ def mismatch_distance(
     if empty.size:
         i, j = empty[0]
         raise NoComparableSitesError(
-            f"{reason} {block.taxa[i]!r} and {block.taxa[j]!r}"
+            f"{reason} {shown(block.taxa[i])} and {shown(block.taxa[j])}"
         )
     np.fill_diagonal(denom, 1.0)
     d = num / denom
@@ -362,11 +363,11 @@ def parse_newick(text: str) -> TreeNode:
         try:
             val = float(tok)
         except ValueError:
-            raise NewickSyntaxError(f"bad branch length {tok!r}") from None
+            raise NewickSyntaxError(f"bad branch length {shown(tok)}") from None
         if not np.isfinite(val):
-            raise NewickSyntaxError(f"non-finite branch length {tok!r}")
+            raise NewickSyntaxError(f"non-finite branch length {shown(tok)}")
         if val < 0:
-            raise NegativeLengthError(f"negative branch length {tok!r}")
+            raise NegativeLengthError(f"negative branch length {shown(tok)}")
         return val
 
     open_children: list[list[TreeNode]] = []  # the children read so far of each open "("
@@ -421,7 +422,7 @@ def serialize_newick(tree: TreeNode, precision: int = 6) -> str:
     bad = [n.label for n in tree.walk() if (n.label or n.is_leaf()) and (
         not n.label or any(c in _RESERVED or c.isspace() for c in n.label))]
     if bad:
-        raise NewickSyntaxError(f"Newick cannot carry the labels {bad!r}: "
+        raise NewickSyntaxError(f"Newick cannot carry the labels {shown(bad)}: "
                                 "a label holds no whitespace and none of ():;,")
     if tree.is_leaf():
         raise NewickSyntaxError("cannot serialize a single leaf as a tree")

@@ -40,6 +40,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSampleError,
     InvalidWeightsError,
+    shown,
 )
 
 __all__ = [
@@ -147,7 +148,7 @@ def json_list(value, field: str, error=InvalidSampleError) -> list:
     or not a list."""
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise error(f"{field} is missing" if value is None
-                    else f"{field} must be a list, got {value!r}")
+                    else f"{field} must be a list, got {shown(value)}")
     return value
 
 
@@ -156,7 +157,7 @@ def json_points(obj) -> list[dict]:
     points = json_list(obj.get("points"), "points")
     if not {*map(type, points)} <= {dict}:
         i, o = next((i, o) for i, o in enumerate(points) if type(o) is not dict)
-        raise InvalidSampleError(f"points[{i}] must be an object, got {o!r}")
+        raise InvalidSampleError(f"points[{i}] must be an object, got {shown(o)}")
     return points
 
 
@@ -166,7 +167,7 @@ def json_number(x, field: str, error=InvalidSampleError) -> float:
     large for a float reads as infinity, so the range check after this one
     names ``field``."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise error(f"{field} must be a number, got {x!r}")
+        raise error(f"{field} must be a number, got {shown(x)}")
     try:
         return float(x)
     except OverflowError:
@@ -214,10 +215,10 @@ ROUNDING_RTOL = 8 * sys.float_info.epsilon
 
 def _check_p(p, what: str) -> None:
     if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 1 <= p <= MAX_LEGS:
-        raise InvalidSampleError(f"{what} must be an integer in 1..{MAX_LEGS}, got {p!r}")
+        raise InvalidSampleError(f"{what} must be an integer in 1..{MAX_LEGS}, got {shown(p)}")
 
 
-# The rules for points, stated once: ArraySample._store checks a sample's
+# The rules for points, stated once: the sample constructors check their
 # arrays by them, and SpiderPoint and OpenBookPoint their one row.
 
 def coordinates(values, entry) -> np.ndarray:
@@ -240,7 +241,7 @@ def _codes(codes, n_codes: int, entry) -> np.ndarray:
         if not {*map(type, codes)} <= {int}:
             for i, c in enumerate(codes):
                 if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-                    raise InvalidSampleError(f"{entry(i)} must be an integer, got {c!r}")
+                    raise InvalidSampleError(f"{entry(i)} must be an integer, got {shown(c)}")
         raw, codes = codes, np.asarray(codes)
         if codes.dtype.kind not in "iu":  # Python ints past int64 read as floats or objects
             codes = np.array([min(max(c, 0), n_codes + 1) for c in raw], dtype=np.int64)
@@ -266,7 +267,7 @@ def point_arrays(n_codes: int, code: str, codes, at: str = "points[{}].", given=
     if codes.size and not (off_codes.min() >= 1 and off_codes.max() <= n_codes):
         i = int(np.argmax((off_codes < 1) | (off_codes > n_codes)))
         raise InvalidSampleError(
-            f"{at.format(i)}{code} must be in 1..{n_codes} where {name} > 0, got {raw[i]}")
+            f"{at.format(i)}{code} must be in 1..{n_codes} where {name} > 0, got {shown(raw[i])}")
     return np.where(off, codes, 0), coords
 
 
@@ -278,44 +279,38 @@ def _immutable(self, *_):
 class ArraySample:
     """Base of the spider, open-book and tree-space samples: read-only arrays.
 
-    A sample holds ``codes`` (the leg or leaf of each point, 0 for the
-    center or spine; a tree-space point's support class), its coordinate
-    arrays, ``weights`` (``None`` for uniform) and ``_w``, the per-point
-    weights with uniform ones filled in.  ``points`` (of the class
-    ``_point``) is built from the arrays on first access, ``==`` compares
-    ``weights`` and the attributes listed in ``_eq_fields``, and
-    :meth:`to_dict` and :meth:`to_json` write the arrays without building
-    a point.  Codes and coordinates are checked by :func:`point_arrays`,
-    whose rules the point classes follow too.
+    A subclass declares its document shape once: ``_header_fields`` (``p``;
+    none; ``labels``), ``_code``, the field of each point's code, and
+    ``_coords``, its coordinate arrays.  A sample holds those, ``codes`` (0
+    for the center or spine; a tree-space point's support class), ``weights``
+    (``None`` for uniform) and ``_w``, the per-point weights.  ``==``, the
+    header and :meth:`from_dict` derive from the shape; ``points`` (of the
+    class ``_point``) is built on first access.  Each constructor checks its
+    input by its own rule (:func:`point_arrays`, which the point classes
+    follow too) and ends in :meth:`_keep`.
     """
 
-    _code = "leg"  # field name of the codes in sample documents
-    _coords = ("u",)  # coordinate arrays, named as in sample documents
-
-    def _store(self, n_codes: int, codes, weights, **coords):
-        """Check the arrays by :func:`point_arrays` and store them."""
-        codes, coords = point_arrays(n_codes, self._code, codes, **coords)
-        self._keep(codes, weights, **coords)
-
-    def _keep(self, codes, weights, **arrays):
-        """Store the arrays read-only, and the weights once checked."""
-        for x in (codes, *arrays.values()):
+    def _keep(self, codes, weights, **fields):
+        """Store ``codes`` and ``fields`` (header, coordinates, maybe points),
+        the arrays read-only, and the weights once checked; returns the sample."""
+        for x in (codes, *(fields[name] for name in self._coords)):
             x.flags.writeable = False
         n = codes.size
         if weights is not None:
             weights = validate_weights(weights, n)
         w = np.full(n, 1.0 / max(n, 1)) if weights is None else np.asarray(weights)
-        self.__dict__.update(arrays, codes=codes, weights=weights, _w=w)
+        self.__dict__.update(fields, codes=codes, weights=weights, _w=w)
+        return self
 
     @classmethod
-    def _json_columns(cls, obj, *coords: str) -> list[list]:
-        """Code and coordinate columns of a sample document's points, read
-        by :meth:`_store`; a missing or null code is 0 and a missing
-        coordinate 0.0."""
+    def from_dict(cls, obj: dict):
+        """The sample of a document, by ``from_arrays``: a missing or null
+        code is 0 and a missing coordinate 0.0."""
         points = json_points(obj)
-        codes = [o.get(cls._code) for o in points]
-        return [[0 if x is None else x for x in codes],
-                *([o.get(name, 0.0) for o in points] for name in coords)]
+        return cls.from_arrays(*map(obj.get, cls._header_fields),
+                               [0 if o.get(cls._code) is None else o[cls._code] for o in points],
+                               *([o.get(name, 0.0) for o in points] for name in cls._coords),
+                               obj.get("weights"))
 
     __setattr__ = __delattr__ = _immutable
 
@@ -326,8 +321,8 @@ class ArraySample:
         if type(other) is not type(self):
             return NotImplemented
         return self.weights == other.weights and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in self._eq_fields
-        )
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in (*self._header_fields, "codes", *self._coords))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={len(self)}, weights={self.weights})"
@@ -342,7 +337,7 @@ class ArraySample:
 
     def _header(self) -> dict:
         """The fields of the sample document besides ``points`` and ``weights``."""
-        return {}
+        return {name: getattr(self, name) for name in self._header_fields}
 
     def _numbers(self) -> np.ndarray:
         """Each point's numbers, (n, k), in the order the document lists them."""
@@ -424,34 +419,22 @@ class SpiderSample(ArraySample):
     :meth:`from_arrays` the arrays.
     """
 
-    _eq_fields = ("p", "codes", "u")
+    _header_fields, _code, _coords = ("p",), "leg", ("u",)
     _point = SpiderPoint
 
     def __init__(self, p: int, points=(), weights=None):
         points = tuple(points)
-        codes = [0 if pt.leg is None else pt.leg for pt in points]
-        self._set(p, codes, [pt.u for pt in points], weights)
-        self.__dict__["points"] = points
-
-    def _set(self, p, codes, u, weights):
         _check_p(p, "p")
-        self.__dict__["p"] = p
-        self._store(p, codes, weights, u=u)
+        codes = [0 if pt.leg is None else pt.leg for pt in points]
+        codes, coords = point_arrays(p, self._code, codes, u=[pt.u for pt in points])
+        self._keep(codes, weights, p=p, points=points, **coords)
 
     @classmethod
     def from_arrays(cls, p, leg_codes, u, weights=None) -> "SpiderSample":
         """Build a sample from arrays; leg code 0 means the center."""
-        sample = cls.__new__(cls)
-        sample._set(p, leg_codes, u, weights)
-        return sample
-
-    def _header(self) -> dict:
-        return {"p": self.p}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SpiderSample":
-        codes, u = cls._json_columns(obj, *cls._coords)
-        return cls.from_arrays(obj.get("p"), codes, u, obj.get("weights"))
+        _check_p(p, "p")
+        codes, coords = point_arrays(p, cls._code, leg_codes, u=u)
+        return cls.__new__(cls)._keep(codes, weights, p=p, **coords)
 
 
 @dataclass(frozen=True)
@@ -629,7 +612,7 @@ class Verdict(Record):
 
 @dataclass(frozen=True)
 class StickinessReport(Record):
-    """Verdict, mean location, moment gaps, and spread of a spider sample
+    """Verdict, mean location, moment gaps and standard deviation of a spider sample
     or summary.  ``intrinsic_sd`` is ``None`` for a summary (no second
     moments), in the library as in JSON; ``n`` is ``None`` there too."""
 

@@ -50,6 +50,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSampleError,
     NotInBookError,
+    shown,
 )
 from .spider import (
     MAX_COORD, ROUNDING_RTOL, ArraySample, Record, _codes, _immutable, coordinates, json_numbers,
@@ -206,14 +207,14 @@ def _geometry(labels: tuple) -> _Geometry:
     try:
         return _geometries(labels)
     except TypeError:  # labels that do not hash, or do not order, such as 1 and 'a'
-        raise InvalidSampleError(_LABELS_RULE.format(list(labels))) from None
+        raise InvalidSampleError(_LABELS_RULE.format(shown(list(labels)))) from None
 
 
 @lru_cache(maxsize=None)
 def _geometries(labels: tuple) -> _Geometry:
     key = tuple(sorted(labels))
     if len(key) != 4 or len(set(key)) != 4:
-        raise InvalidSampleError(_LABELS_RULE.format(list(labels)))
+        raise InvalidSampleError(_LABELS_RULE.format(shown(list(labels))))
     return _Geometry(key) if key == labels else _geometries(key)
 
 
@@ -242,7 +243,7 @@ class T4Point:
         split = [[geom.index.get(frozenset(c), _NO_SPLIT) for c, _ in pairs]]
         (code,), (xy,) = geom.support_classes(
             split, [[x for _, x in pairs]], lambda i: "splits",
-            lambda i, kept: "clusters {}".format(
+            lambda i, kept: "clusters " + shown(
                 [sorted(c, key=str) for (c, _), k in zip(pairs, kept) if k]))
         object.__setattr__(self, "labels", geom.labels)
         object.__setattr__(self, "code", int(code))
@@ -303,7 +304,7 @@ class T4Sample(ArraySample):
     split bitmasks and lengths, which it checks by the points' rules.
     """
 
-    _eq_fields = ("labels", "codes", "coords")
+    _header_fields, _coords = ("labels",), ("coords",)
 
     def __init__(self, labels, points=(), weights=None):
         points, geom = tuple(points), _geometry(tuple(labels))
@@ -311,15 +312,14 @@ class T4Sample(ArraySample):
             raise InvalidSampleError("all points must share the sample's labels")
         codes = np.array([pt.code for pt in points], dtype=np.int64)
         coords = np.reshape([[*pt.lengths, 0.0, 0.0][:2] for pt in points], (-1, 2))
-        self.__dict__.update(labels=geom.labels, points=points)
-        self._keep(codes, weights, coords=coords)
+        self._keep(codes, weights, labels=geom.labels, points=points, coords=coords)
 
     @classmethod
     def from_splits(cls, labels, masks, lengths, weights=None) -> "T4Sample":
         """Build a sample from (n, w) arrays of split bitmasks, bit i standing
         for ``labels[i]``, and lengths, checked by the rules :class:`T4Point`
         follows; :class:`InvalidSampleError` names the first bad point."""
-        geom, sample = _geometry(tuple(labels)), cls.__new__(cls)
+        geom = _geometry(tuple(labels))
         try:
             same = np.ndim(masks) == 2 and np.shape(masks) == np.shape(lengths)
         except ValueError:  # rows of different lengths
@@ -334,10 +334,8 @@ class T4Sample(ArraySample):
         masks = _codes(flat, 31, lambda k: f"points[{k // w}].splits: bitmask").reshape(n, w)
         codes, xy = geom.support_classes(
             split_of[np.clip(masks, 0, 31)], lengths, "points[{}].splits".format,
-            lambda i, kept: f"bitmasks {masks[i][kept].tolist()} of {list(labels)}")
-        sample.__dict__["labels"] = geom.labels
-        sample._keep(codes, weights, coords=xy)
-        return sample
+            lambda i, kept: f"bitmasks {masks[i][kept].tolist()} of {shown(list(labels))}")
+        return cls.__new__(cls)._keep(codes, weights, labels=geom.labels, coords=xy)
 
     @cached_property
     def points(self) -> tuple[T4Point, ...]:
@@ -348,9 +346,6 @@ class T4Sample(ArraySample):
     def _header(self) -> dict:
         return {"labels": list(self.labels)}
 
-    def _numbers(self) -> np.ndarray:
-        return self.coords
-
     def _point_dict(self, code: int, numbers) -> dict:
         clusters = _geometry(self.labels).clusters[code]
         return {"splits": [{"cluster": list(c), "length": x} for c, x in zip(clusters, numbers)]}
@@ -359,7 +354,7 @@ class T4Sample(ArraySample):
     def from_dict(cls, obj: dict) -> "T4Sample":
         labels = obj.get("labels")
         if not (_is_labels(labels) and len(labels) == len(set(labels)) == 4):
-            raise InvalidSampleError(f"labels must be four distinct strings, got {labels!r}")
+            raise InvalidSampleError(f"labels must be four distinct strings, got {shown(labels)}")
         rows = [o.get("splits") for o in json_points(obj)]
         splits = [s for row in rows if type(row) is list for s in row]
         clusters = [s.get("cluster") if type(s) is dict else None for s in splits]
@@ -383,12 +378,9 @@ class T4Sample(ArraySample):
         coords[point, col] = lengths[kept]
         # a bad point's kept clusters are named as the document lists them
         codes, xy = geom.support_classes(
-            split, coords, "points[{}].splits".format, lambda i, nonzero: "clusters {}".format(
+            split, coords, "points[{}].splits".format, lambda i, nonzero: "clusters " + shown(
                 [c for c, z in zip([clusters[k] for k in kept if owner[k] == i], nonzero) if z]))
-        sample = cls.__new__(cls)
-        sample.__dict__["labels"] = geom.labels
-        sample._keep(codes, obj.get("weights"), coords=xy)
-        return sample
+        return cls.__new__(cls)._keep(codes, obj.get("weights"), labels=geom.labels, coords=xy)
 
 
 # --------------------------------------------------------------------------
@@ -680,7 +672,7 @@ def spine_stickiness_t4(
     if (leaves < 0).any():
         i = int(np.argmax(leaves < 0))
         pt = T4Point(sample.labels, zip(geom.supports[sample.codes[i]], sample.coords[i].tolist()))
-        raise NotInBookError(f"{pt!r} lies outside the open book around {sorted(axis)}")
+        raise NotInBookError(f"{shown(pt)} lies outside the open book around {shown(sorted(axis))}")
     lengths = _split_coords(sample, geom)[:, [geom.index[e] for e in (axis, *partners)]]
     x2 = np.where(leaves > 0, lengths[np.arange(len(leaves)), leaves], 0.0)
     from .openbook import OpenBookSample, openbook_mean  # the only open-book path

@@ -84,6 +84,23 @@ def outcome(build, *args):
         return "rejected"
 
 
+# per sample class: a constructor, its arguments, and a change of each
+# argument: the header (p, labels), one code, one coordinate, the weights
+ONE_FIELD_CHANGED = {
+    "spider": (SpiderSample.from_arrays,
+               dict(p=3, leg_codes=[1, 2], u=[0.5, 1.0], weights=None),
+               dict(p=4, leg_codes=[3, 2], u=[0.5, 1.5], weights=(0.25, 0.75))),
+    "openbook": (OpenBookSample.from_arrays,
+                 dict(leaf_codes=[1, 2], x1=[0.5, 1.0], x2=[1.0, 2.0], weights=None),
+                 dict(leaf_codes=[3, 2], x1=[0.5, 1.5], x2=[1.0, 2.5], weights=(0.25, 0.75))),
+    "t4": (T4Sample.from_splits,
+           dict(labels="abcd", masks=[[0b11, 0b111], [0b11, 0]], lengths=[[1.0, 2.0], [1.0, 0.0]],
+                weights=None),
+           dict(labels="abce", masks=[[0b11, 0b111], [0b1100, 0]],
+                lengths=[[1.0, 2.5], [1.0, 0.0]], weights=(0.25, 0.75))),
+}
+
+
 class TestArraysEqualPoints:
     @settings(max_examples=150, deadline=None)
     @given(spider_data())
@@ -263,6 +280,13 @@ class TestArraysEqualPoints:
         b = SpiderSample.from_arrays(2, [1, 2], [0.5, 1.0], (0.25, 0.75))
         assert a != b
 
+    @pytest.mark.parametrize("kind, field", [(kind, field) for kind, (_, args, _) in
+                                             ONE_FIELD_CHANGED.items() for field in args])
+    def test_one_field_changed_alone_differs(self, kind, field):
+        build, args, changed = ONE_FIELD_CHANGED[kind]
+        assert build(**args) == build(**args)
+        assert build(**args) != build(**{**args, field: changed[field]})
+
 
 # numbers from the least double to the coordinate bound, with 0.0 and -0.0
 # (the center, the spine, a dropped split), which the rules accept
@@ -345,7 +369,7 @@ class TestHotPath:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(ArraySample, "_store", "sample")
+        counting(ArraySample, "_keep", "sample")
         counting(SpiderPoint, "__post_init__", "point")
         counting(OpenBookPoint, "__post_init__", "point")
         counting(spider, "intrinsic_mean", "intrinsic_mean")

@@ -708,12 +708,11 @@ class TestMoreCliEdges:
         assert rep["x1_star"] == pytest.approx(1.0)
 
     def test_mean_openbook_plot_rejected(self, tmp_path):
-        sample = tmp_path / "book.json"
-        sample.write_text(json.dumps({"points": [
-            {"leaf": 1, "x1": 1.0, "x2": 1.0},
-            {"leaf": 2, "x1": 1.0, "x2": 1.0},
-        ]}))
-        assert main(["mean", str(sample), "--plot", str(tmp_path / "x.svg")]) == 2
+        # refused by the plot, which is built before either file is written
+        plot, report = tmp_path / "p.svg", tmp_path / "m.json"
+        argv = ["mean", str(GOLDEN / "openbook_sample.json"), "--plot", str(plot), "-o", str(report)]
+        assert main(argv) == 2
+        assert not plot.exists() and not report.exists()
 
     def test_plot_format_override(self, toy, tmp_path):
         fasta, _, groups4 = toy
@@ -992,6 +991,30 @@ def _law(name, *path, value=_DROP):
 
 SPIDER, BOOK = "law_dominant.json", "law_openbook_symmetric.json"
 SYMMETRIC = "law_symmetric.json"
+
+
+def _nested(depth: int):
+    return [_nested(depth - 1)] if depth else []
+
+
+class TestLongBadValueExit2:
+    """A bad value of any size is named by its field and shown cut short."""
+
+    @pytest.mark.parametrize("command, doc, field", [
+        (["mean"], {"p": 3, "points": "x" * 100_000}, "points must be a list"),
+        (["mean"], {"p": 3, "points": [{"leg": 1, "u": "x" * 100_000}]}, "points[0].u"),
+        (["mean"], {"p": 3, "points": [{"leg": "x" * 100_000, "u": 1}]}, "points[0].leg"),
+        (["mean"], {"p": [1] * 100_000, "points": []}, "p must be an integer"),
+        (["simulate", "--n", "5", "--reps", "2"], {"weights": [1], "legs": ["z" * 100_000]},
+         "legs[0] must be a distribution object"),
+        (["mean"], {"labels": _nested(500), "points": []}, "labels must be four distinct"),
+    ], ids=["points", "u", "leg", "p", "law_leg", "nested_labels"])
+    def test_message_is_short(self, tmp_path, capsys, command, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert field in err and len(err.encode()) < 300
 
 
 class TestBadLawExit2:

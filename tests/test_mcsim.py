@@ -530,13 +530,27 @@ class TestBlocks:
            st.integers(1, 30))
     def test_blocked_sums_are_one_block_sums(self, law, size, block):
         # blocks of a few draws, down to one replicate per block
-        whole = mcsim._replicate_sums(law, *size, spread=True)
+        whole = mcsim._replicate_sums(law, *size)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mcsim, "_BLOCK", block)
-            blocked = mcsim._replicate_sums(law, *size, spread=True)
-        kept = 4 if isinstance(law, OpenBookLaw) else 2  # a spider has no spine
-        for a, b in zip(whole[:kept], blocked[:kept]):
-            assert np.array_equal(a, b)
+            blocked = mcsim._replicate_sums(law, *size)
+        assert_same_sums(whole, blocked)
+
+    def test_undefined_sums_are_none(self):
+        # a spider has no spine; one point has no standard deviation
+        *sums, spine, sd = mcsim._replicate_sums(SYMMETRIC, 10, 3, 0)
+        assert spine is None and sd is None and all(s.shape == (3, 3) for s in sums)
+        *_, spine, sd = mcsim._replicate_sums(symmetric_book(), 1, 3, 0)
+        assert spine.shape == (3,) and sd is None
+        *_, spine, sd = mcsim._replicate_sums(symmetric_book(), 2, 3, 0)
+        assert spine.shape == sd.shape == (3,)
+
+
+def assert_same_sums(ours, theirs):
+    """The four outputs of two ``_replicate_sums`` calls agree: each ``None``
+    in both, or the same array."""
+    for a, b in zip(ours, theirs, strict=True):
+        assert a is b is None or np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -567,15 +581,12 @@ class TestUniformRoute:
            st.integers(1, 60))
     def test_block_route_is_draw_per_replicate(self, law, size, block):
         assert mcsim._uniform_bounds(law) is not None
-        spread = size[0] > 1  # one point has no standard deviation
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mcsim, "_BLOCK", block)  # replicates split across blocks
-            fast = mcsim._replicate_sums(law, *size, spread=spread)
+            fast = mcsim._replicate_sums(law, *size)
             patch.setattr(mcsim, "_uniform_bounds", lambda law: None)
-            per_replicate = mcsim._replicate_sums(law, *size, spread=spread)
-        kept = (4 if spread else 3) if isinstance(law, OpenBookLaw) else 2  # a spider has no spine
-        for a, b in zip(fast[:kept], per_replicate[:kept]):
-            assert np.array_equal(a, b)
+            per_replicate = mcsim._replicate_sums(law, *size)
+        assert_same_sums(fast, per_replicate)
 
     def test_only_exact_uniforms_take_it(self):
         assert mcsim._uniform_bounds(SpiderLaw((0.5, 0.5), (Uniform(0, 1), Uniform(1, 3)))) \
