@@ -10,11 +10,12 @@ SHOWN_WIDTH = 80  # the most characters of a bad value that a message shows
 
 
 def shown(value) -> str:
-    """A bad input value as every message shows it: a number in full (a JSON
-    integer has at most 4300 digits), else its ``repr`` cut to ``SHOWN_WIDTH``."""
-    if isinstance(value, numbers.Number):
-        return str(value)
-    text = repr(value)
+    """A bad value as a message shows it: ``cut(repr(value))``, a number whole (<= 4300 digits)."""
+    return str(value) if isinstance(value, numbers.Number) else cut(repr(value))
+
+
+def cut(text: str) -> str:
+    """``text`` cut to ``SHOWN_WIDTH`` characters, ending in ``...`` if cut."""
     return text if len(text) <= SHOWN_WIDTH else text[:SHOWN_WIDTH - 3] + "..."
 
 

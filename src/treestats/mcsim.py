@@ -54,7 +54,7 @@ import numpy as np
 
 from . import kolmogorov
 from . import spider as sp
-from .errors import InvalidParameterError, shown
+from .errors import InvalidParameterError, cut, shown
 
 __all__ = [
     "PointMass",
@@ -186,7 +186,7 @@ def distribution_from_dict(obj: dict, where: str = "distribution"):
     params = [f.name for f in fields(cls)]
     for key in args:
         if key not in params:
-            raise InvalidParameterError(f"{where}.{key} is not a parameter of {kind}")
+            raise InvalidParameterError(f"{cut(f'{where}.{key}')} is not a parameter of {kind}")
     for key in params:
         if key not in args:
             raise InvalidParameterError(f"{where}.{key} is missing")

@@ -1008,7 +1008,10 @@ class TestLongBadValueExit2:
         (["simulate", "--n", "5", "--reps", "2"], {"weights": [1], "legs": ["z" * 100_000]},
          "legs[0] must be a distribution object"),
         (["mean"], {"labels": _nested(500), "points": []}, "labels must be four distinct"),
-    ], ids=["points", "u", "leg", "p", "law_leg", "nested_labels"])
+        (["simulate", "--n", "5", "--reps", "2"],
+         {"weights": [1], "legs": [{"kind": "uniform", "lo": 0, "hi": 1, "z" * 100_000: 1}]},
+         "legs[0].zzz"),
+    ], ids=["points", "u", "leg", "p", "law_leg", "nested_labels", "law_key"])
     def test_message_is_short(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
