@@ -432,19 +432,11 @@ def frechet_function(x: T4Point, sample: T4Sample) -> float:
 
 @dataclass(frozen=True)
 class T4MeanEstimate(Record):
-    """Mean point and Frechet value, and how they were found.
-
-    ``method`` is ``"euclidean"`` for the coordinate mean of a sample in one
-    closed quadrant and ``"cone"`` for the per-quadrant ray solve of
-    :func:`t4_mean`; ``quadrant`` holds the axes of the closed quadrant the
-    mean was found in (``()`` when the star tree wins; the sample's common
-    support for ``"euclidean"``).
-    """
+    """Mean point and its Frechet value; where the mean lies is its support
+    (``mean.support``: two splits, one axis, or none for the star tree)."""
 
     mean: T4Point
     frechet_value: float
-    method: str
-    quadrant: tuple[frozenset, ...] = ()
 
 
 def _split_coords(sample: T4Sample, geom: _Geometry) -> np.ndarray:
@@ -502,20 +494,27 @@ class _QuadrantImages:
 
     def assignment(self, x):
         """Value at ``x``, which is not the origin, and the pull of its
-        image/cone assignment there: ``pull``, the weighted sum of the
-        nearest valid images, and ``cone``, the sum of ``w |p|`` over the
-        points reached through the origin.  Near ``x`` the Frechet function
-        is ``total |x|**2 - 2 x . pull + 2 |x| cone`` plus a constant."""
+        image/cone assignment there, per unit of the total weight:
+        ``pull``, the weighted sum of the nearest valid images, and
+        ``cone``, that of ``|p|`` over the points reached through the
+        origin.  Near ``x`` the Frechet function is ``total (|x|**2 - 2 x .
+        pull + 2 |x| cone)`` plus a constant.  ``pull`` is summed about the
+        heaviest valid image ``q0``, as the weighted sum of ``q - q0`` plus
+        ``q0`` times the images' share of the weight: when every point is
+        on an image, equal points pull to ``q0`` exactly."""
         d2, on_image, slot = self._terms(x)
-        w_image = np.where(on_image, self.weights, 0.0)
-        pick = (self.rows, slot)
-        pull = np.array([w_image @ self.qx[pick], w_image @ self.qy[pick]])
-        return float(self.weights @ d2), pull, float((self.weights - w_image) @ self.norms)
+        w_cone = np.where(on_image, 0.0, self.weights)
+        w_image = self.weights - w_cone
+        q = np.stack([self.qx[self.rows, slot], self.qy[self.rows, slot]], axis=1)
+        q0 = q[w_image.argmax()]
+        pull = q0 * (1.0 - w_cone.sum() / self.total) + (w_image @ (q - q0)) / self.total
+        return float(self.weights @ d2), pull, float(w_cone @ self.norms) / self.total
 
 
 def _best_ray(images: _QuadrantImages) -> tuple[float, float]:
-    """The largest gain ``G`` over the quadrant's rays out of the star tree,
-    and the angle from ``e`` of a ray that reaches it.
+    """The quadrant's best ray out of the star tree: the optimum radius
+    ``G / total`` on the ray of the largest gain ``G``, and the ray's angle
+    from ``e``.
 
     The space is a Euclidean cone, so on the ray ``t u`` at angle ``theta``
     the Frechet function is exactly ``star - 2 t G(theta) + total t**2``,
@@ -527,7 +526,7 @@ def _best_ray(images: _QuadrantImages) -> tuple[float, float]:
     Petersen graph has girth 5), so at most one is valid at any angle.  One
     sweep over the ends of these windows inside the arc sums ``G`` on each
     piece between them as ``A cos + B sin + C``, largest at the point of
-    the piece nearest ``atan2(B, A)`` round the circle.  The gain is then
+    the piece nearest ``atan2(B, A)`` round the circle.  The radius is then
     evaluated at that angle from the images themselves.
     """
     phi = np.where(images.clockwise, _HALF_PI - images.beta, images.beta)
@@ -558,50 +557,44 @@ def _unit(theta: float) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)] if theta < _HALF_PI else [0.0, 1.0])
 
 
-def _ray_minimum(images: _QuadrantImages, gain: float, theta: float):
+def _ray_minimum(images: _QuadrantImages, radius: float, theta: float):
     """``(value, x)``, the quadrant's minimum from its best ray: the ray's
-    optimum ``t = gain / total``, or one closed-form step from the
-    image/cone assignment there when its value is no higher.  The step
-    solves ``total x = pull - cone u`` inside the quadrant, and on an axis
-    along it."""
+    optimum ``x = radius u``, or one closed-form step from the image/cone
+    assignment there.  The step solves ``x = pull - cone u`` inside the
+    quadrant, and on an axis along it: the exact minimum of that
+    assignment, so it is kept unless its value is higher beyond rounding
+    (``ROUNDING_RTOL``)."""
     u = _unit(theta)
-    x = u * (gain / images.total)
+    x = u * radius
     value, pull, cone = images.assignment(x)
     r = math.hypot(*pull)
     if 0.0 < theta < _HALF_PI:
-        step = pull * ((1.0 - cone / r) / images.total) if r > cone else None
+        step = pull * (1.0 - cone / r) if r > cone else None
     else:
-        step = u * ((pull @ u - cone) / images.total)
+        step = u * (pull @ u - cone)
     if step is not None and step.min() >= 0.0 and step.max() > 0.0:
-        value, x = min((images.value(step), step), (value, x), key=lambda vx: vx[0])
+        step_value = images.value(step)
+        if step_value <= value * (1.0 + ROUNDING_RTOL):
+            value, x = step_value, step
     return value, x
 
 
 def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     """Frechet mean of a tree-space sample (unique: the space is CAT(0)).
 
-    When all points share one closed quadrant the mean is the coordinate
-    mean there, computed exactly (``method="euclidean"``).  Otherwise each
-    closed quadrant's minimum lies on its best ray out of the star tree
-    (:func:`_best_ray`), found in closed form on the sample's images
+    Each closed quadrant's minimum lies on its best ray out of the star
+    tree (:func:`_best_ray`), found in closed form on the sample's images
     unfolded into its frame; the best of these minima and the star tree
-    wins (``method="cone"``).
+    wins.  A sample inside one closed quadrant takes the same solve: the
+    quadrant is a convex Euclidean part of the cone, where the ray and the
+    step from it land on the coordinate mean, and equal points average to
+    themselves exactly.
     """
     if not len(sample):
         raise EmptySampleError("cannot average an empty sample")
     labels, wts = sample.labels, sample.normalized_weights()
     geom = _geometry(labels)
     classes, coords = sample.codes, _split_coords(sample, geom)
-    union = {e for c in set(classes.tolist()) for e in geom.supports[c]}
-    if len(union) <= 1 or (len(union) == 2 and compatible(*union)):
-        # a plain running sum per split, which a fused dot product is not:
-        # equal points then average to themselves exactly; a weighted mean of
-        # lengths up to MAX_COORD may round past it
-        lengths = np.minimum((wts[:, None] * coords).sum(axis=0), MAX_COORD)
-        mean = T4Point(labels, dict(zip(geom.splits, lengths)))
-        axes = tuple(sorted(union, key=_split_key))
-        return T4MeanEstimate(mean, frechet_function(mean, sample), "euclidean", axes)
-
     # solved at a power-of-two scale, exact in binary, at which no squared
     # length underflows
     exp = math.frexp(coords.max())[1]
@@ -611,15 +604,15 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
         if not (wts @ coords[:, [geom.index[e], geom.index[f]]]).any():
             continue  # all images lie in x, y <= 0: the origin is best here
         images = _QuadrantImages(table, classes, coords, wts)
-        gain, theta = _best_ray(images)
+        radius, theta = _best_ray(images)
         # beats the star tree only above rounding of sum w |p|, the scale of G
-        if gain > ROUNDING_RTOL * float(wts @ images.norms):
-            value, x = _ray_minimum(images, gain, theta)
+        if radius * images.total > ROUNDING_RTOL * float(wts @ images.norms):
+            value, x = _ray_minimum(images, radius, theta)
             if value < best[0]:
                 best = (value, (e, f), x)
     value, quadrant, x = best
     mean = T4Point(labels, dict(zip(quadrant, np.minimum(np.ldexp(x, exp), MAX_COORD))))
-    return T4MeanEstimate(mean, math.ldexp(value, 2 * exp), "cone", quadrant)
+    return T4MeanEstimate(mean, math.ldexp(value, 2 * exp))
 
 
 # --------------------------------------------------------------------------

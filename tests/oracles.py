@@ -26,6 +26,7 @@ from treestats.errors import (
 )
 from treestats.njtree import induced_subtree
 from treestats.seqio import DistanceMatrix, GapMode, TreeNode
+from treestats.spider import MAX_COORD
 from treestats.t4space import (
     T4Point,
     _geometry,
@@ -512,6 +513,21 @@ def t4_grid_frechet_minimum(sample, step=0.05, radius=None):
                         best_val = val
                         best = pt
     return best, best_val
+
+
+def t4_coordinate_mean(sample):
+    """The coordinate mean of a sample inside one closed quadrant (or on one
+    axis), where the space is Euclidean; returns (point, Frechet value).
+
+    A plain running sum per split of weight times length over the points,
+    clipped at ``MAX_COORD``: equal points average to themselves exactly.
+    """
+    sums = {}
+    for w, pt in zip(sample.normalized_weights().tolist(), sample.points):
+        for e, x in pt.coords.items():
+            sums[e] = sums.get(e, 0.0) + w * x
+    mean = T4Point(sample.labels, {e: min(x, MAX_COORD) for e, x in sums.items()})
+    return mean, frechet_function(mean, sample)
 
 
 def _snap_point(labels, coords: dict, eps: float = 1e-9) -> T4Point:

@@ -467,8 +467,7 @@ class TestMeanAndSticky:
         assert main(["mean", str(sample), "-o", str(out)]) == 0
         rep = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert set(rep) == {
-            "space", "n", "labels", "tree_type", "intrinsic_sd", "mean",
-            "frechet_value", "method", "quadrant",
+            "space", "n", "labels", "tree_type", "intrinsic_sd", "mean", "frechet_value",
         }
         with pytest.raises(SystemExit) as exc:  # the option is gone
             main(["mean", str(sample), "--epochs", "5"])

@@ -247,10 +247,10 @@ RECORDS = {
                       {"lo": 0.0, "hi": 1.0, "x1_star": 0.5, "se": 0.25, "confidence": 0.9,
                        "n": 8}),
     "T4MeanEstimate": (
-        T4MeanEstimate(T4Point("abcd", {_ABC: 0.5, _AB: 1.0}), 0.25, "cone", (_AB, _ABC)),
+        T4MeanEstimate(T4Point("abcd", {_ABC: 0.5, _AB: 1.0}), 0.25),
         {"mean": {"splits": [{"cluster": ["a", "b"], "length": 1.0},
                              {"cluster": ["a", "b", "c"], "length": 0.5}]},
-         "frechet_value": 0.25, "method": "cone", "quadrant": [["a", "b"], ["a", "b", "c"]]}),
+         "frechet_value": 0.25}),
     "SimReport": (
         mcsim.SimReport("openbook", mcsim.Regime.BOUNDARY, 60, 150, 0.25, (0.0, -1.0, -1.0),
                         0.05, 0.5, 0.1, None, True, runtime_seconds=2.5),

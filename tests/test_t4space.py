@@ -21,6 +21,7 @@ from oracles import (
     route_distance,
     route_frechet_function,
     route_geodesic_point,
+    t4_coordinate_mean,
     t4_descent,
     t4_grid_frechet_minimum,
     t4_mean_inductive_polish,
@@ -344,7 +345,6 @@ class TestMean:
         pts = (P({(1, 2): 1.0, (1, 2, 3): 1.0}), P({(1, 2): 3.0, (1, 2, 3): 3.0}))
         est = t4_mean(T4Sample(L, pts))
         assert est.mean == P({(1, 2): 2.0, (1, 2, 3): 2.0})
-        assert est.method == "euclidean"
 
     def test_single_axis_exact(self):
         pts = (P({(1, 2): 1.0}), P({(1, 2): 2.0}), P({(1, 2): 6.0}))
@@ -384,17 +384,15 @@ class TestMean:
                P({(1, 2, 3): 1.0, (1, 3): 0.5}))
         sample = T4Sample(L, pts)
         est = t4_mean(sample)
-        assert est.method == "cone"
-        assert est.quadrant == (frozenset({1, 2}), frozenset({1, 2, 3}))
-        assert len(est.mean.support) == 2
+        assert est.mean.support == (frozenset({1, 2}), frozenset({1, 2, 3}))
         assert t4_descent(sample, est.mean, est.frechet_value, step=1e-3) <= (
             1e-12 * est.frechet_value)
-        assert set(est.to_dict()) == {"mean", "frechet_value", "method", "quadrant"}
+        assert set(est.to_dict()) == {"mean", "frechet_value"}
 
     def test_star_tree_wins_with_empty_quadrant(self):
         pts = (P({(1, 2): 1.0}), P({(1, 3): 1.0}), P({(2, 3): 1.0}))
         est = t4_mean(T4Sample(L, pts))
-        assert est.mean.is_origin and est.quadrant == ()
+        assert est.mean.is_origin
         assert est.frechet_value == pytest.approx(1.0)
 
     @pytest.mark.parametrize("points, value", [
@@ -409,7 +407,7 @@ class TestMean:
     ])
     def test_gain_below_the_floor_keeps_the_star_tree(self, points, value):
         est = t4_mean(sample_of(*points))
-        assert est.mean.is_origin and est.quadrant == ()
+        assert est.mean.is_origin
         assert est.frechet_value == value
 
     def test_empty(self):
@@ -447,7 +445,7 @@ class TestMean:
 
         monkeypatch.setattr(T4Point, "__init__", counting)
         est = t4_mean(sample)
-        assert est.method == "euclidean" and built == [est.mean]
+        assert built == [est.mean]
 
 
 QUADRANTS = compatible_pairs(L)
@@ -550,6 +548,52 @@ class TestMeanSweep:
             assert_no_descent(sample, est)
 
 
+def optional_weights(n):
+    """No weights, or ``n`` positive weights summing to 1."""
+    raw = st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)
+    return st.one_of(st.none(), raw.map(lambda w: tuple(np.array(w) / sum(w))))
+
+
+@st.composite
+def one_quadrant_samples(draw):
+    """Samples inside one closed quadrant or on one axis, optionally
+    weighted, with lengths of order 1 or of order 1e-172 (whose squares
+    underflow)."""
+    e, f = QUADRANTS[draw(st.integers(0, 14))]
+    axes = draw(st.sampled_from([(e, f), (e,), (f,)]))
+    scale = draw(st.sampled_from([1.0, 1e-172]))
+    coords = st.fixed_dictionaries({}, optional={a: lengths for a in axes})
+    pts = draw(st.lists(coords, min_size=1, max_size=8))
+    return T4Sample(L, tuple(T4Point(L, {a: x * scale for a, x in pt.items()}) for pt in pts),
+                    draw(optional_weights(len(pts))))
+
+
+class TestOneQuadrantMean:
+    """Inside one closed quadrant the space is Euclidean: the cone solve
+    gives the coordinate mean of ``oracles.t4_coordinate_mean``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_quadrant_samples())
+    def test_matches_the_coordinate_mean(self, sample):
+        est = t4_mean(sample)
+        mean, value = t4_coordinate_mean(sample)
+        assert est.frechet_value <= value * (1 + 1e-9)
+        assert max(abs(est.mean.get(e) - mean.get(e)) for e in all_splits(L)) <= (
+            1e-12 * mean.norm())
+
+    @pytest.mark.parametrize("support", _geometry(L).supports[1:],
+                             ids=lambda s: "|".join("".join(map(str, sorted(c))) for c in s))
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_equal_points_average_to_themselves(self, support, data):
+        # every axis and every quadrant
+        point = T4Point(L, {e: data.draw(lengths) for e in support})
+        n = data.draw(st.integers(1, 6))
+        est = t4_mean(T4Sample(L, (point,) * n, data.draw(optional_weights(n))))
+        assert est.mean == point
+        assert est.frechet_value == 0.0
+
+
 @st.composite
 def frames_and_points(draw):
     """A quadrant, x in it (inside, on an axis or at the origin), and a
@@ -595,7 +639,7 @@ class TestStartBisection:
         sample = sample_of({"ab": 3}, {"ad": 3}, {"cd": 3, "bcd": 2})
         quadrant = (frozenset("ab"), frozenset("cd"))
         est = t4_mean(sample)
-        assert est.quadrant == quadrant
+        assert est.mean.support == quadrant
         assert est.frechet_value < frechet_function(T4Point(sample.labels, {}), sample)
         _, oracle_value = t4_mean_inductive_polish(sample, epochs=5)
         assert est.frechet_value <= oracle_value * (1 + 1e-9)
