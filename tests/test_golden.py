@@ -61,6 +61,13 @@ solve replaced the bisection start and projected Newton: ``iterations`` and
 lengths became 17/120 and 19/120, correctly rounded) and in
 ``t4_bisection_descent`` (Frechet value 10.330407329001142 to
 10.33040732900114, the lengths by at most 4.3e-15 relative).
+The four-leaf ``means/`` fixtures were re-recorded again when the
+coordinate mean of one-quadrant samples was folded into the ray solve:
+``method`` and ``quadrant`` were removed; numbers moved only in
+``t4_bisection_descent`` (Frechet value 10.33040732900114 to
+10.330407329001142, the correctly rounded value, with the lengths in their
+last two digits) and in ``t4_markup`` (Frechet value down 1 ulp to the
+correctly rounded 0.3133023732833328, the lengths in their last digits).
 ``t4_gain_floor.json`` is a two-point sample whose mean is the star tree,
 at Frechet value 13.0, on which the iterative solver exited 1 with a
 singular Newton step; each quadrant's best-ray gain is at most rounding.
