@@ -10,8 +10,8 @@ SHOWN_WIDTH = 80  # the most characters of a bad value that a message shows
 
 
 def shown(value) -> str:
-    """A bad value as a message shows it: ``cut(repr(value))``, a number whole (<= 4300 digits)."""
-    return str(value) if isinstance(value, numbers.Number) else cut(repr(value))
+    """A bad value as a message shows it: ``repr(value)``, a number as ``str``, then ``cut``."""
+    return cut(str(value) if isinstance(value, numbers.Number) else repr(value))
 
 
 def cut(text: str) -> str:

@@ -913,9 +913,11 @@ class TestBadSampleExit2:
         ("t3", T3_DOC, "leg", 3),
         ("openbook", {"points": [{"leaf": 1, "x1": 1, "x2": 1}, {"leaf": 2, "x1": 0, "x2": 2}]},
          "leaf", 3)])
-    @pytest.mark.parametrize("code", [2**63, -2**63 - 1, 10**400],
-                             ids=["2**63", "-2**63-1", "10**400"])
-    def test_code_outside_int64_named_exactly(self, tmp_path, capsys, space, doc, field, n, code):
+    @pytest.mark.parametrize("code, text", [  # a long number is cut like any shown value
+        (2**63, "9223372036854775808"), (-2**63 - 1, "-9223372036854775809"),
+        (10**400, "1" + "0" * 76 + "...")], ids=["2**63", "-2**63-1", "10**400"])
+    def test_code_outside_int64_named_exactly(self, tmp_path, capsys, space, doc, field, n, code,
+                                              text):
         for i in (0, 1):  # the first point, or one after a good point
             points = copy.deepcopy(doc["points"])
             points[i][field] = code
@@ -924,7 +926,7 @@ class TestBadSampleExit2:
             assert main(["mean", "--space", space, str(path)]) == 2
             err = capsys.readouterr().err
             assert f"points[{i}].{field} must be in 1..{n} where" in err
-            assert err.rstrip().endswith(f"got {code}")
+            assert err.rstrip().endswith(f"got {text}")
 
     @pytest.mark.parametrize("doc, message", [
         ({**T4_DOC, "labels": ["a", "b", "c", "c"]}, "labels must be four distinct strings"),
@@ -1010,7 +1012,8 @@ class TestLongBadValueExit2:
         (["simulate", "--n", "5", "--reps", "2"],
          {"weights": [1], "legs": [{"kind": "uniform", "lo": 0, "hi": 1, "z" * 100_000: 1}]},
          "legs[0].zzz"),
-    ], ids=["points", "u", "leg", "p", "law_leg", "nested_labels", "law_key"])
+        (["mean"], {"p": 10**4298, "points": []}, "p must be an integer"),
+    ], ids=["points", "u", "leg", "p", "law_leg", "nested_labels", "law_key", "long_p"])
     def test_message_is_short(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
