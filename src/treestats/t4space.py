@@ -588,7 +588,8 @@ def t4_mean(sample: T4Sample) -> T4MeanEstimate:
     wins.  A sample inside one closed quadrant takes the same solve: the
     quadrant is a convex Euclidean part of the cone, where the ray and the
     step from it land on the coordinate mean, and equal points average to
-    themselves exactly.
+    themselves exactly; it costs five to nine times a coordinate mean there
+    (README gives the timings).
     """
     if not len(sample):
         raise EmptySampleError("cannot average an empty sample")

@@ -520,7 +520,7 @@ def t4_coordinate_mean(sample):
     axis), where the space is Euclidean; returns (point, Frechet value).
 
     A plain running sum per split of weight times length over the points,
-    clipped at ``MAX_COORD``: equal points average to themselves exactly.
+    clipped at ``MAX_COORD``.
     """
     sums = {}
     for w, pt in zip(sample.normalized_weights().tolist(), sample.points):

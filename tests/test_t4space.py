@@ -586,7 +586,6 @@ class TestOneQuadrantMean:
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_equal_points_average_to_themselves(self, support, data):
-        # every axis and every quadrant
         point = T4Point(L, {e: data.draw(lengths) for e in support})
         n = data.draw(st.integers(1, 6))
         est = t4_mean(T4Sample(L, (point,) * n, data.draw(optional_weights(n))))
